@@ -56,8 +56,7 @@ from .specflow import (
     Crossing,
     FluxResponseReport,
     SfResult,
-    check_flux_response_bare,
-    check_flux_response_calibrated,
+    check_flux_response,
     reduced_local_term,
     reverse_path,
     sf_affine,

@@ -28,18 +28,16 @@ from . import __version__
 from .conformal import ConformalScale, transform_spectrum
 from .eta import UnconvergedError, eta_for_model, rho
 from .models import (
-    Circle,
+    GEOMETRIES,
     CircleHolonomy,
-    Lens,
     LensCharacter,
     SpectralModel,
-    Sphere3,
     Torus3,
     TorusFlux,
     TorusHolonomy,
     TrivialBundle,
 )
-from .specflow import check_flux_response_bare, check_flux_response_calibrated
+from .specflow import check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
 from . import selftest as selftest_mod
 
@@ -126,7 +124,9 @@ class RunConfig:
             raise ConfigError(f"missing required key {key!r}")
         return self.raw[key]
 
-    def floats(self, key: str) -> list[float]:
+    def floats(self, key: str, default: Sequence[float] | None = None) -> list[float]:
+        if default is not None and key not in self.raw:
+            return list(default)
         try:
             return [float(x) for x in str(self.require(key)).split(",")]
         except ValueError as exc:
@@ -144,25 +144,14 @@ class RunConfig:
         geometry = self.require("geometry")
         flux = float(self.get("flux", 0.0))
         try:
-            if geometry == "circle":
-                geo = Circle(radius=float(self.get("radius", 1.0)))
-            elif geometry == "sphere3":
-                geo = Sphere3(radius=float(self.get("radius", 1.0)))
-            elif geometry == "torus3":
-                lengths = tuple(self.floats("lengths")) if "lengths" in self.raw else (1.0, 1.0, 1.0)
-                spin = tuple(self.floats("spin_structure")) if "spin_structure" in self.raw \
-                    else (0.5, 0.5, 0.5)
-                geo = Torus3(lengths=lengths, spin=spin)
-            elif geometry == "lens":
-                geo = Lens(p=int(self.require("lens_p")), radius=float(self.get("radius", 1.0)))
-            else:
+            if geometry not in GEOMETRIES:
                 raise ConfigError(f"unknown geometry {geometry!r}")
-            bundle = self._bundle(geometry)
-            return SpectralModel(geo, bundle, flux)
+            geo = GEOMETRIES[geometry].from_config(self)
+            return SpectralModel(geo, self._bundle(), flux)
         except ValueError as exc:
             raise ConfigError(f"invalid model: {exc}") from None
 
-    def _bundle(self, geometry: str):
+    def _bundle(self):
         kind = self.get("bundle", "trivial")
         if kind == "trivial":
             return TrivialBundle(rank=int(self.get("rank", 1)))
@@ -206,18 +195,8 @@ class RunConfig:
 
 def model_to_config(model: SpectralModel) -> dict:
     """Config key/values describing a model (inverse of ``RunConfig.model``)."""
-    geo, bun = model.geometry, model.bundle
-    out: dict = {"flux": model.flux_shift}
-    if isinstance(geo, Circle):
-        out.update(geometry="circle", radius=geo.radius)
-    elif isinstance(geo, Sphere3):
-        out.update(geometry="sphere3", radius=geo.radius)
-    elif isinstance(geo, Lens):
-        out.update(geometry="lens", radius=geo.radius, lens_p=geo.p)
-    else:
-        out.update(geometry="torus3",
-                   lengths=",".join(repr(x) for x in geo.lengths),
-                   spin_structure=",".join(repr(x) for x in geo.spin))
+    bun = model.bundle
+    out: dict = {"flux": model.flux_shift, **model.geometry.config()}
     if isinstance(bun, TrivialBundle):
         out.update(bundle="trivial", rank=bun.rank)
     elif isinstance(bun, CircleHolonomy):
@@ -360,25 +339,26 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     engine = cfg.engine
     cutoff = cfg.get("cutoff")
     tol = float(cfg.get("tol", 1e-8))
+    points = cfg.floats("sweep")
+    # the unfluxed endpoint is shared by every point of the sweep
+    eta_zero = eta_for_model(base.with_flux(0.0), engine, cutoff, tol)
 
     def one(t: float) -> list[ResultRecord]:
-        model = base.with_flux(t)
         start = time.perf_counter()
-        bare = check_flux_response_bare(model, engine=engine, cutoff=cutoff, tol=tol)
-        cal = check_flux_response_calibrated(model, engine=engine, cutoff=cutoff, tol=tol)
+        rpt = check_flux_response(base.with_flux(t), engine=engine, cutoff=cutoff, tol=tol,
+                                  eta_zero=eta_zero)
         wall = time.perf_counter() - start
-        conv = bare.eta_flux.converged and bare.eta_zero.converged
+        conv = rpt.eta_flux.converged and rpt.eta_zero.converged
         return [
-            make("eta", bare.eta_flux.eta, bare.eta_flux.error_bound,
-                 bare.eta_flux.method, t, wall, conv),
-            make("sf", float(bare.sf.flow), 0.0, "affine_exact", t, wall),
-            make("residual", bare.residual, bare.error_budget, "bare_volume_constant",
-                 t, wall, conv),
-            make("residual_calibrated", cal.residual, cal.error_budget,
+            make("eta", rpt.eta_flux.eta, rpt.eta_flux.error_bound,
+                 rpt.eta_flux.method, t, wall, conv),
+            make("sf", float(rpt.sf.flow), 0.0, "affine_exact", t, wall),
+            make("residual", rpt.residuals["bare"], rpt.error_budget,
+                 "bare_volume_constant", t, wall, conv),
+            make("residual_calibrated", rpt.residuals["calibrated"], rpt.error_budget,
                  "curvature_flux_local_term", t, wall, conv),
         ]
 
-    points = cfg.floats("sweep")
     return _sweep(points, one, int(cfg.get("workers", 1)))
 
 

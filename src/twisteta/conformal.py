@@ -19,13 +19,13 @@ conformal class of the pair; :func:`check_rho_conformal` measures this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import exp, isfinite
 from typing import Sequence
 
 from .clifford import FluxForm
 from .eta import rho
-from .models import Circle, Lens, SpectralModel, Sphere3, Torus3
+from .models import SpectralModel
 
 __all__ = [
     "ConformalScale",
@@ -60,14 +60,7 @@ def transform_spectrum(model: SpectralModel, scale: ConformalScale) -> SpectralM
     by ``exp(-u)``; its spectrum is elementwise ``exp(-u)`` times the
     original one, multiplicities unchanged."""
     s = exp(scale.u)
-    geo = model.geometry
-    if isinstance(geo, (Circle, Sphere3, Lens)):
-        new_geo = replace(geo, radius=geo.radius * s)
-    elif isinstance(geo, Torus3):
-        new_geo = replace(geo, lengths=tuple(x * s for x in geo.lengths))
-    else:
-        raise ValueError(f"unsupported geometry {type(geo).__name__}")
-    return SpectralModel(new_geo, model.bundle, model.flux_shift / s)
+    return SpectralModel(model.geometry.scaled(s), model.bundle, model.flux_shift / s)
 
 
 def check_rho_conformal(model: SpectralModel, scales: Sequence[float],

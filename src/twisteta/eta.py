@@ -57,7 +57,6 @@ __all__ = [
     "eta_for_model",
     "rho",
     "rho_difference_stability",
-    "default_cutoff",
 ]
 
 _LD = np.longdouble
@@ -409,16 +408,6 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
 # model-level drivers
 # ---------------------------------------------------------------------------
 
-def default_cutoff(model: SpectralModel) -> int:
-    from .models import Circle, Lens, Sphere3
-
-    if isinstance(model.geometry, Circle):
-        return 2000
-    if isinstance(model.geometry, (Sphere3, Lens)):
-        return 400
-    return 12
-
-
 def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
                   tol: float = 1e-8, zero_tol: float = 1e-9) -> EtaValue:
     """Eta/xi of a model through the selected engine.
@@ -431,7 +420,7 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
         return eta_hurwitz(progression_spectrum(model, zero_tol))
     if engine != "heat_kernel" and engine != "heat":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
-    n = cutoff if cutoff is not None else default_cutoff(model)
+    n = cutoff if cutoff is not None else model.geometry.default_cutoff
     items = enumerate_spectrum(model, n)
     kernel = sum(m for v, m in items if abs(v) <= zero_tol)
     nonzero = [it for it in items if abs(it.value) > zero_tol]

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Union
+from math import isfinite
+from typing import ClassVar, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ __all__ = [
     "Sphere3",
     "Torus3",
     "Lens",
+    "GEOMETRIES",
     "SpectralModel",
     "EigenItem",
     "enumerate_spectrum",
@@ -48,8 +50,6 @@ __all__ = [
     "TorusFlux",
     "ModeBlockOperator",
     "build_torus_operator",
-    "volume",
-    "scalar_curvature",
     "lens_weight_count",
 ]
 
@@ -103,23 +103,85 @@ Bundle = Union[TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter]
 # ---------------------------------------------------------------------------
 # geometries
 # ---------------------------------------------------------------------------
+#
+# ``levels(model, cutoff)``: unmerged (eigenvalue, multiplicity) pairs of the
+# shell-complete spectrum.  ``branches(model)``: ``(v0, step, mult_coeffs)``
+# families ``v0 + step j`` with multiplicity ``sum mult_coeffs[i] j^i``.
 
-@dataclass(frozen=True)
-class Circle:
-    radius: float = 1.0
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
-
-
-@dataclass(frozen=True)
-class Sphere3:
-    radius: float = 1.0
+class _Round:
+    """Geometry with one length scale, ``radius``."""
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
+
+    def scaled(self, s: float):
+        return replace(self, radius=self.radius * s)
+
+    def config(self) -> dict:
+        return {"geometry": self.config_name, "radius": self.radius}
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(radius=float(cfg.get("radius", 1.0)))
+
+
+@dataclass(frozen=True)
+class Circle(_Round):
+    radius: float = 1.0
+
+    dim: ClassVar[int] = 1
+    bundles: ClassVar[tuple] = (CircleHolonomy, TrivialBundle)
+    default_cutoff: ClassVar[int] = 2000
+    config_name: ClassVar[str] = "circle"
+    scalar_curvature: ClassVar[float] = 0.0
+
+    @property
+    def volume(self) -> float:
+        return 2.0 * np.pi * self.radius
+
+    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+        a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
+        t, rank = model.flux_shift, model.rank
+        return [((n + a) / self.radius + t, rank) for n in range(-cutoff, cutoff + 1)]
+
+    def branches(self, model: "SpectralModel"):
+        a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
+        r, t, rank = self.radius, model.flux_shift, model.rank
+        return [(a / r + t, 1.0 / r, [float(rank)]),
+                ((a - 1.0) / r + t, -1.0 / r, [float(rank)])]
+
+
+@dataclass(frozen=True)
+class Sphere3(_Round):
+    radius: float = 1.0
+
+    dim: ClassVar[int] = 3
+    bundles: ClassVar[tuple] = (TrivialBundle,)
+    default_cutoff: ClassVar[int] = 400
+    config_name: ClassVar[str] = "sphere3"
+
+    @property
+    def volume(self) -> float:
+        return 2.0 * np.pi**2 * self.radius**3
+
+    @property
+    def scalar_curvature(self) -> float:
+        return 6.0 / self.radius**2
+
+    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+        t, rank = model.flux_shift, model.rank
+        items = []
+        for k in range(cutoff + 1):
+            mult = rank * (k + 1) * (k + 2)
+            items.append(((1.5 + k) / self.radius + t, mult))
+            items.append((-(1.5 + k) / self.radius + t, mult))
+        return items
+
+    def branches(self, model: "SpectralModel"):
+        r, t, rank = self.radius, model.flux_shift, model.rank
+        mult = [2.0 * rank, 3.0 * rank, 1.0 * rank]  # (k+1)(k+2)
+        return [(1.5 / r + t, 1.0 / r, mult), (-1.5 / r + t, -1.0 / r, mult)]
 
 
 @dataclass(frozen=True)
@@ -127,33 +189,114 @@ class Torus3:
     lengths: tuple[float, float, float] = (1.0, 1.0, 1.0)
     spin: tuple[float, float, float] = (0.5, 0.5, 0.5)
 
+    dim: ClassVar[int] = 3
+    bundles: ClassVar[tuple] = (TorusHolonomy, TrivialBundle)
+    # N = 40 reaches the default tol 1e-8 on the unit torus (N = 12 does not)
+    default_cutoff: ClassVar[int] = 40
+    config_name: ClassVar[str] = "torus3"
+    scalar_curvature: ClassVar[float] = 0.0
+
     def __post_init__(self):
-        if len(self.lengths) != 3 or any(x <= 0 for x in self.lengths):
-            raise ValueError("edge lengths must be positive")
+        if len(self.lengths) != 3 or not all(isfinite(x) and x > 0 for x in self.lengths):
+            raise ValueError(f"edge lengths must be finite and positive, got {self.lengths!r}")
         if len(self.spin) != 3 or any(s not in (0.0, 0.5) for s in self.spin):
             raise ValueError("spin structure offsets must each be 0 or 0.5")
 
+    @property
+    def volume(self) -> float:
+        return float(np.prod(self.lengths))
+
+    def scaled(self, s: float) -> "Torus3":
+        return replace(self, lengths=tuple(x * s for x in self.lengths))
+
+    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+        t, rank = model.flux_shift, model.rank
+        w, _ = _torus_modes(self, model.bundle, cutoff)
+        items = []
+        for x in 2.0 * np.pi * w:
+            if x == 0.0:
+                items.append((t, 2 * rank))
+            else:
+                items.append((x + t, rank))
+                items.append((-x + t, rank))
+        return items
+
+    def branches(self, model: "SpectralModel"):
+        raise ValueError(
+            "torus spectra are not arithmetic progressions; use the heat engine"
+        )
+
+    def config(self) -> dict:
+        return {"geometry": self.config_name,
+                "lengths": ",".join(repr(x) for x in self.lengths),
+                "spin_structure": ",".join(repr(x) for x in self.spin)}
+
+    @classmethod
+    def from_config(cls, cfg) -> "Torus3":
+        return cls(lengths=tuple(cfg.floats("lengths", cls.lengths)),
+                   spin=tuple(cfg.floats("spin_structure", cls.spin)))
+
 
 @dataclass(frozen=True)
-class Lens:
+class Lens(_Round):
     p: int
     radius: float = 1.0
+
+    dim: ClassVar[int] = 3
+    bundles: ClassVar[tuple] = (LensCharacter, TrivialBundle)
+    default_cutoff: ClassVar[int] = 400
+    config_name: ClassVar[str] = "lens"
 
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("lens order p must be >= 2")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        super().__post_init__()
+
+    @property
+    def volume(self) -> float:
+        return 2.0 * np.pi**2 * self.radius**3 / self.p
+
+    @property
+    def scalar_curvature(self) -> float:
+        return 6.0 / self.radius**2
+
+    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+        k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
+        t, rank = model.flux_shift, model.rank
+        items = []
+        for m in range(cutoff + 1):
+            mp = rank * (m + 2) * lens_weight_count(m, k_char, self.p)
+            mm = rank * (m + 1) * lens_weight_count(m + 1, k_char, self.p)
+            if mp:
+                items.append(((1.5 + m) / self.radius + t, mp))
+            if mm:
+                items.append((-(1.5 + m) / self.radius + t, mm))
+        return items
+
+    def branches(self, model: "SpectralModel"):
+        k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
+        r, p, t, rank = self.radius, self.p, model.flux_shift, model.rank
+        period = 2 * p
+        out = []
+        for rho in range(period):
+            for branch, step_sign in (("+", 1.0), ("-", -1.0)):
+                coeffs = _lens_class_poly(rho, period, k_char, p, branch, rank)
+                if all(c == 0 for c in coeffs):
+                    continue
+                v0 = step_sign * (1.5 + rho) / r + t
+                out.append((v0, step_sign * period / r, coeffs))
+        return out
+
+    def config(self) -> dict:
+        return {**super().config(), "lens_p": self.p}
+
+    @classmethod
+    def from_config(cls, cfg) -> "Lens":
+        return cls(p=int(cfg.require("lens_p")), radius=float(cfg.get("radius", 1.0)))
 
 
 Geometry = Union[Circle, Sphere3, Torus3, Lens]
-
-_ALLOWED = {
-    Circle: (CircleHolonomy, TrivialBundle),
-    Sphere3: (TrivialBundle,),
-    Torus3: (TorusHolonomy, TrivialBundle),
-    Lens: (LensCharacter, TrivialBundle),
-}
+GEOMETRIES = {geo.config_name: geo for geo in (Circle, Sphere3, Torus3, Lens)}
 
 
 @dataclass(frozen=True)
@@ -166,15 +309,15 @@ class SpectralModel:
     flux_shift: float = 0.0
 
     def __post_init__(self):
-        allowed = _ALLOWED[type(self.geometry)]
-        if not isinstance(self.bundle, allowed):
+        if not isinstance(self.bundle, self.geometry.bundles):
             raise ValueError(
                 f"{type(self.geometry).__name__} does not admit bundle "
                 f"{type(self.bundle).__name__}"
             )
-        if isinstance(self.geometry, Lens) and isinstance(self.bundle, LensCharacter):
-            if self.bundle.p != self.geometry.p:
-                raise ValueError("character order must match the lens order")
+        if isinstance(self.bundle, LensCharacter) and self.bundle.p != self.geometry.p:
+            raise ValueError("character order must match the lens order")
+        if not isfinite(self.flux_shift):
+            raise ValueError(f"flux must be finite, got {self.flux_shift!r}")
 
     @property
     def rank(self) -> int:
@@ -206,23 +349,6 @@ class EigenItem(tuple):
     @property
     def multiplicity(self) -> int:
         return self[1]
-
-
-def volume(geometry: Geometry) -> float:
-    if isinstance(geometry, Circle):
-        return 2.0 * np.pi * geometry.radius
-    if isinstance(geometry, Sphere3):
-        return 2.0 * np.pi**2 * geometry.radius**3
-    if isinstance(geometry, Lens):
-        return 2.0 * np.pi**2 * geometry.radius**3 / geometry.p
-    return float(np.prod(geometry.lengths))
-
-
-def scalar_curvature(geometry: Geometry) -> float:
-    """Constant scalar curvature of the model: 0 flat, 6/r^2 round."""
-    if isinstance(geometry, (Sphere3, Lens)):
-        return 6.0 / geometry.radius**2
-    return 0.0
 
 
 def lens_weight_count(m: int, k: int, p: int) -> int:
@@ -268,42 +394,7 @@ def enumerate_spectrum(model: SpectralModel, cutoff: int) -> list[EigenItem]:
     """Eigenvalues with exact multiplicities, ascending, duplicates merged."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    geo, bun, t = model.geometry, model.bundle, model.flux_shift
-    rank = model.rank
-    items: list[tuple[float, int]] = []
-
-    if isinstance(geo, Circle):
-        a = bun.a if isinstance(bun, CircleHolonomy) else 0.0
-        for n in range(-cutoff, cutoff + 1):
-            items.append(((n + a) / geo.radius + t, rank))
-
-    elif isinstance(geo, Sphere3):
-        for k in range(cutoff + 1):
-            mult = rank * (k + 1) * (k + 2)
-            items.append(((1.5 + k) / geo.radius + t, mult))
-            items.append((-(1.5 + k) / geo.radius + t, mult))
-
-    elif isinstance(geo, Lens):
-        k_char = bun.k if isinstance(bun, LensCharacter) else 0
-        for m in range(cutoff + 1):
-            mp = rank * (m + 2) * lens_weight_count(m, k_char, geo.p)
-            mm = rank * (m + 1) * lens_weight_count(m + 1, k_char, geo.p)
-            if mp:
-                items.append(((1.5 + m) / geo.radius + t, mp))
-            if mm:
-                items.append((-(1.5 + m) / geo.radius + t, mm))
-
-    else:
-        w, _ = _torus_modes(geo, bun, cutoff)
-        mu = 2.0 * np.pi * w
-        for x in mu:
-            if x == 0.0:
-                items.append((t, 2 * rank))
-            else:
-                items.append((x + t, rank))
-                items.append((-x + t, rank))
-
-    return _merge(items)
+    return _merge(model.geometry.levels(model, cutoff))
 
 
 class ZeroResolutionError(RuntimeError):
@@ -431,49 +522,14 @@ def progression_spectrum(model: SpectralModel, zero_tol: float = 1e-9) -> Progre
     Torus norms ``2 pi |v + delta + theta|`` are not arithmetic progressions,
     so torus models must use the heat engine.
     """
-    geo, bun, t = model.geometry, model.bundle, model.flux_shift
-    rank = model.rank
     families: list[Progression] = []
     extras: list[tuple[float, int]] = []
     kernel = 0
-
-    if isinstance(geo, Circle):
-        a = bun.a if isinstance(bun, CircleHolonomy) else 0.0
-        r = geo.radius
-        for v0, step in ((a / r + t, 1.0 / r), ((a - 1.0) / r + t, -1.0 / r)):
-            tail, ex, ker = _split_branch(v0, step, [float(rank)], zero_tol)
-            families.append(tail)
-            extras.extend(ex)
-            kernel += ker
-
-    elif isinstance(geo, Sphere3):
-        r = geo.radius
-        mult = [2.0 * rank, 3.0 * rank, 1.0 * rank]  # (k+1)(k+2)
-        for v0, step in ((1.5 / r + t, 1.0 / r), (-1.5 / r + t, -1.0 / r)):
-            tail, ex, ker = _split_branch(v0, step, mult, zero_tol)
-            families.append(tail)
-            extras.extend(ex)
-            kernel += ker
-
-    elif isinstance(geo, Lens):
-        r, p = geo.radius, geo.p
-        k_char = bun.k if isinstance(bun, LensCharacter) else 0
-        period = 2 * p
-        for rho in range(period):
-            for branch, step_sign in (("+", 1.0), ("-", -1.0)):
-                coeffs = _lens_class_poly(rho, period, k_char, p, branch, rank)
-                if all(c == 0 for c in coeffs):
-                    continue
-                v0 = step_sign * (1.5 + rho) / r + t
-                tail, ex, ker = _split_branch(v0, step_sign * period / r, coeffs, zero_tol)
-                families.append(tail)
-                extras.extend(ex)
-                kernel += ker
-
-    else:
-        raise ValueError(
-            "torus spectra are not arithmetic progressions; use the heat engine"
-        )
+    for v0, step, mult_coeffs in model.geometry.branches(model):
+        tail, ex, ker = _split_branch(v0, step, mult_coeffs, zero_tol)
+        families.append(tail)
+        extras.extend(ex)
+        kernel += ker
 
     extra_items = tuple(EigenItem(v, m) for v, m in sorted(extras))
     return ProgressionSpectrum(tuple(families), extra_items, kernel)

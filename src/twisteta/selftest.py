@@ -39,8 +39,7 @@ from . import (
     boundary_reduction_check,
     build_even_gamma_rep,
     build_gamma_rep,
-    check_flux_response_bare,
-    check_flux_response_calibrated,
+    check_flux_response,
     check_rho_conformal,
     clifford_action,
     degree_adjointness,
@@ -141,10 +140,11 @@ def _c3_bare(tol: float = 1e-8) -> tuple[bool, str]:
     worst = (0.0, 0.0)
     least = (np.inf, 0.0)
     for t in _sweep_t_values():
-        rpt = check_flux_response_bare(SpectralModel(Sphere3(1.0), flux_shift=t), engine="hurwitz")
+        rpt = check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=t), engine="hurwitz")
+        residual = rpt.residuals["bare"]
         predicted = abs(t / 2.0 + 2.0 * t**3 / 3.0)
-        worst = max(worst, (abs(rpt.residual - predicted), t))
-        least = min(least, (rpt.residual, t))
+        worst = max(worst, (abs(residual - predicted), t))
+        least = min(least, (residual, t))
     ok = worst[0] <= tol and least[0] > tol
     return ok, (
         f"max deviation from predicted |t/2 + 2t^3/3| {worst[0]:.1e} at t={worst[1]} "
@@ -157,15 +157,15 @@ def _c3_calibrated(tol: float = 1e-8) -> tuple[bool, str]:
     sf_ok = True
     for t in _sweep_t_values():
         model = SpectralModel(Sphere3(1.0), flux_shift=t)
-        rpt = check_flux_response_calibrated(model, engine="hurwitz")
-        worst = max(worst, rpt.residual)
+        rpt = check_flux_response(model, engine="hurwitz")
+        worst = max(worst, rpt.residuals["calibrated"])
         expected_sf = int(np.sign(t)) * 2 if 1.5 < abs(t) < 2.5 else (
             int(np.sign(t)) * 8 if abs(t) > 2.5 else 0)
         if rpt.sf.flow != expected_sf:
             sf_ok = False
-    extra = check_flux_response_calibrated(
+    extra = check_flux_response(
         SpectralModel(Torus3(), flux_shift=0.5), engine="heat_kernel", cutoff=40)
-    worst = max(worst, extra.residual)
+    worst = max(worst, extra.residuals["calibrated"])
     ok = worst <= tol and sf_ok
     return ok, (f"max residual {worst:.3e} (tol {tol:.0e}), crossing flow "
                 f"{'correct' if sf_ok else 'WRONG'} (+-2 past |t|=3/2)")

@@ -6,20 +6,19 @@ counted on the half-open interval ``(0, u_max]`` with negative-to-nonnegative
 crossings as +1; zeros are treated as nonnegative throughout, so for matrix
 paths the flow equals ``N_neg(start) - N_neg(end)``.
 
-Two flux-response checks are provided for 3-dimensional models:
+:func:`check_flux_response` measures ``eta(D_H) - eta(D) - 2 sf`` once on a
+3-dimensional model and reports its residual against each named local term
+of :data:`LOCAL_TERMS`:
 
-* :func:`check_flux_response_bare` evaluates the residual of the bare
-  volume-normalized identity ``eta(D_H) - eta(D) = 2 sf + h / (2 pi^2)``
-  with ``h = t Vol``.  Exact computation refutes this normalization on
-  curved models (see the calibrated check below); the check is kept and
-  simply reports its residual.
-* :func:`check_flux_response_calibrated` evaluates the curvature-corrected
-  local term that the exact engines do confirm on every supported model,
+* ``bare``: the volume-normalized constant ``h / (2 pi^2)`` with
+  ``h = t Vol``.  Exact computation refutes this normalization on curved
+  models (see ``calibrated``); its residual is simply reported.
+* ``calibrated``: the curvature-corrected local term that the exact engines
+  do confirm on every supported model,
 
       eta(D_H) - eta(D) = 2 sf + (1/(6 pi^2)) Int_Y (R/4 - 2|H|^2) H
-                        = 2 sf + R Vol t / (24 pi^2) - Vol t^3 / (3 pi^2),
+                        = 2 sf + R Vol t / (24 pi^2) - Vol t^3 / (3 pi^2).
 
-  and reports the calibrated normalization together with the residual.
   On a unit 3-sphere this gives ``t/2 - (2/3) t^3`` between crossings, a
   value pinned independently by the exact Hurwitz engine (e.g. the shift
   t = 1/2 evaluates in closed form to 1/6) and by the heat engine.
@@ -33,15 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eta import EtaValue, eta_for_model
-from .models import (
-    SpectralModel,
-    Sphere3,
-    Lens,
-    Torus3,
-    enumerate_spectrum,
-    scalar_curvature,
-    volume,
-)
+from .models import SpectralModel, enumerate_spectrum
 
 __all__ = [
     "AffinePath",
@@ -54,8 +45,8 @@ __all__ = [
     "affine_path_for_model",
     "sf_for_flux",
     "FluxResponseReport",
-    "check_flux_response_bare",
-    "check_flux_response_calibrated",
+    "LOCAL_TERMS",
+    "check_flux_response",
     "reduced_local_term",
 ]
 
@@ -236,78 +227,68 @@ def sf_for_flux(model: SpectralModel, t: float, cutoff: int | None = None) -> Sf
     return sf_affine(affine_path_for_model(model, t, cutoff))
 
 
+def _require_3d(model: SpectralModel):
+    if model.geometry.dim != 3:
+        raise ValueError("flux-response checks need a 3-dimensional model")
+
+
 def reduced_local_term(model: SpectralModel, t: float) -> float:
     """Curvature/flux local term ``R Vol t/(24 pi^2) - Vol t^3/(3 pi^2)``.
 
     This is ``(1/(6 pi^2)) Int (R/4 - 2|H|^2) H`` for ``H = t vol`` with
     ``|vol| = 1``; on flat tori only the cubic term survives.
     """
-    geo = model.geometry
-    if not isinstance(geo, (Sphere3, Lens, Torus3)):
-        raise ValueError("flux-response checks need a 3-dimensional model")
-    vol = volume(geo)
-    r_scal = scalar_curvature(geo)
+    _require_3d(model)
+    vol = model.geometry.volume
+    r_scal = model.geometry.scalar_curvature
     return r_scal * vol * t / (24.0 * np.pi**2) - vol * t**3 / (3.0 * np.pi**2)
+
+
+# name -> predicted smooth part of eta(D_H) - eta(D) - 2 sf at flux t
+LOCAL_TERMS: dict[str, Callable[[SpectralModel, float], float]] = {
+    "bare": lambda model, t: t * model.geometry.volume / (2.0 * np.pi**2),
+    "calibrated": reduced_local_term,
+}
 
 
 @dataclass(frozen=True)
 class FluxResponseReport:
-    """Everything measured while testing an eta-difference identity."""
+    """Everything measured while testing the eta-difference identity."""
 
     t: float
     eta_flux: EtaValue
     eta_zero: EtaValue
     sf: SfResult
-    h: float
-    term: float            # the identity's predicted smooth term
-    residual: float        # |delta eta - 2 sf - term|
+    h: float                     # t Vol
+    terms: dict[str, float]      # LOCAL_TERMS name -> predicted smooth term
+    residuals: dict[str, float]  # name -> |delta eta - 2 sf - term|
     error_budget: float
-    normalization: float   # term / h for t != 0, else 0
-
-    @property
-    def delta_eta(self) -> float:
-        return self.eta_flux.eta - self.eta_zero.eta
 
 
-def _flux_response(model: SpectralModel, engine: str, cutoff: int | None,
-                   tol: float, term_of_t: Callable[[float], float]) -> FluxResponseReport:
+def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
+                        cutoff: int | None = None, tol: float = 1e-8,
+                        eta_zero: EtaValue | None = None) -> FluxResponseReport:
+    """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for every local term
+    of :data:`LOCAL_TERMS`, from one measurement of the eta difference and
+    the spectral flow.
+
+    Both endpoint operators must be invertible.  ``eta_zero`` is the eta of
+    the unfluxed operator ``model.with_flux(0)`` through the same engine,
+    cutoff and tol; a sweep over fluxes evaluates it once and passes it to
+    every point.  It is evaluated here when not given.
+    """
+    _require_3d(model)
     t = model.flux_shift
-    geo = model.geometry
-    if not isinstance(geo, (Sphere3, Lens, Torus3)):
-        raise ValueError("flux-response checks need a 3-dimensional model")
-    base = model.with_flux(0.0)
-    eta_zero = eta_for_model(base, engine, cutoff, tol)
+    if eta_zero is None:
+        eta_zero = eta_for_model(model.with_flux(0.0), engine, cutoff, tol)
     eta_flux = eta_for_model(model, engine, cutoff, tol)
     if eta_zero.kernel_dim or eta_flux.kernel_dim:
         raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
-    sf = sf_for_flux(model, t) if t != 0.0 else SfResult(0, (), (False, False))
-    h = t * volume(geo)
-    term = term_of_t(t)
-    residual = abs(eta_flux.eta - eta_zero.eta - 2.0 * sf.flow - term)
-    budget = eta_flux.error_bound + eta_zero.error_bound
-    norm = term / h if h != 0.0 else 0.0
+    sf = sf_for_flux(model, t)
+    terms = {name: term(model, t) for name, term in LOCAL_TERMS.items()}
+    residuals = {name: abs(eta_flux.eta - eta_zero.eta - 2.0 * sf.flow - term)
+                 for name, term in terms.items()}
     return FluxResponseReport(t=t, eta_flux=eta_flux, eta_zero=eta_zero, sf=sf,
-                              h=h, term=term, residual=residual,
-                              error_budget=budget, normalization=norm)
-
-
-def check_flux_response_bare(model: SpectralModel, engine: str = "hurwitz",
-                cutoff: int | None = None, tol: float = 1e-8) -> FluxResponseReport:
-    """Residual of ``eta(D_H) - eta(D) - 2 sf - h/(2 pi^2)`` with ``h = t Vol``.
-
-    Both endpoint operators must be invertible.  The bare ``h/(2 pi^2)``
-    normalization does not survive exact computation on the curved models
-    (the measured response carries a curvature-weighted linear term and a
-    flux-cubed term); the residual is reported as measured.
-    """
-    return _flux_response(model, engine, cutoff, tol,
-                          lambda t: t * volume(model.geometry) / (2.0 * np.pi**2))
-
-
-def check_flux_response_calibrated(model: SpectralModel, engine: str = "hurwitz",
-                         cutoff: int | None = None, tol: float = 1e-8) -> FluxResponseReport:
-    """Residual of the flux-response identity with the calibrated local term
-    (see :func:`reduced_local_term`); supported on sphere, lens and flat
-    torus models, where the curvature data is constant."""
-    return _flux_response(model, engine, cutoff, tol,
-                          lambda t: reduced_local_term(model, t))
+                              h=t * model.geometry.volume, terms=terms,
+                              residuals=residuals,
+                              error_budget=eta_flux.error_bound + eta_zero.error_bound)

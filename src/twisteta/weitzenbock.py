@@ -46,15 +46,12 @@ from .clifford import (
 )
 from .eta import rho
 from .models import (
-    Lens,
     SpectralModel,
-    Sphere3,
     Torus3,
     TorusFlux,
     TrivialBundle,
     build_torus_operator,
     enumerate_spectrum,
-    scalar_curvature,
     torus_multiplication_operator,
     torus_twisted_derivative,
 )
@@ -225,12 +222,11 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     branch, which raises :class:`TheoremViolationError` because a kernel
     below the true threshold contradicts the curvature bound.
     """
-    geo = model.geometry
-    if not isinstance(geo, (Sphere3, Lens)):
+    if not model.geometry.scalar_curvature > 0:
         raise ValueError("sweep requires a positive-scalar-curvature model")
     if model.flux_shift != 0.0:
         raise ValueError("sweep starts from the unfluxed operator")
-    r_eff = scalar_curvature(geo) if r_min is None else float(r_min)
+    r_eff = model.geometry.scalar_curvature if r_min is None else float(r_min)
     thr = psc_threshold(r_eff, h_norm)
     grid = tuple(float(u) for u in u_grid)
     if any(u < 0 for u in grid) or list(grid) != sorted(set(grid)):

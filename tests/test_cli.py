@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -191,10 +192,13 @@ def test_duplicate_key_rejected(tmp_path):
 
 def test_model_config_round_trip(tmp_path):
     from twisteta.cli import model_to_config
-    from twisteta.models import (Lens, LensCharacter, SpectralModel, Torus3,
-                                 TorusHolonomy)
+    from twisteta.models import (Circle, CircleHolonomy, Lens, LensCharacter,
+                                 SpectralModel, Sphere3, Torus3, TorusHolonomy,
+                                 TrivialBundle)
 
     models = [
+        SpectralModel(Circle(radius=0.8), CircleHolonomy(0.35), flux_shift=0.2),
+        SpectralModel(Sphere3(radius=2.5), TrivialBundle(2), flux_shift=-0.7),
         SpectralModel(Lens(3, radius=1.5), LensCharacter(3, 2), flux_shift=0.3),
         SpectralModel(Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5)),
                       TorusHolonomy((0.2, 0.0, 0.4)), flux_shift=-0.1),
@@ -204,6 +208,29 @@ def test_model_config_round_trip(tmp_path):
         text = "\n".join(f"{k} = {v}" for k, v in entries.items())
         cfg = RunConfig.from_file(write(tmp_path, "m.txt", text))
         assert cfg.model() == model
+
+
+@pytest.mark.parametrize("text,key", [
+    ("geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n"
+     "engine = heat\nflux = inf\n", "flux"),
+    ("geometry = sphere3\nengine = hurwitz\nflux = nan\n", "flux"),
+    ("geometry = sphere3\nradius = nan\n", "radius"),
+], ids=["circle-heat-flux-inf", "sphere3-hurwitz-flux-nan", "sphere3-radius-nan"])
+def test_non_finite_input_is_a_config_error(tmp_path, capsys, text, key):
+    cfg = write(tmp_path, "c.txt", text)
+    assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert "too large to fold" not in err
+
+
+def test_torus_heat_default_cutoff_converges(tmp_path):
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\nengine = heat\nflux = 0.5\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    eta = {r.quantity: r for r in read_records(out)}["eta"]
+    assert eta.converged
+    assert abs(eta.value - (-0.5**3 / (3 * math.pi**2))) <= eta.error_bound
 
 
 def test_flag_overrides_config(tmp_path):

@@ -17,8 +17,6 @@ from twisteta.models import (
     kernel_dimension,
     lens_weight_count,
     progression_spectrum,
-    scalar_curvature,
-    volume,
 )
 
 
@@ -38,7 +36,7 @@ def test_sphere_friedrich_equality():
     # min lambda^2 equals n R / (4 (n-1)) = 9/4 on the round unit sphere
     items = enumerate_spectrum(SpectralModel(Sphere3(1.0)), 5)
     min_sq = min(v * v for v, _ in items)
-    r = scalar_curvature(Sphere3(1.0))
+    r = Sphere3(1.0).scalar_curvature
     assert min_sq == pytest.approx(3 * r / (4 * 2), abs=1e-14)
 
 
@@ -93,6 +91,19 @@ def test_bundle_pairing_validation():
         SpectralModel(Circle(1.0), LensCharacter(3, 1))
     with pytest.raises(ValueError):
         SpectralModel(Lens(3), LensCharacter(5, 1))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_inputs_rejected(bad):
+    for make in (Circle, Sphere3, lambda r: Lens(3, r)):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            make(bad)
+    with pytest.raises(ValueError, match="edge lengths must be finite"):
+        Torus3((1.0, bad, 1.0))
+    with pytest.raises(ValueError, match="flux must be finite"):
+        SpectralModel(Sphere3(1.0), flux_shift=bad)
+    with pytest.raises(ValueError, match="flux must be finite"):
+        SpectralModel(Sphere3(1.0)).with_flux(bad)
 
 
 def test_kernel_dimension_examples():
@@ -232,8 +243,8 @@ def test_torus_flux_reality_validation():
 
 
 def test_volume_and_curvature():
-    assert volume(Sphere3(1.0)) == pytest.approx(2 * np.pi**2)
-    assert volume(Lens(3)) == pytest.approx(2 * np.pi**2 / 3)
-    assert volume(Torus3((2.0, 1.0, 1.0))) == pytest.approx(2.0)
-    assert scalar_curvature(Sphere3(2.0)) == pytest.approx(1.5)
-    assert scalar_curvature(Torus3()) == 0.0
+    assert Sphere3(1.0).volume == pytest.approx(2 * np.pi**2)
+    assert Lens(3).volume == pytest.approx(2 * np.pi**2 / 3)
+    assert Torus3((2.0, 1.0, 1.0)).volume == pytest.approx(2.0)
+    assert Sphere3(2.0).scalar_curvature == pytest.approx(1.5)
+    assert Torus3().scalar_curvature == 0.0

@@ -16,8 +16,7 @@ from twisteta.models import (
 from twisteta.specflow import (
     AffinePath,
     AmbiguousCrossingError,
-    check_flux_response_bare,
-    check_flux_response_calibrated,
+    check_flux_response,
     reduced_local_term,
     reverse_path,
     sf_affine,
@@ -155,8 +154,8 @@ def test_sf_matrix_validates_input():
 # --- flux-response identities --------------------------------------------------
 
 def test_check_flux_response_bare_zero_flux():
-    rpt = check_flux_response_bare(SpectralModel(Sphere3(1.0), flux_shift=0.0))
-    assert rpt.residual == pytest.approx(0.0, abs=1e-13)
+    rpt = check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=0.0))
+    assert rpt.residuals["bare"] == pytest.approx(0.0, abs=1e-13)
     assert rpt.sf.flow == 0 and rpt.h == 0.0
 
 
@@ -164,20 +163,20 @@ def test_check_flux_response_bare_reports_measured_residual():
     # the report must reproduce |delta eta - 2 sf - t Vol/(2 pi^2)| computed
     # from independently queried pieces
     model = SpectralModel(Sphere3(1.0), flux_shift=0.3)
-    rpt = check_flux_response_bare(model)
+    rpt = check_flux_response(model)
     eta_t = eta_for_model(model, "hurwitz").eta
     eta_0 = eta_for_model(model.with_flux(0.0), "hurwitz").eta
     assert rpt.h == pytest.approx(0.3 * 2 * np.pi**2, abs=1e-12)
     expected = abs(eta_t - eta_0 - 0.0 - 0.3)
-    assert rpt.residual == pytest.approx(expected, abs=1e-12)
+    assert rpt.residuals["bare"] == pytest.approx(expected, abs=1e-12)
     # measured response is t/2 - 2 t^3/3, so the bare-constant residual is
     # genuinely nonzero here
-    assert rpt.residual > 1e-3
+    assert rpt.residuals["bare"] > 1e-3
 
 
 def test_check_flux_response_bare_rejects_kernel_endpoint():
     with pytest.raises(ValueError):
-        check_flux_response_bare(SpectralModel(Sphere3(1.0), flux_shift=1.5))
+        check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=1.5))
 
 
 @pytest.mark.parametrize("model,engine,cutoff", [
@@ -188,22 +187,37 @@ def test_check_flux_response_bare_rejects_kernel_endpoint():
     (SpectralModel(Lens(2), LensCharacter(2, 1), flux_shift=-0.6), "hurwitz", None),
 ])
 def test_check_flux_response_calibrated_exact_models(model, engine, cutoff):
-    rpt = check_flux_response_calibrated(model, engine=engine, cutoff=cutoff)
-    assert rpt.residual <= 1e-10
+    rpt = check_flux_response(model, engine=engine, cutoff=cutoff)
+    assert rpt.residuals["calibrated"] <= 1e-10
 
 
 def test_check_flux_response_calibrated_torus_heat():
     model = SpectralModel(Torus3(), flux_shift=0.5)
-    rpt = check_flux_response_calibrated(model, engine="heat_kernel", cutoff=40)
-    assert rpt.residual <= 1e-8
-    assert rpt.term == pytest.approx(-0.5**3 / (3 * np.pi**2), abs=1e-15)
+    rpt = check_flux_response(model, engine="heat_kernel", cutoff=40)
+    assert rpt.residuals["calibrated"] <= 1e-8
+    assert rpt.terms["calibrated"] == pytest.approx(-0.5**3 / (3 * np.pi**2), abs=1e-15)
 
 
 def test_check_flux_response_calibrated_crossing_bookkeeping():
-    rpt = check_flux_response_calibrated(SpectralModel(Sphere3(1.0), flux_shift=2.0))
+    rpt = check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=2.0))
     assert rpt.sf.flow == 2
     assert rpt.sf.crossings[0].u == pytest.approx(1.5)
-    assert rpt.residual <= 1e-10
+    assert rpt.residuals["calibrated"] <= 1e-10
+
+
+def test_check_flux_response_shared_zero_flux_eta():
+    # a sweep passes the unfluxed eta in once; every residual must be the one
+    # measured with the endpoint evaluated in place
+    model = SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=0.8)
+    eta_zero = eta_for_model(model.with_flux(0.0), "hurwitz")
+    shared = check_flux_response(model, eta_zero=eta_zero)
+    alone = check_flux_response(model)
+    assert shared.residuals == alone.residuals
+    assert shared.error_budget == alone.error_budget
+    kernel = eta_for_model(SpectralModel(Circle(1.0), flux_shift=0.0), "hurwitz")
+    assert kernel.kernel_dim == 1
+    with pytest.raises(ValueError, match="endpoint operator has a kernel"):
+        check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=0.3), eta_zero=kernel)
 
 
 def test_reduced_local_term_values():
@@ -220,4 +234,4 @@ def test_reduced_local_term_values():
 
 def test_flux_response_rejects_circle():
     with pytest.raises(ValueError):
-        check_flux_response_bare(SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=0.1))
+        check_flux_response(SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=0.1))
