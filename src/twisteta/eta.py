@@ -24,7 +24,12 @@ at ``s = 0``:
 
 All trace accumulation runs in extended precision (``numpy.longdouble``)
 because alternating sums over quadratically growing multiplicities lose
-about four digits in double precision.
+about four digits in double precision.  A trace is evaluated for a whole
+vector of t at once (the 24 nodes of a quadrature panel, the ladder points)
+and sums only the eigenvalues with ``t lambda^2 <= 11500`` for the smallest
+of those t.  Every other term is exactly zero, not merely small: in
+longdouble ``exp(-x)`` underflows to 0 for ``x >= 11400`` (below the smallest
+subnormal, ``exp(-11399)``), so the truncation leaves every sum unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import numpy as np
 
 from .models import (
     EigenItem,
+    _merge,
     Progression,
     ProgressionSpectrum,
     SpectralModel,
@@ -221,44 +227,69 @@ def _solve_normal_ld(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
+# exp(-x) is exactly 0 in longdouble for x >= 11400 (for x > 746 where
+# longdouble is double), so a term with t lambda^2 beyond this is an exact zero
+_UNDERFLOW = 11500.0
+# longdouble elements in one (t x eigenvalue) block; bounds the temporaries
+_BLOCK = 1 << 18
+
+
+def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """``sum_j weight_j exp(-t lam_j^2)`` for each t, over the sorted ``lam``
+    inside the underflow window of the smallest t."""
+    r = np.sqrt(_UNDERFLOW / float(np.min(ts)))
+    lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
+    lam, weight = lam[lo:hi], weight[lo:hi]
+    rows = max(1, _BLOCK // max(1, lam.size))
+    out = np.empty(ts.size, dtype=_LD)
+    for i in range(0, ts.size, rows):
+        block = np.multiply.outer(-ts[i:i + rows], lam)
+        block *= lam
+        np.exp(block, out=block)
+        block *= weight
+        out[i:i + rows] = block.sum(axis=1)
+    return out
+
+
 class _OddTrace:
-    """Vectorized ``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble,
-    after exact cancellation of symmetric pairs."""
+    """``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble after exact
+    cancellation of symmetric pairs, and the gross trace
+    ``sum m |lambda| exp(-t lambda^2)`` of the whole spectrum.
+
+    Both take a vector of t and sum only the underflow window of its smallest
+    t, the eigenvalues with ``t lambda^2 <= 11500``: both arrays are sorted,
+    so the window is the slice between ``searchsorted(lam, -+sqrt(11500/t))``.
+    Every term outside it has ``exp(-t lambda^2) == 0`` exactly in longdouble
+    (the smallest subnormal is ``exp(-11399)``), so the window drops only
+    exact zeros and the sums equal the full ones.
+    """
 
     def __init__(self, items: Sequence[EigenItem]):
-        table: dict[float, int] = {}
-        for v, m in items:
-            table[v] = table.get(v, 0) + m
-        reduced: dict[float, int] = {}
-        for v, m in sorted(table.items()):
-            if v <= 0:
-                continue
-            m_neg = table.get(-v, 0)
-            net = m - m_neg
-            if net:
-                reduced[v] = net
-        for v, m in table.items():
-            if v < 0 and -v not in table:
-                reduced[v] = m
-        self.lam = np.array(sorted(reduced), dtype=_LD)
-        self.mult = np.array([reduced[float(v)] for v in self.lam], dtype=_LD)
+        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
+        values, mults = _merge(pairs[:, 0], pairs[:, 1])
+        mirror = np.minimum(np.searchsorted(values, -values), max(values.size - 1, 0))
+        has_mirror = values[mirror] == -values
+        pos = values > 0
+        net = mults[pos] - np.where(has_mirror, mults[mirror], 0)[pos]
+        unpaired = (values < 0) & ~has_mirror
+        self.lam = np.concatenate([values[unpaired], values[pos][net != 0]]).astype(_LD)
+        self.mult = np.concatenate([mults[unpaired], net[net != 0]]).astype(_LD)
         self.empty = self.lam.size == 0
-        all_lam = np.array(sorted(table), dtype=float)
-        all_mult = np.array([table[v] for v in all_lam], dtype=float)
-        self.abs_max = float(np.max(np.abs(all_lam))) if all_lam.size else 0.0
-        self.total_mult = float(np.sum(all_mult))
         self.min_abs = float(np.min(np.abs(self.lam))) if not self.empty else np.inf
-        self._abs_all = np.abs(all_lam)
-        self._mult_all = all_mult
+        abs_values = np.abs(values)
+        order = np.argsort(abs_values, kind="stable")
+        self._abs_all = abs_values[order]
+        self._mult_all = mults[order].astype(float)
+        self.abs_max = float(self._abs_all[-1]) if values.size else 0.0
+        self._odd_weight = self.mult * self.lam
+        self._gross_weight = self._mult_all.astype(_LD) * self._abs_all.astype(_LD)
 
-    def __call__(self, t) -> _LD:
-        t = _LD(t)
-        return np.sum(self.mult * self.lam * np.exp(-t * self.lam * self.lam))
+    def odd(self, ts) -> np.ndarray:
+        return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=_LD))
 
-    def gross(self, t) -> _LD:
-        t = _LD(t)
-        lam = self._abs_all.astype(_LD)
-        return np.sum(np.asarray(self._mult_all, dtype=_LD) * lam * np.exp(-t * lam * lam))
+    def gross(self, ts) -> np.ndarray:
+        return _heat_sums(self._abs_all.astype(_LD), self._gross_weight,
+                          np.asarray(ts, dtype=_LD))
 
 
 def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> _LD:
@@ -269,7 +300,7 @@ def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> _LD:
         mid = (edges[i] + edges[i + 1]) / 2
         half = (edges[i + 1] - edges[i]) / 2
         xs = mid + half * _GL_X
-        vals = np.array([np.exp(x / 2) * trace(np.exp(x)) for x in xs], dtype=_LD)
+        vals = np.exp(xs / 2) * trace.odd(np.exp(xs))
         total += half * np.sum(_GL_W * vals)
     return total
 
@@ -327,6 +358,11 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
     if trace.empty:
         return EtaValue.make(0.0, kernel_dim, "heat_kernel", 0.0)
 
+    if not np.isfinite(trace.abs_max * trace.abs_max):
+        raise ValueError(
+            f"eigenvalues are too large for the heat engine: |lambda| = {trace.abs_max:.3e} "
+            "has a square beyond the double range"
+        )
     t_floor, tail_bound = _tail_floor(trace, min(tol, 1e-10) / 8.0)
 
     # ladder fit of t^{3/2} S(t) = c0 + c1 t + c2 t^2 + ...  (the small-t
@@ -337,10 +373,9 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
     n_points, n_coef = 12, 6
     ratio = _LD(2) ** _LD(0.5)
     ts = np.array([_LD(t_floor) * ratio**j for j in range(n_points)], dtype=_LD)
-    ys = np.array([t ** _LD(1.5) * trace(t) for t in ts], dtype=_LD)
-    floors = np.array(
-        [8.0 * float(np.finfo(_LD).eps) * float(t ** _LD(1.5) * trace.gross(t)) + 1e-300
-         for t in ts])
+    ys = ts ** _LD(1.5) * trace.odd(ts)
+    eps = float(np.finfo(_LD).eps)
+    floors = 8.0 * eps * (ts ** _LD(1.5) * trace.gross(ts)).astype(float) + 1e-300
 
     def fit(npts: int):
         scale_t = (ts[:npts] / ts[0]).astype(_LD)
@@ -367,7 +402,7 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
         raise EtaRegularityError(residue)
 
     t_max = max(8.0, 80.0 / trace.min_abs**2)
-    while float(trace(t_max)) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
+    while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
         t_max *= 2.0
 
     panels = 16

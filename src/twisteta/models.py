@@ -104,8 +104,8 @@ Bundle = Union[TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter]
 # geometries
 # ---------------------------------------------------------------------------
 #
-# ``levels(model, cutoff)``: unmerged (eigenvalue, multiplicity) pairs of the
-# shell-complete spectrum.  ``branches(model)``: ``(v0, step, mult_coeffs)``
+# ``levels(model, cutoff)``: unmerged eigenvalue and multiplicity arrays of
+# the shell-complete spectrum.  ``branches(model)``: ``(v0, step, mult_coeffs)``
 # families ``v0 + step j`` with multiplicity ``sum mult_coeffs[i] j^i``.
 
 class _Round:
@@ -140,10 +140,11 @@ class Circle(_Round):
     def volume(self) -> float:
         return 2.0 * np.pi * self.radius
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
         t, rank = model.flux_shift, model.rank
-        return [((n + a) / self.radius + t, rank) for n in range(-cutoff, cutoff + 1)]
+        n = np.arange(-cutoff, cutoff + 1)
+        return (n + a) / self.radius + t, np.full(n.size, rank)
 
     def branches(self, model: "SpectralModel"):
         a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
@@ -169,14 +170,12 @@ class Sphere3(_Round):
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         t, rank = model.flux_shift, model.rank
-        items = []
-        for k in range(cutoff + 1):
-            mult = rank * (k + 1) * (k + 2)
-            items.append(((1.5 + k) / self.radius + t, mult))
-            items.append((-(1.5 + k) / self.radius + t, mult))
-        return items
+        k = np.arange(cutoff + 1)
+        mult = rank * (k + 1) * (k + 2)
+        return (np.concatenate([(1.5 + k) / self.radius + t, -(1.5 + k) / self.radius + t]),
+                np.concatenate([mult, mult]))
 
     def branches(self, model: "SpectralModel"):
         r, t, rank = self.radius, model.flux_shift, model.rank
@@ -209,17 +208,15 @@ class Torus3:
     def scaled(self, s: float) -> "Torus3":
         return replace(self, lengths=tuple(x * s for x in self.lengths))
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         t, rank = model.flux_shift, model.rank
         w, _ = _torus_modes(self, model.bundle, cutoff)
-        items = []
-        for x in 2.0 * np.pi * w:
-            if x == 0.0:
-                items.append((t, 2 * rank))
-            else:
-                items.append((x + t, rank))
-                items.append((-x + t, rank))
-        return items
+        x = 2.0 * np.pi * w
+        x = x[x != 0.0]
+        zero_modes = w.size - x.size  # w = 0: the pair +-2 pi |w| meets at t
+        values = np.concatenate([x + t, -x + t, np.full(zero_modes, t)])
+        mults = np.concatenate([np.full(2 * x.size, rank), np.full(zero_modes, 2 * rank)])
+        return values, mults
 
     def branches(self, model: "SpectralModel"):
         raise ValueError(
@@ -260,18 +257,20 @@ class Lens(_Round):
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> list[tuple[float, int]]:
+    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
         t, rank = model.flux_shift, model.rank
-        items = []
+        values, mults = [], []
         for m in range(cutoff + 1):
             mp = rank * (m + 2) * lens_weight_count(m, k_char, self.p)
             mm = rank * (m + 1) * lens_weight_count(m + 1, k_char, self.p)
             if mp:
-                items.append(((1.5 + m) / self.radius + t, mp))
+                values.append((1.5 + m) / self.radius + t)
+                mults.append(mp)
             if mm:
-                items.append((-(1.5 + m) / self.radius + t, mm))
-        return items
+                values.append(-(1.5 + m) / self.radius + t)
+                mults.append(mm)
+        return np.array(values, dtype=float), np.array(mults, dtype=np.int64)
 
     def branches(self, model: "SpectralModel"):
         k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
@@ -358,11 +357,10 @@ def lens_weight_count(m: int, k: int, p: int) -> int:
     return sum(1 for i in range(m + 1) if (m - 2 * i - k) % p == 0)
 
 
-def _merge(items: list[tuple[float, int]]) -> list[EigenItem]:
-    merged: dict[float, int] = {}
-    for v, m in items:
-        merged[v] = merged.get(v, 0) + m
-    return [EigenItem(v, m) for v, m in sorted(merged.items())]
+def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct eigenvalues, ascending, with their summed multiplicities."""
+    distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    return distinct, np.bincount(inverse, weights=mults).astype(np.int64)
 
 
 def _torus_modes(geometry: Torus3, bundle: Bundle, cutoff: int):
@@ -394,7 +392,8 @@ def enumerate_spectrum(model: SpectralModel, cutoff: int) -> list[EigenItem]:
     """Eigenvalues with exact multiplicities, ascending, duplicates merged."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return _merge(model.geometry.levels(model, cutoff))
+    values, mults = _merge(*model.geometry.levels(model, cutoff))
+    return [EigenItem(v, m) for v, m in zip(values.tolist(), mults.tolist())]
 
 
 class ZeroResolutionError(RuntimeError):

@@ -224,6 +224,17 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, text, key):
     assert "too large to fold" not in err
 
 
+@pytest.mark.parametrize("flux", ["1e160", "1e300"])
+def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
+    cfg = write(tmp_path, "c.txt",
+                "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n"
+                f"engine = heat\nflux = {flux}\n")
+    assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "eigenvalues are too large for the heat engine" in err
+    assert "Traceback" not in err
+
+
 def test_torus_heat_default_cutoff_converges(tmp_path):
     cfg = write(tmp_path, "c.txt", "geometry = torus3\nengine = heat\nflux = 0.5\n")
     out = tmp_path / "out.jsonl"

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twisteta.eta import (
+    _UNDERFLOW,
     EtaRegularityError,
     eta_for_model,
     eta_heat,
@@ -10,6 +13,7 @@ from twisteta.eta import (
     rho,
     rho_difference_stability,
 )
+from twisteta.eta import _OddTrace, _tail_floor
 from twisteta.models import (
     Circle,
     CircleHolonomy,
@@ -23,6 +27,7 @@ from twisteta.models import (
     Torus3,
     TorusHolonomy,
     TrivialBundle,
+    enumerate_spectrum,
     progression_spectrum,
 )
 
@@ -221,6 +226,65 @@ def test_heat_pole_detection_on_artificial_spectrum():
     with pytest.raises(EtaRegularityError) as excinfo:
         eta_heat(items)
     assert excinfo.value.residue == pytest.approx(1.0 / np.log(2.0), rel=0.05)
+
+
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Circle(1.0), CircleHolonomy(0.3), flux_shift=0.37), 2000),
+    (SpectralModel(Sphere3(0.9), flux_shift=1.3), 400),
+    (SpectralModel(Torus3((1.0, 1.1, 0.95)), flux_shift=0.2), 12),
+], ids=["circle", "sphere", "torus"])
+def test_windowed_trace_matches_full_sum(model, cutoff):
+    ld = np.longdouble
+    trace = _OddTrace(enumerate_spectrum(model, cutoff))
+    t_floor, _ = _tail_floor(trace, 1e-11)
+    t_max = 80.0 / trace.min_abs**2
+    ts = np.geomspace(t_floor, t_max, 20).astype(ld)
+    lam, mult = trace.lam, trace.mult
+    abs_all, mult_all = trace._abs_all.astype(ld), trace._mult_all.astype(ld)
+    full_odd = np.array([np.sum(mult * lam * np.exp(-t * lam * lam)) for t in ts])
+    full_gross = np.array([np.sum(mult_all * abs_all * np.exp(-t * abs_all * abs_all))
+                           for t in ts])
+    odd, gross = trace.odd(ts), trace.gross(ts)
+    eps = np.finfo(ld).eps
+    assert np.all(np.abs(odd - full_odd) <= 4 * eps * full_gross)
+    assert np.all(np.abs(gross - full_gross) <= 4 * eps * full_gross)
+    one_by_one = np.array([trace.odd([t])[0] for t in ts])
+    assert np.all(np.abs(one_by_one - full_odd) <= 4 * eps * full_gross)
+
+
+def test_trace_is_exactly_zero_where_every_term_underflows():
+    assert np.exp(-np.longdouble(_UNDERFLOW)) == 0.0
+    trace = _OddTrace(enumerate_spectrum(SpectralModel(Sphere3(1.0), flux_shift=0.3), 50))
+    t = 1.01 * _UNDERFLOW / trace.min_abs**2
+    lam, mult = trace.lam, trace.mult
+    assert np.sum(mult * lam * np.exp(-np.longdouble(t) * lam * lam)) == 0.0
+    assert trace.odd([t])[0] == 0.0
+    assert trace.gross([t])[0] == 0.0
+
+
+@st.composite
+def _round_models(draw):
+    kind = draw(st.sampled_from(["circle", "sphere", "lens"]))
+    radius = draw(st.floats(0.5, 2.0))
+    t = draw(st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True))
+    if kind == "circle":
+        a = draw(st.floats(0.0, 1.0, exclude_max=True))
+        return SpectralModel(Circle(radius), CircleHolonomy(a), t), 400
+    if kind == "sphere":
+        return SpectralModel(Sphere3(radius), flux_shift=t), 200
+    p = draw(st.integers(2, 7))
+    k = draw(st.integers(0, p - 1))
+    return SpectralModel(Lens(p, radius), LensCharacter(p, k), t), 200
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_round_models())
+def test_heat_agrees_with_hurwitz_within_both_bounds(drawn):
+    model, cutoff = drawn
+    exact = eta_for_model(model, "hurwitz")
+    heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+    assert heat.kernel_dim == exact.kernel_dim
+    assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 
 # --- rho ---------------------------------------------------------------------

@@ -4,14 +4,18 @@ import pytest
 from twisteta.models import (
     Circle,
     CircleHolonomy,
+    EigenItem,
     Lens,
     LensCharacter,
     SpectralModel,
     Sphere3,
     Torus3,
     TorusFlux,
+    TorusHolonomy,
     TrivialBundle,
     ZeroResolutionError,
+    _merge,
+    _torus_modes,
     build_torus_operator,
     enumerate_spectrum,
     kernel_dimension,
@@ -47,6 +51,49 @@ def test_flux_shift_covariance():
     s1 = enumerate_spectrum(shifted, 6)
     assert all(b.value == pytest.approx(a.value + 0.1, abs=1e-15)
                and b.multiplicity == a.multiplicity for a, b in zip(s0, s1))
+
+
+def _reference_levels(model, cutoff):
+    """Per-mode loop form of the levels: the reference for the array form."""
+    geo, t, rank = model.geometry, model.flux_shift, model.rank
+    if isinstance(geo, Circle):
+        a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
+        return [((n + a) / geo.radius + t, rank) for n in range(-cutoff, cutoff + 1)]
+    if isinstance(geo, Sphere3):
+        return [(s * (1.5 + k) / geo.radius + t, rank * (k + 1) * (k + 2))
+                for k in range(cutoff + 1) for s in (1, -1)]
+    if isinstance(geo, Torus3):
+        items = []
+        for x in 2.0 * np.pi * _torus_modes(geo, model.bundle, cutoff)[0]:
+            items += [(t, 2 * rank)] if x == 0.0 else [(x + t, rank), (-x + t, rank)]
+        return items
+    values, mults = geo.levels(model, cutoff)
+    return list(zip(values.tolist(), mults.tolist()))
+
+
+def _dict_merge(levels):
+    merged: dict[float, int] = {}
+    for v, m in levels:
+        merged[v] = merged.get(v, 0) + m
+    return [EigenItem(v, m) for v, m in sorted(merged.items())]
+
+
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Torus3(), flux_shift=0.3), 12),
+    (SpectralModel(Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5)),
+                   TorusHolonomy((0.2, 0.0, 0.4)), flux_shift=-0.1), 8),
+    (SpectralModel(Torus3(spin=(0.0, 0.0, 0.0))), 6),
+    (SpectralModel(Circle(0.8), CircleHolonomy(0.35), flux_shift=0.2), 50),
+    (SpectralModel(Sphere3(1.3), TrivialBundle(2), flux_shift=-0.7), 30),
+    (SpectralModel(Lens(5, 1.1), LensCharacter(5, 2), flux_shift=0.4), 30),
+], ids=["torus-cubic", "torus-noncubic", "torus-zero-mode", "circle", "sphere", "lens"])
+def test_array_merge_matches_dict_merge(model, cutoff):
+    reference = _dict_merge(_reference_levels(model, cutoff))
+    values, mults = _merge(*model.geometry.levels(model, cutoff))
+    assert list(zip(values.tolist(), mults.tolist())) == reference
+    items = enumerate_spectrum(model, cutoff)
+    assert items == reference
+    assert all(type(v) is float and type(m) is int for v, m in items)
 
 
 @pytest.mark.parametrize("model", [
