@@ -27,7 +27,6 @@ from .eta import (
     eta_heat,
     eta_hurwitz,
     rho,
-    rho_difference_stability,
 )
 from .models import (
     Circle,
@@ -58,7 +57,6 @@ from .specflow import (
     SfResult,
     check_flux_response,
     reduced_local_term,
-    reverse_path,
     sf_affine,
     sf_for_flux,
     sf_matrix,

@@ -27,16 +27,7 @@ from typing import Callable, Sequence
 from . import __version__
 from .conformal import ConformalScale, transform_spectrum
 from .eta import UnconvergedError, eta_for_model, rho
-from .models import (
-    GEOMETRIES,
-    CircleHolonomy,
-    LensCharacter,
-    SpectralModel,
-    Torus3,
-    TorusFlux,
-    TorusHolonomy,
-    TrivialBundle,
-)
+from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
 from .specflow import check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
 from . import selftest as selftest_mod
@@ -70,7 +61,6 @@ _CONFIG_KEYS = {
     "tol": float,
     "zero_tol": float,
     "sweep": str,
-    "cutoffs": str,
     "h_norm": float,
     "r_min": float,
     "workers": int,
@@ -147,22 +137,12 @@ class RunConfig:
             if geometry not in GEOMETRIES:
                 raise ConfigError(f"unknown geometry {geometry!r}")
             geo = GEOMETRIES[geometry].from_config(self)
-            return SpectralModel(geo, self._bundle(), flux)
+            kind = self.get("bundle", "trivial")
+            if kind not in BUNDLES:
+                raise ConfigError(f"unknown bundle kind {kind!r}")
+            return SpectralModel(geo, BUNDLES[kind].from_config(self), flux)
         except ValueError as exc:
             raise ConfigError(f"invalid model: {exc}") from None
-
-    def _bundle(self):
-        kind = self.get("bundle", "trivial")
-        if kind == "trivial":
-            return TrivialBundle(rank=int(self.get("rank", 1)))
-        if kind == "circle_holonomy":
-            return CircleHolonomy(a=float(self.require("holonomy")))
-        if kind == "torus_holonomy":
-            theta = tuple(self.floats("holonomy"))
-            return TorusHolonomy(theta=theta)
-        if kind == "lens_character":
-            return LensCharacter(p=int(self.require("lens_p")), k=int(self.require("character")))
-        raise ConfigError(f"unknown bundle kind {kind!r}")
 
     def torus_flux(self) -> TorusFlux:
         if "flux_cosine" in self.raw:
@@ -195,17 +175,7 @@ class RunConfig:
 
 def model_to_config(model: SpectralModel) -> dict:
     """Config key/values describing a model (inverse of ``RunConfig.model``)."""
-    bun = model.bundle
-    out: dict = {"flux": model.flux_shift, **model.geometry.config()}
-    if isinstance(bun, TrivialBundle):
-        out.update(bundle="trivial", rank=bun.rank)
-    elif isinstance(bun, CircleHolonomy):
-        out.update(bundle="circle_holonomy", holonomy=repr(bun.a))
-    elif isinstance(bun, TorusHolonomy):
-        out.update(bundle="torus_holonomy", holonomy=",".join(repr(x) for x in bun.theta))
-    else:
-        out.update(bundle="lens_character", lens_p=bun.p, character=bun.k)
-    return out
+    return {"flux": model.flux_shift, **model.geometry.config(), **model.bundle.config()}
 
 
 @dataclass(frozen=True)
@@ -322,10 +292,9 @@ def cmd_rho(cfg: RunConfig) -> list[ResultRecord]:
     value = rho(model, engine=cfg.engine, cutoff=cfg.get("cutoff"),
                 tol=float(cfg.get("tol", 1e-8)), zero_tol=float(cfg.get("zero_tol", 1e-9)))
     wall = time.perf_counter() - start
-    conv = value.xi_twisted.converged and value.xi_trivial.converged
-    bound = value.xi_twisted.error_bound + value.xi_trivial.error_bound
     return [
-        make("rho", value.rho, bound, value.xi_twisted.method, None, wall, conv),
+        make("rho", value.rho, value.error_bound, value.xi_twisted.method, None, wall,
+             value.converged),
         make("xi_twisted", value.xi_twisted.xi, value.xi_twisted.error_bound,
              value.xi_twisted.method, None, wall, value.xi_twisted.converged),
         make("xi_trivial", value.xi_trivial.xi, value.xi_trivial.error_bound,
@@ -388,15 +357,19 @@ def cmd_psc(cfg: RunConfig) -> list[ResultRecord]:
         cutoff=cfg.get("cutoff"), zero_tol=float(cfg.get("zero_tol", 1e-9)),
         r_min=cfg.get("r_min"))
     wall = time.perf_counter() - start
+    # |rho_i - rho_0| is off by at most b_i + b_0 at each grid point
+    deviation_bound = rpt.rhos[0].error_bound + max(r.error_bound for r in rpt.rhos)
     records = [
         make("u0", rpt.threshold.u0, 0.0, "curvature_bound", None, wall),
         make("first_kernel_u", rpt.first_kernel_u, 0.0, "spectrum", None, wall),
         make("sf", float(rpt.flow), 0.0, "affine_exact", None, wall),
-        make("rho_deviation_max", rpt.rho_deviation_max, 0.0, cfg.engine, None, wall),
+        make("rho_deviation_max", rpt.rho_deviation_max, deviation_bound, cfg.engine, None,
+             wall, all(r.converged for r in rpt.rhos)),
     ]
-    for u, low, rho_u in zip(rpt.u_grid, rpt.min_abs_eigenvalue, rpt.rho_values):
+    for u, low, value in zip(rpt.u_grid, rpt.min_abs_eigenvalue, rpt.rhos):
         records.append(make("min_abs_eigenvalue", low, 0.0, "spectrum", u, wall))
-        records.append(make("rho", rho_u, 0.0, cfg.engine, u, wall))
+        records.append(make("rho", value.rho, value.error_bound, cfg.engine, u, wall,
+                            value.converged))
     return records
 
 
@@ -413,8 +386,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
         scaled = transform_spectrum(model, ConformalScale(u))
         value = rho(scaled, engine=engine, cutoff=cutoff, tol=tol)
         wall = time.perf_counter() - start
-        conv = value.xi_twisted.converged and value.xi_trivial.converged
-        bound = value.xi_twisted.error_bound + value.xi_trivial.error_bound
+        bound, conv = value.error_bound, value.converged
         return [
             make("rho", value.rho, bound, value.xi_twisted.method, u, wall, conv),
             make("rho_deviation", abs(value.rho - base), bound, value.xi_twisted.method,

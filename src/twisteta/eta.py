@@ -62,7 +62,6 @@ __all__ = [
     "eta_heat",
     "eta_for_model",
     "rho",
-    "rho_difference_stability",
 ]
 
 _LD = np.longdouble
@@ -110,8 +109,13 @@ class RhoValue:
     rank: int
 
     @property
-    def components(self) -> tuple[EtaValue, EtaValue]:
-        return (self.xi_twisted, self.xi_trivial)
+    def error_bound(self) -> float:
+        """The twisted and trivial eta bounds added."""
+        return self.xi_twisted.error_bound + self.xi_trivial.error_bound
+
+    @property
+    def converged(self) -> bool:
+        return self.xi_twisted.converged and self.xi_trivial.converged
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +343,11 @@ def _tail_floor(trace: _OddTrace, tol: float) -> tuple[float, float]:
     return float(hi), tail_eta(float(hi))
 
 
+def _too_large(abs_max: float, what: str) -> ValueError:
+    return ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
+                      f"{abs_max:.3e} puts {what} outside the double range")
+
+
 def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
              kernel_dim: int = 0, zero_tol: float = 1e-9,
              require_converged: bool = False) -> EtaValue:
@@ -358,11 +367,10 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
     if trace.empty:
         return EtaValue.make(0.0, kernel_dim, "heat_kernel", 0.0)
 
-    if not np.isfinite(trace.abs_max * trace.abs_max):
-        raise ValueError(
-            f"eigenvalues are too large for the heat engine: |lambda| = {trace.abs_max:.3e} "
-            "has a square beyond the double range"
-        )
+    # the t-floor bisection takes geometric means inside [1e-12, 700]/|lambda|^2
+    abs_sq = trace.abs_max * trace.abs_max
+    if not (np.isfinite(abs_sq) and (1e-12 / abs_sq) * (700.0 / abs_sq) >= np.finfo(float).tiny):
+        raise _too_large(trace.abs_max, "its t bracket")
     t_floor, tail_bound = _tail_floor(trace, min(tol, 1e-10) / 8.0)
 
     # ladder fit of t^{3/2} S(t) = c0 + c1 t + c2 t^2 + ...  (the small-t
@@ -430,6 +438,8 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
     next_term = abs(float(c[4])) * t_min**3 / 3.0 if n_coef > 4 else 0.0
     error = float(quad_err + tail_bound + ladder_noise + next_term
                   + c_noise / (np.sqrt(np.pi) * t_min) + 1e-15 * (1 + abs(eta)))
+    if not np.isfinite(error):
+        raise _too_large(trace.abs_max, "the error budget")
     converged = error <= tol
     if require_converged and not converged:
         raise UnconvergedError(
@@ -476,34 +486,10 @@ def rho(model_twisted: SpectralModel, model_trivial: SpectralModel | None = None
         raise ValueError("geometries of the two models differ")
     if model_trivial.flux_shift != model_twisted.flux_shift:
         raise ValueError("flux shifts of the two models differ")
-    from .models import TrivialBundle
-
-    if not isinstance(model_trivial.bundle, TrivialBundle) or model_trivial.bundle.rank != 1:
+    if model_trivial != model_twisted.trivial_partner():
         raise ValueError("reference model must carry the trivial line bundle")
     xi_tw = eta_for_model(model_twisted, engine, cutoff, tol, zero_tol)
     xi_tr = eta_for_model(model_trivial, engine, cutoff, tol, zero_tol)
     rank = model_twisted.rank
     return RhoValue(rho=xi_tw.xi - rank * xi_tr.xi, xi_twisted=xi_tw,
                     xi_trivial=xi_tr, rank=rank)
-
-
-def rho_difference_stability(model: SpectralModel, cutoffs: Sequence[int],
-                             engine: str = "heat_kernel", tol: float = 1e-10
-                             ) -> list[tuple[int, float, float]]:
-    """Rho at increasing cutoffs with successive differences.
-
-    Returns ``(cutoff, rho, delta)`` rows; the first delta is NaN.  Past the
-    first shell the deltas contract (truncation-dominated convergence).
-    """
-    if len(cutoffs) < 3:
-        raise ValueError("need at least three cutoffs")
-    if list(cutoffs) != sorted(set(cutoffs)):
-        raise ValueError("cutoffs must be strictly increasing")
-    rows: list[tuple[int, float, float]] = []
-    prev = None
-    for n in cutoffs:
-        value = rho(model, engine=engine, cutoff=n, tol=tol).rho
-        delta = float("nan") if prev is None else value - prev
-        rows.append((int(n), float(value), float(delta)))
-        prev = value
-    return rows

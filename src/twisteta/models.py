@@ -17,11 +17,14 @@ Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
 fully-enumerated ball (radius ``(cutoff + 1/2)/max L``), so multiplicities
 are never truncated inside a level.
+
+``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
+for both the spectrum and the Fourier-mode operator, whose COO triplets
+``_assemble_blocks`` builds with array index arithmetic, one shift at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from math import isfinite
 from typing import ClassVar, Union
@@ -34,6 +37,7 @@ __all__ = [
     "CircleHolonomy",
     "TorusHolonomy",
     "LensCharacter",
+    "BUNDLES",
     "Circle",
     "Sphere3",
     "Torus3",
@@ -58,37 +62,90 @@ __all__ = [
 # flat bundles
 # ---------------------------------------------------------------------------
 
+class _Flat:
+    """Flat bundle: its ``rank``, its ``twist`` of the spectrum (holonomy or
+    character; 0 when trivial) and its config form (``config_name``,
+    ``config()``, ``from_config(cfg)``; ``BUNDLES`` maps names to classes)."""
+
+    rank: ClassVar[int] = 1
+
+    def check(self, geometry):
+        """Raise ``ValueError`` unless ``geometry`` admits this bundle."""
+        if not isinstance(self, geometry.bundles):
+            raise ValueError(
+                f"{type(geometry).__name__} does not admit bundle {type(self).__name__}"
+            )
+
+
 @dataclass(frozen=True)
-class TrivialBundle:
+class TrivialBundle(_Flat):
     rank: int = 1
+
+    config_name: ClassVar[str] = "trivial"
+    twist: ClassVar[int] = 0
 
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
 
+    def config(self) -> dict:
+        return {"bundle": self.config_name, "rank": self.rank}
+
+    @classmethod
+    def from_config(cls, cfg) -> "TrivialBundle":
+        return cls(rank=int(cfg.get("rank", 1)))
+
 
 @dataclass(frozen=True)
-class CircleHolonomy:
+class CircleHolonomy(_Flat):
     a: float
+
+    config_name: ClassVar[str] = "circle_holonomy"
 
     def __post_init__(self):
         if not 0.0 <= self.a < 1.0:
             raise ValueError("holonomy parameter must lie in [0, 1)")
 
+    @property
+    def twist(self) -> float:
+        return self.a
+
+    def config(self) -> dict:
+        return {"bundle": self.config_name, "holonomy": repr(self.a)}
+
+    @classmethod
+    def from_config(cls, cfg) -> "CircleHolonomy":
+        return cls(a=float(cfg.require("holonomy")))
+
 
 @dataclass(frozen=True)
-class TorusHolonomy:
+class TorusHolonomy(_Flat):
     theta: tuple[float, float, float]
+
+    config_name: ClassVar[str] = "torus_holonomy"
 
     def __post_init__(self):
         if len(self.theta) != 3 or any(not 0.0 <= x < 1.0 for x in self.theta):
             raise ValueError("holonomy parameters must lie in [0, 1)^3")
 
+    @property
+    def twist(self) -> tuple[float, float, float]:
+        return self.theta
+
+    def config(self) -> dict:
+        return {"bundle": self.config_name, "holonomy": ",".join(repr(x) for x in self.theta)}
+
+    @classmethod
+    def from_config(cls, cfg) -> "TorusHolonomy":
+        return cls(theta=tuple(cfg.floats("holonomy")))
+
 
 @dataclass(frozen=True)
-class LensCharacter:
+class LensCharacter(_Flat):
     p: int
     k: int
+
+    config_name: ClassVar[str] = "lens_character"
 
     def __post_init__(self):
         if self.p < 2:
@@ -96,8 +153,25 @@ class LensCharacter:
         if not 0 <= self.k < self.p:
             raise ValueError("character index must satisfy 0 <= k < p")
 
+    @property
+    def twist(self) -> int:
+        return self.k
+
+    def check(self, geometry):
+        super().check(geometry)
+        if self.p != geometry.p:
+            raise ValueError("character order must match the lens order")
+
+    def config(self) -> dict:
+        return {"bundle": self.config_name, "lens_p": self.p, "character": self.k}
+
+    @classmethod
+    def from_config(cls, cfg) -> "LensCharacter":
+        return cls(p=int(cfg.require("lens_p")), k=int(cfg.require("character")))
+
 
 Bundle = Union[TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter]
+BUNDLES = {b.config_name: b for b in (TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter)}
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +215,12 @@ class Circle(_Round):
         return 2.0 * np.pi * self.radius
 
     def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
-        t, rank = model.flux_shift, model.rank
+        a, t, rank = model.bundle.twist, model.flux_shift, model.rank
         n = np.arange(-cutoff, cutoff + 1)
         return (n + a) / self.radius + t, np.full(n.size, rank)
 
     def branches(self, model: "SpectralModel"):
-        a = model.bundle.a if isinstance(model.bundle, CircleHolonomy) else 0.0
-        r, t, rank = self.radius, model.flux_shift, model.rank
+        a, r, t, rank = model.bundle.twist, self.radius, model.flux_shift, model.rank
         return [(a / r + t, 1.0 / r, [float(rank)]),
                 ((a - 1.0) / r + t, -1.0 / r, [float(rank)])]
 
@@ -208,9 +280,31 @@ class Torus3:
     def scaled(self, s: float) -> "Torus3":
         return replace(self, lengths=tuple(x * s for x in self.lengths))
 
+    def lattice(self, bundle: "Bundle", n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The mode box ``[-n, n]^3`` as its axis values ``v = -n..n`` and the
+        shifted coordinates ``x[j] = (v + delta_j) + theta_j`` per axis, shape
+        ``(3, 2n+1)`` (spin offsets ``delta``, holonomy ``theta``).  Mode
+        ``(v_0, v_1, v_2)`` has frequencies ``w_j = x[j, v_j + n]/L_j``.  The
+        box is left to the caller: the spectrum needs only ``|w|`` on it."""
+        v = np.arange(-n, n + 1)
+        return v, (v + np.asarray(self.spin)[:, None]) + np.asarray(bundle.twist)[..., None]
+
     def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+        """All modes inside the largest complete shell for this cutoff.
+
+        A box of half width cutoff+1 is enumerated and trimmed to ``|w| <=
+        (cutoff + 1/2)/max(L)``, which lies inside the box whatever the
+        offsets are.  The trim is evaluated in scale-free coordinates (ratios
+        ``max(L)/L_j``) so the mode set is identical under a uniform
+        rescaling of all edge lengths.
+        """
         t, rank = model.flux_shift, model.rank
-        w, _ = _torus_modes(self, model.bundle, cutoff)
+        lmax = max(self.lengths)
+        _, x = self.lattice(model.bundle, cutoff + 1)
+        y2 = (x * np.array([[lmax / l] for l in self.lengths])) ** 2
+        scaled_w = np.sqrt((y2[0, :, None, None] + y2[1, None, :, None]
+                            + y2[2, None, None, :]).ravel())
+        w = scaled_w[scaled_w <= cutoff + 0.5] / lmax
         x = 2.0 * np.pi * w
         x = x[x != 0.0]
         zero_modes = w.size - x.size  # w = 0: the pair +-2 pi |w| meets at t
@@ -258,8 +352,7 @@ class Lens(_Round):
         return 6.0 / self.radius**2
 
     def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
-        t, rank = model.flux_shift, model.rank
+        k_char, t, rank = model.bundle.twist, model.flux_shift, model.rank
         values, mults = [], []
         for m in range(cutoff + 1):
             mp = rank * (m + 2) * lens_weight_count(m, k_char, self.p)
@@ -273,8 +366,8 @@ class Lens(_Round):
         return np.array(values, dtype=float), np.array(mults, dtype=np.int64)
 
     def branches(self, model: "SpectralModel"):
-        k_char = model.bundle.k if isinstance(model.bundle, LensCharacter) else 0
-        r, p, t, rank = self.radius, self.p, model.flux_shift, model.rank
+        k_char, r, p = model.bundle.twist, self.radius, self.p
+        t, rank = model.flux_shift, model.rank
         period = 2 * p
         out = []
         for rho in range(period):
@@ -308,19 +401,13 @@ class SpectralModel:
     flux_shift: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.bundle, self.geometry.bundles):
-            raise ValueError(
-                f"{type(self.geometry).__name__} does not admit bundle "
-                f"{type(self.bundle).__name__}"
-            )
-        if isinstance(self.bundle, LensCharacter) and self.bundle.p != self.geometry.p:
-            raise ValueError("character order must match the lens order")
+        self.bundle.check(self.geometry)
         if not isfinite(self.flux_shift):
             raise ValueError(f"flux must be finite, got {self.flux_shift!r}")
 
     @property
     def rank(self) -> int:
-        return self.bundle.rank if isinstance(self.bundle, TrivialBundle) else 1
+        return self.bundle.rank
 
     def with_flux(self, t: float) -> "SpectralModel":
         return replace(self, flux_shift=float(t))
@@ -361,31 +448,6 @@ def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Distinct eigenvalues, ascending, with their summed multiplicities."""
     distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
     return distinct, np.bincount(inverse, weights=mults).astype(np.int64)
-
-
-def _torus_modes(geometry: Torus3, bundle: Bundle, cutoff: int):
-    """All lattice modes inside the largest complete shell for this cutoff.
-
-    Returns (w-norm array, shell radius).  A box of half width cutoff+1 is
-    enumerated and trimmed to ``|w| <= (cutoff + 1/2)/max(L)``, which is
-    guaranteed to lie inside the box whatever the offsets are.  The trim is
-    evaluated in scale-free coordinates (ratios ``max(L)/L_j``) so the mode
-    set is identical under a uniform rescaling of all edge lengths.
-    """
-    theta = bundle.theta if isinstance(bundle, TorusHolonomy) else (0.0, 0.0, 0.0)
-    delta = geometry.spin
-    lengths = geometry.lengths
-    lmax = max(lengths)
-    ratio = [lmax / l for l in lengths]
-    n = cutoff + 1
-    rng = np.arange(-n, n + 1)
-    v1, v2, v3 = np.meshgrid(rng, rng, rng, indexing="ij")
-    scaled_w2 = ((v1 + delta[0] + theta[0]) * ratio[0]) ** 2 \
-        + ((v2 + delta[1] + theta[1]) * ratio[1]) ** 2 \
-        + ((v3 + delta[2] + theta[2]) * ratio[2]) ** 2
-    scaled_w = np.sqrt(scaled_w2.ravel())
-    keep = scaled_w <= cutoff + 0.5
-    return scaled_w[keep] / lmax, (cutoff + 0.5) / lmax
 
 
 def enumerate_spectrum(model: SpectralModel, cutoff: int) -> list[EigenItem]:
@@ -599,7 +661,7 @@ class ModeBlockOperator:
     """
 
     cutoff: int
-    modes: tuple[tuple[int, int, int], ...]
+    modes: np.ndarray  # (nmodes, 3) lattice vectors, first index slowest
     matrix: sp.csr_matrix
     bandwidth: int
     w: np.ndarray  # (nmodes, 3) frequency vectors
@@ -608,21 +670,10 @@ class ModeBlockOperator:
         n = 2 * self.cutoff + 1
         return ((v[0] + self.cutoff) * n + (v[1] + self.cutoff)) * n + (v[2] + self.cutoff)
 
-    def to_dense(self) -> np.ndarray:
-        if self.matrix.shape[0] > 4100:
-            raise ValueError("dense conversion guarded to cutoff <= 5")
-        return self.matrix.toarray()
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.to_dense())
-
     def interior_indices(self, margin: int) -> np.ndarray:
         """Spinor-space indices of modes with ``|v|_inf <= cutoff - margin``."""
-        keep = []
-        for i, v in enumerate(self.modes):
-            if max(abs(x) for x in v) <= self.cutoff - margin:
-                keep.extend((2 * i, 2 * i + 1))
-        return np.asarray(keep, dtype=int)
+        interior = np.abs(self.modes).max(axis=1) <= self.cutoff - margin
+        return np.flatnonzero(np.repeat(interior, 2))
 
 
 _PAULI = (
@@ -634,37 +685,32 @@ _PAULI = (
 
 def _assemble_blocks(geometry: Torus3, bundle: Bundle, cutoff: int,
                      diag_blocks, coupling: dict[tuple[int, int, int], np.ndarray]):
-    """Generic block assembly: per-mode diagonal block plus translation-
-    invariant coupling blocks."""
-    theta = bundle.theta if isinstance(bundle, TorusHolonomy) else (0.0, 0.0, 0.0)
-    delta = geometry.spin
-    lengths = geometry.lengths
-    rng = range(-cutoff, cutoff + 1)
-    modes = tuple(itertools.product(rng, rng, rng))
-    index = {v: i for i, v in enumerate(modes)}
-    w = np.array([
-        [(v[j] + delta[j] + theta[j]) / lengths[j] for j in range(3)] for v in modes
-    ])
-    nm = len(modes)
-    rows, cols, data = [], [], []
-
-    def put(i, j, block):
-        for a in range(2):
-            for b in range(2):
-                val = block[a, b]
-                if val != 0:
-                    rows.append(2 * i + a)
-                    cols.append(2 * j + b)
-                    data.append(val)
-
-    for i, v in enumerate(modes):
-        put(i, i, diag_blocks(w[i]))
-        for u, blk in coupling.items():
-            tgt = (v[0] - u[0], v[1] - u[1], v[2] - u[2])
-            j = index.get(tgt)
-            if j is not None:
-                put(i, j, blk)
-    mat = sp.csr_matrix((data, (rows, cols)), shape=(2 * nm, 2 * nm), dtype=complex)
+    """Block operator on the mode box of ``geometry.lattice``: mode ``v``
+    carries ``diag_blocks(w)`` (``w`` the ``(nm, 3)`` frequencies, blocks
+    ``(nm, 2, 2)``) and couples to ``v - u`` by ``coupling[u]`` when that
+    mode is in the box.  The COO entries run mode by mode (diagonal block,
+    then each shift in ``coupling`` order, each block row-major) with exact
+    zeros skipped."""
+    v, x = geometry.lattice(bundle, cutoff)
+    modes = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
+    w = x[np.arange(3), modes + cutoff] / np.asarray(geometry.lengths)
+    nm, side = len(modes), 2 * cutoff + 1
+    blocks = np.empty((nm, 1 + len(coupling), 2, 2), dtype=complex)
+    target = np.empty((nm, 1 + len(coupling)), dtype=np.int64)
+    inside = np.ones(target.shape, dtype=bool)
+    blocks[:, 0] = diag_blocks(w)
+    target[:, 0] = np.arange(nm)
+    for k, (u, blk) in enumerate(coupling.items(), start=1):
+        blocks[:, k] = blk
+        # the box index is linear in v, so v - u sits a fixed offset away
+        target[:, k] = target[:, 0] - ((u[0] * side + u[1]) * side + u[2])
+        inside[:, k] = np.all(np.abs(modes - np.asarray(u)) <= cutoff, axis=1)
+    keep = inside[:, :, None, None] & (blocks != 0)
+    ab = np.arange(2)
+    rows = np.broadcast_to(2 * target[:, :1, None, None] + ab[:, None], keep.shape)
+    cols = np.broadcast_to(2 * target[:, :, None, None] + ab, keep.shape)
+    mat = sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
+                        shape=(2 * nm, 2 * nm), dtype=complex)
     return modes, mat, w
 
 
@@ -673,17 +719,16 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
     """Assemble ``D + c(H)`` for ``H = f(x) vol`` in the Fourier basis."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if not isinstance(bundle, (TrivialBundle, TorusHolonomy)):
-        raise ValueError("torus admits trivial or holonomy bundles only")
-    if isinstance(bundle, TrivialBundle) and bundle.rank != 1:
+    bundle.check(geometry)
+    if bundle.rank != 1:
         raise ValueError("mode-block operator supports rank-1 bundles")
 
-    def dirac_block(wv):
-        return 2.0 * np.pi * sum(wv[j] * _PAULI[j] for j in range(3))
+    def dirac_blocks(w):
+        return 2.0 * np.pi * sum(w[:, j, None, None] * _PAULI[j] for j in range(3))
 
     eye = np.eye(2, dtype=complex)
     coupling = {u: c * eye for u, c in flux.table().items()}
-    modes, mat, w = _assemble_blocks(geometry, bundle, cutoff, dirac_block, coupling)
+    modes, mat, w = _assemble_blocks(geometry, bundle, cutoff, dirac_blocks, coupling)
     herm = abs(mat - mat.getH()).max()
     if herm > 1e-12:
         raise AssertionError(f"assembled operator not Hermitian: deviation {herm}")
@@ -696,8 +741,8 @@ def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axi
     """Skew-adjoint connection component ``d/dx_j + c(iota_{e_j} H)`` in the
     Fourier basis (the flux contraction acts as ``i f(x) sigma_j``)."""
 
-    def diag(wv):
-        return 2.0j * np.pi * wv[axis] * np.eye(2, dtype=complex)
+    def diag(w):
+        return (2.0j * np.pi * w[:, axis])[:, None, None] * np.eye(2, dtype=complex)
 
     blk = 1.0j * _PAULI[axis]
     coupling = {u: c * blk for u, c in flux.table().items()}
@@ -712,8 +757,8 @@ def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int,
     with an optional constant 2x2 block (identity by default)."""
     blk = np.eye(2, dtype=complex) if block is None else block
 
-    def diag(_):
-        return coeffs.get((0, 0, 0), 0.0) * blk
+    def diag(w):
+        return np.broadcast_to(coeffs.get((0, 0, 0), 0.0) * blk, (len(w), 2, 2))
 
     coupling = {u: c * blk for u, c in coeffs.items() if u != (0, 0, 0)}
     _, mat, _ = _assemble_blocks(geometry, bundle, cutoff, diag, coupling)

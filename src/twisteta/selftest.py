@@ -247,8 +247,7 @@ def _c7_stability() -> tuple[bool, str]:
         deltas = [abs(b.rho - a.rho) for a, b in zip(values, values[1:])]
         # Cauchy contraction at achievable precision: a delta may exceed the
         # previous one only within the engines' reported noise floor
-        floor = 4.0 * sum(v.xi_twisted.error_bound + v.xi_trivial.error_bound
-                          for v in values)
+        floor = 4.0 * sum(v.error_bound for v in values)
         for a, b in zip(deltas, deltas[1:]):
             if b > a + floor:
                 monotone = False

@@ -41,8 +41,6 @@ __all__ = [
     "AmbiguousCrossingError",
     "sf_affine",
     "sf_matrix",
-    "reverse_path",
-    "affine_path_for_model",
     "sf_for_flux",
     "FluxResponseReport",
     "LOCAL_TERMS",
@@ -129,12 +127,6 @@ def sf_affine(path: AffinePath, zero_tol: float = 1e-12) -> SfResult:
             out.append(Crossing(u=u_star, multiplicity=mult, direction=direction))
     return SfResult(flow=flow, crossings=tuple(out),
                     endpoint_kernel_flags=(start_kernel, end_kernel))
-
-
-def reverse_path(path: AffinePath) -> AffinePath:
-    """The same path traversed backwards: ``u -> u_max - u``."""
-    lines = tuple((lam0 + s * path.u_max, -s, m) for lam0, s, m in path.lines)
-    return AffinePath(lines=lines, u_max=path.u_max)
 
 
 def _neg_count(eigs: np.ndarray) -> int:

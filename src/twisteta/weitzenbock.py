@@ -44,7 +44,7 @@ from .clifford import (
     _wedge,
     build_gamma_rep,
 )
-from .eta import rho
+from .eta import RhoValue, rho
 from .models import (
     SpectralModel,
     Torus3,
@@ -204,7 +204,7 @@ class PscSweepReport:
     u_grid: tuple[float, ...]
     min_abs_eigenvalue: tuple[float, ...]
     flow: int
-    rho_values: tuple[float, ...]
+    rhos: tuple[RhoValue, ...]
     rho_deviation_max: float
     first_kernel_u: float  # empirical first kernel point along the ray
 
@@ -250,7 +250,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                 f"kernel detected at u={u} below u0={thr.u0}: the curvature "
                 "bound excludes this; check flux sign conventions"
             )
-        rhos.append(rho(shifted, engine=engine, cutoff=cutoff).rho)
+        rhos.append(rho(shifted, engine=engine, cutoff=cutoff))
 
     flow = 0
     if grid and grid[-1] > 0.0:
@@ -260,8 +260,8 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
             raise TheoremViolationError(
                 f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"
             )
-    deviation = max(abs(r - rhos[0]) for r in rhos) if rhos else 0.0
+    deviation = max(abs(r.rho - rhos[0].rho) for r in rhos) if rhos else 0.0
     return PscSweepReport(threshold=thr, u_grid=grid,
                           min_abs_eigenvalue=tuple(min_abs), flow=flow,
-                          rho_values=tuple(rhos), rho_deviation_max=float(deviation),
+                          rhos=tuple(rhos), rho_deviation_max=float(deviation),
                           first_kernel_u=float(first_kernel))

@@ -164,6 +164,24 @@ def test_psc_command_and_violation_exit(tmp_path):
     assert main(["psc", "--config", bad]) == EXIT_VIOLATION
 
 
+def test_psc_heat_records_carry_their_bounds(tmp_path):
+    # the heat engine misses the exact rho = -1/3 at this short cutoff
+    cfg = write(tmp_path, "c.txt",
+                "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"
+                "engine = heat\ncutoff = 20\nsweep = 0,0.3,0.6\n")
+    out = tmp_path / "psc.jsonl"
+    assert main(["psc", "--config", cfg, "--out", str(out)]) == EXIT_UNCONVERGED
+    records = read_records(out)
+    rhos = [r for r in records if r.quantity == "rho"]
+    assert [r.param for r in rhos] == [0.0, 0.3, 0.6]
+    for r in rhos:
+        assert not r.converged
+        assert abs(r.value - (-1.0 / 3.0)) <= r.error_bound
+    dev = {r.quantity: r for r in records}["rho_deviation_max"]
+    assert not dev.converged
+    assert dev.error_bound == rhos[0].error_bound + max(r.error_bound for r in rhos)
+
+
 def test_conformal_command(tmp_path):
     cfg = write(tmp_path, "c.txt",
                 "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"
@@ -224,7 +242,7 @@ def test_non_finite_input_is_a_config_error(tmp_path, capsys, text, key):
     assert "too large to fold" not in err
 
 
-@pytest.mark.parametrize("flux", ["1e160", "1e300"])
+@pytest.mark.parametrize("flux", ["1e160", "1e300", "1e150"])
 def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
     cfg = write(tmp_path, "c.txt",
                 "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n"

@@ -11,7 +11,6 @@ from twisteta.eta import (
     eta_hurwitz,
     hurwitz_zeta_nonpositive,
     rho,
-    rho_difference_stability,
 )
 from twisteta.eta import _OddTrace, _tail_floor
 from twisteta.models import (
@@ -25,7 +24,6 @@ from twisteta.models import (
     SpectralModel,
     Sphere3,
     Torus3,
-    TorusHolonomy,
     TrivialBundle,
     enumerate_spectrum,
     progression_spectrum,
@@ -318,21 +316,3 @@ def test_rho_geometry_mismatch_rejected():
         rho(twisted, SpectralModel(Circle(2.0)))
     with pytest.raises(ValueError):
         rho(twisted, SpectralModel(Circle(1.0), TrivialBundle(2)))
-
-
-def test_rho_difference_stability_contracts():
-    model = SpectralModel(Circle(1.0), CircleHolonomy(0.25))
-    rows = rho_difference_stability(model, (100, 200, 400))
-    assert np.isnan(rows[0][2])
-    assert abs(rows[-1][2]) <= 1e-6
-    torus = SpectralModel(Torus3(), TorusHolonomy((0.3, 0.0, 0.0)))
-    rows = rho_difference_stability(torus, (4, 6, 8))
-    assert all(abs(d) == 0.0 for _, _, d in rows[1:])
-
-
-def test_rho_difference_stability_validation():
-    model = SpectralModel(Circle(1.0), CircleHolonomy(0.25))
-    with pytest.raises(ValueError):
-        rho_difference_stability(model, (100, 200))
-    with pytest.raises(ValueError):
-        rho_difference_stability(model, (200, 100, 400))

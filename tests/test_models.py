@@ -1,5 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twisteta.models import (
     Circle,
@@ -15,12 +19,13 @@ from twisteta.models import (
     TrivialBundle,
     ZeroResolutionError,
     _merge,
-    _torus_modes,
     build_torus_operator,
     enumerate_spectrum,
     kernel_dimension,
     lens_weight_count,
     progression_spectrum,
+    torus_multiplication_operator,
+    torus_twisted_derivative,
 )
 
 
@@ -63,9 +68,15 @@ def _reference_levels(model, cutoff):
         return [(s * (1.5 + k) / geo.radius + t, rank * (k + 1) * (k + 2))
                 for k in range(cutoff + 1) for s in (1, -1)]
     if isinstance(geo, Torus3):
+        theta = model.bundle.theta if isinstance(model.bundle, TorusHolonomy) else (0.0,) * 3
+        lmax, n = max(geo.lengths), cutoff + 1
         items = []
-        for x in 2.0 * np.pi * _torus_modes(geo, model.bundle, cutoff)[0]:
-            items += [(t, 2 * rank)] if x == 0.0 else [(x + t, rank), (-x + t, rank)]
+        for v in itertools.product(range(-n, n + 1), repeat=3):
+            ys = [(v[j] + geo.spin[j] + theta[j]) * (lmax / geo.lengths[j]) for j in range(3)]
+            scaled = math.sqrt(ys[0] * ys[0] + ys[1] * ys[1] + ys[2] * ys[2])
+            if scaled <= cutoff + 0.5:
+                x = 2.0 * np.pi * (scaled / lmax)
+                items += [(t, 2 * rank)] if x == 0.0 else [(x + t, rank), (-x + t, rank)]
         return items
     values, mults = geo.levels(model, cutoff)
     return list(zip(values.tolist(), mults.tolist()))
@@ -248,7 +259,7 @@ def test_progressions_torus_unsupported():
 def test_torus_operator_free_matches_enumerator():
     geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
     op = build_torus_operator(geo, TorusFlux.constant(0.0), cutoff=3)
-    eigs = np.sort(op.eigenvalues())
+    eigs = np.linalg.eigvalsh(op.matrix.toarray())
     model = SpectralModel(geo)
     exact = []
     for v, m in enumerate_spectrum(model, 3):
@@ -265,8 +276,8 @@ def test_torus_operator_constant_flux_is_shift():
     geo = Torus3()
     free = build_torus_operator(geo, TorusFlux.constant(0.0), cutoff=2)
     shifted = build_torus_operator(geo, TorusFlux.constant(0.8), cutoff=2)
-    a = np.sort(free.eigenvalues())
-    b = np.sort(shifted.eigenvalues())
+    a = np.linalg.eigvalsh(free.matrix.toarray())
+    b = np.linalg.eigvalsh(shifted.matrix.toarray())
     assert np.max(np.abs(b - (a + 0.8))) <= 1e-10
 
 
@@ -281,6 +292,96 @@ def test_torus_operator_cosine_structure():
     assert abs(mat[2 * idx((0, 0, 0)), 2 * idx((-1, 0, 0))] - 0.5) <= 1e-15
     assert mat[2 * idx((0, 0, 0)), 2 * idx((0, 1, 0))] == 0.0
     assert mat[2 * idx((0, 0, 0)), 2 * idx((1, 0, 0)) + 1] == 0.0
+
+
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
+
+def _reference_assembly(geo, theta, cutoff, diag_block, coupling):
+    """Per-mode loop assembly of a torus block operator: the reference for
+    the array assembler (same entry order, zeros skipped)."""
+    rng = range(-cutoff, cutoff + 1)
+    modes = list(itertools.product(rng, rng, rng))
+    index = {v: i for i, v in enumerate(modes)}
+    w = np.array([[(v[j] + geo.spin[j] + theta[j]) / geo.lengths[j] for j in range(3)]
+                  for v in modes])
+    rows, cols, data = [], [], []
+
+    def put(i, j, block):
+        for a in range(2):
+            for b in range(2):
+                if block[a, b] != 0:
+                    rows.append(2 * i + a)
+                    cols.append(2 * j + b)
+                    data.append(block[a, b])
+
+    for i, v in enumerate(modes):
+        put(i, i, diag_block(w[i]))
+        for u, blk in coupling.items():
+            j = index.get((v[0] - u[0], v[1] - u[1], v[2] - u[2]))
+            if j is not None:
+                put(i, j, blk)
+    nm = len(modes)
+    mat = sp.csr_matrix((data, (rows, cols)), shape=(2 * nm, 2 * nm), dtype=complex)
+    return modes, mat, w
+
+
+def _assert_same_csr(mat, ref):
+    assert mat.indices.dtype == ref.indices.dtype and mat.indptr.dtype == ref.indptr.dtype
+    for name in ("data", "indices", "indptr"):
+        assert getattr(mat, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+@pytest.mark.parametrize("flux", [
+    TorusFlux.constant(0.7), TorusFlux.cosine(1, -0.9, 1), TorusFlux.cosine(2, 0.6, 2),
+], ids=["constant", "cosine-1", "cosine-2"])
+def test_array_assembly_matches_mode_loop(flux, cutoff):
+    # (v + delta) + theta != v + (delta + theta) for some v at these offsets
+    geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
+    bundle = TorusHolonomy((0.2, 0.35, 0.9))
+    theta, eye, table = bundle.theta, np.eye(2, dtype=complex), flux.table()
+
+    op = build_torus_operator(geo, flux, cutoff, bundle)
+    modes, ref, w = _reference_assembly(
+        geo, theta, cutoff, lambda wv: 2.0 * np.pi * sum(wv[j] * PAULI[j] for j in range(3)),
+        {u: c * eye for u, c in table.items()})
+    _assert_same_csr(op.matrix, ref)
+    assert op.w.tobytes() == w.tobytes()
+    assert op.modes.tolist() == [list(v) for v in modes]
+    margin = max(flux.bandwidth, 1)
+    interior = [k for i, v in enumerate(modes) if max(map(abs, v)) <= cutoff - margin
+                for k in (2 * i, 2 * i + 1)]
+    assert op.interior_indices(margin).tolist() == interior
+
+    for axis in range(3):
+        blk = 1.0j * PAULI[axis]
+        _, ref, _ = _reference_assembly(
+            geo, theta, cutoff, lambda wv: 2.0j * np.pi * wv[axis] * eye,
+            {u: c * blk for u, c in table.items()})
+        _assert_same_csr(torus_twisted_derivative(geo, flux, cutoff, axis, bundle), ref)
+
+    f_sq = flux.convolved()
+    for block in (None, np.array([[1.0, 2.0j], [-2.0j, 3.0]])):
+        blk = eye if block is None else block
+        _, ref, _ = _reference_assembly(
+            geo, theta, cutoff, lambda _: f_sq.get((0, 0, 0), 0.0) * blk,
+            {u: c * blk for u, c in f_sq.items() if u != (0, 0, 0)})
+        _assert_same_csr(
+            torus_multiplication_operator(geo, f_sq, cutoff, bundle, block=block), ref)
+
+
+@pytest.mark.parametrize("bundle,message", [
+    (LensCharacter(3, 1), "does not admit bundle LensCharacter"),
+    (TrivialBundle(2), "rank-1 bundles"),
+], ids=["lens-character", "rank-2"])
+def test_torus_operator_rejects_unsupported_bundles(bundle, message):
+    with pytest.raises(ValueError, match=message):
+        build_torus_operator(Torus3(), TorusFlux.constant(0.1), 2, bundle)
 
 
 def test_torus_flux_reality_validation():

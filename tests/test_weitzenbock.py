@@ -148,7 +148,7 @@ def test_psc_sweep_lens_rho_constant():
         rpt = psc_stability_sweep(
             SpectralModel(Lens(3), LensCharacter(3, k)), [0.0, 0.2, 0.4, 0.8])
         assert rpt.rho_deviation_max <= 1e-8
-        assert rpt.rho_values[0] == pytest.approx(-1.0 / 3.0 if k else 0.0, abs=1e-12)
+        assert rpt.rhos[0].rho == pytest.approx(-1.0 / 3.0 if k else 0.0, abs=1e-12)
 
 
 def test_psc_sweep_grid_validation():
