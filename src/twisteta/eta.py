@@ -24,12 +24,19 @@ at ``s = 0``:
 
 All trace accumulation runs in extended precision (``numpy.longdouble``)
 because alternating sums over quadratically growing multiplicities lose
-about four digits in double precision.  A trace is evaluated for a whole
-vector of t at once (the 24 nodes of a quadrature panel, the ladder points)
-and sums only the eigenvalues with ``t lambda^2 <= 11500`` for the smallest
-of those t.  Every other term is exactly zero, not merely small: in
-longdouble ``exp(-x)`` underflows to 0 for ``x >= 11400`` (below the smallest
+about four digits in double precision.  A trace is evaluated for a vector
+of t (the 24 nodes of a quadrature panel, the ladder points), and each t
+sums only its own window, the eigenvalues with ``t lambda^2 <= 11500``.
+Every other term is exactly zero, not merely small: in longdouble
+``exp(-x)`` underflows to 0 for ``x >= 11400`` (below the smallest
 subnormal, ``exp(-11399)``), so the truncation leaves every sum unchanged.
+
+The quadrature is 24-point Gauss-Legendre on panels of equal width in
+``log t``.  Its nodes and weights are computed in longdouble at import
+(Newton steps on the Legendre recurrence): float64 nodes would put a
+relative error of about 1e-15 into integrals whose terms cancel.  With
+longdouble nodes the rule is exact to truncation from a few panels on, so
+the panel doubling starts at 2 panels per half and usually stops at 4.
 """
 
 from __future__ import annotations
@@ -206,9 +213,26 @@ def eta_hurwitz(spectrum: ProgressionSpectrum | Sequence[Progression]) -> EtaVal
 # heat-kernel engine
 # ---------------------------------------------------------------------------
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
-_GL_X = _GL_X.astype(_LD)
-_GL_W = _GL_W.astype(_LD)
+def _gauss_legendre_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] accurate in longdouble:
+    Newton steps on the three-term recurrence from the float64 ``leggauss``
+    nodes, weights ``2 / ((1 - x^2) P_n'(x)^2)``."""
+
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
+    for _ in range(3):
+        p, dp = legendre(x)
+        x = x - p / dp
+    _, dp = legendre(x)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+_GL_X, _GL_W = _gauss_legendre_ld(24)
 
 
 def _solve_normal_ld(a: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,24 +258,22 @@ def _solve_normal_ld(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 # exp(-x) is exactly 0 in longdouble for x >= 11400 (for x > 746 where
 # longdouble is double), so a term with t lambda^2 beyond this is an exact zero
 _UNDERFLOW = 11500.0
-# longdouble elements in one (t x eigenvalue) block; bounds the temporaries
-_BLOCK = 1 << 18
 
 
 def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """``sum_j weight_j exp(-t lam_j^2)`` for each t, over the sorted ``lam``
-    inside the underflow window of the smallest t."""
-    r = np.sqrt(_UNDERFLOW / float(np.min(ts)))
+    """``sum_j weight_j exp(-t lam_j^2)`` for each t, one t at a time over the
+    sorted ``lam`` inside that t's own underflow window ``t lam^2 <= 11500``.
+    The exponent keeps the rounding order ``(-t lam) lam``."""
+    r = np.sqrt(_UNDERFLOW / ts.astype(float))
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
-    lam, weight = lam[lo:hi], weight[lo:hi]
-    rows = max(1, _BLOCK // max(1, lam.size))
     out = np.empty(ts.size, dtype=_LD)
-    for i in range(0, ts.size, rows):
-        block = np.multiply.outer(-ts[i:i + rows], lam)
-        block *= lam
-        np.exp(block, out=block)
-        block *= weight
-        out[i:i + rows] = block.sum(axis=1)
+    for i, t in enumerate(ts):
+        window = lam[lo[i]:hi[i]]
+        row = -t * window
+        row *= window
+        np.exp(row, out=row)
+        row *= weight[lo[i]:hi[i]]
+        out[i] = row.sum()
     return out
 
 
@@ -260,12 +282,13 @@ class _OddTrace:
     cancellation of symmetric pairs, and the gross trace
     ``sum m |lambda| exp(-t lambda^2)`` of the whole spectrum.
 
-    Both take a vector of t and sum only the underflow window of its smallest
-    t, the eigenvalues with ``t lambda^2 <= 11500``: both arrays are sorted,
-    so the window is the slice between ``searchsorted(lam, -+sqrt(11500/t))``.
-    Every term outside it has ``exp(-t lambda^2) == 0`` exactly in longdouble
-    (the smallest subnormal is ``exp(-11399)``), so the window drops only
-    exact zeros and the sums equal the full ones.
+    Both take a vector of t and give each t its own underflow window, the
+    eigenvalues with ``t lambda^2 <= 11500``: both arrays are sorted, so the
+    window is the slice between ``searchsorted(lam, -+sqrt(11500/t))``, and a
+    larger t sums a shorter slice.  Every term outside it has
+    ``exp(-t lambda^2) == 0`` exactly in longdouble (the smallest subnormal is
+    ``exp(-11399)``), so the window drops only exact zeros and the sums equal
+    the full ones.
     """
 
     def __init__(self, items: Sequence[EigenItem]):
@@ -413,7 +436,7 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
     while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
         t_max *= 2.0
 
-    panels = 16
+    panels = 2
     prev = None
     quad_err = np.inf
     while panels <= 512:
@@ -459,7 +482,9 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
 
     The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
     enumerates up to ``cutoff`` (geometry-specific default) and reports its
-    achieved error bound.
+    achieved error bound.  It rejects a flux beyond half the radius of the
+    enumerated spectrum: the cutoff no longer resolves the shifted spectrum
+    there, and the value would be unconverged or a spurious pole.
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model, zero_tol))
@@ -467,6 +492,13 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else model.geometry.default_cutoff
     items = enumerate_spectrum(model, n)
+    # the items are sorted; a flux that swamps the spectrum shrinks the radius
+    t = model.flux_shift
+    radius = max(items[-1].value - t, t - items[0].value)
+    if abs(t) > radius / 2:
+        raise ValueError(
+            f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds half "
+            f"the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
     kernel = sum(m for v, m in items if abs(v) <= zero_tol)
     nonzero = [it for it in items if abs(it.value) > zero_tol]
     return eta_heat(nonzero, tol=tol, kernel_dim=kernel, zero_tol=zero_tol)

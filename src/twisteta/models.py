@@ -178,8 +178,8 @@ BUNDLES = {b.config_name: b for b in (TrivialBundle, CircleHolonomy, TorusHolono
 # geometries
 # ---------------------------------------------------------------------------
 #
-# ``levels(model, cutoff)``: unmerged eigenvalue and multiplicity arrays of
-# the shell-complete spectrum.  ``branches(model)``: ``(v0, step, mult_coeffs)``
+# ``levels(model, cutoff)``: eigenvalue and multiplicity arrays of the
+# shell-complete spectrum, not yet merged into distinct values.  ``branches(model)``: ``(v0, step, mult_coeffs)``
 # families ``v0 + step j`` with multiplicity ``sum mult_coeffs[i] j^i``.
 
 class _Round:
@@ -304,13 +304,12 @@ class Torus3:
         y2 = (x * np.array([[lmax / l] for l in self.lengths])) ** 2
         scaled_w = np.sqrt((y2[0, :, None, None] + y2[1, None, :, None]
                             + y2[2, None, None, :]).ravel())
-        w = scaled_w[scaled_w <= cutoff + 0.5] / lmax
-        x = 2.0 * np.pi * w
-        x = x[x != 0.0]
-        zero_modes = w.size - x.size  # w = 0: the pair +-2 pi |w| meets at t
-        values = np.concatenate([x + t, -x + t, np.full(zero_modes, t)])
-        mults = np.concatenate([np.full(2 * x.size, rank), np.full(zero_modes, 2 * rank)])
-        return values, mults
+        # equal |w| are merged before the shift: x -> x + t is monotone, and
+        # _merge absorbs the values the shift makes collide (and w = 0, where
+        # the pair +-2 pi |w| meets at t)
+        scaled_w, count = np.unique(scaled_w[scaled_w <= cutoff + 0.5], return_counts=True)
+        x = 2.0 * np.pi * (scaled_w / lmax)
+        return np.concatenate([x + t, -x + t]), np.concatenate([rank * count, rank * count])
 
     def branches(self, model: "SpectralModel"):
         raise ValueError(
@@ -353,17 +352,14 @@ class Lens(_Round):
 
     def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         k_char, t, rank = model.bundle.twist, model.flux_shift, model.rank
-        values, mults = [], []
-        for m in range(cutoff + 1):
-            mp = rank * (m + 2) * lens_weight_count(m, k_char, self.p)
-            mm = rank * (m + 1) * lens_weight_count(m + 1, k_char, self.p)
-            if mp:
-                values.append((1.5 + m) / self.radius + t)
-                mults.append(mp)
-            if mm:
-                values.append(-(1.5 + m) / self.radius + t)
-                mults.append(mm)
-        return np.array(values, dtype=float), np.array(mults, dtype=np.int64)
+        m = np.arange(cutoff + 1)
+        level = (1.5 + m) / self.radius
+        # per level m the + eigenvalue, then the - one; empty ones dropped
+        values = np.stack([level + t, -level + t], axis=1)
+        mults = rank * np.stack([(m + 2) * lens_weight_count(m, k_char, self.p),
+                                 (m + 1) * lens_weight_count(m + 1, k_char, self.p)], axis=1)
+        keep = mults != 0
+        return values[keep], mults[keep]
 
     def branches(self, model: "SpectralModel"):
         k_char, r, p = model.bundle.twist, self.radius, self.p
@@ -437,11 +433,19 @@ class EigenItem(tuple):
         return self[1]
 
 
-def lens_weight_count(m: int, k: int, p: int) -> int:
-    """Number of weights in ``{m, m-2, ..., -m}`` congruent to k mod p."""
-    if m < 0:
-        return 0
-    return sum(1 for i in range(m + 1) if (m - 2 * i - k) % p == 0)
+def lens_weight_count(m, k: int, p: int):
+    """Number of weights in ``{m, m-2, ..., -m}`` congruent to k mod p, for an
+    integer ``m`` or an integer array of them (0 where ``m < 0``).
+
+    Weight ``m - 2i`` qualifies when ``2i = m - k (mod p)``.  With
+    ``g = gcd(2, p)`` that has solutions only when g divides ``m - k``, namely
+    ``i = i0 (mod p/g)``; the count is those with ``0 <= i <= m``.
+    """
+    g = 2 if p % 2 == 0 else 1
+    q = p // g
+    d = m - k
+    i0 = (d // g) * pow(2 // g, -1, q) % q
+    return ((d % g == 0) & (m >= i0)) * ((m - i0) // q + 1)
 
 
 def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from twisteta.selftest import run_criteria
 
 LIMITS = {  # runtime budgets, CPU seconds
     "A1": 1.0,
-    "A2": 15.0,
+    "A2": 4.0,
     "A3": 120.0,
     "A3b": 120.0,
     "A4": 60.0,

@@ -253,6 +253,24 @@ def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("holonomy,flux,cutoff", [
+    ("0.25", "1e20", None),  # every n + a + t rounds to one double
+    ("0.3", "45", 40),       # was a spurious pole, exit 1 with a traceback
+    ("0.3", "30", 40),       # was unconverged, bound 1.78
+])
+def test_flux_beyond_half_the_spectrum_heat_engine_is_a_config_error(
+        tmp_path, capsys, holonomy, flux, cutoff):
+    cfg = write(tmp_path, "c.txt",
+                f"geometry = circle\nbundle = circle_holonomy\nholonomy = {holonomy}\n"
+                f"engine = heat\nflux = {flux}\n"
+                + (f"cutoff = {cutoff}\n" if cutoff is not None else ""))
+    assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "eigenvalues are too large for the heat engine" in err
+    assert "radius" in err and f"cutoff {cutoff or 2000}" in err
+    assert "Traceback" not in err
+
+
 def test_torus_heat_default_cutoff_converges(tmp_path):
     cfg = write(tmp_path, "c.txt", "geometry = torus3\nengine = heat\nflux = 0.5\n")
     out = tmp_path / "out.jsonl"

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -78,8 +79,20 @@ def _reference_levels(model, cutoff):
                 x = 2.0 * np.pi * (scaled / lmax)
                 items += [(t, 2 * rank)] if x == 0.0 else [(x + t, rank), (-x + t, rank)]
         return items
-    values, mults = geo.levels(model, cutoff)
-    return list(zip(values.tolist(), mults.tolist()))
+    if isinstance(geo, Lens):
+        k, items = model.bundle.twist, []
+        for m in range(cutoff + 1):
+            mp = rank * (m + 2) * _brute_weight_count(m, k, geo.p)
+            mm = rank * (m + 1) * _brute_weight_count(m + 1, k, geo.p)
+            items += [((1.5 + m) / geo.radius + t, mp)] if mp else []
+            items += [(-(1.5 + m) / geo.radius + t, mm)] if mm else []
+        return items
+    raise TypeError(type(geo).__name__)
+
+
+def _brute_weight_count(m, k, p):
+    """Weights in ``{m, m-2, ..., -m}`` congruent to k mod p, one by one."""
+    return sum(1 for i in range(m + 1) if (m - 2 * i - k) % p == 0)
 
 
 def _dict_merge(levels):
@@ -89,15 +102,28 @@ def _dict_merge(levels):
     return [EigenItem(v, m) for v, m in sorted(merged.items())]
 
 
+# distinct |w| of this torus lie within an ulp of each other and collide
+# after the shift by +t (checked in test_torus_shift_collision_case)
+_TORUS_COLLIDING = SpectralModel(Torus3((1.0, 1.0, 1.3)), TorusHolonomy((0.25, 0.25, 0.0)),
+                                 flux_shift=2.5)
+_LENSES = [(SpectralModel(Lens(p, 0.9), LensCharacter(p, k), flux_shift=0.15 * k - 0.4), 25)
+           for p in range(2, 13) for k in range(p)]
+
+
 @pytest.mark.parametrize("model,cutoff", [
     (SpectralModel(Torus3(), flux_shift=0.3), 12),
     (SpectralModel(Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5)),
                    TorusHolonomy((0.2, 0.0, 0.4)), flux_shift=-0.1), 8),
     (SpectralModel(Torus3(spin=(0.0, 0.0, 0.0))), 6),
+    (_TORUS_COLLIDING, 8),
     (SpectralModel(Circle(0.8), CircleHolonomy(0.35), flux_shift=0.2), 50),
     (SpectralModel(Sphere3(1.3), TrivialBundle(2), flux_shift=-0.7), 30),
     (SpectralModel(Lens(5, 1.1), LensCharacter(5, 2), flux_shift=0.4), 30),
-], ids=["torus-cubic", "torus-noncubic", "torus-zero-mode", "circle", "sphere", "lens"])
+    (SpectralModel(Lens(4), TrivialBundle(2), flux_shift=0.2), 30),
+    *_LENSES,
+], ids=["torus-cubic", "torus-noncubic", "torus-zero-mode", "torus-shift-collision",
+        "circle", "sphere", "lens", "lens-trivial-rank2",
+        *(f"lens-{m.geometry.p}-{m.bundle.k}" for m, _ in _LENSES)])
 def test_array_merge_matches_dict_merge(model, cutoff):
     reference = _dict_merge(_reference_levels(model, cutoff))
     values, mults = _merge(*model.geometry.levels(model, cutoff))
@@ -179,9 +205,28 @@ def test_kernel_resolution_flagged():
 
 # --- lens spaces -----------------------------------------------------------
 
+def test_torus_shift_collision_case():
+    geo, t = _TORUS_COLLIDING.geometry, _TORUS_COLLIDING.flux_shift
+    x = {v for v, _ in _reference_levels(_TORUS_COLLIDING.with_flux(0.0), 8) if v > 0}
+    assert len({v + t for v in x}) < len(x)
+    assert geo.lengths[0] != geo.lengths[2]
+
+
 def test_lens_weight_count_p1_is_full():
     for m in range(8):
         assert lens_weight_count(m, 0, 1) == m + 1
+
+
+def test_lens_weight_count_matches_brute_force():
+    ms = np.arange(-2, 201)
+    for p in range(1, 31):
+        # every weight of every m, counted per residue class
+        tally = [collections.Counter((m - 2 * i) % p for i in range(m + 1)) for m in ms]
+        for k in range(p):
+            expected = [c[k] for c in tally]
+            assert [lens_weight_count(m, k, p) for m in ms.tolist()] == expected
+            counts = lens_weight_count(ms, k, p)
+            assert counts.shape == ms.shape and counts.tolist() == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
