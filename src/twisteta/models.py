@@ -179,8 +179,9 @@ BUNDLES = {b.config_name: b for b in (TrivialBundle, CircleHolonomy, TorusHolono
 # ---------------------------------------------------------------------------
 #
 # ``levels(model, cutoff)``: eigenvalue and multiplicity arrays of the
-# shell-complete spectrum, not yet merged into distinct values.  ``branches(model)``: ``(v0, step, mult_coeffs)``
-# families ``v0 + step j`` with multiplicity ``sum mult_coeffs[i] j^i``.
+# shell-complete spectrum, not yet merged into distinct values.
+# ``branches(model)``: ``(v0, step, mult_coeffs)`` families ``v0 + step j``
+# with multiplicity ``sum mult_coeffs[i] j^i``.
 
 class _Round:
     """Geometry with one length scale, ``radius``."""

@@ -206,10 +206,9 @@ def test_kernel_resolution_flagged():
 # --- lens spaces -----------------------------------------------------------
 
 def test_torus_shift_collision_case():
-    geo, t = _TORUS_COLLIDING.geometry, _TORUS_COLLIDING.flux_shift
+    t = _TORUS_COLLIDING.flux_shift
     x = {v for v, _ in _reference_levels(_TORUS_COLLIDING.with_flux(0.0), 8) if v > 0}
     assert len({v + t for v in x}) < len(x)
-    assert geo.lengths[0] != geo.lengths[2]
 
 
 def test_lens_weight_count_p1_is_full():
