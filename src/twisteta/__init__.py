@@ -11,7 +11,6 @@ from .clifford import (
     boundary_reduction_check,
     build_even_gamma_rep,
     build_gamma_rep,
-    check_hat,
     clifford_action,
     degree_adjointness,
     flux_action,
@@ -31,7 +30,6 @@ from .eta import (
 from .models import (
     Circle,
     CircleHolonomy,
-    EigenItem,
     Lens,
     LensCharacter,
     ModeBlockOperator,

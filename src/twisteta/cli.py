@@ -59,7 +59,6 @@ _CONFIG_KEYS = {
     "engine": str,
     "cutoff": int,
     "tol": float,
-    "zero_tol": float,
     "sweep": str,
     "h_norm": float,
     "r_min": float,
@@ -275,8 +274,7 @@ def cmd_eta(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
     start = time.perf_counter()
-    value = eta_for_model(model, cfg.engine, cfg.get("cutoff"),
-                          float(cfg.get("tol", 1e-8)), float(cfg.get("zero_tol", 1e-9)))
+    value = eta_for_model(model, cfg.engine, cfg.get("cutoff"), float(cfg.get("tol", 1e-8)))
     wall = time.perf_counter() - start
     return [
         make("eta", value.eta, value.error_bound, value.method, None, wall, value.converged),
@@ -290,7 +288,7 @@ def cmd_rho(cfg: RunConfig) -> list[ResultRecord]:
     model = cfg.model()
     start = time.perf_counter()
     value = rho(model, engine=cfg.engine, cutoff=cfg.get("cutoff"),
-                tol=float(cfg.get("tol", 1e-8)), zero_tol=float(cfg.get("zero_tol", 1e-9)))
+                tol=float(cfg.get("tol", 1e-8)))
     wall = time.perf_counter() - start
     return [
         make("rho", value.rho, value.error_bound, value.xi_twisted.method, None, wall,
@@ -354,8 +352,7 @@ def cmd_psc(cfg: RunConfig) -> list[ResultRecord]:
     start = time.perf_counter()
     rpt = psc_stability_sweep(
         model, grid, h_norm=float(cfg.get("h_norm", 1.0)), engine=cfg.engine,
-        cutoff=cfg.get("cutoff"), zero_tol=float(cfg.get("zero_tol", 1e-9)),
-        r_min=cfg.get("r_min"))
+        cutoff=cfg.get("cutoff"), r_min=cfg.get("r_min"))
     wall = time.perf_counter() - start
     # |rho_i - rho_0| is off by at most b_i + b_0 at each grid point
     deviation_bound = rpt.rhos[0].error_bound + max(r.error_bound for r in rpt.rhos)

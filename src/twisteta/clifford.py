@@ -35,7 +35,6 @@ __all__ = [
     "degree_adjointness",
     "grading_anticommute_check",
     "boundary_reduction_check",
-    "check_hat",
 ]
 
 _SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -314,14 +313,3 @@ def boundary_reduction_check(rep_x: GammaRep, normal_index: int | None = None) -
             worst = max(worst, float(np.linalg.norm(ci @ cj + cj @ ci + delta, 2)))
     return worst
 
-
-def check_hat(flux: FluxForm) -> tuple[FluxForm, FluxForm]:
-    """Degree-weighted companions: coefficients divided by / multiplied by the
-    component degree (degree-0 components are rejected)."""
-    lower, raise_ = [], []
-    for comp in flux.components:
-        if comp.degree == 0:
-            raise ValueError("degree-0 component: division by degree undefined")
-        lower.append(comp.scaled(1.0 / comp.degree))
-        raise_.append(comp.scaled(float(comp.degree)))
-    return FluxForm(tuple(lower)), FluxForm(tuple(raise_))

@@ -50,7 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .models import (
-    EigenItem,
+    ZERO_TOL,
+    _check_multiplicities,
     _merge,
     Progression,
     ProgressionSpectrum,
@@ -200,11 +201,11 @@ def eta_hurwitz(spectrum: ProgressionSpectrum | Sequence[Progression]) -> EtaVal
         val, b = _family_value(fam)
         total += val
         budget += b
-    for item in ps.extras:
-        if item.value == 0.0:
+    for value, mult in ps.extras:
+        if value == 0.0:
             raise ValueError("explicit zero eigenvalue: kernel must be split off")
-        total += float(np.sign(item.value)) * item.multiplicity
-        budget += item.multiplicity
+        total += float(np.sign(value)) * mult
+        budget += mult
     error = 32.0 * np.finfo(float).eps * budget
     return EtaValue.make(total, ps.kernel_dim, "hurwitz", float(error))
 
@@ -280,7 +281,9 @@ def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray) -> np.ndarra
 class _OddTrace:
     """``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble after exact
     cancellation of symmetric pairs, and the gross trace
-    ``sum m |lambda| exp(-t lambda^2)`` of the whole spectrum.
+    ``sum m |lambda| exp(-t lambda^2)`` of the whole spectrum, built from an
+    ``(n, 2)`` array of ``[value, multiplicity]`` rows in any order (equal
+    values are merged).
 
     Both take a vector of t and give each t its own underflow window, the
     eigenvalues with ``t lambda^2 <= 11500``: both arrays are sorted, so the
@@ -291,9 +294,8 @@ class _OddTrace:
     the full ones.
     """
 
-    def __init__(self, items: Sequence[EigenItem]):
-        pairs = np.asarray(items, dtype=float).reshape(-1, 2)
-        values, mults = _merge(pairs[:, 0], pairs[:, 1])
+    def __init__(self, spectrum: np.ndarray):
+        values, mults = _merge(spectrum[:, 0], spectrum[:, 1])
         mirror = np.minimum(np.searchsorted(values, -values), max(values.size - 1, 0))
         has_mirror = values[mirror] == -values
         pos = values > 0
@@ -371,22 +373,25 @@ def _too_large(abs_max: float, what: str) -> ValueError:
                       f"{abs_max:.3e} puts {what} outside the double range")
 
 
-def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
-             kernel_dim: int = 0, zero_tol: float = 1e-9,
-             require_converged: bool = False) -> EtaValue:
+def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float = 1e-8,
+             kernel_dim: int = 0, require_converged: bool = False) -> EtaValue:
     """Heat-kernel eta of an enumerated nonzero spectrum.
 
-    The spectrum must be complete up to its largest ``|lambda|`` and contain
-    no kernel modes (split those off first; their count is echoed in the
-    result).  If the requested tolerance is out of reach at this cutoff the
+    ``spectrum`` holds ``[value, multiplicity]`` rows, as the ``(n, 2)``
+    array of :func:`enumerate_spectrum`; multiplicities must be positive
+    integers.  It must be complete up to its largest ``|lambda|`` and hold
+    no kernel modes, ``|lambda| <= ZERO_TOL`` (split those off first; their
+    count is echoed in the result).  If the requested tolerance is out of reach at this cutoff the
     value is returned with ``converged=False`` and the achieved bound, or
     raises :class:`UnconvergedError` when ``require_converged``.
     """
-    if not items:
+    spec = np.asarray(spectrum, dtype=float).reshape(-1, 2)
+    if not len(spec):
         raise ValueError("empty spectrum")
-    if any(abs(v) <= zero_tol for v, _ in items):
+    _check_multiplicities(spec[:, 1])
+    if np.any(np.abs(spec[:, 0]) <= ZERO_TOL):
         raise ValueError("spectrum contains kernel modes; strip them first")
-    trace = _OddTrace(items)
+    trace = _OddTrace(spec)
     if trace.empty:
         return EtaValue.make(0.0, kernel_dim, "heat_kernel", 0.0)
 
@@ -477,7 +482,7 @@ def eta_heat(items: Sequence[EigenItem], *, tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 
 def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
-                  tol: float = 1e-8, zero_tol: float = 1e-9) -> EtaValue:
+                  tol: float = 1e-8) -> EtaValue:
     """Eta/xi of a model through the selected engine.
 
     The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
@@ -487,26 +492,25 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     there, and the value would be unconverged or a spurious pole.
     """
     if engine == "hurwitz":
-        return eta_hurwitz(progression_spectrum(model, zero_tol))
+        return eta_hurwitz(progression_spectrum(model))
     if engine != "heat_kernel" and engine != "heat":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else model.geometry.default_cutoff
-    items = enumerate_spectrum(model, n)
-    # the items are sorted; a flux that swamps the spectrum shrinks the radius
+    spec = enumerate_spectrum(model, n)
+    values, mults = spec[:, 0], spec[:, 1]
+    # the values are sorted; a flux that swamps the spectrum shrinks the radius
     t = model.flux_shift
-    radius = max(items[-1].value - t, t - items[0].value)
+    radius = max(values[-1] - t, t - values[0])
     if abs(t) > radius / 2:
         raise ValueError(
             f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds half "
             f"the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
-    kernel = sum(m for v, m in items if abs(v) <= zero_tol)
-    nonzero = [it for it in items if abs(it.value) > zero_tol]
-    return eta_heat(nonzero, tol=tol, kernel_dim=kernel, zero_tol=zero_tol)
+    zero = np.abs(values) <= ZERO_TOL
+    return eta_heat(spec[~zero], tol=tol, kernel_dim=int(mults[zero].sum()))
 
 
 def rho(model_twisted: SpectralModel, model_trivial: SpectralModel | None = None,
-        engine: str = "hurwitz", cutoff: int | None = None, tol: float = 1e-8,
-        zero_tol: float = 1e-9) -> RhoValue:
+        engine: str = "hurwitz", cutoff: int | None = None, tol: float = 1e-8) -> RhoValue:
     """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``.
 
     The reference model defaults to the same geometry and flux with the
@@ -520,8 +524,8 @@ def rho(model_twisted: SpectralModel, model_trivial: SpectralModel | None = None
         raise ValueError("flux shifts of the two models differ")
     if model_trivial != model_twisted.trivial_partner():
         raise ValueError("reference model must carry the trivial line bundle")
-    xi_tw = eta_for_model(model_twisted, engine, cutoff, tol, zero_tol)
-    xi_tr = eta_for_model(model_trivial, engine, cutoff, tol, zero_tol)
+    xi_tw = eta_for_model(model_twisted, engine, cutoff, tol)
+    xi_tr = eta_for_model(model_trivial, engine, cutoff, tol)
     rank = model_twisted.rank
     return RhoValue(rho=xi_tw.xi - rank * xi_tr.xi, xi_twisted=xi_tw,
                     xi_trivial=xi_tr, rank=rank)

@@ -16,7 +16,9 @@ constant top-degree flux adds ``+t`` to every eigenvalue):
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
 fully-enumerated ball (radius ``(cutoff + 1/2)/max L``), so multiplicities
-are never truncated inside a level.
+are never truncated inside a level.  :func:`enumerate_spectrum` returns one
+``(n, 2)`` float64 array of ``[value, multiplicity]`` rows (multiplicities
+are exact in float64), and ``|lambda| <= ZERO_TOL`` is a kernel mode.
 
 ``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
 for both the spectrum and the Fourier-mode operator, whose COO triplets
@@ -44,7 +46,7 @@ __all__ = [
     "Lens",
     "GEOMETRIES",
     "SpectralModel",
-    "EigenItem",
+    "ZERO_TOL",
     "enumerate_spectrum",
     "kernel_dimension",
     "ZeroResolutionError",
@@ -387,6 +389,9 @@ class Lens(_Round):
 Geometry = Union[Circle, Sphere3, Torus3, Lens]
 GEOMETRIES = {geo.config_name: geo for geo in (Circle, Sphere3, Torus3, Lens)}
 
+# kernel threshold: |lambda| <= ZERO_TOL counts as a zero mode
+ZERO_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -415,25 +420,6 @@ class SpectralModel:
         return SpectralModel(self.geometry, TrivialBundle(1), self.flux_shift)
 
 
-class EigenItem(tuple):
-    """(value, multiplicity) pair; plain tuple subclass for cheap sorting."""
-
-    __slots__ = ()
-
-    def __new__(cls, value: float, multiplicity: int):
-        if multiplicity < 1:
-            raise ValueError("multiplicity must be >= 1")
-        return super().__new__(cls, (float(value), int(multiplicity)))
-
-    @property
-    def value(self) -> float:
-        return self[0]
-
-    @property
-    def multiplicity(self) -> int:
-        return self[1]
-
-
 def lens_weight_count(m, k: int, p: int):
     """Number of weights in ``{m, m-2, ..., -m}`` congruent to k mod p, for an
     integer ``m`` or an integer array of them (0 where ``m < 0``).
@@ -455,38 +441,43 @@ def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
     return distinct, np.bincount(inverse, weights=mults).astype(np.int64)
 
 
-def enumerate_spectrum(model: SpectralModel, cutoff: int) -> list[EigenItem]:
-    """Eigenvalues with exact multiplicities, ascending, duplicates merged."""
+def _check_multiplicities(mults):
+    """Raise ``ValueError`` unless every multiplicity is a positive integer."""
+    m = np.asarray(mults, dtype=float)
+    if np.any(~(m >= 1) | (m != np.round(m))):
+        raise ValueError("multiplicities must be positive integers")
+
+
+def enumerate_spectrum(model: SpectralModel, cutoff: int) -> np.ndarray:
+    """Distinct eigenvalues with exact multiplicities: an ``(n, 2)`` float64
+    array of ``[value, multiplicity]`` rows, values strictly ascending."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    values, mults = _merge(*model.geometry.levels(model, cutoff))
-    return [EigenItem(v, m) for v, m in zip(values.tolist(), mults.tolist())]
+    return np.column_stack(_merge(*model.geometry.levels(model, cutoff)))
 
 
 class ZeroResolutionError(RuntimeError):
     """An eigenvalue sits too close to the kernel threshold to classify."""
 
 
-def kernel_dimension(model: SpectralModel, cutoff: int, zero_tol: float = 1e-9) -> int:
-    """Number of eigenvalues with ``|lambda| <= zero_tol``.
+def kernel_dimension(model: SpectralModel, cutoff: int) -> int:
+    """Number of eigenvalues with ``|lambda| <= ZERO_TOL``.
 
-    Eigenvalues in the ambiguity band ``(zero_tol, 3 zero_tol]`` are flagged
+    Eigenvalues in the ambiguity band ``(ZERO_TOL, 3 ZERO_TOL]`` are flagged
     via :class:`ZeroResolutionError` instead of being silently rounded either
     way.
     """
-    items = enumerate_spectrum(model, cutoff)
-    if max(abs(v) for v, _ in items) <= 10 * zero_tol:
+    values, mults = enumerate_spectrum(model, cutoff).T
+    dist = np.abs(values)
+    if dist.max() <= 10 * ZERO_TOL:
         raise ValueError("cutoff too small: no shell clears the zero tolerance")
-    dim = 0
-    for v, m in items:
-        if abs(v) <= zero_tol:
-            dim += m
-        elif abs(v) <= 3 * zero_tol:
-            raise ZeroResolutionError(
-                f"eigenvalue {v!r} lies within 3x zero_tol of the threshold; "
-                "refine zero_tol or move the flux off the kernel point"
-            )
-    return dim
+    band = (dist > ZERO_TOL) & (dist <= 3 * ZERO_TOL)
+    if band.any():
+        raise ZeroResolutionError(
+            f"eigenvalue {float(values[band][0])!r} lies within 3x ZERO_TOL of the "
+            "threshold; move the flux off the kernel point"
+        )
+    return int(mults[dist <= ZERO_TOL].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +507,15 @@ class Progression:
 @dataclass(frozen=True)
 class ProgressionSpectrum:
     """Full nonzero spectrum as progression families plus finitely many
-    explicit eigenvalues, with the kernel dimension split off."""
+    explicit ``(value, multiplicity)`` pairs, with the kernel dimension split
+    off."""
 
     families: tuple[Progression, ...]
-    extras: tuple[EigenItem, ...] = ()
+    extras: tuple[tuple[float, int], ...] = ()
     kernel_dim: int = 0
+
+    def __post_init__(self):
+        _check_multiplicities([m for _, m in self.extras])
 
 
 def _poly_shift(coeffs: list[float], j0: int) -> list[float]:
@@ -535,7 +530,7 @@ def _poly_shift(coeffs: list[float], j0: int) -> list[float]:
 
 
 def _split_branch(value0: float, step: float, mult_coeffs: list[float],
-                  zero_tol: float, max_explicit: int = 10_000):
+                  max_explicit: int = 10_000):
     """Split the monotone family ``value0 + step*j`` (step of either sign)
     into explicit items on the wrong side of zero, kernel hits, and the
     infinite same-sign tail as a Progression."""
@@ -544,10 +539,10 @@ def _split_branch(value0: float, step: float, mult_coeffs: list[float],
     j = 0
     while True:
         v = value0 + step * j
-        if (step > 0 and v > zero_tol) or (step < 0 and v < -zero_tol):
+        if (step > 0 and v > ZERO_TOL) or (step < 0 and v < -ZERO_TOL):
             break
         mult = round(sum(c * j**i for i, c in enumerate(mult_coeffs)))
-        if abs(v) <= zero_tol:
+        if abs(v) <= ZERO_TOL:
             kernel += mult
         elif mult:
             extras.append((v, mult))
@@ -582,7 +577,7 @@ def _lens_class_poly(rho: int, period: int, k_char: int, p: int, branch: str,
     return [rank * base * n0, rank * (base * d1 + lin * n0), rank * lin * d1]
 
 
-def progression_spectrum(model: SpectralModel, zero_tol: float = 1e-9) -> ProgressionSpectrum:
+def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     """Exact progression decomposition; circle, sphere and lens models only.
 
     Torus norms ``2 pi |v + delta + theta|`` are not arithmetic progressions,
@@ -592,13 +587,11 @@ def progression_spectrum(model: SpectralModel, zero_tol: float = 1e-9) -> Progre
     extras: list[tuple[float, int]] = []
     kernel = 0
     for v0, step, mult_coeffs in model.geometry.branches(model):
-        tail, ex, ker = _split_branch(v0, step, mult_coeffs, zero_tol)
+        tail, ex, ker = _split_branch(v0, step, mult_coeffs)
         families.append(tail)
         extras.extend(ex)
         kernel += ker
-
-    extra_items = tuple(EigenItem(v, m) for v, m in sorted(extras))
-    return ProgressionSpectrum(tuple(families), extra_items, kernel)
+    return ProgressionSpectrum(tuple(families), tuple(sorted(extras)), kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +663,6 @@ class ModeBlockOperator:
     matrix: sp.csr_matrix
     bandwidth: int
     w: np.ndarray  # (nmodes, 3) frequency vectors
-
-    def index(self, v: tuple[int, int, int]) -> int:
-        n = 2 * self.cutoff + 1
-        return ((v[0] + self.cutoff) * n + (v[1] + self.cutoff)) * n + (v[2] + self.cutoff)
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Spinor-space indices of modes with ``|v|_inf <= cutoff - margin``."""

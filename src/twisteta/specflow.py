@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .eta import EtaValue, eta_for_model
-from .models import SpectralModel, enumerate_spectrum
+from .models import ZERO_TOL, SpectralModel, enumerate_spectrum
 
 __all__ = [
     "AffinePath",
@@ -94,13 +94,13 @@ class AmbiguousCrossingError(RuntimeError):
         )
 
 
-def sf_affine(path: AffinePath, zero_tol: float = 1e-12) -> SfResult:
+def sf_affine(path: AffinePath) -> SfResult:
     """Exact spectral flow of an affine path.
 
     A line crosses at ``u* = -intercept/slope`` when ``0 < u* <= u_max`` and
-    contributes ``sign(slope) * multiplicity``.  Lines vanishing at an
-    endpoint are flagged (the result is then convention sensitive); a line
-    identically zero is rejected.
+    contributes ``sign(slope) * multiplicity``.  Lines within ``ZERO_TOL``
+    of zero at an endpoint are flagged (the result is then convention
+    sensitive); a line identically zero is rejected.
     """
     start_kernel = end_kernel = False
     crossings: dict[float, dict[int, int]] = {}
@@ -108,9 +108,9 @@ def sf_affine(path: AffinePath, zero_tol: float = 1e-12) -> SfResult:
     for lam0, slope, mult in path.lines:
         if lam0 == 0.0 and slope == 0.0:
             raise ValueError("line identically zero on the whole range")
-        if abs(lam0) <= zero_tol:
+        if abs(lam0) <= ZERO_TOL:
             start_kernel = True
-        if abs(lam0 + slope * path.u_max) <= zero_tol:
+        if abs(lam0 + slope * path.u_max) <= ZERO_TOL:
             end_kernel = True
         if slope == 0.0:
             continue
@@ -135,12 +135,12 @@ def _neg_count(eigs: np.ndarray) -> int:
 
 
 def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
-              zero_tol: float = 1e-9, min_step: float = 1e-12) -> SfResult:
+              min_step: float = 1e-12) -> SfResult:
     """Spectral flow of a Hermitian matrix family sampled on a grid.
 
     Counts signed changes of the negative-eigenvalue count between samples;
     each change is localized by bisection to width ``min_step``.  If at the
-    minimum step the classification still depends on the zero tolerance the
+    minimum step the classification still depends on ``ZERO_TOL`` the
     crossing is ambiguous and raised with its interval.
     """
     grid = [float(u) for u in grid]
@@ -157,8 +157,8 @@ def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
             cache[u] = np.linalg.eigvalsh(a)
         return cache[u]
 
-    start_kernel = bool(np.any(np.abs(eigs(grid[0])) <= zero_tol))
-    end_kernel = bool(np.any(np.abs(eigs(grid[-1])) <= zero_tol))
+    start_kernel = bool(np.any(np.abs(eigs(grid[0])) <= ZERO_TOL))
+    end_kernel = bool(np.any(np.abs(eigs(grid[-1])) <= ZERO_TOL))
 
     crossings: list[Crossing] = []
 
@@ -176,11 +176,11 @@ def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
         refine(mid, b)
 
     for a, b in zip(grid, grid[1:]):
-        # the measured count change must not hinge on |eig| <= zero_tol at
+        # the measured count change must not hinge on |eig| <= ZERO_TOL at
         # the samples themselves; if it does, the flow is tolerance-sensitive
         ea, eb = eigs(a), eigs(b)
         plain = _neg_count(ea) - _neg_count(eb)
-        strict = int(np.sum(ea < -zero_tol)) - int(np.sum(eb < -zero_tol))
+        strict = int(np.sum(ea < -ZERO_TOL)) - int(np.sum(eb < -ZERO_TOL))
         if plain != strict:
             raise AmbiguousCrossingError((a, b))
         refine(a, b)
@@ -196,27 +196,33 @@ def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
 # model-level drivers
 # ---------------------------------------------------------------------------
 
-def affine_path_for_model(model: SpectralModel, t: float, cutoff: int | None = None) -> AffinePath:
+def affine_path_for_model(model: SpectralModel, t: float) -> AffinePath:
     """Eigenvalue path of ``u -> D + u * sign(t) * vol-flux`` up to ``|t|``.
 
     Lines start from the zero-flux spectrum; only lines that can reach zero
-    (plus one shell of margin) are kept.
+    (plus a margin of 1) are kept.  The cutoff doubles until both ends of
+    the spectrum lie beyond that margin, so no such line is missed on a
+    geometry of any size.
     """
     if t == 0.0:
         raise ValueError("no path for t = 0")
     base = model.with_flux(0.0)
-    n = cutoff if cutoff is not None else max(8, int(abs(t)) + 4)
-    items = enumerate_spectrum(base, n)
+    reach = abs(t) + 1.0
+    n = max(8, int(abs(t)) + 4)
+    spec = enumerate_spectrum(base, n)
+    while min(-spec[0, 0], spec[-1, 0]) <= reach:
+        n *= 2
+        spec = enumerate_spectrum(base, n)
     slope = 1.0 if t > 0 else -1.0
-    lines = tuple((v, slope, m) for v, m in items if abs(v) <= abs(t) + 1.0)
+    lines = tuple((v, slope, int(m)) for v, m in spec[np.abs(spec[:, 0]) <= reach].tolist())
     return AffinePath(lines=lines, u_max=abs(t))
 
 
-def sf_for_flux(model: SpectralModel, t: float, cutoff: int | None = None) -> SfResult:
+def sf_for_flux(model: SpectralModel, t: float) -> SfResult:
     """Spectral flow from the unfluxed operator to flux ``t`` (exact)."""
     if t == 0.0:
         return SfResult(flow=0, crossings=(), endpoint_kernel_flags=(False, False))
-    return sf_affine(affine_path_for_model(model, t, cutoff))
+    return sf_affine(affine_path_for_model(model, t))
 
 
 def _require_3d(model: SpectralModel):

@@ -46,6 +46,7 @@ from .clifford import (
 )
 from .eta import RhoValue, rho
 from .models import (
+    ZERO_TOL,
     SpectralModel,
     Torus3,
     TorusFlux,
@@ -211,8 +212,7 @@ class PscSweepReport:
 
 def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                         h_norm: float = 1.0, engine: str = "hurwitz",
-                        cutoff: int | None = None, zero_tol: float = 1e-9,
-                        r_min: float | None = None) -> PscSweepReport:
+                        cutoff: int | None = None, r_min: float | None = None) -> PscSweepReport:
     """Sweep ``u -> D + u h_norm vol-flux`` below the threshold.
 
     Asserts no kernel and zero flow on the grid and records rho at each u
@@ -235,17 +235,18 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
         raise ValueError(f"u grid must stay strictly below u0 = {thr.u0}")
 
     n = cutoff if cutoff is not None else max(8, int(grid[-1] * h_norm) + 4)
-    base_items = enumerate_spectrum(model, n)
-    first_kernel = min(abs(v) for v, _ in base_items) / h_norm
+    # every level is x + t and the base holds x + 0.0, so the shifted
+    # spectrum is base + t exactly (merging equal values moves no minimum)
+    base = enumerate_spectrum(model, n)[:, 0]
+    first_kernel = np.abs(base).min() / h_norm
 
     min_abs = []
     rhos = []
     for u in grid:
         shifted = model.with_flux(u * h_norm)
-        items = enumerate_spectrum(shifted, n)
-        low = min(abs(v) for v, _ in items)
+        low = float(np.abs(base + u * h_norm).min())
         min_abs.append(low)
-        if low <= zero_tol:
+        if low <= ZERO_TOL:
             raise TheoremViolationError(
                 f"kernel detected at u={u} below u0={thr.u0}: the curvature "
                 "bound excludes this; check flux sign conventions"

@@ -14,7 +14,7 @@ loaded machine does not turn a correct criterion red.
 
 import pytest
 
-from twisteta.selftest import run_criteria
+from twisteta.selftest import _sphere_sweep, run_criteria
 
 LIMITS = {  # runtime budgets, CPU seconds
     "A1": 1.0,
@@ -82,3 +82,10 @@ def test_criterion_6_conformal_invariance(results):
 
 def test_criterion_7_truncation_stability(results):
     _check(results, "A7")
+
+
+def test_criterion_3_calibrated_runs_on_its_own():
+    # A3 and A3b share one sphere sweep; A3b must not rely on A3 having run
+    _sphere_sweep.cache_clear()
+    (r,) = run_criteria(only={"A3b"})
+    assert r.ident == "A3b" and r.passed, r.detail

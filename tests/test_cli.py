@@ -69,9 +69,13 @@ def test_deterministic_output_modulo_wall_time(tmp_path):
     assert strip(read_records(out1)) == strip(read_records(out2))
 
 
-def test_unknown_key_rejected(tmp_path):
+def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path, "c.txt", "geometry = circle\nbogus_key = 1\n")
     assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    # the kernel threshold is the constant models.ZERO_TOL, not a config key
+    cfg = write(tmp_path, "z.txt", "geometry = circle\nzero_tol = 1e-6\n")
+    assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    assert "unknown key 'zero_tol'" in capsys.readouterr().err
 
 
 def test_bad_value_rejected(tmp_path):
@@ -122,6 +126,17 @@ def test_specflow_csv(tmp_path):
     # 17 significant digits on a float column
     eta_row = next(r for r in rows if r["quantity"] == "eta" and r["param"].startswith("0.1"))
     assert len(eta_row["value"].replace("-", "").replace(".", "").lstrip("0")) >= 16
+
+
+def test_specflow_on_a_large_sphere(tmp_path):
+    # radius 10: flux 2.03 crosses the shells k <= 18, far past the levels a
+    # unit-radius cutoff of int(t) + 4 shells would enumerate
+    cfg = write(tmp_path, "c.txt", "geometry = sphere3\nradius = 10\nsweep = 0.33,2.03\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["specflow", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    by_key = {(r.param, r.quantity): r.value for r in read_records(out)}
+    assert by_key[(2.03, "sf")] == sum((k + 1) * (k + 2) for k in range(19)) == 2660
+    assert by_key[(2.03, "residual_calibrated")] <= 1e-8
 
 
 def test_specflow_workers_preserve_order(tmp_path):

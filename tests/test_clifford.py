@@ -9,7 +9,6 @@ from twisteta.clifford import (
     boundary_reduction_check,
     build_even_gamma_rep,
     build_gamma_rep,
-    check_hat,
     clifford_action,
     degree_adjointness,
     flux_action,
@@ -214,17 +213,3 @@ def test_boundary_reduction_guard():
     with pytest.raises(ValueError):
         boundary_reduction_check(build_gamma_rep(3))
 
-
-def test_check_hat():
-    h1 = FormComponent.single((0,), 1.0)
-    h3 = FormComponent.single((0, 1, 2), 1.0)
-    lower, upper = check_hat(FluxForm((h1, h3)))
-    assert lower.components[0].terms[0][1] == 1.0
-    assert lower.components[1].terms[0][1] == pytest.approx(1.0 / 3.0)
-    assert upper.components[0].terms[0][1] == 1.0
-    assert upper.components[1].terms[0][1] == 3.0
-
-
-def test_check_hat_empty():
-    lower, upper = check_hat(FluxForm(()))
-    assert lower.components == () and upper.components == ()

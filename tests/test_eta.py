@@ -16,7 +16,6 @@ from twisteta.eta import _GL_W, _GL_X, _OddTrace, _tail_floor
 from twisteta.models import (
     Circle,
     CircleHolonomy,
-    EigenItem,
     Lens,
     LensCharacter,
     Progression,
@@ -71,7 +70,7 @@ def test_circle_eta_abel_richardson_oracle():
     items = SpectralModel(Circle(1.0), CircleHolonomy(a))
     from twisteta.models import enumerate_spectrum
 
-    lam = np.array([v for v, _ in enumerate_spectrum(items, 40000)])
+    lam = enumerate_spectrum(items, 40000)[:, 0]
     eps0, levels = 0.04, 7  # keep eps * cutoff >> 1 at the smallest rung
     seq = []
     for j in range(levels):
@@ -141,7 +140,7 @@ def test_eta_scale_invariance():
     scaled = ProgressionSpectrum(
         tuple(Progression(f.sign, 7.0 * f.offset, 7.0 * f.step, f.mult_coeffs)
               for f in ps.families),
-        tuple(EigenItem(7.0 * e.value, e.multiplicity) for e in ps.extras),
+        tuple((7.0 * v, m) for v, m in ps.extras),
         ps.kernel_dim)
     assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
 
@@ -150,7 +149,7 @@ def test_eta_hurwitz_antisymmetry():
     ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3)))
     flipped = ProgressionSpectrum(
         tuple(Progression(-f.sign, f.offset, f.step, f.mult_coeffs) for f in ps.families),
-        tuple(EigenItem(-e.value, e.multiplicity) for e in ps.extras),
+        tuple((-v, m) for v, m in ps.extras),
         ps.kernel_dim)
     assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
 
@@ -184,7 +183,7 @@ def test_gauss_legendre_rule_matches_mpmath():
 
 
 def test_heat_symmetric_spectrum_cancels_exactly():
-    items = [EigenItem(v, 2) for v in (-3.5, -1.5, 1.5, 3.5)]
+    items = [(v, 2) for v in (-3.5, -1.5, 1.5, 3.5)]
     value = eta_heat(items)
     assert value.eta == 0.0
     assert value.error_bound == 0.0
@@ -222,7 +221,15 @@ def test_heat_torus_cubic_response():
 
 def test_heat_rejects_kernel_modes():
     with pytest.raises(ValueError):
-        eta_heat([EigenItem(0.0, 1), EigenItem(1.0, 1)])
+        eta_heat([(0.0, 1), (1.0, 1)])
+
+
+@pytest.mark.parametrize("mult", [0, -1, 1.5, float("nan")])
+def test_multiplicities_must_be_positive_integers(mult):
+    with pytest.raises(ValueError, match="positive integers"):
+        eta_heat([(1.0, mult), (2.0, 1)])
+    with pytest.raises(ValueError, match="positive integers"):
+        ProgressionSpectrum((), ((1.0, mult),))
 
 
 def test_heat_unconverged_flagged():
@@ -237,7 +244,7 @@ def test_heat_unconverged_flagged():
 def test_heat_pole_detection_on_artificial_spectrum():
     # geometric spectrum: eta(s) = 1/(1 - 2^{-s}) has a genuine simple pole
     # at s = 0 with residue 1/ln 2; the engine must report it, not a value
-    items = [EigenItem(float(2**k), 1) for k in range(26)]
+    items = [(float(2**k), 1) for k in range(26)]
     with pytest.raises(EtaRegularityError) as excinfo:
         eta_heat(items)
     assert excinfo.value.residue == pytest.approx(1.0 / np.log(2.0), rel=0.05)

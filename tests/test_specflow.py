@@ -11,6 +11,7 @@ from twisteta.models import (
     Sphere3,
     Torus3,
     TorusFlux,
+    ZERO_TOL,
     build_torus_operator,
 )
 from twisteta.specflow import (
@@ -122,14 +123,35 @@ def test_sf_matrix_scaling_invariance():
     assert a.crossings[0].u == pytest.approx(b.crossings[0].u, abs=1e-10)
 
 
-def test_sf_matrix_ambiguous_crossing_raises():
-    ztol = 1e-9
+@pytest.mark.parametrize("model,flow", [
+    (SpectralModel(Sphere3(1.0)), 2660),
+    (SpectralModel(Lens(5), LensCharacter(5, 2)), 536),
+], ids=["sphere", "lens-5-2"])
+@pytest.mark.parametrize("s", [0.1, 10.0])
+def test_sf_for_flux_is_scale_invariant(model, flow, s):
+    # the flow depends on the conformal class: radius s and flux t/s give the
+    # crossings of radius 1 and flux t
+    t = 20.3
+    assert sf_for_flux(model, t).flow == flow
+    scaled = SpectralModel(model.geometry.scaled(s), model.bundle)
+    assert sf_for_flux(scaled, t / s).flow == flow
 
+
+@pytest.mark.parametrize("engine", ["hurwitz", "heat_kernel"])
+def test_one_kernel_threshold(engine):
+    # 5e-10 past the first crossing: the eta kernel split and the spectral
+    # flow's endpoint flag both read ZERO_TOL
+    model = SpectralModel(Sphere3(1.0), flux_shift=1.5 + 5e-10)
+    assert eta_for_model(model, engine).kernel_dim == 2
+    assert sf_for_flux(model, model.flux_shift).endpoint_kernel_flags == (False, True)
+
+
+def test_sf_matrix_ambiguous_crossing_raises():
     def family(u):
-        return np.diag([ztol * (u - 0.5)])  # crosses zero inside the tolerance band
+        return np.diag([ZERO_TOL * (u - 0.5)])  # crosses zero inside the tolerance band
 
     with pytest.raises(AmbiguousCrossingError) as exc:
-        sf_matrix(family, [0.0, 1.0], zero_tol=ztol)
+        sf_matrix(family, [0.0, 1.0])
     lo, hi = exc.value.interval
     assert 0.0 <= lo < hi <= 1.0
 
