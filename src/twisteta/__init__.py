@@ -21,7 +21,6 @@ from .eta import (
     EtaRegularityError,
     EtaValue,
     RhoValue,
-    UnconvergedError,
     eta_for_model,
     eta_heat,
     eta_hurwitz,

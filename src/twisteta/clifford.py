@@ -287,10 +287,11 @@ def grading_anticommute_check(rep_even: GammaRep, form: FormComponent) -> float:
     return float(np.linalg.norm(a @ gamma - sign * gamma @ a, 2))
 
 
-def boundary_reduction_check(rep_x: GammaRep, normal_index: int | None = None) -> float:
+def boundary_reduction_check(rep_x: GammaRep) -> float:
     """Residual of the boundary Clifford structure induced by an even rep.
 
-    With ``sigma = c_X(e_normal)`` and ``c_Y(e_i) := -sigma c_X(e_i)`` for the
+    The normal direction is the last generator.  With
+    ``sigma = c_X(e_normal)`` and ``c_Y(e_i) := -sigma c_X(e_i)`` for the
     tangential directions, returns the max over ``sigma^2 + I`` and all
     tangential anticommutators ``c_Y(e_i) c_Y(e_j) + c_Y(e_j) c_Y(e_i)
     + 2 delta_ij``.  At the symbol level this is the content of identifying
@@ -300,12 +301,9 @@ def boundary_reduction_check(rep_x: GammaRep, normal_index: int | None = None) -
         raise ValueError("boundary reduction starts from an even-dimensional rep")
     if rep_x.dim > 4:
         raise ValueError("desk-scale check supports dim 2 and 4 only")
-    if normal_index is None:
-        normal_index = rep_x.dim - 1
-    sigma = rep_x.gammas[normal_index]
+    *tangential, sigma = rep_x.gammas
     eye = rep_x.identity()
     worst = float(np.linalg.norm(sigma @ sigma + eye, 2))
-    tangential = [g for i, g in enumerate(rep_x.gammas) if i != normal_index]
     cy = [-sigma @ g for g in tangential]
     for i, ci in enumerate(cy):
         for j, cj in enumerate(cy):

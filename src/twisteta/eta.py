@@ -53,6 +53,7 @@ from .models import (
     ZERO_TOL,
     _check_multiplicities,
     _merge,
+    _poly_shift,
     Progression,
     ProgressionSpectrum,
     SpectralModel,
@@ -64,7 +65,6 @@ __all__ = [
     "EtaValue",
     "RhoValue",
     "EtaRegularityError",
-    "UnconvergedError",
     "hurwitz_zeta_nonpositive",
     "eta_hurwitz",
     "eta_heat",
@@ -87,34 +87,32 @@ class EtaRegularityError(RuntimeError):
         )
 
 
-class UnconvergedError(RuntimeError):
-    """A computation did not reach its requested tolerance."""
-
-
 @dataclass(frozen=True)
 class EtaValue:
     """Eta invariant with its kernel bookkeeping: ``xi = (kernel_dim + eta)/2``."""
 
     eta: float
     kernel_dim: int
-    xi: float
     method: str
     error_bound: float
     converged: bool = True
 
-    @classmethod
-    def make(cls, eta: float, kernel_dim: int, method: str, error_bound: float,
-             converged: bool = True) -> "EtaValue":
-        return cls(eta=eta, kernel_dim=kernel_dim, xi=(kernel_dim + eta) / 2.0,
-                   method=method, error_bound=error_bound, converged=converged)
+    @property
+    def xi(self) -> float:
+        return (self.kernel_dim + self.eta) / 2.0
 
 
 @dataclass(frozen=True)
 class RhoValue:
-    rho: float
+    """``rho = xi(twisted) - rank * xi(trivial line bundle)``."""
+
     xi_twisted: EtaValue
     xi_trivial: EtaValue
     rank: int
+
+    @property
+    def rho(self) -> float:
+        return self.xi_twisted.xi - self.rank * self.xi_trivial.xi
 
     @property
     def error_bound(self) -> float:
@@ -157,57 +155,39 @@ def hurwitz_zeta_nonpositive(i: int, q: float) -> float:
     return -acc / (i + 1)
 
 
-def _validate_multiplicity(coeffs: Sequence[float]):
-    for k in range(len(coeffs) + 2):
-        v = sum(c * k**i for i, c in enumerate(coeffs))
-        if abs(v - round(v)) > 1e-6 * max(1.0, abs(v)):
-            raise ValueError(f"multiplicity polynomial is not integer-valued at k={k}")
-        if round(v) < 0:
-            raise ValueError(f"multiplicity polynomial is negative at k={k}")
-
-
 def _family_value(fam: Progression) -> tuple[float, float]:
     """(eta contribution, absolute-value budget) of one progression family."""
     q = fam.offset / fam.step
-    deg = len(fam.mult_coeffs) - 1
-    rebased = [0.0] * (deg + 1)
-    for j, aj in enumerate(fam.mult_coeffs):
-        for i in range(j + 1):
-            rebased[i] += aj * comb(j, i) * (-q) ** (j - i)
     total = 0.0
     budget = 0.0
-    for i, ci in enumerate(rebased):
+    for i, ci in enumerate(_poly_shift(fam.mult_coeffs, -q)):
         term = ci * hurwitz_zeta_nonpositive(i, q)
         total += term
         budget += abs(term)
     return fam.sign * total, budget
 
 
-def eta_hurwitz(spectrum: ProgressionSpectrum | Sequence[Progression]) -> EtaValue:
+def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
     """Exact eta invariant of a progression spectrum.
 
     Finitely many explicit eigenvalues enter exactly (``|lambda|^-s -> 1``),
     and kernel eigenvalues are excluded by construction.  Families with
-    non-polynomial or negative multiplicities are rejected up front.
+    non-integer or negative multiplicities cannot be built
+    (:class:`Progression` rejects them).
     """
-    if isinstance(spectrum, ProgressionSpectrum):
-        ps = spectrum
-    else:
-        ps = ProgressionSpectrum(tuple(spectrum))
     total = 0.0
     budget = 1.0
-    for fam in ps.families:
-        _validate_multiplicity(fam.mult_coeffs)
+    for fam in spectrum.families:
         val, b = _family_value(fam)
         total += val
         budget += b
-    for value, mult in ps.extras:
+    for value, mult in spectrum.extras:
         if value == 0.0:
             raise ValueError("explicit zero eigenvalue: kernel must be split off")
         total += float(np.sign(value)) * mult
         budget += mult
     error = 32.0 * np.finfo(float).eps * budget
-    return EtaValue.make(total, ps.kernel_dim, "hurwitz", float(error))
+    return EtaValue(total, spectrum.kernel_dim, "hurwitz", float(error))
 
 
 # ---------------------------------------------------------------------------
@@ -374,16 +354,16 @@ def _too_large(abs_max: float, what: str) -> ValueError:
 
 
 def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float = 1e-8,
-             kernel_dim: int = 0, require_converged: bool = False) -> EtaValue:
+             kernel_dim: int = 0) -> EtaValue:
     """Heat-kernel eta of an enumerated nonzero spectrum.
 
     ``spectrum`` holds ``[value, multiplicity]`` rows, as the ``(n, 2)``
     array of :func:`enumerate_spectrum`; multiplicities must be positive
     integers.  It must be complete up to its largest ``|lambda|`` and hold
     no kernel modes, ``|lambda| <= ZERO_TOL`` (split those off first; their
-    count is echoed in the result).  If the requested tolerance is out of reach at this cutoff the
-    value is returned with ``converged=False`` and the achieved bound, or
-    raises :class:`UnconvergedError` when ``require_converged``.
+    count is echoed in the result).  If the requested tolerance is out of
+    reach at this cutoff the value is returned with ``converged=False`` and
+    the achieved bound.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1, 2)
     if not len(spec):
@@ -393,7 +373,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
         raise ValueError("spectrum contains kernel modes; strip them first")
     trace = _OddTrace(spec)
     if trace.empty:
-        return EtaValue.make(0.0, kernel_dim, "heat_kernel", 0.0)
+        return EtaValue(0.0, kernel_dim, "heat_kernel", 0.0)
 
     # the t-floor bisection takes geometric means inside [1e-12, 700]/|lambda|^2
     abs_sq = trace.abs_max * trace.abs_max
@@ -468,13 +448,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
                   + c_noise / (np.sqrt(np.pi) * t_min) + 1e-15 * (1 + abs(eta)))
     if not np.isfinite(error):
         raise _too_large(trace.abs_max, "the error budget")
-    converged = error <= tol
-    if require_converged and not converged:
-        raise UnconvergedError(
-            f"heat-kernel eta reached bound {error:.2e} > tol {tol:.2e}; "
-            "increase the cutoff"
-        )
-    return EtaValue.make(eta, kernel_dim, "heat_kernel", error, converged)
+    return EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +467,7 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model))
-    if engine != "heat_kernel" and engine != "heat":
+    if engine != "heat_kernel":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else model.geometry.default_cutoff
     spec = enumerate_spectrum(model, n)
@@ -509,23 +483,11 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     return eta_heat(spec[~zero], tol=tol, kernel_dim=int(mults[zero].sum()))
 
 
-def rho(model_twisted: SpectralModel, model_trivial: SpectralModel | None = None,
-        engine: str = "hurwitz", cutoff: int | None = None, tol: float = 1e-8) -> RhoValue:
-    """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``.
-
-    The reference model defaults to the same geometry and flux with the
-    trivial line bundle, and must match geometry and flux when supplied.
-    """
-    if model_trivial is None:
-        model_trivial = model_twisted.trivial_partner()
-    if model_trivial.geometry != model_twisted.geometry:
-        raise ValueError("geometries of the two models differ")
-    if model_trivial.flux_shift != model_twisted.flux_shift:
-        raise ValueError("flux shifts of the two models differ")
-    if model_trivial != model_twisted.trivial_partner():
-        raise ValueError("reference model must carry the trivial line bundle")
-    xi_tw = eta_for_model(model_twisted, engine, cutoff, tol)
-    xi_tr = eta_for_model(model_trivial, engine, cutoff, tol)
-    rank = model_twisted.rank
-    return RhoValue(rho=xi_tw.xi - rank * xi_tr.xi, xi_twisted=xi_tw,
-                    xi_trivial=xi_tr, rank=rank)
+def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
+        tol: float = 1e-8) -> RhoValue:
+    """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``, the
+    reference model being the same geometry and flux with the trivial line
+    bundle."""
+    xi_tw = eta_for_model(model, engine, cutoff, tol)
+    xi_tr = eta_for_model(model.trivial_partner(), engine, cutoff, tol)
+    return RhoValue(xi_twisted=xi_tw, xi_trivial=xi_tr, rank=model.rank)

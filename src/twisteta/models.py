@@ -28,8 +28,8 @@ for both the spectrum and the Fourier-mode operator, whose COO triplets
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite
-from typing import ClassVar, Union
+from math import comb, isfinite
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -487,7 +487,8 @@ def kernel_dimension(model: SpectralModel, cutoff: int) -> int:
 @dataclass(frozen=True)
 class Progression:
     """Eigenvalue family ``sign * (offset + step * k)``, k >= 0, with a
-    polynomial multiplicity ``m(k) = sum mult_coeffs[i] k^i``."""
+    polynomial multiplicity ``m(k) = sum mult_coeffs[i] k^i``, checked to be
+    a non-negative integer at ``k = 0 .. deg + 1``."""
 
     sign: int
     offset: float
@@ -499,6 +500,12 @@ class Progression:
             raise ValueError("sign must be +1 or -1")
         if self.offset <= 0 or self.step <= 0:
             raise ValueError("offset and step must be positive")
+        for k in range(len(self.mult_coeffs) + 2):
+            v = self.multiplicity(k)
+            if abs(v - round(v)) > 1e-6 * max(1.0, abs(v)):
+                raise ValueError(f"multiplicity polynomial is not integer-valued at k={k}")
+            if round(v) < 0:
+                raise ValueError(f"multiplicity polynomial is negative at k={k}")
 
     def multiplicity(self, k: int) -> float:
         return sum(c * k**i for i, c in enumerate(self.mult_coeffs))
@@ -518,10 +525,8 @@ class ProgressionSpectrum:
         _check_multiplicities([m for _, m in self.extras])
 
 
-def _poly_shift(coeffs: list[float], j0: int) -> list[float]:
+def _poly_shift(coeffs: Sequence[float], j0: float) -> list[float]:
     """Coefficients of ``p(j + j0)`` given those of ``p(j)``."""
-    from math import comb
-
     out = [0.0] * len(coeffs)
     for n, c in enumerate(coeffs):
         for i in range(n + 1):
@@ -529,8 +534,11 @@ def _poly_shift(coeffs: list[float], j0: int) -> list[float]:
     return out
 
 
-def _split_branch(value0: float, step: float, mult_coeffs: list[float],
-                  max_explicit: int = 10_000):
+# explicit eigenvalues a flux may push across zero before folding gives up
+_MAX_EXPLICIT = 10_000
+
+
+def _split_branch(value0: float, step: float, mult_coeffs: list[float]):
     """Split the monotone family ``value0 + step*j`` (step of either sign)
     into explicit items on the wrong side of zero, kernel hits, and the
     infinite same-sign tail as a Progression."""
@@ -547,7 +555,7 @@ def _split_branch(value0: float, step: float, mult_coeffs: list[float],
         elif mult:
             extras.append((v, mult))
         j += 1
-        if j > max_explicit:
+        if j > _MAX_EXPLICIT:
             raise ValueError("flux shift too large to fold the spectrum")
     sign = 1 if step > 0 else -1
     tail = Progression(

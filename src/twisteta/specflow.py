@@ -200,15 +200,15 @@ def affine_path_for_model(model: SpectralModel, t: float) -> AffinePath:
     """Eigenvalue path of ``u -> D + u * sign(t) * vol-flux`` up to ``|t|``.
 
     Lines start from the zero-flux spectrum; only lines that can reach zero
-    (plus a margin of 1) are kept.  The cutoff doubles until both ends of
-    the spectrum lie beyond that margin, so no such line is missed on a
-    geometry of any size.
+    (plus a margin of 1) are kept.  The cutoff starts at 8 and doubles until
+    both ends of the spectrum lie beyond that margin, so no such line is
+    missed on a geometry of any size, and none is enumerated far beyond it.
     """
     if t == 0.0:
         raise ValueError("no path for t = 0")
     base = model.with_flux(0.0)
     reach = abs(t) + 1.0
-    n = max(8, int(abs(t)) + 4)
+    n = 8
     spec = enumerate_spectrum(base, n)
     while min(-spec[0, 0], spec[-1, 0]) <= reach:
         n *= 2

@@ -93,6 +93,16 @@ def _opnorm_bound(mat) -> float:
     return float(np.sqrt(float(row) * float(col)))
 
 
+def _zeroth_order_block(rep: GammaRep, h_terms) -> np.ndarray:
+    """The zeroth-order term ``c(H)^2 + sum_j c(iota_j H)^2`` as a matrix."""
+    c_h = _clifford_terms(rep, h_terms)
+    block = c_h @ c_h
+    for j in range(rep.dim):
+        cj = _clifford_terms(rep, _contract(h_terms, j))
+        block = block + cj @ cj
+    return block
+
+
 def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
                   bundle=TrivialBundle(1)) -> LwReport:
     """Matrix residuals of the degree-3 identity on the flat torus.
@@ -121,14 +131,7 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     resid3 = d2 - delta + m2
 
     # Clifford route: zeroth-order block c(H)^2 + sum_j c(iota_j H)^2 per unit f^2
-    rep = build_gamma_rep(3)
-    unit = FluxForm.top(3, 1.0)
-    h_terms = unit.complex_terms()
-    c_h = _clifford_terms(rep, h_terms)
-    zero_block = c_h @ c_h
-    for j in range(3):
-        cj = _clifford_terms(rep, _contract(h_terms, j))
-        zero_block = zero_block + cj @ cj
+    zero_block = _zeroth_order_block(build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms())
     m_gen = torus_multiplication_operator(geometry, f_sq, cutoff, bundle, block=zero_block)
     resid_gen = d2 - delta - m_gen
 
@@ -156,11 +159,7 @@ def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:
     if n not in (3, 5, 7):
         raise ValueError("general identity check supports dims 3, 5, 7")
     h = flux.complex_terms()
-    c_h = _clifford_terms(rep, h)
-    lhs = c_h @ c_h
-    for j in range(n):
-        cj = _clifford_terms(rep, _contract(h, j))
-        lhs = lhs + cj @ cj
+    lhs = _zeroth_order_block(rep, h)
     rhs = np.zeros_like(lhs)
     for k in range(2, n + 1):
         sign = (-1) ** (k * (k + 1) // 2) * (1 - k)

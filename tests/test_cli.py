@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -149,6 +150,19 @@ def test_specflow_workers_preserve_order(tmp_path):
     a = [(r.param, r.quantity, r.value) for r in read_records(out1)]
     b = [(r.param, r.quantity, r.value) for r in read_records(out2)]
     assert a == b
+
+
+def test_heat_conformal_workers_match_sequential(tmp_path):
+    cfg = write(tmp_path, "c.txt",
+                "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.3\nflux = 0.1\n"
+                "engine = heat\ncutoff = 40\nsweep = 0.5,1.0,2.0,3.0\n")
+    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert main(["conformal", "--config", cfg, "--out", str(out1), "--workers", "1"]) == EXIT_OK
+    assert main(["conformal", "--config", cfg, "--out", str(out2), "--workers", "2"]) == EXIT_OK
+    a = [dataclasses.replace(r, wall_time=0.0) for r in read_records(out1)]
+    b = [dataclasses.replace(r, wall_time=0.0) for r in read_records(out2)]
+    assert len(a) == 8 and a == b
+    assert all(r.method == "heat_kernel" for r in a)
 
 
 def test_lw_command(tmp_path):

@@ -160,7 +160,8 @@ def test_eta_hurwitz_input_validation():
     with pytest.raises(ValueError):
         Progression(sign=1, offset=1.0, step=0.0, mult_coeffs=(1.0,))
     with pytest.raises(ValueError):
-        eta_hurwitz([Progression(sign=1, offset=1.0, step=1.0, mult_coeffs=(0.5,))])
+        eta_hurwitz(ProgressionSpectrum(
+            (Progression(sign=1, offset=1.0, step=1.0, mult_coeffs=(0.5,)),)))
 
 
 # --- heat engine --------------------------------------------------------------
@@ -333,10 +334,3 @@ def test_rho_lens_engines_agree():
     assert exact.rho == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert abs(heat.rho - exact.rho) <= 1e-8
 
-
-def test_rho_geometry_mismatch_rejected():
-    twisted = SpectralModel(Circle(1.0), CircleHolonomy(0.25))
-    with pytest.raises(ValueError):
-        rho(twisted, SpectralModel(Circle(2.0)))
-    with pytest.raises(ValueError):
-        rho(twisted, SpectralModel(Circle(1.0), TrivialBundle(2)))

@@ -247,3 +247,26 @@ def test_reduced_local_term_values():
 def test_flux_response_rejects_circle():
     with pytest.raises(ValueError):
         check_flux_response(SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=0.1))
+
+
+def test_affine_path_cutoff_starts_at_eight(monkeypatch):
+    # on the unit torus cutoff 16 already reaches +-103 > |t| + 1 = 61; a
+    # first cutoff guessed from |t| (64) would enumerate a 131^3 mode box
+    from twisteta import specflow
+
+    seen = []
+    enumerate_spectrum = specflow.enumerate_spectrum
+
+    def recording(model, cutoff):
+        seen.append(cutoff)
+        return enumerate_spectrum(model, cutoff)
+
+    monkeypatch.setattr(specflow, "enumerate_spectrum", recording)
+    t = 60.0
+    flow = sf_for_flux(SpectralModel(Torus3()), t).flow
+    assert seen == [8, 16]
+    # the zero-flux eigenvalues -2 pi |v + 1/2| in [-t, 0) cross upwards once each
+    x = np.arange(-12, 12) + 0.5
+    norms = 2.0 * np.pi * np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
+                                  + x[None, None, :] ** 2)
+    assert flow == np.count_nonzero(norms < t) == 3648
