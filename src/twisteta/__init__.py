@@ -40,10 +40,8 @@ from .models import (
     TorusFlux,
     TorusHolonomy,
     TrivialBundle,
-    ZeroResolutionError,
     build_torus_operator,
     enumerate_spectrum,
-    kernel_dimension,
     progression_spectrum,
 )
 from .specflow import (

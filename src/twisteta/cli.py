@@ -165,11 +165,6 @@ class RunConfig:
         return {k: self.raw[k] for k in _SEMANTIC_KEYS if k in self.raw}
 
 
-def model_to_config(model: SpectralModel) -> dict:
-    """Config key/values describing a model (inverse of ``RunConfig.model``)."""
-    return {"flux": model.flux_shift, **model.geometry.config(), **model.bundle.config()}
-
-
 @dataclass(frozen=True)
 class ResultRecord:
     quantity: str

@@ -219,8 +219,9 @@ class FormComponent:
 @dataclass(frozen=True)
 class FluxForm:
     """Flux with odd-degree real components; the degree-(2j+1) component acts
-    through the extra ``i**(j+1)`` which is applied by :func:`flux_action`
-    and never stored."""
+    through the extra ``i**(j+1)``, which :meth:`complex_terms` applies (for
+    :func:`flux_action` and the Weitzenbock checks alike) and is never
+    stored."""
 
     components: tuple[FormComponent, ...]
 
@@ -264,11 +265,7 @@ def clifford_action(rep: GammaRep, form: FormComponent) -> np.ndarray:
 
 def flux_action(rep: GammaRep, flux: FluxForm) -> np.ndarray:
     """Self-adjoint action ``sum_j i^(j+1) c(H_{2j+1})`` of a flux form."""
-    out = np.zeros((rep.spinor_dim, rep.spinor_dim), dtype=complex)
-    for comp in flux.components:
-        j = (comp.degree - 1) // 2
-        out += (1.0j) ** (j + 1) * clifford_action(rep, comp)
-    return out
+    return _clifford_terms(rep, flux.complex_terms())
 
 
 def degree_adjointness(k: int) -> str:

@@ -20,7 +20,10 @@ at ``s = 0``:
   half-odd small-t coefficients of ``S`` by a ladder fit at geometric points
   and adds the exact finite part of the subtracted powers.  The fitted
   ``t^{-1/2}`` coefficient must vanish whenever the continuation is regular
-  at s = 0; its magnitude doubles as a pole detector and error proxy.
+  at s = 0; its magnitude doubles as a pole detector and error proxy.  On a
+  bare spectrum a clear one raises :class:`EtaRegularityError`; the eta of a
+  model, a closed odd-dimensional manifold, is regular at s = 0, so there it
+  means the cutoff is too low and the value is reported unconverged.
 
 All trace accumulation runs in extended precision (``numpy.longdouble``)
 because alternating sums over quadratically growing multiplicities lose
@@ -77,10 +80,14 @@ _SQRT_PI = _LD("1.7724538509055160272981674833411451828")
 
 
 class EtaRegularityError(RuntimeError):
-    """The continuation of the eta function has a pole at s = 0."""
+    """The fitted small-t expansion of the odd heat trace has a ``t^(-1/2)``
+    term: a pole of the eta function at s = 0, or a cutoff too low to
+    resolve the expansion.  ``value`` is the finite part computed regardless,
+    unconverged, with the fitted residue in its error bound."""
 
-    def __init__(self, residue: float):
+    def __init__(self, residue: float, value: "EtaValue"):
         self.residue = residue
+        self.value = value
         super().__init__(
             f"eta function has a nonzero residue {residue:.3e} at s = 0; "
             "refusing to return a finite part"
@@ -363,7 +370,8 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     no kernel modes, ``|lambda| <= ZERO_TOL`` (split those off first; their
     count is echoed in the result).  If the requested tolerance is out of
     reach at this cutoff the value is returned with ``converged=False`` and
-    the achieved bound.
+    the achieved bound.  A clear fitted ``t^(-1/2)`` term raises
+    :class:`EtaRegularityError`, which carries that unconverged value.
     """
     spec = np.asarray(spectrum, dtype=float).reshape(-1, 2)
     if not len(spec):
@@ -414,8 +422,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     dc_m12 = c_noise / t_min  # coefficient-level noise of the fitted c_{-1/2}
     ladder_noise = (abs(c_m12) + dc_m12) * (abs(np.log(t_min)) + 2.0) / np.sqrt(np.pi)
     residue = 2.0 * c_m12 / np.sqrt(np.pi)
-    if abs(residue) > 1e-3 and abs(c_m12) > 30.0 * dc_m12:
-        raise EtaRegularityError(residue)
+    pole = abs(residue) > 1e-3 and abs(c_m12) > 30.0 * dc_m12
 
     t_max = max(8.0, 80.0 / trace.min_abs**2)
     while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
@@ -448,7 +455,10 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
                   + c_noise / (np.sqrt(np.pi) * t_min) + 1e-15 * (1 + abs(eta)))
     if not np.isfinite(error):
         raise _too_large(trace.abs_max, "the error budget")
-    return EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol)
+    value = EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol and not pole)
+    if pole:
+        raise EtaRegularityError(residue, value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +473,11 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     enumerates up to ``cutoff`` (geometry-specific default) and reports its
     achieved error bound.  It rejects a flux beyond half the radius of the
     enumerated spectrum: the cutoff no longer resolves the shifted spectrum
-    there, and the value would be unconverged or a spurious pole.
+    there, and the value would be unconverged or a spurious pole.  The eta
+    function of a closed odd-dimensional manifold is regular at s = 0
+    (Atiyah-Patodi-Singer III), so a fitted ``t^(-1/2)`` residue means the
+    cutoff is too low: the value is returned with ``converged=False`` and
+    the residue in its bound, not raised as a pole.
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model))
@@ -480,7 +494,10 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
             f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds half "
             f"the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
     zero = np.abs(values) <= ZERO_TOL
-    return eta_heat(spec[~zero], tol=tol, kernel_dim=int(mults[zero].sum()))
+    try:
+        return eta_heat(spec[~zero], tol=tol, kernel_dim=int(mults[zero].sum()))
+    except EtaRegularityError as err:
+        return err.value
 
 
 def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,

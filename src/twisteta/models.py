@@ -1,7 +1,9 @@
 """Exact spectra of twisted Dirac operators on model spin manifolds.
 
-Supported geometries and their spectra (radius/edge scaling included, the
-constant top-degree flux adds ``+t`` to every eigenvalue):
+Supported geometries and their rank-1 spectra (radius/edge scaling
+included); :func:`enumerate_spectrum` and :func:`progression_spectrum` add
+the constant top-degree flux ``+t`` to every eigenvalue and multiply every
+multiplicity by the bundle rank:
 
 * ``Circle(r)`` with holonomy ``a``: ``(n + a)/r``, n in Z, multiplicity 1.
 * ``Sphere3(r)``: ``+-(3/2 + k)/r``, multiplicity ``(k+1)(k+2)``.
@@ -48,8 +50,6 @@ __all__ = [
     "SpectralModel",
     "ZERO_TOL",
     "enumerate_spectrum",
-    "kernel_dimension",
-    "ZeroResolutionError",
     "Progression",
     "ProgressionSpectrum",
     "progression_spectrum",
@@ -66,8 +66,8 @@ __all__ = [
 
 class _Flat:
     """Flat bundle: its ``rank``, its ``twist`` of the spectrum (holonomy or
-    character; 0 when trivial) and its config form (``config_name``,
-    ``config()``, ``from_config(cfg)``; ``BUNDLES`` maps names to classes)."""
+    character; 0 when trivial) and its config form (``config_name`` and
+    ``from_config(cfg)``; ``BUNDLES`` maps names to classes)."""
 
     rank: ClassVar[int] = 1
 
@@ -90,9 +90,6 @@ class TrivialBundle(_Flat):
         if self.rank < 1:
             raise ValueError("rank must be a positive integer")
 
-    def config(self) -> dict:
-        return {"bundle": self.config_name, "rank": self.rank}
-
     @classmethod
     def from_config(cls, cfg) -> "TrivialBundle":
         return cls(rank=int(cfg.get("rank", 1)))
@@ -112,9 +109,6 @@ class CircleHolonomy(_Flat):
     def twist(self) -> float:
         return self.a
 
-    def config(self) -> dict:
-        return {"bundle": self.config_name, "holonomy": repr(self.a)}
-
     @classmethod
     def from_config(cls, cfg) -> "CircleHolonomy":
         return cls(a=float(cfg.require("holonomy")))
@@ -133,9 +127,6 @@ class TorusHolonomy(_Flat):
     @property
     def twist(self) -> tuple[float, float, float]:
         return self.theta
-
-    def config(self) -> dict:
-        return {"bundle": self.config_name, "holonomy": ",".join(repr(x) for x in self.theta)}
 
     @classmethod
     def from_config(cls, cfg) -> "TorusHolonomy":
@@ -164,9 +155,6 @@ class LensCharacter(_Flat):
         if self.p != geometry.p:
             raise ValueError("character order must match the lens order")
 
-    def config(self) -> dict:
-        return {"bundle": self.config_name, "lens_p": self.p, "character": self.k}
-
     @classmethod
     def from_config(cls, cfg) -> "LensCharacter":
         return cls(p=int(cfg.require("lens_p")), k=int(cfg.require("character")))
@@ -180,10 +168,15 @@ BUNDLES = {b.config_name: b for b in (TrivialBundle, CircleHolonomy, TorusHolono
 # geometries
 # ---------------------------------------------------------------------------
 #
-# ``levels(model, cutoff)``: eigenvalue and multiplicity arrays of the
+# Each geometry states the bare spectrum of the Dirac operator twisted by a
+# rank-1 flat bundle with the given ``twist`` (holonomy or character), and
+# nothing else: the flux shift ``+t`` and the bundle rank are applied once, by
+# ``enumerate_spectrum`` and ``progression_spectrum``.
+# ``levels(twist, cutoff)``: eigenvalue and multiplicity arrays of the
 # shell-complete spectrum, not yet merged into distinct values.
-# ``branches(model)``: ``(v0, step, mult_coeffs)`` families ``v0 + step j``
+# ``branches(twist)``: ``(v0, step, mult_coeffs)`` families ``v0 + step j``
 # with multiplicity ``sum mult_coeffs[i] j^i``.
+# ``from_config(cfg)``: the geometry a config describes.
 
 class _Round:
     """Geometry with one length scale, ``radius``."""
@@ -194,9 +187,6 @@ class _Round:
 
     def scaled(self, s: float):
         return replace(self, radius=self.radius * s)
-
-    def config(self) -> dict:
-        return {"geometry": self.config_name, "radius": self.radius}
 
     @classmethod
     def from_config(cls, cfg):
@@ -217,15 +207,13 @@ class Circle(_Round):
     def volume(self) -> float:
         return 2.0 * np.pi * self.radius
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        a, t, rank = model.bundle.twist, model.flux_shift, model.rank
+    def levels(self, a: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         n = np.arange(-cutoff, cutoff + 1)
-        return (n + a) / self.radius + t, np.full(n.size, rank)
+        return (n + a) / self.radius, np.ones(n.size, dtype=np.int64)
 
-    def branches(self, model: "SpectralModel"):
-        a, r, t, rank = model.bundle.twist, self.radius, model.flux_shift, model.rank
-        return [(a / r + t, 1.0 / r, [float(rank)]),
-                ((a - 1.0) / r + t, -1.0 / r, [float(rank)])]
+    def branches(self, a: float):
+        r = self.radius
+        return [(a / r, 1.0 / r, [1.0]), ((a - 1.0) / r, -1.0 / r, [1.0])]
 
 
 @dataclass(frozen=True)
@@ -245,17 +233,16 @@ class Sphere3(_Round):
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        t, rank = model.flux_shift, model.rank
+    def levels(self, twist: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(cutoff + 1)
-        mult = rank * (k + 1) * (k + 2)
-        return (np.concatenate([(1.5 + k) / self.radius + t, -(1.5 + k) / self.radius + t]),
+        mult = (k + 1) * (k + 2)
+        return (np.concatenate([(1.5 + k) / self.radius, -(1.5 + k) / self.radius]),
                 np.concatenate([mult, mult]))
 
-    def branches(self, model: "SpectralModel"):
-        r, t, rank = self.radius, model.flux_shift, model.rank
-        mult = [2.0 * rank, 3.0 * rank, 1.0 * rank]  # (k+1)(k+2)
-        return [(1.5 / r + t, 1.0 / r, mult), (-1.5 / r + t, -1.0 / r, mult)]
+    def branches(self, twist: int):
+        r = self.radius
+        mult = [2.0, 3.0, 1.0]  # (k+1)(k+2)
+        return [(1.5 / r, 1.0 / r, mult), (-1.5 / r, -1.0 / r, mult)]
 
 
 @dataclass(frozen=True)
@@ -283,16 +270,16 @@ class Torus3:
     def scaled(self, s: float) -> "Torus3":
         return replace(self, lengths=tuple(x * s for x in self.lengths))
 
-    def lattice(self, bundle: "Bundle", n: int) -> tuple[np.ndarray, np.ndarray]:
+    def lattice(self, theta, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The mode box ``[-n, n]^3`` as its axis values ``v = -n..n`` and the
         shifted coordinates ``x[j] = (v + delta_j) + theta_j`` per axis, shape
         ``(3, 2n+1)`` (spin offsets ``delta``, holonomy ``theta``).  Mode
         ``(v_0, v_1, v_2)`` has frequencies ``w_j = x[j, v_j + n]/L_j``.  The
         box is left to the caller: the spectrum needs only ``|w|`` on it."""
         v = np.arange(-n, n + 1)
-        return v, (v + np.asarray(self.spin)[:, None]) + np.asarray(bundle.twist)[..., None]
+        return v, (v + np.asarray(self.spin)[:, None]) + np.asarray(theta)[..., None]
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    def levels(self, theta, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         """All modes inside the largest complete shell for this cutoff.
 
         A box of half width cutoff+1 is enumerated and trimmed to ``|w| <=
@@ -301,28 +288,22 @@ class Torus3:
         ``max(L)/L_j``) so the mode set is identical under a uniform
         rescaling of all edge lengths.
         """
-        t, rank = model.flux_shift, model.rank
         lmax = max(self.lengths)
-        _, x = self.lattice(model.bundle, cutoff + 1)
+        _, x = self.lattice(theta, cutoff + 1)
         y2 = (x * np.array([[lmax / l] for l in self.lengths])) ** 2
         scaled_w = np.sqrt((y2[0, :, None, None] + y2[1, None, :, None]
                             + y2[2, None, None, :]).ravel())
-        # equal |w| are merged before the shift: x -> x + t is monotone, and
-        # _merge absorbs the values the shift makes collide (and w = 0, where
-        # the pair +-2 pi |w| meets at t)
+        # equal |w| are merged here: x -> x + t is monotone, and _merge absorbs
+        # the values the flux shift makes collide (and w = 0, where the pair
+        # +-2 pi |w| meets)
         scaled_w, count = np.unique(scaled_w[scaled_w <= cutoff + 0.5], return_counts=True)
         x = 2.0 * np.pi * (scaled_w / lmax)
-        return np.concatenate([x + t, -x + t]), np.concatenate([rank * count, rank * count])
+        return np.concatenate([x, -x]), np.concatenate([count, count])
 
-    def branches(self, model: "SpectralModel"):
+    def branches(self, theta):
         raise ValueError(
             "torus spectra are not arithmetic progressions; use the heat engine"
         )
-
-    def config(self) -> dict:
-        return {"geometry": self.config_name,
-                "lengths": ",".join(repr(x) for x in self.lengths),
-                "spin_structure": ",".join(repr(x) for x in self.spin)}
 
     @classmethod
     def from_config(cls, cfg) -> "Torus3":
@@ -353,33 +334,28 @@ class Lens(_Round):
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
 
-    def levels(self, model: "SpectralModel", cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-        k_char, t, rank = model.bundle.twist, model.flux_shift, model.rank
+    def levels(self, k_char: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(cutoff + 1)
         level = (1.5 + m) / self.radius
         # per level m the + eigenvalue, then the - one; empty ones dropped
-        values = np.stack([level + t, -level + t], axis=1)
-        mults = rank * np.stack([(m + 2) * lens_weight_count(m, k_char, self.p),
-                                 (m + 1) * lens_weight_count(m + 1, k_char, self.p)], axis=1)
+        values = np.stack([level, -level], axis=1)
+        mults = np.stack([(m + 2) * lens_weight_count(m, k_char, self.p),
+                          (m + 1) * lens_weight_count(m + 1, k_char, self.p)], axis=1)
         keep = mults != 0
         return values[keep], mults[keep]
 
-    def branches(self, model: "SpectralModel"):
-        k_char, r, p = model.bundle.twist, self.radius, self.p
-        t, rank = model.flux_shift, model.rank
+    def branches(self, k_char: int):
+        r, p = self.radius, self.p
         period = 2 * p
         out = []
         for rho in range(period):
             for branch, step_sign in (("+", 1.0), ("-", -1.0)):
-                coeffs = _lens_class_poly(rho, period, k_char, p, branch, rank)
+                coeffs = _lens_class_poly(rho, period, k_char, p, branch)
                 if all(c == 0 for c in coeffs):
                     continue
-                v0 = step_sign * (1.5 + rho) / r + t
+                v0 = step_sign * (1.5 + rho) / r
                 out.append((v0, step_sign * period / r, coeffs))
         return out
-
-    def config(self) -> dict:
-        return {**super().config(), "lens_p": self.p}
 
     @classmethod
     def from_config(cls, cfg) -> "Lens":
@@ -450,34 +426,13 @@ def _check_multiplicities(mults):
 
 def enumerate_spectrum(model: SpectralModel, cutoff: int) -> np.ndarray:
     """Distinct eigenvalues with exact multiplicities: an ``(n, 2)`` float64
-    array of ``[value, multiplicity]`` rows, values strictly ascending."""
+    array of ``[value, multiplicity]`` rows, values strictly ascending.  The
+    flux shifts the geometry's levels, and the rank scales their
+    multiplicities, here."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    return np.column_stack(_merge(*model.geometry.levels(model, cutoff)))
-
-
-class ZeroResolutionError(RuntimeError):
-    """An eigenvalue sits too close to the kernel threshold to classify."""
-
-
-def kernel_dimension(model: SpectralModel, cutoff: int) -> int:
-    """Number of eigenvalues with ``|lambda| <= ZERO_TOL``.
-
-    Eigenvalues in the ambiguity band ``(ZERO_TOL, 3 ZERO_TOL]`` are flagged
-    via :class:`ZeroResolutionError` instead of being silently rounded either
-    way.
-    """
-    values, mults = enumerate_spectrum(model, cutoff).T
-    dist = np.abs(values)
-    if dist.max() <= 10 * ZERO_TOL:
-        raise ValueError("cutoff too small: no shell clears the zero tolerance")
-    band = (dist > ZERO_TOL) & (dist <= 3 * ZERO_TOL)
-    if band.any():
-        raise ZeroResolutionError(
-            f"eigenvalue {float(values[band][0])!r} lies within 3x ZERO_TOL of the "
-            "threshold; move the flux off the kernel point"
-        )
-    return int(mults[dist <= ZERO_TOL].sum())
+    values, mults = model.geometry.levels(model.bundle.twist, cutoff)
+    return np.column_stack(_merge(values + model.flux_shift, model.rank * mults))
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +522,7 @@ def _split_branch(value0: float, step: float, mult_coeffs: list[float]):
     return tail, extras, kernel
 
 
-def _lens_class_poly(rho: int, period: int, k_char: int, p: int, branch: str,
-                     rank: int) -> list[float]:
+def _lens_class_poly(rho: int, period: int, k_char: int, p: int, branch: str) -> list[float]:
     """Multiplicity of the lens level ``m = rho + period*j`` as an exact
     polynomial in j (the weight count is exactly linear along the class)."""
     if branch == "+":
@@ -582,7 +536,7 @@ def _lens_class_poly(rho: int, period: int, k_char: int, p: int, branch: str,
         raise AssertionError("weight count not linear along residue class")
     n0 = counts[0]
     # (base + lin*j) * (n0 + d1*j)
-    return [rank * base * n0, rank * (base * d1 + lin * n0), rank * lin * d1]
+    return [base * n0, base * d1 + lin * n0, lin * d1]
 
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
@@ -591,11 +545,12 @@ def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     Torus norms ``2 pi |v + delta + theta|`` are not arithmetic progressions,
     so torus models must use the heat engine.
     """
+    t, rank = model.flux_shift, model.rank
     families: list[Progression] = []
     extras: list[tuple[float, int]] = []
     kernel = 0
-    for v0, step, mult_coeffs in model.geometry.branches(model):
-        tail, ex, ker = _split_branch(v0, step, mult_coeffs)
+    for v0, step, coeffs in model.geometry.branches(model.bundle.twist):
+        tail, ex, ker = _split_branch(v0 + t, step, [rank * c for c in coeffs])
         families.append(tail)
         extras.extend(ex)
         kernel += ker
@@ -669,8 +624,6 @@ class ModeBlockOperator:
     cutoff: int
     modes: np.ndarray  # (nmodes, 3) lattice vectors, first index slowest
     matrix: sp.csr_matrix
-    bandwidth: int
-    w: np.ndarray  # (nmodes, 3) frequency vectors
 
     def interior_indices(self, margin: int) -> np.ndarray:
         """Spinor-space indices of modes with ``|v|_inf <= cutoff - margin``."""
@@ -685,7 +638,7 @@ _PAULI = (
 )
 
 
-def _assemble_blocks(geometry: Torus3, bundle: Bundle, cutoff: int,
+def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
                      diag_blocks, coupling: dict[tuple[int, int, int], np.ndarray]):
     """Block operator on the mode box of ``geometry.lattice``: mode ``v``
     carries ``diag_blocks(w)`` (``w`` the ``(nm, 3)`` frequencies, blocks
@@ -693,7 +646,7 @@ def _assemble_blocks(geometry: Torus3, bundle: Bundle, cutoff: int,
     mode is in the box.  The COO entries run mode by mode (diagonal block,
     then each shift in ``coupling`` order, each block row-major) with exact
     zeros skipped."""
-    v, x = geometry.lattice(bundle, cutoff)
+    v, x = geometry.lattice(theta, cutoff)
     modes = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
     w = x[np.arange(3), modes + cutoff] / np.asarray(geometry.lengths)
     nm, side = len(modes), 2 * cutoff + 1
@@ -713,7 +666,7 @@ def _assemble_blocks(geometry: Torus3, bundle: Bundle, cutoff: int,
     cols = np.broadcast_to(2 * target[:, :, None, None] + ab, keep.shape)
     mat = sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
                         shape=(2 * nm, 2 * nm), dtype=complex)
-    return modes, mat, w
+    return modes, mat
 
 
 def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
@@ -730,12 +683,11 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
 
     eye = np.eye(2, dtype=complex)
     coupling = {u: c * eye for u, c in flux.table().items()}
-    modes, mat, w = _assemble_blocks(geometry, bundle, cutoff, dirac_blocks, coupling)
+    modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, dirac_blocks, coupling)
     herm = abs(mat - mat.getH()).max()
     if herm > 1e-12:
         raise AssertionError(f"assembled operator not Hermitian: deviation {herm}")
-    return ModeBlockOperator(cutoff=cutoff, modes=modes, matrix=mat,
-                             bandwidth=flux.bandwidth, w=w)
+    return ModeBlockOperator(cutoff=cutoff, modes=modes, matrix=mat)
 
 
 def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int,
@@ -748,7 +700,7 @@ def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axi
 
     blk = 1.0j * _PAULI[axis]
     coupling = {u: c * blk for u, c in flux.table().items()}
-    _, mat, _ = _assemble_blocks(geometry, bundle, cutoff, diag, coupling)
+    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, diag, coupling)
     return mat
 
 
@@ -763,5 +715,5 @@ def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int,
         return np.broadcast_to(coeffs.get((0, 0, 0), 0.0) * blk, (len(w), 2, 2))
 
     coupling = {u: c * blk for u, c in coeffs.items() if u != (0, 0, 0)}
-    _, mat, _ = _assemble_blocks(geometry, bundle, cutoff, diag, coupling)
+    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, diag, coupling)
     return mat

@@ -78,10 +78,6 @@ class SfResult:
     crossings: tuple[Crossing, ...]
     endpoint_kernel_flags: tuple[bool, bool]
 
-    @property
-    def convention_sensitive(self) -> bool:
-        return any(self.endpoint_kernel_flags)
-
 
 class AmbiguousCrossingError(RuntimeError):
     """A crossing could not be resolved within the minimum step."""

@@ -181,12 +181,10 @@ def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:
 class PscThreshold:
     r_min: float
     h_norm: float
-    u0: float
 
-    def __post_init__(self):
-        expected = np.sqrt(self.r_min / 8.0) / self.h_norm
-        if not np.isclose(self.u0, expected, rtol=1e-12, atol=0.0):
-            raise ValueError("u0 must equal sqrt(r_min/8)/h_norm")
+    @property
+    def u0(self) -> float:
+        return float(np.sqrt(self.r_min / 8.0) / self.h_norm)
 
 
 def psc_threshold(r_min: float, h_norm: float) -> PscThreshold:
@@ -194,8 +192,7 @@ def psc_threshold(r_min: float, h_norm: float) -> PscThreshold:
     ``R/4 - 2 u^2 |H|^2 > 0``."""
     if r_min <= 0 or h_norm <= 0:
         raise ValueError("r_min and h_norm must be positive")
-    return PscThreshold(r_min=float(r_min), h_norm=float(h_norm),
-                        u0=float(np.sqrt(r_min / 8.0) / h_norm))
+    return PscThreshold(r_min=float(r_min), h_norm=float(h_norm))
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,9 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
         raise ValueError(f"u grid must stay strictly below u0 = {thr.u0}")
 
     n = cutoff if cutoff is not None else max(8, int(grid[-1] * h_norm) + 4)
-    # every level is x + t and the base holds x + 0.0, so the shifted
-    # spectrum is base + t exactly (merging equal values moves no minimum)
+    # enumerate_spectrum adds the flux once to the geometry's levels x, so
+    # the base holds x + 0.0 and the spectrum at flux t is base + t exactly
+    # (merging equal values moves no minimum)
     base = enumerate_spectrum(model, n)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 

@@ -14,6 +14,7 @@ from twisteta.cli import (
     RunConfig,
     main,
 )
+from twisteta.eta import eta_for_model
 
 
 def write(tmp_path, name, text):
@@ -238,21 +239,26 @@ def test_duplicate_key_rejected(tmp_path):
 
 
 def test_model_config_round_trip(tmp_path):
-    from twisteta.cli import model_to_config
+    # every geometry and bundle class is built from its config keys
     from twisteta.models import (Circle, CircleHolonomy, Lens, LensCharacter,
                                  SpectralModel, Sphere3, Torus3, TorusHolonomy,
                                  TrivialBundle)
 
-    models = [
-        SpectralModel(Circle(radius=0.8), CircleHolonomy(0.35), flux_shift=0.2),
-        SpectralModel(Sphere3(radius=2.5), TrivialBundle(2), flux_shift=-0.7),
-        SpectralModel(Lens(3, radius=1.5), LensCharacter(3, 2), flux_shift=0.3),
-        SpectralModel(Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5)),
-                      TorusHolonomy((0.2, 0.0, 0.4)), flux_shift=-0.1),
+    cases = [
+        ("geometry = circle\nradius = 0.8\nbundle = circle_holonomy\n"
+         "holonomy = 0.35\nflux = 0.2\n",
+         SpectralModel(Circle(radius=0.8), CircleHolonomy(0.35), flux_shift=0.2)),
+        ("geometry = sphere3\nradius = 2.5\nbundle = trivial\nrank = 2\nflux = -0.7\n",
+         SpectralModel(Sphere3(radius=2.5), TrivialBundle(2), flux_shift=-0.7)),
+        ("geometry = lens\nradius = 1.5\nlens_p = 3\nbundle = lens_character\n"
+         "character = 2\nflux = 0.3\n",
+         SpectralModel(Lens(3, radius=1.5), LensCharacter(3, 2), flux_shift=0.3)),
+        ("geometry = torus3\nlengths = 1.0,1.3,0.7\nspin_structure = 0.0,0.5,0.5\n"
+         "bundle = torus_holonomy\nholonomy = 0.2,0.0,0.4\nflux = -0.1\n",
+         SpectralModel(Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5)),
+                       TorusHolonomy((0.2, 0.0, 0.4)), flux_shift=-0.1)),
     ]
-    for model in models:
-        entries = model_to_config(model)
-        text = "\n".join(f"{k} = {v}" for k, v in entries.items())
+    for text, model in cases:
         cfg = RunConfig.from_file(write(tmp_path, "m.txt", text))
         assert cfg.model() == model
 
@@ -298,6 +304,22 @@ def test_flux_beyond_half_the_spectrum_heat_engine_is_a_config_error(
     assert "eigenvalues are too large for the heat engine" in err
     assert "radius" in err and f"cutoff {cutoff or 2000}" in err
     assert "Traceback" not in err
+
+
+def test_lens_heat_under_resolved_is_unconverged_not_a_pole(tmp_path, capsys):
+    # a fitted t^(-1/2) term on a model spectrum is a cutoff too low, not a
+    # pole: the value is reported unconverged (exit 3), honest to its bound
+    cfg = write(tmp_path, "c.txt",
+                "geometry = lens\nbundle = lens_character\nlens_p = 12\ncharacter = 0\n"
+                "radius = 1.2690035052537247\nflux = 1.5\nengine = heat\ncutoff = 40\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_UNCONVERGED
+    assert "Traceback" not in capsys.readouterr().err
+    eta = {r.quantity: r for r in read_records(out)}["eta"]
+    assert not eta.converged
+    hurwitz = eta_for_model(RunConfig.from_file(cfg).model(), "hurwitz").eta
+    assert hurwitz == pytest.approx(1.6822553845860109, abs=1e-12)
+    assert abs(eta.value - hurwitz) <= eta.error_bound
 
 
 def test_torus_heat_default_cutoff_converges(tmp_path):

@@ -17,11 +17,10 @@ from twisteta.models import (
     TorusFlux,
     TorusHolonomy,
     TrivialBundle,
-    ZeroResolutionError,
+    ZERO_TOL,
     _merge,
     build_torus_operator,
     enumerate_spectrum,
-    kernel_dimension,
     lens_weight_count,
     progression_spectrum,
     torus_multiplication_operator,
@@ -124,9 +123,11 @@ _LENSES = [(SpectralModel(Lens(p, 0.9), LensCharacter(p, k), flux_shift=0.15 * k
         "circle", "sphere", "lens", "lens-trivial-rank2",
         *(f"lens-{m.geometry.p}-{m.bundle.k}" for m, _ in _LENSES)])
 def test_array_merge_matches_dict_merge(model, cutoff):
+    # the geometry states the rank-1 spectrum without flux
+    bare = SpectralModel(model.geometry, model.bundle if model.rank == 1 else TrivialBundle(1))
+    values, mults = _merge(*model.geometry.levels(model.bundle.twist, cutoff))
+    assert list(zip(values.tolist(), mults.tolist())) == _dict_merge(_reference_levels(bare, cutoff))
     reference = _dict_merge(_reference_levels(model, cutoff))
-    values, mults = _merge(*model.geometry.levels(model, cutoff))
-    assert list(zip(values.tolist(), mults.tolist())) == reference
     items = enumerate_spectrum(model, cutoff)
     assert items.dtype == np.float64
     assert np.array_equal(items, np.array(reference, dtype=float))
@@ -145,7 +146,8 @@ def test_enumerate_spectrum_is_a_value_multiplicity_array(model):
     assert np.all(np.diff(values) > 0)
     assert np.all(mults >= 1) and np.array_equal(mults, np.round(mults))
     # one row per distinct eigenvalue: the count the benchmark tracer records
-    assert len(spec) == np.unique(model.geometry.levels(model, 8)[0]).size
+    values = model.geometry.levels(model.bundle.twist, 8)[0] + model.flux_shift
+    assert len(spec) == np.unique(values).size
 
 
 @pytest.mark.parametrize("model", [
@@ -207,16 +209,17 @@ def test_non_finite_inputs_rejected(bad):
 
 
 def test_kernel_dimension_examples():
-    assert kernel_dimension(SpectralModel(Circle(1.0), CircleHolonomy(0.25)), 10) == 0
-    assert kernel_dimension(SpectralModel(Circle(1.0)), 10) == 1
-    assert kernel_dimension(SpectralModel(Sphere3(1.0), flux_shift=1.5), 10) == 2
-    assert kernel_dimension(SpectralModel(Torus3(spin=(0.0, 0.0, 0.0))), 4) == 2
-
-
-def test_kernel_resolution_flagged():
-    model = SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=-0.25 + 2e-9)
-    with pytest.raises(ZeroResolutionError):
-        kernel_dimension(model, 10)
+    # |lambda| <= ZERO_TOL is the one kernel rule, in both spectrum forms
+    for model, expected in [
+        (SpectralModel(Circle(1.0), CircleHolonomy(0.25)), 0),
+        (SpectralModel(Circle(1.0)), 1),
+        (SpectralModel(Sphere3(1.0), flux_shift=1.5), 2),
+        (SpectralModel(Torus3(spin=(0.0, 0.0, 0.0))), 2),
+    ]:
+        values, mults = enumerate_spectrum(model, 4).T
+        assert mults[np.abs(values) <= ZERO_TOL].sum() == expected
+        if not isinstance(model.geometry, Torus3):
+            assert progression_spectrum(model).kernel_dim == expected
 
 
 # --- lens spaces -----------------------------------------------------------
@@ -386,7 +389,7 @@ def _reference_assembly(geo, theta, cutoff, diag_block, coupling):
                 put(i, j, blk)
     nm = len(modes)
     mat = sp.csr_matrix((data, (rows, cols)), shape=(2 * nm, 2 * nm), dtype=complex)
-    return modes, mat, w
+    return modes, mat
 
 
 def _assert_same_csr(mat, ref):
@@ -406,11 +409,10 @@ def test_array_assembly_matches_mode_loop(flux, cutoff):
     theta, eye, table = bundle.theta, np.eye(2, dtype=complex), flux.table()
 
     op = build_torus_operator(geo, flux, cutoff, bundle)
-    modes, ref, w = _reference_assembly(
+    modes, ref = _reference_assembly(
         geo, theta, cutoff, lambda wv: 2.0 * np.pi * sum(wv[j] * PAULI[j] for j in range(3)),
         {u: c * eye for u, c in table.items()})
     _assert_same_csr(op.matrix, ref)
-    assert op.w.tobytes() == w.tobytes()
     assert op.modes.tolist() == [list(v) for v in modes]
     margin = max(flux.bandwidth, 1)
     interior = [k for i, v in enumerate(modes) if max(map(abs, v)) <= cutoff - margin
@@ -419,7 +421,7 @@ def test_array_assembly_matches_mode_loop(flux, cutoff):
 
     for axis in range(3):
         blk = 1.0j * PAULI[axis]
-        _, ref, _ = _reference_assembly(
+        _, ref = _reference_assembly(
             geo, theta, cutoff, lambda wv: 2.0j * np.pi * wv[axis] * eye,
             {u: c * blk for u, c in table.items()})
         _assert_same_csr(torus_twisted_derivative(geo, flux, cutoff, axis, bundle), ref)
@@ -427,7 +429,7 @@ def test_array_assembly_matches_mode_loop(flux, cutoff):
     f_sq = flux.convolved()
     for block in (None, np.array([[1.0, 2.0j], [-2.0j, 3.0]])):
         blk = eye if block is None else block
-        _, ref, _ = _reference_assembly(
+        _, ref = _reference_assembly(
             geo, theta, cutoff, lambda _: f_sq.get((0, 0, 0), 0.0) * blk,
             {u: c * blk for u, c in f_sq.items() if u != (0, 0, 0)})
         _assert_same_csr(

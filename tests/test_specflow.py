@@ -67,7 +67,6 @@ def test_sf_affine_slope_perturbation_stability():
 def test_sf_affine_endpoint_kernel_flagged():
     res = sf_affine(AffinePath(lines=((0.0, 1.0, 1), (1.0, 1.0, 1)), u_max=1.0))
     assert res.endpoint_kernel_flags[0]
-    assert res.convention_sensitive
     # the line leaving zero at u=0 is not counted on (0, u_max]
     assert res.flow == 0
     res = sf_affine(AffinePath(lines=((-1.0, 1.0, 3),), u_max=1.0))
