@@ -19,7 +19,6 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,7 +29,6 @@ from .eta import eta_for_model, rho
 from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
 from .specflow import check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
-from . import selftest as selftest_mod
 
 __all__ = ["RunConfig", "ResultRecord", "ConfigError", "main"]
 
@@ -235,6 +233,8 @@ def _sweep(points: Sequence[float], fn: Callable[[float], list], workers: int) -
     if workers <= 1:
         chunks = [fn(p) for p in points]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(fn, points))
     return [rec for chunk in chunks for rec in chunk]
@@ -368,6 +368,8 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
+    from . import selftest as selftest_mod
+
     results = selftest_mod.run_criteria()
     print(selftest_mod.format_table(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_VIOLATION

@@ -25,16 +25,20 @@ are exact in float64), and ``|lambda| <= ZERO_TOL`` is a kernel mode.
 ``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
 for both the spectrum and the Fourier-mode operator, whose COO triplets
 ``_assemble_blocks`` builds with array index arithmetic, one shift at a time.
+It is the one runtime user of ``scipy.sparse`` and imports it on its first
+call, so only a command that assembles a torus operator (``lw``) loads scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from math import comb, isfinite
-from typing import ClassVar, Sequence, Union
+from typing import TYPE_CHECKING, ClassVar, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TrivialBundle",
@@ -646,6 +650,8 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
     mode is in the box.  The COO entries run mode by mode (diagonal block,
     then each shift in ``coupling`` order, each block row-major) with exact
     zeros skipped."""
+    import scipy.sparse as sp  # deferred: no other command needs scipy
+
     v, x = geometry.lattice(theta, cutoff)
     modes = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
     w = x[np.arange(3), modes + cutoff] / np.asarray(geometry.lengths)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,40 @@ def test_lw_command(tmp_path):
                 "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 6\n")
     out = tmp_path / "lw.jsonl"
     assert main(["lw", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    by_name = {r.quantity: r for r in read_records(out)}
+    assert by_name["lw_residual_deg3"].value <= 1e-10
+    assert by_name["lw_residual_general"].value <= 1e-10
+
+
+def run_fresh(args, cwd):
+    """Run ``python args`` in a new interpreter with this checkout's ``src``
+    first on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+
+def test_cli_import_loads_only_what_every_command_needs(tmp_path):
+    # scipy.sparse, the selftest criteria and the worker pool are imported by
+    # the one branch that uses them; in pytest they are already loaded, so
+    # only a cold interpreter shows it
+    proc = run_fresh(["-c", "import sys, twisteta.cli; print(*sorted(sys.modules))"],
+                     tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "twisteta.cli" in loaded and "numpy" in loaded
+    deferred = [m for m in loaded
+                if m.split(".")[0] == "scipy" or m == "twisteta.selftest"
+                or m == "concurrent.futures" or m.startswith("concurrent.futures.")]
+    assert deferred == []
+
+
+def test_lw_command_in_a_fresh_interpreter(tmp_path):
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 3\n")
+    out = tmp_path / "lw.jsonl"
+    proc = run_fresh(["-m", "twisteta", "lw", "--config", cfg, "--out", str(out)], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
     by_name = {r.quantity: r for r in read_records(out)}
     assert by_name["lw_residual_deg3"].value <= 1e-10
     assert by_name["lw_residual_general"].value <= 1e-10

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +136,25 @@ def test_lens_eta_additivity_over_characters(p):
         for k in range(p))
     sphere = eta_for_model(SpectralModel(Sphere3(1.0), flux_shift=t), "hurwitz").eta
     assert total == pytest.approx(sphere, abs=1e-11)
+
+
+def test_hurwitz_matches_mpmath_zeta_oracle():
+    # third engine: bench/oracles.py sums c_i zeta_H(-i, q) at 40 digits from
+    # brute-force lens weight counts and imports nothing from twisteta; it
+    # holds below the first level, |tau| < 3/2, and |tau| = 1e-3 probes s = 0
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import oracles
+
+    taus = (-1.37, -0.6, 0.0, 0.45, 1.2, 1.49)
+    for p in (1, 2, 3, 5, 7, 12):
+        for k in range(p):
+            radius = 1.3 if k % 2 else 1.0
+            geometry = Sphere3(radius) if p == 1 else Lens(p, radius)
+            bundle = TrivialBundle(1) if p == 1 else LensCharacter(p, k)
+            for tau in ((-1) ** k * 1e-3, taus[(p + k) % len(taus)]):
+                model = SpectralModel(geometry, bundle, flux_shift=tau / radius)
+                exact = eta_hurwitz(progression_spectrum(model)).eta
+                assert exact == pytest.approx(oracles.level_eta_direct(p, k, tau), abs=1e-12)
 
 
 def test_eta_scale_invariance():
