@@ -20,6 +20,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -146,12 +147,19 @@ class RunConfig:
 
     # -- misc -----------------------------------------------------------------
 
-    @property
-    def engine(self) -> str:
+    def eta_settings(self) -> dict:
+        """The checked ``engine``, ``cutoff`` and ``tol`` of every eta
+        evaluation, as keyword arguments of ``eta_for_model`` and ``rho``."""
         eng = self.get("engine", "hurwitz")
         if eng not in ("hurwitz", "heat_kernel", "heat"):
             raise ConfigError(f"unknown engine {eng!r}")
-        return "heat_kernel" if eng == "heat" else eng
+        cutoff = self.get("cutoff")
+        if cutoff is not None and cutoff < 1:
+            raise ConfigError(f"cutoff must be >= 1, got {cutoff!r}")
+        tol = float(self.get("tol", 1e-8))
+        if not (isfinite(tol) and tol > 0):
+            raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
+        return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": cutoff, "tol": tol}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.echo(), sort_keys=True, separators=(",", ":"))
@@ -247,8 +255,9 @@ def _sweep(points: Sequence[float], fn: Callable[[float], list], workers: int) -
 def cmd_eta(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
+    settings = cfg.eta_settings()
     start = time.perf_counter()
-    value = eta_for_model(model, cfg.engine, cfg.get("cutoff"), float(cfg.get("tol", 1e-8)))
+    value = eta_for_model(model, **settings)
     wall = time.perf_counter() - start
     return [
         make("eta", value.eta, value.error_bound, value.method, None, wall, value.converged),
@@ -260,9 +269,9 @@ def cmd_eta(cfg: RunConfig) -> list[ResultRecord]:
 def cmd_rho(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
+    settings = cfg.eta_settings()
     start = time.perf_counter()
-    value = rho(model, engine=cfg.engine, cutoff=cfg.get("cutoff"),
-                tol=float(cfg.get("tol", 1e-8)))
+    value = rho(model, **settings)
     wall = time.perf_counter() - start
     return [
         make("rho", value.rho, value.error_bound, value.xi_twisted.method, None, wall,
@@ -277,17 +286,14 @@ def cmd_rho(cfg: RunConfig) -> list[ResultRecord]:
 def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     base = cfg.model()
-    engine = cfg.engine
-    cutoff = cfg.get("cutoff")
-    tol = float(cfg.get("tol", 1e-8))
+    settings = cfg.eta_settings()
     points = cfg.floats("sweep")
     # the unfluxed endpoint is shared by every point of the sweep
-    eta_zero = eta_for_model(base.with_flux(0.0), engine, cutoff, tol)
+    eta_zero = eta_for_model(base.with_flux(0.0), **settings)
 
     def one(t: float) -> list[ResultRecord]:
         start = time.perf_counter()
-        rpt = check_flux_response(base.with_flux(t), engine=engine, cutoff=cutoff, tol=tol,
-                                  eta_zero=eta_zero)
+        rpt = check_flux_response(base.with_flux(t), **settings, eta_zero=eta_zero)
         wall = time.perf_counter() - start
         conv = rpt.eta_flux.converged and rpt.eta_zero.converged
         return [
@@ -322,11 +328,11 @@ def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
 def cmd_psc(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
+    settings = cfg.eta_settings()
     grid = cfg.floats("sweep")
     start = time.perf_counter()
-    rpt = psc_stability_sweep(
-        model, grid, h_norm=float(cfg.get("h_norm", 1.0)), engine=cfg.engine,
-        cutoff=cfg.get("cutoff"), r_min=cfg.get("r_min"))
+    rpt = psc_stability_sweep(model, grid, h_norm=float(cfg.get("h_norm", 1.0)),
+                              r_min=cfg.get("r_min"), **settings)
     wall = time.perf_counter() - start
     # |rho_i - rho_0| is off by at most b_i + b_0 at each grid point
     deviation_bound = rpt.rhos[0].error_bound + max(r.error_bound for r in rpt.rhos)
@@ -334,28 +340,26 @@ def cmd_psc(cfg: RunConfig) -> list[ResultRecord]:
         make("u0", rpt.threshold.u0, 0.0, "curvature_bound", None, wall),
         make("first_kernel_u", rpt.first_kernel_u, 0.0, "spectrum", None, wall),
         make("sf", float(rpt.flow), 0.0, "affine_exact", None, wall),
-        make("rho_deviation_max", rpt.rho_deviation_max, deviation_bound, cfg.engine, None,
-             wall, all(r.converged for r in rpt.rhos)),
+        make("rho_deviation_max", rpt.rho_deviation_max, deviation_bound,
+             settings["engine"], None, wall, all(r.converged for r in rpt.rhos)),
     ]
     for u, low, value in zip(rpt.u_grid, rpt.min_abs_eigenvalue, rpt.rhos):
         records.append(make("min_abs_eigenvalue", low, 0.0, "spectrum", u, wall))
-        records.append(make("rho", value.rho, value.error_bound, cfg.engine, u, wall,
-                            value.converged))
+        records.append(make("rho", value.rho, value.error_bound, settings["engine"], u,
+                            wall, value.converged))
     return records
 
 
 def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
-    engine = cfg.engine
-    cutoff = cfg.get("cutoff")
-    tol = float(cfg.get("tol", 1e-8))
-    base = rho(model, engine=engine, cutoff=cutoff, tol=tol).rho
+    settings = cfg.eta_settings()
+    base = rho(model, **settings).rho
 
     def one(u: float) -> list[ResultRecord]:
         start = time.perf_counter()
         scaled = transform_spectrum(model, ConformalScale(u))
-        value = rho(scaled, engine=engine, cutoff=cutoff, tol=tol)
+        value = rho(scaled, **settings)
         wall = time.perf_counter() - start
         bound, conv = value.error_bound, value.converged
         return [
@@ -415,13 +419,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if any(not r.converged for r in records):
             return EXIT_UNCONVERGED
         return EXIT_OK
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except TheoremViolationError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,6 +14,7 @@ multiplicity by the bundle rank:
   trivial spin lift.  Level ``+(3/2+m)/r`` survives with multiplicity
   ``(m+2) * N(m, k)`` and ``-(3/2+m)/r`` with ``(m+1) * N(m+1, k)`` where
   ``N(m, k)`` counts weights ``{m, m-2, ..., -m}`` congruent to k mod p.
+  N is linear along each class of m mod 2p (closed form in ``Lens.branches``).
 
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
@@ -36,6 +37,8 @@ from math import comb, isfinite
 from typing import TYPE_CHECKING, ClassVar, Sequence, Union
 
 import numpy as np
+
+from .clifford import FluxForm, _clifford_terms, _contract, build_gamma_rep
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -349,12 +352,20 @@ class Lens(_Round):
         return values[keep], mults[keep]
 
     def branches(self, k_char: int):
+        # class m = rho + 2p j: (base + 2p j) N(m', k) with m' = m on the +
+        # branch and m + 1 on the -; along it N grows by 2g per step when
+        # g = gcd(2, p) divides m' - k (the 2p new weights at each end hit
+        # every such residue g times) and stays 0 otherwise
         r, p = self.radius, self.p
         period = 2 * p
+        g = 2 if p % 2 == 0 else 1
         out = []
         for rho in range(period):
-            for branch, step_sign in (("+", 1.0), ("-", -1.0)):
-                coeffs = _lens_class_poly(rho, period, k_char, p, branch)
+            for shift, step_sign in ((0, 1.0), (1, -1.0)):
+                m, base = rho + shift, rho + 2 - shift
+                n0 = lens_weight_count(m, k_char, p)
+                d1 = 2 * g if (m - k_char) % g == 0 else 0
+                coeffs = [base * n0, base * d1 + period * n0, period * d1]
                 if all(c == 0 for c in coeffs):
                     continue
                 v0 = step_sign * (1.5 + rho) / r
@@ -526,23 +537,6 @@ def _split_branch(value0: float, step: float, mult_coeffs: list[float]):
     return tail, extras, kernel
 
 
-def _lens_class_poly(rho: int, period: int, k_char: int, p: int, branch: str) -> list[float]:
-    """Multiplicity of the lens level ``m = rho + period*j`` as an exact
-    polynomial in j (the weight count is exactly linear along the class)."""
-    if branch == "+":
-        counts = [lens_weight_count(rho + period * j, k_char, p) for j in range(4)]
-        base, lin = rho + 2, period
-    else:
-        counts = [lens_weight_count(rho + period * j + 1, k_char, p) for j in range(4)]
-        base, lin = rho + 1, period
-    d1 = counts[1] - counts[0]
-    if counts[2] - counts[1] != d1 or counts[3] - counts[2] != d1:
-        raise AssertionError("weight count not linear along residue class")
-    n0 = counts[0]
-    # (base + lin*j) * (n0 + d1*j)
-    return [base * n0, base * d1 + lin * n0, lin * d1]
-
-
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     """Exact progression decomposition; circle, sphere and lens models only.
 
@@ -621,8 +615,9 @@ class ModeBlockOperator:
     """Twisted Dirac operator on the torus in the Fourier basis.
 
     ``matrix`` is Hermitian of size ``2 (2N+1)^3`` (CSR); mode ``v`` carries
-    the free block ``2 pi sum_j w_j sigma_j`` and the flux couples ``v`` to
-    ``v - u`` with ``coeff_u * I`` (the top-degree action is scalar).
+    the free block ``sum_j c(e_j) 2 pi i w_j = 2 pi sum_j w_j sigma_j`` and
+    the flux couples ``v`` to ``v - u`` with ``coeff_u * c(H)`` for the unit
+    top-degree ``H = vol``, which acts as the identity.
     """
 
     cutoff: int
@@ -633,13 +628,6 @@ class ModeBlockOperator:
         """Spinor-space indices of modes with ``|v|_inf <= cutoff - margin``."""
         interior = np.abs(self.modes).max(axis=1) <= self.cutoff - margin
         return np.flatnonzero(np.repeat(interior, 2))
-
-
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
 
 
 def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
@@ -684,11 +672,14 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
     if bundle.rank != 1:
         raise ValueError("mode-block operator supports rank-1 bundles")
 
-    def dirac_blocks(w):
-        return 2.0 * np.pi * sum(w[:, j, None, None] * _PAULI[j] for j in range(3))
+    rep = build_gamma_rep(3)
+    c_vol = _clifford_terms(rep, FluxForm.top(3, 1.0).complex_terms())  # the identity
 
-    eye = np.eye(2, dtype=complex)
-    coupling = {u: c * eye for u, c in flux.table().items()}
+    def dirac_blocks(w):
+        # sum_j c(e_j) d_j, with d_j acting on mode v as 2 pi i w_j
+        return sum((2.0j * np.pi * w[:, j])[:, None, None] * rep.gammas[j] for j in range(3))
+
+    coupling = {u: c * c_vol for u, c in flux.table().items()}
     modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, dirac_blocks, coupling)
     herm = abs(mat - mat.getH()).max()
     if herm > 1e-12:
@@ -699,12 +690,13 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
 def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int,
                              bundle: Bundle = TrivialBundle(1)) -> sp.csr_matrix:
     """Skew-adjoint connection component ``d/dx_j + c(iota_{e_j} H)`` in the
-    Fourier basis (the flux contraction acts as ``i f(x) sigma_j``)."""
+    Fourier basis (the flux contraction acts as ``f(x) c(iota_{e_j} vol)``)."""
 
     def diag(w):
         return (2.0j * np.pi * w[:, axis])[:, None, None] * np.eye(2, dtype=complex)
 
-    blk = 1.0j * _PAULI[axis]
+    vol = FluxForm.top(3, 1.0).complex_terms()
+    blk = _clifford_terms(build_gamma_rep(3), _contract(vol, axis))  # i sigma_j
     coupling = {u: c * blk for u, c in flux.table().items()}
     _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, diag, coupling)
     return mat

@@ -192,23 +192,30 @@ def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
 # model-level drivers
 # ---------------------------------------------------------------------------
 
-def affine_path_for_model(model: SpectralModel, t: float) -> AffinePath:
-    """Eigenvalue path of ``u -> D + u * sign(t) * vol-flux`` up to ``|t|``.
-
-    Lines start from the zero-flux spectrum; only lines that can reach zero
-    (plus a margin of 1) are kept.  The cutoff starts at 8 and doubles until
-    both ends of the spectrum lie beyond that margin, so no such line is
-    missed on a geometry of any size, and none is enumerated far beyond it.
-    """
-    if t == 0.0:
-        raise ValueError("no path for t = 0")
+def unfluxed_spectrum(model: SpectralModel, reach: float) -> np.ndarray:
+    """The zero-flux spectrum past ``reach`` on both sides: the cutoff starts
+    at 8 and doubles until both ends lie beyond it.  Cutoffs are shell
+    complete, so it holds every eigenvalue in ``[-reach, reach]`` and the
+    nearest one on each side of any point there, on a geometry of any size."""
     base = model.with_flux(0.0)
-    reach = abs(t) + 1.0
     n = 8
     spec = enumerate_spectrum(base, n)
     while min(-spec[0, 0], spec[-1, 0]) <= reach:
         n *= 2
         spec = enumerate_spectrum(base, n)
+    return spec
+
+
+def affine_path_for_model(model: SpectralModel, t: float) -> AffinePath:
+    """Eigenvalue path of ``u -> D + u * sign(t) * vol-flux`` up to ``|t|``.
+
+    Lines start from :func:`unfluxed_spectrum`; only lines that can reach
+    zero (plus a margin of 1) are kept.
+    """
+    if t == 0.0:
+        raise ValueError("no path for t = 0")
+    reach = abs(t) + 1.0
+    spec = unfluxed_spectrum(model, reach)
     slope = 1.0 if t > 0 else -1.0
     lines = tuple((v, slope, int(m)) for v, m in spec[np.abs(spec[:, 0]) <= reach].tolist())
     return AffinePath(lines=lines, u_max=abs(t))

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -52,11 +53,10 @@ from .models import (
     TorusFlux,
     TrivialBundle,
     build_torus_operator,
-    enumerate_spectrum,
     torus_multiplication_operator,
     torus_twisted_derivative,
 )
-from .specflow import sf_for_flux
+from .specflow import sf_for_flux, unfluxed_spectrum
 
 __all__ = [
     "LwReport",
@@ -190,8 +190,8 @@ class PscThreshold:
 def psc_threshold(r_min: float, h_norm: float) -> PscThreshold:
     """Kernel-vanishing threshold ``u0 = sqrt(r_min/8)/h_norm`` from
     ``R/4 - 2 u^2 |H|^2 > 0``."""
-    if r_min <= 0 or h_norm <= 0:
-        raise ValueError("r_min and h_norm must be positive")
+    if not (isfinite(r_min) and r_min > 0 and isfinite(h_norm) and h_norm > 0):
+        raise ValueError(f"r_min = {r_min!r} and h_norm = {h_norm!r} must be finite and positive")
     return PscThreshold(r_min=float(r_min), h_norm=float(h_norm))
 
 
@@ -203,20 +203,22 @@ class PscSweepReport:
     flow: int
     rhos: tuple[RhoValue, ...]
     rho_deviation_max: float
-    first_kernel_u: float  # empirical first kernel point along the ray
+    first_kernel_u: float  # min|lambda|/h_norm: first kernel of D_{+-uH}, either sign
 
 
 def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                         h_norm: float = 1.0, engine: str = "hurwitz",
-                        cutoff: int | None = None, r_min: float | None = None) -> PscSweepReport:
+                        cutoff: int | None = None, r_min: float | None = None,
+                        tol: float = 1e-8) -> PscSweepReport:
     """Sweep ``u -> D + u h_norm vol-flux`` below the threshold.
 
     Asserts no kernel and zero flow on the grid and records rho at each u
     (constant for character bundles: the smooth eta variation is local and
-    cancels in the difference).  ``r_min`` defaults to the geometry's scalar
-    curvature; overriding it is only useful to exercise the hard-failure
-    branch, which raises :class:`TheoremViolationError` because a kernel
-    below the true threshold contradicts the curvature bound.
+    cancels in the difference) through ``engine``, ``cutoff`` and ``tol``.
+    ``r_min`` defaults to the geometry's scalar curvature; overriding it is
+    only useful to exercise the hard-failure branch, which raises
+    :class:`TheoremViolationError` because a kernel below the true threshold
+    contradicts the curvature bound.
     """
     if not model.geometry.scalar_curvature > 0:
         raise ValueError("sweep requires a positive-scalar-curvature model")
@@ -225,22 +227,19 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     r_eff = model.geometry.scalar_curvature if r_min is None else float(r_min)
     thr = psc_threshold(r_eff, h_norm)
     grid = tuple(float(u) for u in u_grid)
-    if any(u < 0 for u in grid) or list(grid) != sorted(set(grid)):
-        raise ValueError("u grid must be nonnegative and strictly increasing")
-    if grid and grid[-1] >= thr.u0:
+    if not grid or any(u < 0 for u in grid) or list(grid) != sorted(set(grid)):
+        raise ValueError("u grid must be nonempty, nonnegative and strictly increasing")
+    if grid[-1] >= thr.u0:
         raise ValueError(f"u grid must stay strictly below u0 = {thr.u0}")
 
-    n = cutoff if cutoff is not None else max(8, int(grid[-1] * h_norm) + 4)
-    # enumerate_spectrum adds the flux once to the geometry's levels x, so
-    # the base holds x + 0.0 and the spectrum at flux t is base + t exactly
-    # (merging equal values moves no minimum)
-    base = enumerate_spectrum(model, n)[:, 0]
+    # the base holds the levels x + 0.0, so the spectrum at flux t is base + t
+    # exactly (merging equal values moves no minimum), and it holds the value
+    # nearest to -u h_norm on both sides for every u on the grid
+    base = unfluxed_spectrum(model, grid[-1] * h_norm + 1.0)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
-    min_abs = []
-    rhos = []
+    min_abs, rhos = [], []
     for u in grid:
-        shifted = model.with_flux(u * h_norm)
         low = float(np.abs(base + u * h_norm).min())
         min_abs.append(low)
         if low <= ZERO_TOL:
@@ -248,17 +247,14 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                 f"kernel detected at u={u} below u0={thr.u0}: the curvature "
                 "bound excludes this; check flux sign conventions"
             )
-        rhos.append(rho(shifted, engine=engine, cutoff=cutoff))
+        rhos.append(rho(model.with_flux(u * h_norm), engine=engine, cutoff=cutoff, tol=tol))
 
-    flow = 0
-    if grid and grid[-1] > 0.0:
-        sf = sf_for_flux(model, grid[-1] * h_norm)
-        flow = sf.flow
-        if flow != 0:
-            raise TheoremViolationError(
-                f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"
-            )
-    deviation = max(abs(r.rho - rhos[0].rho) for r in rhos) if rhos else 0.0
+    flow = sf_for_flux(model, grid[-1] * h_norm).flow
+    if flow != 0:
+        raise TheoremViolationError(
+            f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"
+        )
+    deviation = max(abs(r.rho - rhos[0].rho) for r in rhos)
     return PscSweepReport(threshold=thr, u_grid=grid,
                           min_abs_eigenvalue=tuple(min_abs), flow=flow,
                           rhos=tuple(rhos), rho_deviation_max=float(deviation),

@@ -250,6 +250,51 @@ def test_psc_heat_records_carry_their_bounds(tmp_path):
     assert dev.error_bound == rhos[0].error_bound + max(r.error_bound for r in rhos)
 
 
+def test_psc_honours_tol(tmp_path):
+    # rho is evaluated at the tol asked for, which this heat cutoff misses
+    cfg = write(tmp_path, "c.txt",
+                "geometry = sphere3\nengine = heat\ncutoff = 60\ntol = 1e-14\n"
+                "sweep = 0.0,0.2\n")
+    out = tmp_path / "psc.jsonl"
+    assert main(["psc", "--config", cfg, "--out", str(out)]) == EXIT_UNCONVERGED
+    assert not {r.quantity: r for r in read_records(out)}["rho_deviation_max"].converged
+
+
+def test_psc_kernel_scan_ignores_the_heat_cutoff(tmp_path):
+    # cutoff = 2 enumerates no level of this lens character; the kernel scan
+    # does not read it, and the Hurwitz engine ignores it
+    text = ("geometry = lens\nlens_p = 12\nbundle = lens_character\ncharacter = 6\n"
+            "engine = hurwitz\nsweep = 0.0,0.2\n")
+    runs = {}
+    for name, extra in (("plain", ""), ("cut", "cutoff = 2\n")):
+        cfg = write(tmp_path, f"{name}.txt", text + extra)
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["psc", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        runs[name] = [dataclasses.replace(r, config={}, config_hash="", wall_time=0.0)
+                      for r in read_records(out)]
+    assert runs["cut"] == runs["plain"]
+    assert {r.quantity: r for r in runs["plain"]}["first_kernel_u"].value == 6.5
+
+
+@pytest.mark.parametrize("command,text,key", [
+    ("eta", "tol = nan\n", "tol"),
+    ("eta", "tol = 0\n", "tol"),
+    ("eta", "tol = -1\n", "tol"),
+    ("eta", "cutoff = 0\n", "cutoff"),
+    ("psc", "sweep = 0.0,0.2\nh_norm = nan\n", "h_norm"),
+    ("psc", "sweep = 0.0,0.2\nh_norm = inf\n", "h_norm"),
+    ("psc", "sweep = 0.0,0.2\nr_min = nan\n", "r_min"),
+], ids=["eta-tol-nan", "eta-tol-0", "eta-tol-negative", "eta-cutoff-0",
+        "psc-h_norm-nan", "psc-h_norm-inf", "psc-r_min-nan"])
+def test_bad_setting_is_a_config_error_naming_it(tmp_path, capsys, command, text, key):
+    cfg = write(tmp_path, "c.txt", "geometry = sphere3\n" + text)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_conformal_command(tmp_path):
     cfg = write(tmp_path, "c.txt",
                 "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"

@@ -281,8 +281,13 @@ def test_rp3_first_levels():
     SpectralModel(Sphere3(1.0), flux_shift=2.2),
     SpectralModel(Lens(3), LensCharacter(3, 2), flux_shift=-0.6),
     SpectralModel(Lens(2), LensCharacter(2, 1)),
+] + [
+    # the lens multiplicities are a closed form per residue class mod 2p:
+    # every character, over four periods at p = 12
+    pytest.param(SpectralModel(Lens(p), LensCharacter(p, k)), id=f"lens-{p}-{k}")
+    for p in range(2, 13) for k in range(p)
 ])
-def test_progressions_rebuild_enumerated_spectrum(model, cutoff=25):
+def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
     ps = progression_spectrum(model)
     rebuilt: dict[float, int] = {}
     for fam in ps.families:

@@ -132,6 +132,14 @@ def test_psc_threshold_rejects_nonpositive():
         psc_threshold(6.0, -1.0)
 
 
+@pytest.mark.parametrize("r_min,h_norm", [
+    (float("nan"), 1.0), (float("inf"), 1.0), (6.0, float("nan")), (6.0, float("inf")),
+])
+def test_psc_threshold_rejects_non_finite(r_min, h_norm):
+    with pytest.raises(ValueError, match="finite"):
+        psc_threshold(r_min, h_norm)
+
+
 def test_psc_sweep_sphere():
     rpt = psc_stability_sweep(SpectralModel(Sphere3(1.0)), [0.0, 0.2, 0.4, 0.8])
     assert rpt.flow == 0
@@ -159,6 +167,8 @@ def test_psc_sweep_grid_validation():
         psc_stability_sweep(model, [0.4, 0.2])
     with pytest.raises(ValueError):
         psc_stability_sweep(SpectralModel(Torus3()), [0.0, 0.1])
+    with pytest.raises(ValueError, match="nonempty"):
+        psc_stability_sweep(model, [])
 
 
 def test_psc_sweep_hard_failure_on_kernel_below_claimed_threshold():
