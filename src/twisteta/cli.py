@@ -43,6 +43,13 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending key."""
 
 
+def _tolerance(value) -> float:
+    tol = float(value)
+    if not (isfinite(tol) and tol > 0):
+        raise ValueError(f"must be finite and > 0, got {tol!r}")
+    return tol
+
+
 _CONFIG_KEYS = {
     "geometry": str,
     "radius": float,
@@ -57,7 +64,7 @@ _CONFIG_KEYS = {
     "flux_cosine": str,
     "engine": str,
     "cutoff": int,
-    "tol": float,
+    "tol": _tolerance,
     "sweep": str,
     "h_norm": float,
     "r_min": float,
@@ -100,7 +107,10 @@ class RunConfig:
     def override(self, **kwargs):
         for key, value in kwargs.items():
             if value is not None:
-                self.raw[key] = _CONFIG_KEYS[key](value)
+                try:
+                    self.raw[key] = _CONFIG_KEYS[key](value)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key!r}: {exc}") from None
 
     # -- typed access -------------------------------------------------------
 
@@ -116,9 +126,12 @@ class RunConfig:
         if default is not None and key not in self.raw:
             return list(default)
         try:
-            return [float(x) for x in str(self.require(key)).split(",")]
+            values = [float(x) for x in str(self.require(key)).split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad float list for {key!r}: {exc}") from None
+        if not all(isfinite(x) for x in values):
+            raise ConfigError(f"bad float list for {key!r}: values must be finite, got {values!r}")
+        return values
 
     # -- model construction ---------------------------------------------------
 
@@ -141,25 +154,27 @@ class RunConfig:
             parts = str(self.raw["flux_cosine"]).split(":")
             if len(parts) not in (2, 3):
                 raise ConfigError("flux_cosine must be 'axis:amplitude[:harmonic]'")
-            harmonic = int(parts[2]) if len(parts) == 3 else 1
-            return TorusFlux.cosine(int(parts[0]), float(parts[1]), harmonic)
+            try:
+                harmonic = int(parts[2]) if len(parts) == 3 else 1
+                return TorusFlux.cosine(int(parts[0]), float(parts[1]), harmonic)
+            except ValueError as exc:
+                raise ConfigError(f"invalid flux_cosine: {exc}") from None
         return TorusFlux.constant(float(self.get("flux", 0.0)))
 
     # -- misc -----------------------------------------------------------------
 
     def eta_settings(self) -> dict:
         """The checked ``engine``, ``cutoff`` and ``tol`` of every eta
-        evaluation, as keyword arguments of ``eta_for_model`` and ``rho``."""
+        evaluation, as keyword arguments of ``eta_for_model`` and ``rho``
+        (``tol`` is checked where it is parsed)."""
         eng = self.get("engine", "hurwitz")
         if eng not in ("hurwitz", "heat_kernel", "heat"):
             raise ConfigError(f"unknown engine {eng!r}")
         cutoff = self.get("cutoff")
         if cutoff is not None and cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {cutoff!r}")
-        tol = float(self.get("tol", 1e-8))
-        if not (isfinite(tol) and tol > 0):
-            raise ConfigError(f"tol must be finite and > 0, got {tol!r}")
-        return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": cutoff, "tol": tol}
+        return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": cutoff,
+                "tol": self.get("tol", 1e-8)}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.echo(), sort_keys=True, separators=(",", ":"))

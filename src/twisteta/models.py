@@ -24,8 +24,11 @@ are never truncated inside a level.  :func:`enumerate_spectrum` returns one
 are exact in float64), and ``|lambda| <= ZERO_TOL`` is a kernel mode.
 
 ``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
-for both the spectrum and the Fourier-mode operator, whose COO triplets
-``_assemble_blocks`` builds with array index arithmetic, one shift at a time.
+for both the spectrum and the Fourier-mode operator.  ``_assemble_blocks``
+writes that operator's CSR arrays shift by shift: the source modes of a
+shift are a product of three index ranges, each nonzero entry of its
+constant block fills one strided run of rows, and the shifts go in ascending
+column order, so the matrix needs no sort.
 It is the one runtime user of ``scipy.sparse`` and imports it on its first
 call, so only a command that assembles a torus operator (``lw``) loads scipy.
 """
@@ -569,7 +572,11 @@ class TorusFlux:
 
     def __post_init__(self):
         table = dict(self.coeffs)
+        if len(table) != len(self.coeffs):
+            raise ValueError(f"wave vectors must be distinct, got {[u for u, _ in self.coeffs]}")
         for u, c in table.items():
+            if not np.isfinite(c):
+                raise ValueError(f"coefficient of wave vector {u} must be finite, got {c!r}")
             neg = (-u[0], -u[1], -u[2])
             if neg not in table or abs(table[neg] - np.conj(c)) > 1e-12 * (1 + abs(c)):
                 raise ValueError(
@@ -635,31 +642,80 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
     """Block operator on the mode box of ``geometry.lattice``: mode ``v``
     carries ``diag_blocks(w)`` (``w`` the ``(nm, 3)`` frequencies, blocks
     ``(nm, 2, 2)``) and couples to ``v - u`` by ``coupling[u]`` when that
-    mode is in the box.  The COO entries run mode by mode (diagonal block,
-    then each shift in ``coupling`` order, each block row-major) with exact
-    zeros skipped."""
+    mode is in the box.  A zero shift adds into the diagonal block.
+
+    The CSR arrays are written shift by shift.  The box index ``i`` is linear
+    in ``v``, so shift ``u`` sends ``i`` to ``i - off`` for a fixed ``off``,
+    and its source modes are the product of three 1-D index ranges.  Each
+    nonzero entry ``c`` of its constant block at ``(a, b)`` becomes ``(2i + a,
+    2(i - off) + b, c)``; only the ``w``-dependent diagonal needs a data mask.
+    The shifts are written in descending ``off`` (the diagonal at 0), so the
+    columns of every row ascend and the matrix needs no sort.  Exact zeros
+    are skipped."""
     import scipy.sparse as sp  # deferred: no other command needs scipy
 
     v, x = geometry.lattice(theta, cutoff)
-    modes = np.stack(np.meshgrid(v, v, v, indexing="ij"), axis=-1).reshape(-1, 3)
-    w = x[np.arange(3), modes + cutoff] / np.asarray(geometry.lengths)
-    nm, side = len(modes), 2 * cutoff + 1
-    blocks = np.empty((nm, 1 + len(coupling), 2, 2), dtype=complex)
-    target = np.empty((nm, 1 + len(coupling)), dtype=np.int64)
-    inside = np.ones(target.shape, dtype=bool)
-    blocks[:, 0] = diag_blocks(w)
-    target[:, 0] = np.arange(nm)
-    for k, (u, blk) in enumerate(coupling.items(), start=1):
-        blocks[:, k] = blk
-        # the box index is linear in v, so v - u sits a fixed offset away
-        target[:, k] = target[:, 0] - ((u[0] * side + u[1]) * side + u[2])
-        inside[:, k] = np.all(np.abs(modes - np.asarray(u)) <= cutoff, axis=1)
-    keep = inside[:, :, None, None] & (blocks != 0)
-    ab = np.arange(2)
-    rows = np.broadcast_to(2 * target[:, :1, None, None] + ab[:, None], keep.shape)
-    cols = np.broadcast_to(2 * target[:, :, None, None] + ab, keep.shape)
-    mat = sp.csr_matrix((blocks[keep], (rows[keep], cols[keep])),
-                        shape=(2 * nm, 2 * nm), dtype=complex)
+    side = 2 * cutoff + 1
+    nm, box = side**3, (side, side, side)
+
+    def on_box(axis_values):
+        # (nm, 3) array whose column j is axis_values[j] along box axis j
+        out = np.empty(box + (3,), dtype=axis_values.dtype)
+        for j in range(3):
+            out[..., j] = axis_values[j].reshape([side if k == j else 1 for k in range(3)])
+        return out.reshape(nm, 3)
+
+    modes = on_box(np.broadcast_to(v, (3, side)))
+    w = on_box(x / np.asarray(geometry.lengths)[:, None])
+    diag = np.asarray(diag_blocks(w), dtype=complex)
+    diag_mask = diag != 0
+    if (0, 0, 0) in coupling:
+        # the nonzero one of the two, or their sum where both are nonzero
+        zero = np.asarray(coupling[(0, 0, 0)], dtype=complex)
+        diag = np.where(diag_mask, np.where(zero != 0, diag + zero, diag), zero)
+        diag_mask |= zero != 0
+    pieces = [(0, None, None)]  # (off, source ranges, block); None: the diagonal
+    for u, blk in coupling.items():
+        ranges = tuple(slice(max(0, k), min(side, side + k)) for k in u)
+        if any(u) and all(r.start < r.stop for r in ranges):
+            pieces.append(((u[0] * side + u[1]) * side + u[2], ranges, blk))
+    pieces.sort(key=lambda piece: -piece[0])
+
+    # entries and next free slot of row 2i + a, held as [a][i] on the box
+    count = (diag_mask[..., 0].astype(np.int64) + diag_mask[..., 1]).T.reshape((2,) + box)
+    for _, ranges, blk in pieces:
+        if blk is not None:
+            for a in range(2):
+                count[a][ranges] += np.count_nonzero(blk[a])
+    indptr = np.zeros(2 * nm + 1, dtype=np.int64)
+    np.cumsum(count.reshape(2, nm).T.ravel(), out=indptr[1:])
+    cursor = np.ascontiguousarray(indptr[:-1].reshape(nm, 2).T).reshape((2,) + box)
+    nnz = int(indptr[-1])
+    idx_dtype = np.int32 if max(nnz, 2 * nm) <= np.iinfo(np.int32).max else np.int64
+    indices = np.empty(nnz, dtype=idx_dtype)
+    data = np.empty(nnz, dtype=complex)
+    index = np.arange(nm)
+
+    for off, ranges, blk in pieces:
+        if blk is None:
+            for a in range(2):
+                slot = cursor[a].reshape(nm)
+                for b in range(2):
+                    m = diag_mask[:, a, b]
+                    pos = slot[m]
+                    indices[pos] = 2 * index[m] + b
+                    data[pos] = diag[:, a, b][m]
+                    slot += m
+            continue
+        cols = 2 * (index.reshape(box)[ranges].ravel() - off)
+        for a in range(2):
+            pos = cursor[a][ranges].flatten()  # a copy: cursor moves below
+            for b in np.flatnonzero(blk[a]):
+                indices[pos] = cols + b
+                data[pos] = blk[a, b]
+                pos += 1
+            cursor[a][ranges] += np.count_nonzero(blk[a])
+    mat = sp.csr_matrix((data, indices, indptr.astype(idx_dtype)), shape=(2 * nm, 2 * nm))
     return modes, mat
 
 
@@ -682,7 +738,7 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
     coupling = {u: c * c_vol for u, c in flux.table().items()}
     modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, dirac_blocks, coupling)
     herm = abs(mat - mat.getH()).max()
-    if herm > 1e-12:
+    if not herm <= 1e-12:  # NaN fails too
         raise AssertionError(f"assembled operator not Hermitian: deviation {herm}")
     return ModeBlockOperator(cutoff=cutoff, modes=modes, matrix=mat)
 

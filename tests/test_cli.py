@@ -295,6 +295,34 @@ def test_bad_setting_is_a_config_error_naming_it(tmp_path, capsys, command, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,text,key", [
+    ("lw", "geometry = torus3\ncutoff = 3\nflux_cosine = 0:nan\n", "flux_cosine"),
+    ("lw", "geometry = torus3\ncutoff = 3\nflux_cosine = 0:inf:1\n", "flux_cosine"),
+    ("lw", "geometry = torus3\ncutoff = 3\nflux_cosine = 0:0.5:0\n", "flux_cosine"),
+    ("lw", "geometry = torus3\ncutoff = 3\ntol = nan\n", "tol"),
+    ("psc", "geometry = sphere3\nsweep = nan\n", "sweep"),
+    ("specflow", "geometry = sphere3\nsweep = 0.5,inf\n", "sweep"),
+    ("conformal", "geometry = sphere3\nsweep = -inf\n", "sweep"),
+], ids=["lw-cosine-nan", "lw-cosine-inf", "lw-cosine-harmonic-0", "lw-tol-nan",
+        "psc-sweep-nan", "specflow-sweep-inf", "conformal-sweep-inf"])
+def test_bad_value_is_refused_under_its_own_key(tmp_path, capsys, command, text, key):
+    cfg = write(tmp_path, "c.txt", text)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert "flux must" not in err
+    assert not out.exists()
+
+
+def test_tol_flag_is_checked_like_the_key(tmp_path, capsys):
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\ncutoff = 3\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out), "--tol", "nan"]) == EXIT_CONFIG
+    assert "'tol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_conformal_command(tmp_path):
     cfg = write(tmp_path, "c.txt",
                 "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"

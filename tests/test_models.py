@@ -408,10 +408,19 @@ def _assert_same_csr(mat, ref):
     TorusFlux.constant(0.7), TorusFlux.cosine(1, -0.9, 1), TorusFlux.cosine(2, 0.6, 2),
 ], ids=["constant", "cosine-1", "cosine-2"])
 def test_array_assembly_matches_mode_loop(flux, cutoff):
-    # (v + delta) + theta != v + (delta + theta) for some v at these offsets
+    # (v + delta) + theta != v + (delta + theta) for some v at these offsets;
+    # the trivial bundle with spin offset 0 on axis 1 has w_1 = 0 exactly at
+    # v_1 = 0, where the diagonal blocks hold exact zeros
     geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
-    bundle = TorusHolonomy((0.2, 0.35, 0.9))
-    theta, eye, table = bundle.theta, np.eye(2, dtype=complex), flux.table()
+    for bundle in (TorusHolonomy((0.2, 0.35, 0.9)), TrivialBundle()):
+        _assert_assembly_matches_mode_loop(geo, bundle, flux, cutoff)
+    at_zero = 2 * (cutoff * (2 * cutoff + 1) ** 2 + cutoff * (2 * cutoff + 1))  # v = (0, 0, -N)
+    mat = torus_twisted_derivative(geo, flux, cutoff, 1, TrivialBundle())
+    assert at_zero not in mat.indices[mat.indptr[at_zero]:mat.indptr[at_zero + 1]]
+
+
+def _assert_assembly_matches_mode_loop(geo, bundle, flux, cutoff):
+    theta, eye, table = np.broadcast_to(bundle.twist, 3), np.eye(2, dtype=complex), flux.table()
 
     op = build_torus_operator(geo, flux, cutoff, bundle)
     modes, ref = _reference_assembly(
@@ -454,6 +463,20 @@ def test_torus_flux_reality_validation():
     with pytest.raises(ValueError):
         TorusFlux((((1, 0, 0), 1.0 + 0.0j),))  # missing conjugate partner
     TorusFlux((((1, 0, 0), 0.5 + 0.25j), ((-1, 0, 0), 0.5 - 0.25j)))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TorusFlux.cosine(0, float("nan")), "must be finite"),
+    (lambda: TorusFlux.cosine(2, float("inf"), 1), "must be finite"),
+    (lambda: TorusFlux.constant(float("-inf")), "must be finite"),
+    (lambda: TorusFlux((((0, 0, 0), complex(0.1, float("nan"))),)), "must be finite"),
+    (lambda: TorusFlux.cosine(1, 0.5, 0), "must be distinct"),  # (0,0,0) twice
+    (lambda: TorusFlux((((1, 0, 0), 0.5), ((-1, 0, 0), 0.5), ((1, 0, 0), 0.5))),
+     "must be distinct"),
+], ids=["cosine-nan", "cosine-inf", "constant-inf", "complex-nan", "harmonic-0", "repeated"])
+def test_torus_flux_refuses_non_finite_and_repeated_wave_vectors(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_volume_and_curvature():

@@ -12,9 +12,15 @@ from twisteta.models import (
     Torus3,
     TorusFlux,
     TorusHolonomy,
+    build_torus_operator,
+    torus_multiplication_operator,
+    torus_twisted_derivative,
 )
 from twisteta.weitzenbock import (
+    LwReport,
     TheoremViolationError,
+    _opnorm_bound,
+    _zeroth_order_block,
     lw_check_deg3,
     lw_check_general,
     psc_stability_sweep,
@@ -57,6 +63,39 @@ def test_lw_deg3_anisotropic_torus_with_holonomy():
     rpt = lw_check_deg3(geo, TorusFlux.cosine(1, 0.8), cutoff=6,
                         bundle=TorusHolonomy((0.2, 0.0, 0.4)))
     assert rpt.residual_deg3 <= 1e-10
+
+
+def _lw_on_all_rows(geometry, flux, cutoff, bundle):
+    """The degree-3 check with every product formed on all rows and the
+    interior block taken at the end: the reference for the interior-row one."""
+    op = build_torus_operator(geometry, flux, cutoff, bundle)
+    d2 = op.matrix @ op.matrix
+    delta = None
+    for axis in range(3):
+        aj = torus_twisted_derivative(geometry, flux, cutoff, axis, bundle)
+        delta = aj @ aj if delta is None else delta + aj @ aj
+    delta = -delta
+    f_sq = flux.convolved()
+    m2 = torus_multiplication_operator(geometry, {u: 2.0 * c for u, c in f_sq.items()},
+                                       cutoff, bundle)
+    zero_block = _zeroth_order_block(build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms())
+    m_gen = torus_multiplication_operator(geometry, f_sq, cutoff, bundle, block=zero_block)
+    keep = op.interior_indices(max(flux.bandwidth, 1))
+    return LwReport(residual_deg3=_opnorm_bound((d2 - delta + m2)[keep][:, keep]),
+                    residual_general=_opnorm_bound((d2 - delta - m_gen)[keep][:, keep]),
+                    modes_compared=int(keep.size // 2))
+
+
+@pytest.mark.parametrize("flux", [
+    TorusFlux.constant(0.7), TorusFlux.cosine(1, -0.9, 1), TorusFlux.cosine(2, 0.6, 2),
+], ids=["constant", "cosine-1", "cosine-2"])
+def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(flux):
+    geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
+    bundle = TorusHolonomy((0.2, 0.35, 0.9))
+    rpt = lw_check_deg3(geo, flux, 5, bundle)
+    ref = _lw_on_all_rows(geo, flux, 5, bundle)
+    assert rpt.residual_deg3 > 0 and rpt.residual_general > 0  # rounding, not exact zeros
+    assert rpt == ref  # exact float equality
 
 
 def test_lw_deg3_bandwidth_guard():
