@@ -3,9 +3,10 @@ serialization, and the acceptance harness entry point.
 
 Config files are plain ``key = value`` text ('#' comments, blank lines ok);
 keys mirror the run-configuration fields exactly and unknown keys are
-errors.  Command-line flags override config values.  Results stream as JSON
-lines (full config echo per record) or CSV (header row, floats with 17
-significant digits).
+errors; each value is checked where it is parsed, so a bad one is a config
+error that names its key.  Command-line flags override config values.
+Results stream as JSON lines (full config echo per record) or CSV (header
+row, floats with 17 significant digits).
 
 Exit codes: 0 success, 2 config error, 3 unconverged computation,
 4 invariant violation (e.g. a kernel below the PSC threshold) or failed
@@ -50,6 +51,22 @@ def _tolerance(value) -> float:
     return tol
 
 
+def _positive_int(value) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n!r}")
+    return n
+
+
+def _one_of(*choices: str) -> Callable[[str], str]:
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return parse
+
+
 _CONFIG_KEYS = {
     "geometry": str,
     "radius": float,
@@ -62,14 +79,14 @@ _CONFIG_KEYS = {
     "character": int,
     "flux": float,
     "flux_cosine": str,
-    "engine": str,
-    "cutoff": int,
+    "engine": _one_of("hurwitz", "heat_kernel", "heat"),
+    "cutoff": _positive_int,
     "tol": _tolerance,
     "sweep": str,
     "h_norm": float,
     "r_min": float,
-    "workers": int,
-    "format": str,
+    "workers": _positive_int,
+    "format": _one_of("json", "csv"),
     "out": str,
 }
 
@@ -151,6 +168,8 @@ class RunConfig:
 
     def torus_flux(self) -> TorusFlux:
         if "flux_cosine" in self.raw:
+            if "flux" in self.raw:
+                raise ConfigError("'flux' and 'flux_cosine' are exclusive: set one of them")
             parts = str(self.raw["flux_cosine"]).split(":")
             if len(parts) not in (2, 3):
                 raise ConfigError("flux_cosine must be 'axis:amplitude[:harmonic]'")
@@ -164,16 +183,11 @@ class RunConfig:
     # -- misc -----------------------------------------------------------------
 
     def eta_settings(self) -> dict:
-        """The checked ``engine``, ``cutoff`` and ``tol`` of every eta
-        evaluation, as keyword arguments of ``eta_for_model`` and ``rho``
-        (``tol`` is checked where it is parsed)."""
+        """The ``engine``, ``cutoff`` and ``tol`` of every eta evaluation, as
+        keyword arguments of ``eta_for_model`` and ``rho`` (each is checked
+        where it is parsed; ``heat`` is spelled ``heat_kernel`` here)."""
         eng = self.get("engine", "hurwitz")
-        if eng not in ("hurwitz", "heat_kernel", "heat"):
-            raise ConfigError(f"unknown engine {eng!r}")
-        cutoff = self.get("cutoff")
-        if cutoff is not None and cutoff < 1:
-            raise ConfigError(f"cutoff must be >= 1, got {cutoff!r}")
-        return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": cutoff,
+        return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": self.get("cutoff"),
                 "tol": self.get("tol", 1e-8)}
 
     def config_hash(self) -> str:
@@ -224,13 +238,11 @@ def _fmt_csv_value(x) -> str:
 def write_records(records: Sequence[ResultRecord], fmt: str, out: str | None):
     if fmt == "json":
         text = "\n".join(r.to_json() for r in records) + "\n"
-    elif fmt == "csv":
+    else:  # csv: the format key admits no other value
         lines = [",".join(_CSV_COLUMNS)]
         for r in records:
             lines.append(",".join(_fmt_csv_value(getattr(r, c)) for c in _CSV_COLUMNS))
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown output format {fmt!r}")
     if out:
         Path(out).write_text(text)
     else:
@@ -321,7 +333,7 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
                  "curvature_flux_local_term", t, wall, conv),
         ]
 
-    return _sweep(points, one, int(cfg.get("workers", 1)))
+    return _sweep(points, one, cfg.get("workers", 1))
 
 
 def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
@@ -329,9 +341,8 @@ def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
     model = cfg.model()
     if not isinstance(model.geometry, Torus3):
         raise ConfigError("lw requires geometry = torus3")
-    cutoff = int(cfg.get("cutoff", 8))
     start = time.perf_counter()
-    rpt = lw_check_deg3(model.geometry, cfg.torus_flux(), cutoff, model.bundle)
+    rpt = lw_check_deg3(model.geometry, cfg.torus_flux(), cfg.get("cutoff", 8), model.bundle)
     wall = time.perf_counter() - start
     return [
         make("lw_residual_deg3", rpt.residual_deg3, 0.0, "fourier_blocks", None, wall),
@@ -383,7 +394,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  u, wall, conv),
         ]
 
-    return _sweep(cfg.floats("sweep"), one, int(cfg.get("workers", 1)))
+    return _sweep(cfg.floats("sweep"), one, cfg.get("workers", 1))
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
@@ -409,15 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="twisteta",
         description="eta/xi/rho invariants of flux-twisted Dirac operators on model spin manifolds",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_COMMANDS) + ["selftest"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None, help="path to key = value config file")
-        p.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-        p.add_argument("--format", type=str, default=None, choices=("json", "csv"))
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--cutoff", type=int, default=None)
+    parser.add_argument("command", choices=[*_COMMANDS, "selftest"])
+    parser.add_argument("--config", type=str, default=None, help="path to key = value config file")
+    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
+    parser.add_argument("--format", type=str, default=None, help="json (default) or csv")
+    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--tol", type=float, default=None)
+    parser.add_argument("--cutoff", type=int, default=None)
     return parser
 
 

@@ -450,7 +450,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     correction = -c_m32 / t_min + c_p12 * t_min + 0.5 * c_p32 * t_min**2
     eta = float((integral + _LD(correction)) / _SQRT_PI)
 
-    next_term = abs(float(c[4])) * t_min**3 / 3.0 if n_coef > 4 else 0.0
+    next_term = abs(float(c[4])) * t_min**3 / 3.0
     error = float(quad_err + tail_bound + ladder_noise + next_term
                   + c_noise / (np.sqrt(np.pi) * t_min) + 1e-15 * (1 + abs(eta)))
     if not np.isfinite(error):

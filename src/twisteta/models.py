@@ -637,12 +637,19 @@ class ModeBlockOperator:
         return np.flatnonzero(np.repeat(interior, 2))
 
 
+def _unit_top_form():
+    """``build_gamma_rep(3)`` and the terms of the unit top form ``vol``, the
+    Clifford data of every torus operator, built per call, not at import."""
+    return build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms()
+
+
 def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
-                     diag_blocks, coupling: dict[tuple[int, int, int], np.ndarray]):
+                     grad: dict[int, np.ndarray], coupling: dict[tuple[int, int, int], np.ndarray]):
     """Block operator on the mode box of ``geometry.lattice``: mode ``v``
-    carries ``diag_blocks(w)`` (``w`` the ``(nm, 3)`` frequencies, blocks
-    ``(nm, 2, 2)``) and couples to ``v - u`` by ``coupling[u]`` when that
-    mode is in the box.  A zero shift adds into the diagonal block.
+    carries ``sum_j 2 pi i w_j grad[j]`` (``d/dx_j`` acts on mode ``v`` as
+    ``2 pi i w_j``, ``w`` its frequencies) and couples to ``v - u`` by the
+    constant block ``coupling[u]`` when that mode is in the box.  The zero
+    shift adds into the diagonal block.
 
     The CSR arrays are written shift by shift.  The box index ``i`` is linear
     in ``v``, so shift ``u`` sends ``i`` to ``i - off`` for a fixed ``off``,
@@ -666,14 +673,17 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
         return out.reshape(nm, 3)
 
     modes = on_box(np.broadcast_to(v, (3, side)))
-    w = on_box(x / np.asarray(geometry.lengths)[:, None])
-    diag = np.asarray(diag_blocks(w), dtype=complex)
-    diag_mask = diag != 0
-    if (0, 0, 0) in coupling:
+    zero = np.asarray(coupling.get((0, 0, 0), np.zeros((2, 2))), dtype=complex)
+    if grad:
+        symbol = 2.0j * np.pi * on_box(x / np.asarray(geometry.lengths)[:, None])
+        diag = sum(symbol[:, j, None, None] * blk for j, blk in grad.items())
+        diag_mask = diag != 0
         # the nonzero one of the two, or their sum where both are nonzero
-        zero = np.asarray(coupling[(0, 0, 0)], dtype=complex)
         diag = np.where(diag_mask, np.where(zero != 0, diag + zero, diag), zero)
         diag_mask |= zero != 0
+    else:  # a constant diagonal: broadcast, not materialised
+        diag = np.broadcast_to(zero, (nm, 2, 2))
+        diag_mask = np.broadcast_to(zero != 0, (nm, 2, 2))
     pieces = [(0, None, None)]  # (off, source ranges, block); None: the diagonal
     for u, blk in coupling.items():
         ranges = tuple(slice(max(0, k), min(side, side + k)) for k in u)
@@ -728,15 +738,11 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
     if bundle.rank != 1:
         raise ValueError("mode-block operator supports rank-1 bundles")
 
-    rep = build_gamma_rep(3)
-    c_vol = _clifford_terms(rep, FluxForm.top(3, 1.0).complex_terms())  # the identity
-
-    def dirac_blocks(w):
-        # sum_j c(e_j) d_j, with d_j acting on mode v as 2 pi i w_j
-        return sum((2.0j * np.pi * w[:, j])[:, None, None] * rep.gammas[j] for j in range(3))
-
+    rep, vol = _unit_top_form()
+    c_vol = _clifford_terms(rep, vol)  # the identity
     coupling = {u: c * c_vol for u, c in flux.table().items()}
-    modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, dirac_blocks, coupling)
+    grad = dict(enumerate(rep.gammas))  # D = sum_j c(e_j) d_j
+    modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, grad, coupling)
     herm = abs(mat - mat.getH()).max()
     if not herm <= 1e-12:  # NaN fails too
         raise AssertionError(f"assembled operator not Hermitian: deviation {herm}")
@@ -747,14 +753,11 @@ def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axi
                              bundle: Bundle = TrivialBundle(1)) -> sp.csr_matrix:
     """Skew-adjoint connection component ``d/dx_j + c(iota_{e_j} H)`` in the
     Fourier basis (the flux contraction acts as ``f(x) c(iota_{e_j} vol)``)."""
-
-    def diag(w):
-        return (2.0j * np.pi * w[:, axis])[:, None, None] * np.eye(2, dtype=complex)
-
-    vol = FluxForm.top(3, 1.0).complex_terms()
-    blk = _clifford_terms(build_gamma_rep(3), _contract(vol, axis))  # i sigma_j
+    rep, vol = _unit_top_form()
+    blk = _clifford_terms(rep, _contract(vol, axis))  # i sigma_j
     coupling = {u: c * blk for u, c in flux.table().items()}
-    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, diag, coupling)
+    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff,
+                              {axis: np.eye(2, dtype=complex)}, coupling)
     return mat
 
 
@@ -764,10 +767,6 @@ def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int,
     """Multiplication operator by the scalar Fourier series ``coeffs``, tensored
     with an optional constant 2x2 block (identity by default)."""
     blk = np.eye(2, dtype=complex) if block is None else block
-
-    def diag(w):
-        return np.broadcast_to(coeffs.get((0, 0, 0), 0.0) * blk, (len(w), 2, 2))
-
-    coupling = {u: c * blk for u, c in coeffs.items() if u != (0, 0, 0)}
-    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, diag, coupling)
+    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, {},
+                              {u: c * blk for u, c in coeffs.items()})
     return mat

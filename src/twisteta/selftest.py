@@ -141,12 +141,13 @@ def _sphere_sweep() -> tuple:
                  for t in _sweep_t_values())
 
 
-def _c3_bare(tol: float = 1e-8) -> tuple[bool, str]:
+def _c3_bare() -> tuple[bool, str]:
     # On the unit 3-sphere (Vol = 2 pi^2, R = 6) the bare term h/(2 pi^2) is t,
     # while the APS variation d eta/dt = Vol (R/12 - 2 t^2)/(2 pi^2) integrates
     # to t/2 - 2 t^3/3.  The bare residual must equal the gap |t/2 + 2 t^3/3|,
     # written out here rather than taken from reduced_local_term, and must be
     # nonzero everywhere: the bare identity is refuted, by exactly that much.
+    tol = 1e-8
     worst = (0.0, 0.0)
     least = (np.inf, 0.0)
     for t, rpt in _sphere_sweep():
@@ -161,7 +162,8 @@ def _c3_bare(tol: float = 1e-8) -> tuple[bool, str]:
     )
 
 
-def _c3_calibrated(tol: float = 1e-8) -> tuple[bool, str]:
+def _c3_calibrated() -> tuple[bool, str]:
+    tol = 1e-8
     worst = 0.0
     sf_ok = True
     for t, rpt in _sphere_sweep():

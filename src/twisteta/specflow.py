@@ -130,12 +130,11 @@ def _neg_count(eigs: np.ndarray) -> int:
     return int(np.sum(eigs < 0.0))
 
 
-def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
-              min_step: float = 1e-12) -> SfResult:
+def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float]) -> SfResult:
     """Spectral flow of a Hermitian matrix family sampled on a grid.
 
     Counts signed changes of the negative-eigenvalue count between samples;
-    each change is localized by bisection to width ``min_step``.  If at the
+    each change is localized by bisection to width ``1e-12``.  If at the
     minimum step the classification still depends on ``ZERO_TOL`` the
     crossing is ambiguous and raised with its interval.
     """
@@ -162,7 +161,7 @@ def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float],
         na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
         if na == nb:
             return
-        if b - a <= min_step:
+        if b - a <= 1e-12:
             direction = 1 if na > nb else -1
             crossings.append(Crossing(u=0.5 * (a + b), multiplicity=abs(na - nb),
                                       direction=direction))

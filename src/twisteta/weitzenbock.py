@@ -12,7 +12,9 @@ the truncated products agree with the infinite-volume operator entry by
 entry, so the residual is pure floating-point noise.  The products and the
 residual are formed on the interior rows only, and the interior columns are
 taken at the end: sparse products and sums build each row on its own, so
-this is bit for bit the interior block of the products on all rows.
+this is bit for bit the interior block of the products on all rows.  The
+zeroth-order term is one operator ``f^2 (x) Z``: the Clifford block ``Z`` of
+the unit top form must be the closed form ``-2 I`` exactly.
 
 The general constant-coefficient identity equates ``c(H)^2 +
 sum_j c(iota_{e_j} H)^2`` with contraction terms of order two and higher,
@@ -40,14 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import (
-    FluxForm,
-    GammaRep,
-    _clifford_terms,
-    _contract,
-    _wedge,
-    build_gamma_rep,
-)
+from .clifford import FluxForm, GammaRep, _clifford_terms, _contract, _wedge
 from .eta import RhoValue, rho
 from .models import (
     ZERO_TOL,
@@ -55,6 +50,7 @@ from .models import (
     Torus3,
     TorusFlux,
     TrivialBundle,
+    _unit_top_form,
     build_torus_operator,
     torus_multiplication_operator,
     torus_twisted_derivative,
@@ -108,20 +104,22 @@ def _zeroth_order_block(rep: GammaRep, h_terms) -> np.ndarray:
 
 def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
                   bundle=TrivialBundle(1)) -> LwReport:
-    """Matrix residuals of the degree-3 identity on the flat torus.
+    """Matrix residual of the degree-3 identity on the flat torus.
 
-    ``residual_deg3`` compares against the closed-form zeroth-order term
-    ``-2 f^2``; ``residual_general`` rebuilds that term from the Clifford
-    expression ``c(H)^2 + sum_j c(iota_j H)^2`` evaluated as matrices, so the
-    two measurements are independent of each other's algebra.
+    The Clifford block ``Z = c(vol)^2 + sum_j c(iota_j vol)^2`` must equal the
+    closed form ``-2 I`` exactly (else :class:`TheoremViolationError`), so the
+    one residual against ``f^2 (x) Z`` is both ``residual_deg3`` and
+    ``residual_general``.
     """
     b = flux.bandwidth
     if cutoff < 2 * max(b, 1):
         raise ValueError("cutoff smaller than twice the flux bandwidth: no interior modes")
+    zero_block = _zeroth_order_block(*_unit_top_form())
+    if not np.array_equal(zero_block, -2.0 * np.eye(2)):
+        raise TheoremViolationError(f"zeroth-order block {zero_block.tolist()} is not the "
+                                    "closed form -2 I: check Clifford conventions")
     op = build_torus_operator(geometry, flux, cutoff, bundle)
     keep = op.interior_indices(max(b, 1))
-    if keep.size == 0:
-        raise ValueError("no interior modes at this cutoff/bandwidth")
     # products on the interior rows only: SpGEMM builds each row on its own
     d = op.matrix
     a_sq = None  # sum_j A_j^2 = -Delta_H
@@ -129,22 +127,11 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
         aj = torus_twisted_derivative(geometry, flux, cutoff, axis, bundle)
         term = aj[keep] @ aj
         a_sq = term if a_sq is None else a_sq + term
-    lhs = d[keep] @ d + a_sq  # (D + c(H))^2 - Delta_H, shared by both routes
-    f_sq = flux.convolved()
-
-    # closed-form route: + 2 f^2 (x) I
-    m2 = torus_multiplication_operator(geometry, {u: 2.0 * c for u, c in f_sq.items()}, cutoff, bundle)
-    sub3 = (lhs + m2[keep])[:, keep]
-
-    # Clifford route: zeroth-order block c(H)^2 + sum_j c(iota_j H)^2 per unit f^2
-    zero_block = _zeroth_order_block(build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms())
-    m_gen = torus_multiplication_operator(geometry, f_sq, cutoff, bundle, block=zero_block)
-    subg = (lhs - m_gen[keep])[:, keep]
-    return LwReport(
-        residual_deg3=_opnorm_bound(sub3),
-        residual_general=_opnorm_bound(subg),
-        modes_compared=int(keep.size // 2),
-    )
+    m_gen = torus_multiplication_operator(geometry, flux.convolved(), cutoff, bundle,
+                                          block=zero_block)
+    residual = _opnorm_bound((d[keep] @ d + a_sq - m_gen[keep])[:, keep])
+    return LwReport(residual_deg3=residual, residual_general=residual,
+                    modes_compared=int(keep.size // 2))
 
 
 def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:

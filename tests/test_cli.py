@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twisteta.cli import (
@@ -303,8 +304,15 @@ def test_bad_setting_is_a_config_error_naming_it(tmp_path, capsys, command, text
     ("psc", "geometry = sphere3\nsweep = nan\n", "sweep"),
     ("specflow", "geometry = sphere3\nsweep = 0.5,inf\n", "sweep"),
     ("conformal", "geometry = sphere3\nsweep = -inf\n", "sweep"),
+    ("lw", "geometry = torus3\ncutoff = 3\nengine = bogus\n", "engine"),
+    ("lw", "geometry = torus3\ncutoff = 0\n", "cutoff"),
+    ("lw", "geometry = torus3\ncutoff = 3\nformat = xml\n", "format"),
+    ("conformal", "geometry = sphere3\nsweep = 0.5\nworkers = 0\n", "workers"),
+    ("specflow", "geometry = sphere3\nsweep = 0.5\nworkers = -3\n", "workers"),
 ], ids=["lw-cosine-nan", "lw-cosine-inf", "lw-cosine-harmonic-0", "lw-tol-nan",
-        "psc-sweep-nan", "specflow-sweep-inf", "conformal-sweep-inf"])
+        "psc-sweep-nan", "specflow-sweep-inf", "conformal-sweep-inf",
+        "lw-engine-bogus", "lw-cutoff-0", "lw-format-xml",
+        "conformal-workers-0", "specflow-workers-negative"])
 def test_bad_value_is_refused_under_its_own_key(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path, "c.txt", text)
     out = tmp_path / "out.jsonl"
@@ -320,6 +328,47 @@ def test_tol_flag_is_checked_like_the_key(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["lw", "--config", cfg, "--out", str(out), "--tol", "nan"]) == EXIT_CONFIG
     assert "'tol'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flux_with_flux_cosine_names_both_keys(tmp_path, capsys):
+    # the records would echo and hash a constant flux the check never saw
+    cfg = write(tmp_path, "c.txt",
+                "geometry = torus3\ncutoff = 3\nflux = 0.3\nflux_cosine = 0:0.5\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'flux'" in err and "'flux_cosine'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--workers", "0"), ("--workers", "-3"), ("--format", "xml"), ("--cutoff", "0"),
+])
+def test_bad_flag_is_refused_under_its_own_key(tmp_path, capsys, flag, value):
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\ncutoff = 3\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out), flag, value]) == EXIT_CONFIG
+    assert f"'{flag[2:]}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "c.txt"]],
+                         ids=["empty", "unknown", "options-only"])
+def test_missing_or_unknown_command_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "command" in capsys.readouterr().err
+
+
+def test_lw_zeroth_order_block_mismatch_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("twisteta.weitzenbock._zeroth_order_block",
+                        lambda rep, h_terms: -1.9 * np.eye(2, dtype=complex))
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\ncutoff = 3\nflux = 0.3\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out)]) == EXIT_VIOLATION
+    assert "invariant violation" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -98,6 +98,15 @@ def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(flux):
     assert rpt == ref  # exact float equality
 
 
+def test_lw_deg3_zeroth_order_block_must_be_minus_two(monkeypatch):
+    # a Clifford convention slip moves the block off -2 I; the check refuses it
+    # instead of reporting a residual
+    monkeypatch.setattr("twisteta.weitzenbock._zeroth_order_block",
+                        lambda rep, h_terms: -1.9 * np.eye(2, dtype=complex))
+    with pytest.raises(TheoremViolationError, match="-2 I"):
+        lw_check_deg3(Torus3(), TorusFlux.cosine(0, 1.0), cutoff=3)
+
+
 def test_lw_deg3_bandwidth_guard():
     with pytest.raises(ValueError):
         lw_check_deg3(Torus3(), TorusFlux.cosine(0, 1.0, harmonic=2), cutoff=3)
