@@ -46,7 +46,6 @@ from .models import (
 )
 from .specflow import (
     AffinePath,
-    AmbiguousCrossingError,
     Crossing,
     FluxResponseReport,
     SfResult,
@@ -54,7 +53,6 @@ from .specflow import (
     reduced_local_term,
     sf_affine,
     sf_for_flux,
-    sf_matrix,
 )
 from .weitzenbock import (
     LwReport,

@@ -9,7 +9,9 @@ at ``s = 0``:
   ``(k + a/d)`` so that the value at 0 is a finite combination of
   ``zeta_H(-i, a/d) = -B_{i+1}(a/d)/(i+1)`` (Bernoulli polynomials, exact).
   Within this class the continuation has no pole at s = 0: the only poles of
-  ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.
+  ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.  The
+  coefficients of ``B_n`` are exact fractions, rounded to floats once per
+  degree into a table that Horner's rule reads on every evaluation.
 
 * :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
   ``S(t) = sum m lambda exp(-t lambda^2)`` on ``[t_min, t_max]`` (log grid,
@@ -151,14 +153,19 @@ def _bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(comb(n, k)) * bern[k] for k in reversed(range(n + 1)))
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_horner(n: int) -> tuple[float, ...]:
+    """The coefficients of B_n(x) as floats, descending powers (Horner order)."""
+    return tuple(float(c) for c in reversed(_bernoulli_poly_coeffs(n)))
+
+
 def hurwitz_zeta_nonpositive(i: int, q: float) -> float:
     """``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)`` for integer i >= 0."""
     if i < 0:
         raise ValueError("only non-positive arguments -i, i >= 0")
-    coeffs = _bernoulli_poly_coeffs(i + 1)
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * q + float(c)
+    for c in _bernoulli_horner(i + 1):
+        acc = acc * q + c
     return -acc / (i + 1)
 
 

@@ -14,7 +14,15 @@ multiplicity by the bundle rank:
   trivial spin lift.  Level ``+(3/2+m)/r`` survives with multiplicity
   ``(m+2) * N(m, k)`` and ``-(3/2+m)/r`` with ``(m+1) * N(m+1, k)`` where
   ``N(m, k)`` counts weights ``{m, m-2, ..., -m}`` congruent to k mod p.
-  N is linear along each class of m mod 2p (closed form in ``Lens.branches``).
+  N is linear along each class of m mod 2p (closed form in ``Lens.branches``),
+  so the classes' multiplicity polynomials form a table that depends on
+  ``(p, k)`` only; it is built once per pair, and each call scales it by the
+  radius.
+
+:func:`progression_spectrum` writes each branch as a :class:`Progression`,
+whose multiplicity polynomial must be a non-negative integer at
+``k = 0 .. deg + 1``.  That check depends on the coefficients alone and is
+memoized on them; a polynomial that fails it raises on every construction.
 
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
@@ -36,6 +44,7 @@ call, so only a command that assembles a torus operator (``lw``) loads scipy.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import comb, isfinite
 from typing import TYPE_CHECKING, ClassVar, Sequence, Union
 
@@ -355,25 +364,9 @@ class Lens(_Round):
         return values[keep], mults[keep]
 
     def branches(self, k_char: int):
-        # class m = rho + 2p j: (base + 2p j) N(m', k) with m' = m on the +
-        # branch and m + 1 on the -; along it N grows by 2g per step when
-        # g = gcd(2, p) divides m' - k (the 2p new weights at each end hit
-        # every such residue g times) and stays 0 otherwise
-        r, p = self.radius, self.p
-        period = 2 * p
-        g = 2 if p % 2 == 0 else 1
-        out = []
-        for rho in range(period):
-            for shift, step_sign in ((0, 1.0), (1, -1.0)):
-                m, base = rho + shift, rho + 2 - shift
-                n0 = lens_weight_count(m, k_char, p)
-                d1 = 2 * g if (m - k_char) % g == 0 else 0
-                coeffs = [base * n0, base * d1 + period * n0, period * d1]
-                if all(c == 0 for c in coeffs):
-                    continue
-                v0 = step_sign * (1.5 + rho) / r
-                out.append((v0, step_sign * period / r, coeffs))
-        return out
+        r, period = self.radius, 2 * self.p
+        return [(step_sign * (1.5 + rho) / r, step_sign * period / r, list(coeffs))
+                for rho, step_sign, coeffs in _lens_classes(self.p, k_char)]
 
     @classmethod
     def from_config(cls, cfg) -> "Lens":
@@ -429,6 +422,28 @@ def lens_weight_count(m, k: int, p: int):
     return ((d % g == 0) & (m >= i0)) * ((m - i0) // q + 1)
 
 
+@lru_cache(maxsize=1024)
+def _lens_classes(p: int, k_char: int) -> tuple[tuple[int, float, tuple[int, int, int]], ...]:
+    """The radius-free part of ``Lens(p, r).branches(k_char)``: one
+    ``(rho, step_sign, mult_coeffs)`` per nonempty class of levels."""
+    # class m = rho + 2p j: (base + 2p j) N(m', k) with m' = m on the +
+    # branch and m + 1 on the -; along it N grows by 2g per step when
+    # g = gcd(2, p) divides m' - k (the 2p new weights at each end hit
+    # every such residue g times) and stays 0 otherwise
+    period = 2 * p
+    g = 2 if p % 2 == 0 else 1
+    out = []
+    for rho in range(period):
+        for shift, step_sign in ((0, 1.0), (1, -1.0)):
+            m, base = rho + shift, rho + 2 - shift
+            n0 = lens_weight_count(m, k_char, p)
+            d1 = 2 * g if (m - k_char) % g == 0 else 0
+            coeffs = (base * n0, base * d1 + period * n0, period * d1)
+            if any(coeffs):
+                out.append((rho, step_sign, coeffs))
+    return tuple(out)
+
+
 def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Distinct eigenvalues, ascending, with their summed multiplicities."""
     distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
@@ -473,15 +488,27 @@ class Progression:
             raise ValueError("sign must be +1 or -1")
         if self.offset <= 0 or self.step <= 0:
             raise ValueError("offset and step must be positive")
-        for k in range(len(self.mult_coeffs) + 2):
-            v = self.multiplicity(k)
-            if abs(v - round(v)) > 1e-6 * max(1.0, abs(v)):
-                raise ValueError(f"multiplicity polynomial is not integer-valued at k={k}")
-            if round(v) < 0:
-                raise ValueError(f"multiplicity polynomial is negative at k={k}")
+        _check_integer_valued(tuple(self.mult_coeffs))
 
     def multiplicity(self, k: int) -> float:
-        return sum(c * k**i for i, c in enumerate(self.mult_coeffs))
+        return _poly_at(self.mult_coeffs, k)
+
+
+def _poly_at(coeffs: Sequence[float], k: int) -> float:
+    return sum(c * k**i for i, c in enumerate(coeffs))
+
+
+@lru_cache(maxsize=4096)
+def _check_integer_valued(mult_coeffs: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` unless the multiplicity polynomial is a
+    non-negative integer at ``k = 0 .. deg + 1``.  Memoized on the
+    coefficients; a failure is not cached, so it raises on every call."""
+    for k in range(len(mult_coeffs) + 2):
+        v = _poly_at(mult_coeffs, k)
+        if abs(v - round(v)) > 1e-6 * max(1.0, abs(v)):
+            raise ValueError(f"multiplicity polynomial is not integer-valued at k={k}")
+        if round(v) < 0:
+            raise ValueError(f"multiplicity polynomial is negative at k={k}")
 
 
 @dataclass(frozen=True)
@@ -500,10 +527,13 @@ class ProgressionSpectrum:
 
 def _poly_shift(coeffs: Sequence[float], j0: float) -> list[float]:
     """Coefficients of ``p(j + j0)`` given those of ``p(j)``."""
+    if j0 == 0:
+        return [0.0 + c for c in coeffs]
+    powers = [j0 ** k for k in range(len(coeffs))]
     out = [0.0] * len(coeffs)
     for n, c in enumerate(coeffs):
         for i in range(n + 1):
-            out[i] += c * comb(n, i) * j0 ** (n - i)
+            out[i] += c * comb(n, i) * powers[n - i]
     return out
 
 
@@ -522,7 +552,7 @@ def _split_branch(value0: float, step: float, mult_coeffs: list[float]):
         v = value0 + step * j
         if (step > 0 and v > ZERO_TOL) or (step < 0 and v < -ZERO_TOL):
             break
-        mult = round(sum(c * j**i for i, c in enumerate(mult_coeffs)))
+        mult = round(_poly_at(mult_coeffs, j))
         if abs(v) <= ZERO_TOL:
             kernel += mult
         elif mult:

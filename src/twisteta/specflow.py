@@ -27,7 +27,7 @@ of :data:`LOCAL_TERMS`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,9 +38,7 @@ __all__ = [
     "AffinePath",
     "Crossing",
     "SfResult",
-    "AmbiguousCrossingError",
     "sf_affine",
-    "sf_matrix",
     "sf_for_flux",
     "FluxResponseReport",
     "LOCAL_TERMS",
@@ -79,17 +77,6 @@ class SfResult:
     endpoint_kernel_flags: tuple[bool, bool]
 
 
-class AmbiguousCrossingError(RuntimeError):
-    """A crossing could not be resolved within the minimum step."""
-
-    def __init__(self, interval: tuple[float, float]):
-        self.interval = interval
-        super().__init__(
-            f"unresolved crossing in [{interval[0]!r}, {interval[1]!r}]: "
-            "eigenvalue pinned inside the zero tolerance band"
-        )
-
-
 def sf_affine(path: AffinePath) -> SfResult:
     """Exact spectral flow of an affine path.
 
@@ -122,68 +109,6 @@ def sf_affine(path: AffinePath) -> SfResult:
         for direction, mult in sorted(crossings[u_star].items()):
             out.append(Crossing(u=u_star, multiplicity=mult, direction=direction))
     return SfResult(flow=flow, crossings=tuple(out),
-                    endpoint_kernel_flags=(start_kernel, end_kernel))
-
-
-def _neg_count(eigs: np.ndarray) -> int:
-    # zeros count as nonnegative
-    return int(np.sum(eigs < 0.0))
-
-
-def sf_matrix(family: Callable[[float], np.ndarray], grid: Sequence[float]) -> SfResult:
-    """Spectral flow of a Hermitian matrix family sampled on a grid.
-
-    Counts signed changes of the negative-eigenvalue count between samples;
-    each change is localized by bisection to width ``1e-12``.  If at the
-    minimum step the classification still depends on ``ZERO_TOL`` the
-    crossing is ambiguous and raised with its interval.
-    """
-    grid = [float(u) for u in grid]
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing with >= 2 points")
-
-    cache: dict[float, np.ndarray] = {}
-
-    def eigs(u: float) -> np.ndarray:
-        if u not in cache:
-            a = np.asarray(family(u))
-            if not np.allclose(a, a.conj().T, atol=1e-10):
-                raise ValueError(f"family is not Hermitian at u={u}")
-            cache[u] = np.linalg.eigvalsh(a)
-        return cache[u]
-
-    start_kernel = bool(np.any(np.abs(eigs(grid[0])) <= ZERO_TOL))
-    end_kernel = bool(np.any(np.abs(eigs(grid[-1])) <= ZERO_TOL))
-
-    crossings: list[Crossing] = []
-
-    def refine(a: float, b: float):
-        na, nb = _neg_count(eigs(a)), _neg_count(eigs(b))
-        if na == nb:
-            return
-        if b - a <= 1e-12:
-            direction = 1 if na > nb else -1
-            crossings.append(Crossing(u=0.5 * (a + b), multiplicity=abs(na - nb),
-                                      direction=direction))
-            return
-        mid = 0.5 * (a + b)
-        refine(a, mid)
-        refine(mid, b)
-
-    for a, b in zip(grid, grid[1:]):
-        # the measured count change must not hinge on |eig| <= ZERO_TOL at
-        # the samples themselves; if it does, the flow is tolerance-sensitive
-        ea, eb = eigs(a), eigs(b)
-        plain = _neg_count(ea) - _neg_count(eb)
-        strict = int(np.sum(ea < -ZERO_TOL)) - int(np.sum(eb < -ZERO_TOL))
-        if plain != strict:
-            raise AmbiguousCrossingError((a, b))
-        refine(a, b)
-
-    flow = _neg_count(eigs(grid[0])) - _neg_count(eigs(grid[-1]))
-    crossings.sort(key=lambda c: c.u)
-    assert flow == sum(c.direction * c.multiplicity for c in crossings)
-    return SfResult(flow=flow, crossings=tuple(crossings),
                     endpoint_kernel_flags=(start_kernel, end_kernel))
 
 

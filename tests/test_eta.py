@@ -341,6 +341,17 @@ def test_rho_trivial_bundle_vanishes():
     assert value.rho == 0.0
 
 
+@pytest.mark.parametrize("rank,t,flow", [(2, 0.3, 0), (3, 1.7, 2)])
+def test_rho_of_a_trivial_bundle_subtracts_rank_copies(rank, t, flow):
+    # on the unit sphere eta = 2 sf + t/2 - (2/3) t^3 per copy of the line
+    # bundle, so xi is nonzero and only the rank factor makes rho vanish
+    value = rho(SpectralModel(Sphere3(1.0), TrivialBundle(rank), t))
+    xi_line = (2 * flow + t / 2 - 2 * t**3 / 3) / 2
+    assert value.xi_trivial.xi == pytest.approx(xi_line, abs=1e-12)
+    assert value.xi_twisted.xi == pytest.approx(rank * xi_line, abs=1e-12)
+    assert value.rho == 0.0
+
+
 def test_rho_circle_quarter():
     value = rho(SpectralModel(Circle(1.0), CircleHolonomy(0.25)))
     assert value.rho == pytest.approx(-0.25, abs=1e-12)

@@ -11,6 +11,7 @@ from twisteta.models import (
     CircleHolonomy,
     Lens,
     LensCharacter,
+    Progression,
     SpectralModel,
     Sphere3,
     Torus3,
@@ -320,6 +321,49 @@ def test_progressions_kernel_split():
 def test_progressions_torus_unsupported():
     with pytest.raises(ValueError):
         progression_spectrum(SpectralModel(Torus3()))
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ((0.5,), "not integer-valued at k=0"),
+    ((-1.0,), "negative at k=0"),
+])
+def test_progression_refuses_a_bad_multiplicity_every_time(coeffs, message):
+    # the check is memoized on the coefficients, and a failure is never stored
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            Progression(1, 1.0, 1.0, coeffs)
+
+
+def _lens_branches_in_full(p, r, k_char):
+    # Lens.branches with every class recomputed per call: the reference for
+    # its table cached per (p, k)
+    period = 2 * p
+    g = 2 if p % 2 == 0 else 1
+    out = []
+    for rho in range(period):
+        for shift, step_sign in ((0, 1.0), (1, -1.0)):
+            m, base = rho + shift, rho + 2 - shift
+            n0 = lens_weight_count(m, k_char, p)
+            d1 = 2 * g if (m - k_char) % g == 0 else 0
+            coeffs = [base * n0, base * d1 + period * n0, period * d1]
+            if all(c == 0 for c in coeffs):
+                continue
+            out.append((step_sign * (1.5 + rho) / r, step_sign * period / r, coeffs))
+    return out
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+@pytest.mark.parametrize("p", [2, 3, 12])
+def test_lens_branches_equal_the_closed_form_in_full(p, radius):
+    for k in range(p):
+        assert Lens(p, radius).branches(k) == _lens_branches_in_full(p, radius, k)
+
+
+def test_lens_branches_hand_out_fresh_coefficient_lists():
+    first = Lens(12, 1.3).branches(5)
+    first[0][2][0] += 1
+    first[1][2].append(7)
+    assert Lens(12, 1.3).branches(5) == _lens_branches_in_full(12, 1.3, 5)
 
 
 # --- torus operator ---------------------------------------------------------

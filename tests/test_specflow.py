@@ -11,17 +11,14 @@ from twisteta.models import (
     Sphere3,
     Torus3,
     TorusFlux,
-    ZERO_TOL,
     build_torus_operator,
 )
 from twisteta.specflow import (
     AffinePath,
-    AmbiguousCrossingError,
     check_flux_response,
     reduced_local_term,
     sf_affine,
     sf_for_flux,
-    sf_matrix,
 )
 
 
@@ -84,42 +81,25 @@ def test_sf_affine_zero_slope_never_crosses():
     assert res.flow == 0 and res.crossings == ()
 
 
-# --- matrix flow -------------------------------------------------------------
+# --- dense flow ---------------------------------------------------------------
 
-def test_sf_matrix_matches_affine_on_torus_path():
+def test_sf_affine_matches_dense_count_on_torus_path():
+    # the one check of sf_affine by another route: along D + u, the flow is
+    # the number of negative eigenvalues at u = 0 minus the number at u_max,
+    # and each crossing sits at u = -lambda
     geo = Torus3()
-    base = build_torus_operator(geo, TorusFlux.constant(0.0), cutoff=1).matrix.toarray()
-    eye = np.eye(base.shape[0])
+    eigs = np.linalg.eigvalsh(
+        build_torus_operator(geo, TorusFlux.constant(0.0), cutoff=1).matrix.toarray())
     u_max = 2 * np.pi * np.sqrt(3) / 2 + 0.1  # just past the first shell
-
-    def family(u):
-        return base + u * eye
-
-    grid = np.linspace(0.0, u_max, 9)
-    res = sf_matrix(family, grid)
+    flow = int(np.sum(eigs < 0.0)) - int(np.sum(eigs + u_max < 0.0))
     exact = sf_for_flux(SpectralModel(geo), u_max)
-    assert res.flow == exact.flow
-    assert res.flow == 8  # eight lattice modes sit on the first shell
-    assert len(res.crossings) == 1
-    assert res.crossings[0].multiplicity == 8
-    assert res.crossings[0].u == pytest.approx(2 * np.pi * np.sqrt(3) / 2, abs=1e-9)
-
-
-def test_sf_matrix_constant_path():
-    mat = np.diag([1.0, -2.0, 3.0])
-    res = sf_matrix(lambda u: mat, [0.0, 0.5, 1.0])
-    assert res.flow == 0 and res.crossings == ()
-
-
-def test_sf_matrix_scaling_invariance():
-    def family(u):
-        return np.diag([u - 0.3, u + 1.0, -u - 2.0])
-
-    grid = [0.0, 0.25, 0.5, 0.75, 1.0]
-    a = sf_matrix(family, grid)
-    b = sf_matrix(lambda u: 5.0 * family(u), grid)
-    assert a.flow == b.flow == 1
-    assert a.crossings[0].u == pytest.approx(b.crossings[0].u, abs=1e-10)
+    assert flow == exact.flow
+    assert flow == 8  # eight lattice modes sit on the first shell
+    crossed = -eigs[(eigs < 0.0) & (eigs + u_max >= 0.0)]
+    assert len(exact.crossings) == 1
+    assert exact.crossings[0].multiplicity == crossed.size == 8
+    assert crossed == pytest.approx(exact.crossings[0].u, abs=1e-9)
+    assert exact.crossings[0].u == pytest.approx(2 * np.pi * np.sqrt(3) / 2, abs=1e-9)
 
 
 @pytest.mark.parametrize("model,flow", [
@@ -143,23 +123,6 @@ def test_one_kernel_threshold(engine):
     model = SpectralModel(Sphere3(1.0), flux_shift=1.5 + 5e-10)
     assert eta_for_model(model, engine).kernel_dim == 2
     assert sf_for_flux(model, model.flux_shift).endpoint_kernel_flags == (False, True)
-
-
-def test_sf_matrix_ambiguous_crossing_raises():
-    def family(u):
-        return np.diag([ZERO_TOL * (u - 0.5)])  # crosses zero inside the tolerance band
-
-    with pytest.raises(AmbiguousCrossingError) as exc:
-        sf_matrix(family, [0.0, 1.0])
-    lo, hi = exc.value.interval
-    assert 0.0 <= lo < hi <= 1.0
-
-
-def test_sf_matrix_validates_input():
-    with pytest.raises(ValueError):
-        sf_matrix(lambda u: np.eye(2), [0.0])
-    with pytest.raises(ValueError):
-        sf_matrix(lambda u: np.array([[0.0, 1.0], [0.0, 0.0]]), [0.0, 1.0])
 
 
 # --- flux-response identities --------------------------------------------------
