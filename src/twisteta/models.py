@@ -495,6 +495,7 @@ class Progression:
 
 
 def _poly_at(coeffs: Sequence[float], k: int) -> float:
+    """``sum coeffs[i] k^i``."""
     return sum(c * k**i for i, c in enumerate(coeffs))
 
 

@@ -23,8 +23,7 @@ import tempfile
 import traceback
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
+ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("heat_eta", "sweeps", "lw_torus")
 
 
@@ -47,7 +46,7 @@ def same_records(a: str, b: str) -> bool:
 
 def _run_checkout(root: Path, workload: str, seed: int, out: Path) -> int:
     """Run every operation in this process; write ``exit_codes.json``."""
-    sys.path.insert(0, str(HERE.parent / "bench"))
+    sys.path.insert(0, str(ROOT / "bench"))
     sys.path.insert(0, str(root / "src"))
     import workloads
     from twisteta import cli
@@ -73,10 +72,11 @@ def _outcomes(root: Path, workload: str, seed: int, out: Path) -> dict[str, tupl
     out.mkdir(parents=True)
     subprocess.run([sys.executable, __file__, "--run", str(root), str(out),
                     workload, str(seed)], check=True, stdout=subprocess.DEVNULL)
-    codes = json.loads((out / "exit_codes.json").read_text())
-    records = {label: out / f"{label}.jsonl" for label in codes}
-    return {label: (code, records[label].read_text() if records[label].is_file() else "")
-            for label, code in codes.items()}
+    outcomes = {}
+    for label, code in json.loads((out / "exit_codes.json").read_text()).items():
+        path = out / f"{label}.jsonl"  # absent when the command wrote nothing
+        outcomes[label] = (code, path.read_text() if path.is_file() else "")
+    return outcomes
 
 
 def main(argv=None) -> int:
