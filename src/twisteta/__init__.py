@@ -45,14 +45,13 @@ from .models import (
     progression_spectrum,
 )
 from .specflow import (
-    AffinePath,
     Crossing,
     FluxResponseReport,
     SfResult,
     check_flux_response,
     reduced_local_term,
-    sf_affine,
     sf_for_flux,
+    sf_on_spectrum,
 )
 from .weitzenbock import (
     LwReport,

@@ -380,18 +380,20 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
     settings = cfg.eta_settings()
-    base = rho(model, **settings).rho
+    base = rho(model, **settings)
 
     def one(u: float) -> list[ResultRecord]:
         start = time.perf_counter()
         scaled = transform_spectrum(model, ConformalScale(u))
         value = rho(scaled, **settings)
         wall = time.perf_counter() - start
-        bound, conv = value.error_bound, value.converged
+        method = value.xi_twisted.method
+        # |rho_u - rho_0| is off by at most b_u + b_0
         return [
-            make("rho", value.rho, bound, value.xi_twisted.method, u, wall, conv),
-            make("rho_deviation", abs(value.rho - base), bound, value.xi_twisted.method,
-                 u, wall, conv),
+            make("rho", value.rho, value.error_bound, method, u, wall, value.converged),
+            make("rho_deviation", abs(value.rho - base.rho),
+                 value.error_bound + base.error_bound, method, u, wall,
+                 value.converged and base.converged),
         ]
 
     return _sweep(cfg.floats("sweep"), one, cfg.get("workers", 1))

@@ -20,7 +20,7 @@ conformal class of the pair; :func:`check_rho_conformal` measures this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, isfinite
+from math import exp, inf
 from typing import Sequence
 
 from .clifford import FluxForm
@@ -42,8 +42,13 @@ class ConformalScale:
     u: float
 
     def __post_init__(self):
-        if not isfinite(self.u):
-            raise ValueError("conformal factor must be finite")
+        try:
+            ok = all(0.0 < f < inf for f in (exp(self.u), exp(-self.u)))
+        except OverflowError:
+            ok = False
+        if not ok:  # NaN fails too
+            raise ValueError("conformal factor exp(u) and exp(-u) must be finite and "
+                             f"nonzero, got u = {self.u!r}")
 
 
 def transform_flux(flux: FluxForm, scale: ConformalScale) -> FluxForm:

@@ -1,10 +1,13 @@
 """Spectral flow along flux paths and the flux-response identity checks.
 
-The path is ``u -> D + u c(H)`` with constant top-degree flux, so every
-eigenvalue moves affinely: ``lambda(u) = lambda_0 + sign(t) u``.  Flow is
-counted on the half-open interval ``(0, u_max]`` with negative-to-nonnegative
-crossings as +1; zeros are treated as nonnegative throughout, so for matrix
-paths the flow equals ``N_neg(start) - N_neg(end)``.
+The path is ``u -> D + u c(H)`` with constant top-degree flux ``H = t vol``,
+which acts as ``t`` times the identity, so every eigenvalue moves with slope
+``sign(t)``: ``lambda(u) = lambda_0 + sign(t) u``.  The flow over ``u in
+(0, |t|]`` is therefore a count on the zero-flux spectrum
+(:func:`sf_on_spectrum`): ``+#{lambda_0 in [-t, 0)}`` for ``t > 0`` and
+``-#{lambda_0 in (0, |t|]}`` for ``t < 0``.  Negative-to-nonnegative
+crossings count +1 and zeros are treated as nonnegative throughout, so the
+flow equals ``N_neg(start) - N_neg(end)``.
 
 :func:`check_flux_response` measures ``eta(D_H) - eta(D) - 2 sf`` once on a
 3-dimensional model and reports its residual against each named local term
@@ -35,32 +38,15 @@ from .eta import EtaValue, eta_for_model
 from .models import ZERO_TOL, SpectralModel, enumerate_spectrum
 
 __all__ = [
-    "AffinePath",
     "Crossing",
     "SfResult",
-    "sf_affine",
+    "sf_on_spectrum",
     "sf_for_flux",
     "FluxResponseReport",
     "LOCAL_TERMS",
     "check_flux_response",
     "reduced_local_term",
 ]
-
-
-@dataclass(frozen=True)
-class AffinePath:
-    """Affine eigenvalue lines ``(intercept, slope, multiplicity)`` over
-    ``u in [0, u_max]``."""
-
-    lines: tuple[tuple[float, float, int], ...]
-    u_max: float
-
-    def __post_init__(self):
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
-        for _, _, m in self.lines:
-            if m < 1:
-                raise ValueError("multiplicities must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,39 +63,31 @@ class SfResult:
     endpoint_kernel_flags: tuple[bool, bool]
 
 
-def sf_affine(path: AffinePath) -> SfResult:
-    """Exact spectral flow of an affine path.
+def sf_on_spectrum(spectrum: np.ndarray, t: float) -> SfResult:
+    """Exact spectral flow of ``u -> D + u sign(t) vol-flux`` over
+    ``u in (0, |t|]``, from the zero-flux rows ``[value, multiplicity]``.
 
-    A line crosses at ``u* = -intercept/slope`` when ``0 < u* <= u_max`` and
-    contributes ``sign(slope) * multiplicity``.  Lines within ``ZERO_TOL``
-    of zero at an endpoint are flagged (the result is then convention
-    sensitive); a line identically zero is rejected.
+    At path parameter ``u`` every eigenvalue is shifted by ``sign(t) u``, so
+    ``lambda`` crosses zero at ``u = -lambda/sign(t)`` and contributes
+    ``sign(t) * multiplicity`` when that lies in ``(0, |t|]``.  Rows within
+    ``ZERO_TOL`` of zero at an endpoint are flagged (the result is then
+    convention sensitive).
     """
-    start_kernel = end_kernel = False
-    crossings: dict[float, dict[int, int]] = {}
-    flow = 0
-    for lam0, slope, mult in path.lines:
-        if lam0 == 0.0 and slope == 0.0:
-            raise ValueError("line identically zero on the whole range")
-        if abs(lam0) <= ZERO_TOL:
-            start_kernel = True
-        if abs(lam0 + slope * path.u_max) <= ZERO_TOL:
-            end_kernel = True
-        if slope == 0.0:
-            continue
-        u_star = -lam0 / slope
-        if 0.0 < u_star <= path.u_max:
-            direction = 1 if slope > 0 else -1
-            flow += direction * mult
-            crossings.setdefault(u_star, {})[direction] = (
-                crossings.setdefault(u_star, {}).get(direction, 0) + mult
-            )
-    out = []
-    for u_star in sorted(crossings):
-        for direction, mult in sorted(crossings[u_star].items()):
-            out.append(Crossing(u=u_star, multiplicity=mult, direction=direction))
-    return SfResult(flow=flow, crossings=tuple(out),
-                    endpoint_kernel_flags=(start_kernel, end_kernel))
+    slope = 1.0 if t > 0 else -1.0
+    u_max = abs(t)
+    lam = spectrum[:, 0]
+    u = -lam / slope
+    hit = (0.0 < u) & (u <= u_max)
+    crossings: dict[float, int] = {}
+    for u_star, mult in zip(u[hit].tolist(), spectrum[hit, 1].tolist()):
+        crossings[u_star] = crossings.get(u_star, 0) + int(mult)
+    direction = int(slope)
+    return SfResult(
+        flow=direction * sum(crossings.values()),
+        crossings=tuple(Crossing(u=u_star, multiplicity=mult, direction=direction)
+                        for u_star, mult in sorted(crossings.items())),
+        endpoint_kernel_flags=(bool(np.any(np.abs(lam) <= ZERO_TOL)),
+                               bool(np.any(np.abs(lam + slope * u_max) <= ZERO_TOL))))
 
 
 # ---------------------------------------------------------------------------
@@ -130,26 +108,11 @@ def unfluxed_spectrum(model: SpectralModel, reach: float) -> np.ndarray:
     return spec
 
 
-def affine_path_for_model(model: SpectralModel, t: float) -> AffinePath:
-    """Eigenvalue path of ``u -> D + u * sign(t) * vol-flux`` up to ``|t|``.
-
-    Lines start from :func:`unfluxed_spectrum`; only lines that can reach
-    zero (plus a margin of 1) are kept.
-    """
-    if t == 0.0:
-        raise ValueError("no path for t = 0")
-    reach = abs(t) + 1.0
-    spec = unfluxed_spectrum(model, reach)
-    slope = 1.0 if t > 0 else -1.0
-    lines = tuple((v, slope, int(m)) for v, m in spec[np.abs(spec[:, 0]) <= reach].tolist())
-    return AffinePath(lines=lines, u_max=abs(t))
-
-
 def sf_for_flux(model: SpectralModel, t: float) -> SfResult:
     """Spectral flow from the unfluxed operator to flux ``t`` (exact)."""
     if t == 0.0:
         return SfResult(flow=0, crossings=(), endpoint_kernel_flags=(False, False))
-    return sf_affine(affine_path_for_model(model, t))
+    return sf_on_spectrum(unfluxed_spectrum(model, abs(t) + 1.0), t)
 
 
 def _require_3d(model: SpectralModel):

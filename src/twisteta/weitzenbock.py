@@ -55,7 +55,7 @@ from .models import (
     torus_multiplication_operator,
     torus_twisted_derivative,
 )
-from .specflow import sf_for_flux, unfluxed_spectrum
+from .specflow import sf_on_spectrum, unfluxed_spectrum
 
 __all__ = [
     "LwReport",
@@ -220,8 +220,10 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
 
     # the base holds the levels x + 0.0, so the spectrum at flux t is base + t
     # exactly (merging equal values moves no minimum), and it holds the value
-    # nearest to -u h_norm on both sides for every u on the grid
-    base = unfluxed_spectrum(model, grid[-1] * h_norm + 1.0)[:, 0]
+    # nearest to -u h_norm on both sides for every u on the grid and every
+    # value the flux path to the last u crosses
+    spectrum = unfluxed_spectrum(model, grid[-1] * h_norm + 1.0)
+    base = spectrum[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
     min_abs, rhos = [], []
@@ -235,7 +237,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
             )
         rhos.append(rho(model.with_flux(u * h_norm), engine=engine, cutoff=cutoff, tol=tol))
 
-    flow = sf_for_flux(model, grid[-1] * h_norm).flow
+    flow = sf_on_spectrum(spectrum, grid[-1] * h_norm).flow
     if flow != 0:
         raise TheoremViolationError(
             f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"

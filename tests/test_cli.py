@@ -19,7 +19,8 @@ from twisteta.cli import (
     RunConfig,
     main,
 )
-from twisteta.eta import eta_for_model
+from twisteta.eta import eta_for_model, rho
+from twisteta.models import Circle, CircleHolonomy, SpectralModel
 
 
 def write(tmp_path, name, text):
@@ -380,6 +381,31 @@ def test_conformal_command(tmp_path):
     assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_OK
     devs = [r.value for r in read_records(out) if r.quantity == "rho_deviation"]
     assert devs and all(d <= 1e-8 for d in devs)
+
+
+@pytest.mark.parametrize("sweep", ["0.5,800", "0.5,-800"], ids=["overflow", "underflow"])
+def test_conformal_scale_out_of_float_range_is_config_error(tmp_path, capsys, sweep):
+    cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nflux = 0.1\nsweep = {sweep}\n")
+    out = tmp_path / "conf.jsonl"
+    assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "conformal factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conformal_deviation_bound_includes_base(tmp_path):
+    # |rho_u - rho_0| is off by at most b_u + b_0, and converged only when both are
+    cfg = write(tmp_path, "c.txt",
+                "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.3\nflux = 0.2\n"
+                "engine = heat_kernel\ncutoff = 35\nsweep = -1.5\n")
+    out = tmp_path / "conf.jsonl"
+    assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    point, dev = read_records(out)
+    model = SpectralModel(Circle(1.0), CircleHolonomy(0.3), flux_shift=0.2)
+    base = rho(model, engine="heat_kernel", cutoff=35)
+    assert point.quantity == "rho" and dev.quantity == "rho_deviation"
+    assert base.error_bound > 0.0 and point.error_bound > 0.0
+    assert dev.error_bound == point.error_bound + base.error_bound
+    assert dev.converged
 
 
 def test_unconverged_exit_code(tmp_path):

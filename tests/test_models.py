@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from twisteta.clifford import FluxForm, FormComponent, _clifford_terms, build_gamma_rep
 from twisteta.models import (
     Circle,
     CircleHolonomy,
@@ -19,6 +20,7 @@ from twisteta.models import (
     TorusHolonomy,
     TrivialBundle,
     ZERO_TOL,
+    _assemble_blocks,
     _merge,
     build_torus_operator,
     enumerate_spectrum,
@@ -389,6 +391,22 @@ def test_torus_operator_constant_flux_is_shift():
     a = np.linalg.eigvalsh(free.matrix.toarray())
     b = np.linalg.eigvalsh(shifted.matrix.toarray())
     assert np.max(np.abs(b - (a + 0.8))) <= 1e-10
+
+
+def test_torus_degree_one_flux_is_holonomy_shift():
+    # c(i H1) for constant H1 = sum a_j e^j adds i a_j c(e_j) to the symbol
+    # 2 pi i w_j c(e_j) of d/dx_j: the holonomy moves by a_j L_j / (2 pi)
+    geo = Torus3((1.0, 1.3, 0.7))
+    theta, a = np.array([0.3, 0.1, 0.0]), np.array([0.7, -1.1, 0.4])
+    rep = build_gamma_rep(3)
+    h1 = FluxForm((FormComponent.from_terms(1, {(j,): a[j] for j in range(3)}),))
+    grad = dict(enumerate(rep.gammas))
+    block = _clifford_terms(rep, h1.complex_terms())
+    _, twisted = _assemble_blocks(geo, theta, 6, grad, {(0, 0, 0): block})
+    _, shifted = _assemble_blocks(geo, theta + a * np.array(geo.lengths) / (2 * np.pi), 6,
+                                  grad, {})
+    assert abs(twisted - shifted).max() <= 1e-13
+    assert abs(shifted).max() > 50.0
 
 
 def test_torus_operator_cosine_structure():

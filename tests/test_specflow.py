@@ -14,77 +14,59 @@ from twisteta.models import (
     build_torus_operator,
 )
 from twisteta.specflow import (
-    AffinePath,
+    Crossing,
     check_flux_response,
     reduced_local_term,
-    sf_affine,
     sf_for_flux,
+    sf_on_spectrum,
+    unfluxed_spectrum,
 )
+from twisteta.weitzenbock import psc_stability_sweep
 
 
-def sphere_path(u_max, shells=4):
-    lines = []
-    for k in range(shells):
-        lines.append((-(1.5 + k), 1.0, (k + 1) * (k + 2)))
-        lines.append((+(1.5 + k), 1.0, (k + 1) * (k + 2)))
-    return AffinePath(lines=tuple(lines), u_max=u_max)
-
-
-def test_sf_affine_sphere_crossing():
-    res = sf_affine(sphere_path(2.0))
+def test_sf_for_flux_sphere_crossing():
+    # the unit sphere's -3/2 level (multiplicity 2) is the one in [-2, 0)
+    res = sf_for_flux(SpectralModel(Sphere3(1.0)), 2.0)
     assert res.flow == 2
-    assert len(res.crossings) == 1
-    assert res.crossings[0].u == pytest.approx(1.5)
-    assert res.crossings[0].multiplicity == 2
-    assert res.crossings[0].direction == 1
+    assert res.crossings == (Crossing(u=1.5, multiplicity=2, direction=1),)
     assert res.endpoint_kernel_flags == (False, False)
 
 
-def test_sf_affine_no_crossing():
-    res = sf_affine(sphere_path(1.0))
+def test_sf_for_flux_negative_flux_crosses_downwards():
+    res = sf_for_flux(SpectralModel(Sphere3(1.0)), -2.0)
+    assert res.flow == -2
+    assert res.crossings == (Crossing(u=1.5, multiplicity=2, direction=-1),)
+    assert res.endpoint_kernel_flags == (False, False)
+
+
+def test_sf_for_flux_no_crossing():
+    res = sf_for_flux(SpectralModel(Sphere3(1.0)), 1.0)
     assert res.flow == 0 and res.crossings == ()
 
 
-def test_sf_affine_concatenation_additivity():
-    whole = sf_affine(sphere_path(2.8))
-    first = sf_affine(sphere_path(1.0))
-    # second leg: lines advanced by u = 1.0
-    lines = tuple((l0 + s * 1.0, s, m) for l0, s, m in sphere_path(1.0).lines)
-    second = sf_affine(AffinePath(lines=lines, u_max=1.8))
-    assert whole.flow == first.flow + second.flow
+def test_sf_on_spectrum_concatenation_additivity():
+    spec = unfluxed_spectrum(SpectralModel(Sphere3(1.0)), 4.0)
+    whole = sf_on_spectrum(spec, 2.8)
+    first = sf_on_spectrum(spec, 1.0)
+    # second leg: every eigenvalue advanced by u = 1.0
+    second = sf_on_spectrum(np.column_stack([spec[:, 0] + 1.0, spec[:, 1]]), 1.8)
+    assert first.flow == 0 and whole.flow == first.flow + second.flow == 8
 
 
-def test_sf_affine_slope_perturbation_stability():
-    base = sphere_path(2.0)
-    eps = 0.05  # < gap / u_max
-    lines = tuple((l0, s + eps, m) for l0, s, m in base.lines)
-    assert sf_affine(AffinePath(lines=lines, u_max=2.0)).flow == sf_affine(base).flow
-
-
-def test_sf_affine_endpoint_kernel_flagged():
-    res = sf_affine(AffinePath(lines=((0.0, 1.0, 1), (1.0, 1.0, 1)), u_max=1.0))
+def test_sf_on_spectrum_endpoint_kernel_flagged():
+    res = sf_on_spectrum(np.array([[0.0, 1.0], [1.0, 1.0]]), 1.0)
     assert res.endpoint_kernel_flags[0]
-    # the line leaving zero at u=0 is not counted on (0, u_max]
+    # the eigenvalue leaving zero at u=0 is not counted on (0, |t|]
     assert res.flow == 0
-    res = sf_affine(AffinePath(lines=((-1.0, 1.0, 3),), u_max=1.0))
+    res = sf_on_spectrum(np.array([[-1.0, 3.0]]), 1.0)
     assert res.endpoint_kernel_flags[1]
-    assert res.flow == 3  # arrives at zero from below exactly at u_max
-
-
-def test_sf_affine_rejects_zero_line():
-    with pytest.raises(ValueError):
-        sf_affine(AffinePath(lines=((0.0, 0.0, 1),), u_max=1.0))
-
-
-def test_sf_affine_zero_slope_never_crosses():
-    res = sf_affine(AffinePath(lines=((-0.5, 0.0, 4),), u_max=10.0))
-    assert res.flow == 0 and res.crossings == ()
+    assert res.flow == 3  # arrives at zero from below exactly at |t|
 
 
 # --- dense flow ---------------------------------------------------------------
 
-def test_sf_affine_matches_dense_count_on_torus_path():
-    # the one check of sf_affine by another route: along D + u, the flow is
+def test_sf_for_flux_matches_dense_count_on_torus_path():
+    # the one check of the count by another route: along D + u, the flow is
     # the number of negative eigenvalues at u = 0 minus the number at u_max,
     # and each crossing sits at u = -lambda
     geo = Torus3()
@@ -211,7 +193,7 @@ def test_flux_response_rejects_circle():
         check_flux_response(SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=0.1))
 
 
-def test_affine_path_cutoff_starts_at_eight(monkeypatch):
+def test_unfluxed_spectrum_cutoff_starts_at_eight(monkeypatch):
     # on the unit torus cutoff 16 already reaches +-103 > |t| + 1 = 61; a
     # first cutoff guessed from |t| (64) would enumerate a 131^3 mode box
     from twisteta import specflow
@@ -232,3 +214,21 @@ def test_affine_path_cutoff_starts_at_eight(monkeypatch):
     norms = 2.0 * np.pi * np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
                                   + x[None, None, :] ** 2)
     assert flow == np.count_nonzero(norms < t) == 3648
+
+
+def test_psc_sweep_enumerates_once(monkeypatch):
+    # the flow comes from the spectrum the sweep already holds for its
+    # minimum |lambda|
+    from twisteta import specflow
+
+    seen = []
+    enumerate_spectrum = specflow.enumerate_spectrum
+
+    def recording(model, cutoff):
+        seen.append(cutoff)
+        return enumerate_spectrum(model, cutoff)
+
+    monkeypatch.setattr(specflow, "enumerate_spectrum", recording)
+    rpt = psc_stability_sweep(SpectralModel(Sphere3(1.0)), [0.0, 0.2, 0.4, 0.8])
+    assert seen == [8]
+    assert rpt.flow == 0
