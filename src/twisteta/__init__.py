@@ -56,7 +56,6 @@ from .specflow import (
 from .weitzenbock import (
     LwReport,
     PscSweepReport,
-    PscThreshold,
     TheoremViolationError,
     lw_check_deg3,
     lw_check_general,

@@ -84,7 +84,6 @@ _CONFIG_KEYS = {
     "tol": _tolerance,
     "sweep": str,
     "h_norm": float,
-    "r_min": float,
     "workers": _positive_int,
     "format": _one_of("json", "csv"),
     "out": str,
@@ -263,7 +262,7 @@ def _record_factory(cfg: RunConfig):
     return make
 
 
-def _sweep(points: Sequence[float], fn: Callable[[float], list], workers: int) -> list:
+def _sweep(points: Sequence, fn: Callable[..., list], workers: int) -> list:
     """Evaluate sweep points on a worker pool, preserving sweep order."""
     if workers <= 1:
         chunks = [fn(p) for p in points]
@@ -345,8 +344,8 @@ def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
     rpt = lw_check_deg3(model.geometry, cfg.torus_flux(), cfg.get("cutoff", 8), model.bundle)
     wall = time.perf_counter() - start
     return [
-        make("lw_residual_deg3", rpt.residual_deg3, 0.0, "fourier_blocks", None, wall),
-        make("lw_residual_general", rpt.residual_general, 0.0, "fourier_blocks", None, wall),
+        make("lw_residual_deg3", rpt.residual, 0.0, "fourier_blocks", None, wall),
+        make("lw_residual_general", rpt.residual, 0.0, "fourier_blocks", None, wall),
         make("lw_modes_compared", float(rpt.modes_compared), 0.0, "fourier_blocks", None, wall),
     ]
 
@@ -357,19 +356,18 @@ def cmd_psc(cfg: RunConfig) -> list[ResultRecord]:
     settings = cfg.eta_settings()
     grid = cfg.floats("sweep")
     start = time.perf_counter()
-    rpt = psc_stability_sweep(model, grid, h_norm=float(cfg.get("h_norm", 1.0)),
-                              r_min=cfg.get("r_min"), **settings)
+    rpt = psc_stability_sweep(model, grid, h_norm=float(cfg.get("h_norm", 1.0)), **settings)
     wall = time.perf_counter() - start
     # |rho_i - rho_0| is off by at most b_i + b_0 at each grid point
     deviation_bound = rpt.rhos[0].error_bound + max(r.error_bound for r in rpt.rhos)
     records = [
-        make("u0", rpt.threshold.u0, 0.0, "curvature_bound", None, wall),
+        make("u0", rpt.u0, 0.0, "curvature_bound", None, wall),
         make("first_kernel_u", rpt.first_kernel_u, 0.0, "spectrum", None, wall),
         make("sf", float(rpt.flow), 0.0, "affine_exact", None, wall),
         make("rho_deviation_max", rpt.rho_deviation_max, deviation_bound,
              settings["engine"], None, wall, all(r.converged for r in rpt.rhos)),
     ]
-    for u, low, value in zip(rpt.u_grid, rpt.min_abs_eigenvalue, rpt.rhos):
+    for u, low, value in zip(grid, rpt.min_abs_eigenvalue, rpt.rhos):
         records.append(make("min_abs_eigenvalue", low, 0.0, "spectrum", u, wall))
         records.append(make("rho", value.rho, value.error_bound, settings["engine"], u,
                             wall, value.converged))
@@ -380,14 +378,16 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
     settings = cfg.eta_settings()
+    # every scale is checked before the first rho is computed
+    scales = [ConformalScale(u) for u in cfg.floats("sweep")]
     base = rho(model, **settings)
 
-    def one(u: float) -> list[ResultRecord]:
+    def one(scale: ConformalScale) -> list[ResultRecord]:
         start = time.perf_counter()
-        scaled = transform_spectrum(model, ConformalScale(u))
-        value = rho(scaled, **settings)
+        value = rho(transform_spectrum(model, scale), **settings)
         wall = time.perf_counter() - start
         method = value.xi_twisted.method
+        u = scale.u
         # |rho_u - rho_0| is off by at most b_u + b_0
         return [
             make("rho", value.rho, value.error_bound, method, u, wall, value.converged),
@@ -396,7 +396,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  value.converged and base.converged),
         ]
 
-    return _sweep(cfg.floats("sweep"), one, cfg.get("workers", 1))
+    return _sweep(scales, one, cfg.get("workers", 1))
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

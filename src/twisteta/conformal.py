@@ -68,14 +68,13 @@ def transform_spectrum(model: SpectralModel, scale: ConformalScale) -> SpectralM
     return SpectralModel(model.geometry.scaled(s), model.bundle, model.flux_shift / s)
 
 
-def check_rho_conformal(model: SpectralModel, scales: Sequence[float],
-                        engine: str = "hurwitz", cutoff: int | None = None,
-                        tol: float = 1e-8) -> float:
-    """Max over the scale grid of ``|rho(transformed) - rho(original)|``."""
-    base = rho(model, engine=engine, cutoff=cutoff, tol=tol).rho
+def check_rho_conformal(model: SpectralModel, scales: Sequence[float]) -> float:
+    """Max over the scale grid of ``|rho(transformed) - rho(original)|``,
+    each rho from the exact Hurwitz engine."""
+    base = rho(model).rho
     worst = 0.0
     for u in scales:
         scaled = transform_spectrum(model, ConformalScale(float(u)))
-        value = rho(scaled, engine=engine, cutoff=cutoff, tol=tol).rho
+        value = rho(scaled).rho
         worst = max(worst, abs(value - base))
     return worst

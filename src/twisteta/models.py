@@ -793,11 +793,10 @@ def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axi
 
 
 def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int, int], complex],
-                                  cutoff: int, bundle: Bundle = TrivialBundle(1),
-                                  block: np.ndarray | None = None) -> sp.csr_matrix:
+                                  cutoff: int, bundle: Bundle = TrivialBundle(1), *,
+                                  block: np.ndarray) -> sp.csr_matrix:
     """Multiplication operator by the scalar Fourier series ``coeffs``, tensored
-    with an optional constant 2x2 block (identity by default)."""
-    blk = np.eye(2, dtype=complex) if block is None else block
+    with the constant 2x2 ``block``."""
     _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, {},
-                              {u: c * blk for u, c in coeffs.items()})
+                              {u: c * block for u, c in coeffs.items()})
     return mat

@@ -184,7 +184,7 @@ def _c4_weitzenbock() -> tuple[bool, str]:
     worst_t = 0.0
     for flux in (TorusFlux.constant(0.7), TorusFlux.cosine(0, 1.0)):
         rpt = lw_check_deg3(Torus3(), flux, cutoff=8)
-        worst_t = max(worst_t, rpt.residual_deg3, rpt.residual_general)
+        worst_t = max(worst_t, rpt.residual)
     rng = np.random.default_rng(12)
     worst_a = 0.0
     for n in (3, 5):
@@ -197,8 +197,8 @@ def _c4_weitzenbock() -> tuple[bool, str]:
 
 
 def _c5_psc() -> tuple[bool, str]:
-    thr = psc_threshold(6.0, 1.0)
-    u0_ok = abs(thr.u0 - np.sqrt(3.0) / 2.0) <= 1e-14
+    u0 = psc_threshold(6.0, 1.0)
+    u0_ok = abs(u0 - np.sqrt(3.0) / 2.0) <= 1e-14
     grid = [0.0, 0.2, 0.4, 0.8]
     sphere = psc_stability_sweep(SpectralModel(Sphere3(1.0)), grid)
     dev = 0.0
@@ -213,7 +213,7 @@ def _c5_psc() -> tuple[bool, str]:
         guard = True
     ok = (u0_ok and sphere.flow == 0 and min(sphere.min_abs_eigenvalue) > 0.0
           and dev <= 1e-8 and guard)
-    return ok, (f"u0 dev {abs(thr.u0 - np.sqrt(3)/2):.1e}, sphere flow {sphere.flow}, "
+    return ok, (f"u0 dev {abs(u0 - np.sqrt(3)/2):.1e}, sphere flow {sphere.flow}, "
                 f"min|eig| {min(sphere.min_abs_eigenvalue):.3f}, lens rho dev {dev:.2e} "
                 f"(1e-8), hard-failure guard {'armed' if guard else 'MISSING'}")
 
@@ -236,7 +236,7 @@ def _c6_conformal() -> tuple[bool, str]:
             else:
                 dev = np.inf
             worst_spec = max(worst_spec, dev)
-        worst_rho = max(worst_rho, check_rho_conformal(model, scales, engine="hurwitz"))
+        worst_rho = max(worst_rho, check_rho_conformal(model, scales))
     ok = worst_spec <= 1e-10 and worst_rho <= 1e-8
     return ok, f"spectrum scaling dev {worst_spec:.2e} (1e-10), rho dev {worst_rho:.2e} (1e-8)"
 
@@ -278,11 +278,9 @@ _CRITERIA = [
 ]
 
 
-def run_criteria(only: set[str] | None = None) -> list[CriterionResult]:
+def run_criteria() -> list[CriterionResult]:
     results = []
     for ident, name, fn in _CRITERIA:
-        if only is not None and ident not in only:
-            continue
         start, cpu_start = time.perf_counter(), time.process_time()
         try:
             passed, detail = fn()

@@ -10,8 +10,7 @@ crossings count +1 and zeros are treated as nonnegative throughout, so the
 flow equals ``N_neg(start) - N_neg(end)``.
 
 :func:`check_flux_response` measures ``eta(D_H) - eta(D) - 2 sf`` once on a
-3-dimensional model and reports its residual against each named local term
-of :data:`LOCAL_TERMS`:
+3-dimensional model and reports its residual against two local terms:
 
 * ``bare``: the volume-normalized constant ``h / (2 pi^2)`` with
   ``h = t Vol``.  Exact computation refutes this normalization on curved
@@ -30,7 +29,6 @@ of :data:`LOCAL_TERMS`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -43,7 +41,6 @@ __all__ = [
     "sf_on_spectrum",
     "sf_for_flux",
     "FluxResponseReport",
-    "LOCAL_TERMS",
     "check_flux_response",
     "reduced_local_term",
 ]
@@ -110,8 +107,6 @@ def unfluxed_spectrum(model: SpectralModel, reach: float) -> np.ndarray:
 
 def sf_for_flux(model: SpectralModel, t: float) -> SfResult:
     """Spectral flow from the unfluxed operator to flux ``t`` (exact)."""
-    if t == 0.0:
-        return SfResult(flow=0, crossings=(), endpoint_kernel_flags=(False, False))
     return sf_on_spectrum(unfluxed_spectrum(model, abs(t) + 1.0), t)
 
 
@@ -132,33 +127,23 @@ def reduced_local_term(model: SpectralModel, t: float) -> float:
     return r_scal * vol * t / (24.0 * np.pi**2) - vol * t**3 / (3.0 * np.pi**2)
 
 
-# name -> predicted smooth part of eta(D_H) - eta(D) - 2 sf at flux t
-LOCAL_TERMS: dict[str, Callable[[SpectralModel, float], float]] = {
-    "bare": lambda model, t: t * model.geometry.volume / (2.0 * np.pi**2),
-    "calibrated": reduced_local_term,
-}
-
-
 @dataclass(frozen=True)
 class FluxResponseReport:
     """Everything measured while testing the eta-difference identity."""
 
-    t: float
     eta_flux: EtaValue
     eta_zero: EtaValue
     sf: SfResult
-    h: float                     # t Vol
-    terms: dict[str, float]      # LOCAL_TERMS name -> predicted smooth term
-    residuals: dict[str, float]  # name -> |delta eta - 2 sf - term|
+    residuals: dict[str, float]  # "bare", "calibrated" -> |delta eta - 2 sf - term|
     error_budget: float
 
 
 def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
                         cutoff: int | None = None, tol: float = 1e-8,
                         eta_zero: EtaValue | None = None) -> FluxResponseReport:
-    """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for every local term
-    of :data:`LOCAL_TERMS`, from one measurement of the eta difference and
-    the spectral flow.
+    """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for the bare term
+    ``t Vol/(2 pi^2)`` and the calibrated :func:`reduced_local_term`, from one
+    measurement of the eta difference and the spectral flow.
 
     Both endpoint operators must be invertible.  ``eta_zero`` is the eta of
     the unfluxed operator ``model.with_flux(0)`` through the same engine,
@@ -173,10 +158,10 @@ def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
     if eta_zero.kernel_dim or eta_flux.kernel_dim:
         raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
     sf = sf_for_flux(model, t)
-    terms = {name: term(model, t) for name, term in LOCAL_TERMS.items()}
+    terms = {"bare": t * model.geometry.volume / (2.0 * np.pi**2),
+             "calibrated": reduced_local_term(model, t)}
     residuals = {name: abs(eta_flux.eta - eta_zero.eta - 2.0 * sf.flow - term)
                  for name, term in terms.items()}
-    return FluxResponseReport(t=t, eta_flux=eta_flux, eta_zero=eta_zero, sf=sf,
-                              h=t * model.geometry.volume, terms=terms,
+    return FluxResponseReport(eta_flux=eta_flux, eta_zero=eta_zero, sf=sf,
                               residuals=residuals,
                               error_budget=eta_flux.error_bound + eta_zero.error_bound)

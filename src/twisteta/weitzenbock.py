@@ -59,7 +59,6 @@ from .specflow import sf_on_spectrum, unfluxed_spectrum
 
 __all__ = [
     "LwReport",
-    "PscThreshold",
     "PscSweepReport",
     "TheoremViolationError",
     "lw_check_deg3",
@@ -75,13 +74,12 @@ class TheoremViolationError(RuntimeError):
 
 @dataclass(frozen=True)
 class LwReport:
-    residual_deg3: float
-    residual_general: float
+    residual: float
     modes_compared: int
 
     def __post_init__(self):
-        if self.residual_deg3 < 0 or self.residual_general < 0:
-            raise ValueError("residuals are norms, must be >= 0")
+        if self.residual < 0:
+            raise ValueError("the residual is a norm, must be >= 0")
 
 
 def _opnorm_bound(mat) -> float:
@@ -108,8 +106,8 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
 
     The Clifford block ``Z = c(vol)^2 + sum_j c(iota_j vol)^2`` must equal the
     closed form ``-2 I`` exactly (else :class:`TheoremViolationError`), so the
-    one residual against ``f^2 (x) Z`` is both ``residual_deg3`` and
-    ``residual_general``.
+    one residual against ``f^2 (x) Z`` checks the degree-3 closed form and the
+    general identity at once.
     """
     b = flux.bandwidth
     if cutoff < 2 * max(b, 1):
@@ -130,8 +128,7 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     m_gen = torus_multiplication_operator(geometry, flux.convolved(), cutoff, bundle,
                                           block=zero_block)
     residual = _opnorm_bound((d[keep] @ d + a_sq - m_gen[keep])[:, keep])
-    return LwReport(residual_deg3=residual, residual_general=residual,
-                    modes_compared=int(keep.size // 2))
+    return LwReport(residual=residual, modes_compared=int(keep.size // 2))
 
 
 def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:
@@ -163,28 +160,17 @@ def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:
     return float(np.linalg.norm(lhs - rhs, 2))
 
 
-@dataclass(frozen=True)
-class PscThreshold:
-    r_min: float
-    h_norm: float
-
-    @property
-    def u0(self) -> float:
-        return float(np.sqrt(self.r_min / 8.0) / self.h_norm)
-
-
-def psc_threshold(r_min: float, h_norm: float) -> PscThreshold:
+def psc_threshold(r_min: float, h_norm: float) -> float:
     """Kernel-vanishing threshold ``u0 = sqrt(r_min/8)/h_norm`` from
     ``R/4 - 2 u^2 |H|^2 > 0``."""
     if not (isfinite(r_min) and r_min > 0 and isfinite(h_norm) and h_norm > 0):
         raise ValueError(f"r_min = {r_min!r} and h_norm = {h_norm!r} must be finite and positive")
-    return PscThreshold(r_min=float(r_min), h_norm=float(h_norm))
+    return float(np.sqrt(float(r_min) / 8.0) / float(h_norm))
 
 
 @dataclass(frozen=True)
 class PscSweepReport:
-    threshold: PscThreshold
-    u_grid: tuple[float, ...]
+    u0: float
     min_abs_eigenvalue: tuple[float, ...]
     flow: int
     rhos: tuple[RhoValue, ...]
@@ -204,19 +190,20 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     ``r_min`` defaults to the geometry's scalar curvature; overriding it is
     only useful to exercise the hard-failure branch, which raises
     :class:`TheoremViolationError` because a kernel below the true threshold
-    contradicts the curvature bound.
+    contradicts the curvature bound.  ``min_abs_eigenvalue`` and ``rhos``
+    follow the order of ``u_grid``.
     """
     if not model.geometry.scalar_curvature > 0:
         raise ValueError("sweep requires a positive-scalar-curvature model")
     if model.flux_shift != 0.0:
         raise ValueError("sweep starts from the unfluxed operator")
     r_eff = model.geometry.scalar_curvature if r_min is None else float(r_min)
-    thr = psc_threshold(r_eff, h_norm)
+    u0 = psc_threshold(r_eff, h_norm)
     grid = tuple(float(u) for u in u_grid)
     if not grid or any(u < 0 for u in grid) or list(grid) != sorted(set(grid)):
         raise ValueError("u grid must be nonempty, nonnegative and strictly increasing")
-    if grid[-1] >= thr.u0:
-        raise ValueError(f"u grid must stay strictly below u0 = {thr.u0}")
+    if grid[-1] >= u0:
+        raise ValueError(f"u grid must stay strictly below u0 = {u0}")
 
     # the base holds the levels x + 0.0, so the spectrum at flux t is base + t
     # exactly (merging equal values moves no minimum), and it holds the value
@@ -232,7 +219,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
         min_abs.append(low)
         if low <= ZERO_TOL:
             raise TheoremViolationError(
-                f"kernel detected at u={u} below u0={thr.u0}: the curvature "
+                f"kernel detected at u={u} below u0={u0}: the curvature "
                 "bound excludes this; check flux sign conventions"
             )
         rhos.append(rho(model.with_flux(u * h_norm), engine=engine, cutoff=cutoff, tol=tol))
@@ -243,7 +230,6 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
             f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"
         )
     deviation = max(abs(r.rho - rhos[0].rho) for r in rhos)
-    return PscSweepReport(threshold=thr, u_grid=grid,
-                          min_abs_eigenvalue=tuple(min_abs), flow=flow,
+    return PscSweepReport(u0=u0, min_abs_eigenvalue=tuple(min_abs), flow=flow,
                           rhos=tuple(rhos), rho_deviation_max=float(deviation),
                           first_kernel_u=float(first_kernel))

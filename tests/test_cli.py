@@ -20,7 +20,7 @@ from twisteta.cli import (
     main,
 )
 from twisteta.eta import eta_for_model, rho
-from twisteta.models import Circle, CircleHolonomy, SpectralModel
+from twisteta.models import Circle, CircleHolonomy, SpectralModel, Sphere3
 
 
 def write(tmp_path, name, text):
@@ -221,16 +221,17 @@ def test_lw_requires_torus(tmp_path):
     assert main(["lw", "--config", cfg]) == EXIT_CONFIG
 
 
-def test_psc_command_and_violation_exit(tmp_path):
+def test_psc_command_and_violation_exit(tmp_path, monkeypatch):
     cfg = write(tmp_path, "c.txt", "geometry = sphere3\nsweep = 0.0,0.2,0.4\n")
     out = tmp_path / "psc.jsonl"
     assert main(["psc", "--config", cfg, "--out", str(out)]) == EXIT_OK
     by_name = {r.quantity: r for r in read_records(out)}
     assert by_name["u0"].value == pytest.approx(0.8660254037844386, abs=1e-12)
     assert by_name["sf"].value == 0.0
-    # inflated r_min claims a threshold beyond the true first kernel: exit 4
-    bad = write(tmp_path, "bad.txt",
-                "geometry = sphere3\nsweep = 0.0,1.5\nr_min = 60.0\n")
+    # an inflated curvature claims a threshold beyond the true first kernel
+    # at u = 3/2: exit 4
+    monkeypatch.setattr(Sphere3, "scalar_curvature", 60.0)
+    bad = write(tmp_path, "bad.txt", "geometry = sphere3\nsweep = 0.0,1.5\n")
     assert main(["psc", "--config", bad]) == EXIT_VIOLATION
 
 
@@ -285,7 +286,7 @@ def test_psc_kernel_scan_ignores_the_heat_cutoff(tmp_path):
     ("eta", "cutoff = 0\n", "cutoff"),
     ("psc", "sweep = 0.0,0.2\nh_norm = nan\n", "h_norm"),
     ("psc", "sweep = 0.0,0.2\nh_norm = inf\n", "h_norm"),
-    ("psc", "sweep = 0.0,0.2\nr_min = nan\n", "r_min"),
+    ("psc", "sweep = 0.0,0.2\nr_min = nan\n", "unknown key 'r_min'"),
 ], ids=["eta-tol-nan", "eta-tol-0", "eta-tol-negative", "eta-cutoff-0",
         "psc-h_norm-nan", "psc-h_norm-inf", "psc-r_min-nan"])
 def test_bad_setting_is_a_config_error_naming_it(tmp_path, capsys, command, text, key):
@@ -389,6 +390,22 @@ def test_conformal_scale_out_of_float_range_is_config_error(tmp_path, capsys, sw
     out = tmp_path / "conf.jsonl"
     assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "conformal factor" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, capsys, workers):
+    from twisteta import cli
+
+    calls = []
+    rho_fn = cli.rho
+    monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
+    cfg = write(tmp_path, "c.txt", "geometry = sphere3\nflux = 0.1\nsweep = 0.5,800\n")
+    out = tmp_path / "conf.jsonl"
+    argv = ["conformal", "--config", cfg, "--out", str(out), "--workers", workers]
+    assert main(argv) == EXIT_CONFIG
+    assert "conformal factor" in capsys.readouterr().err
+    assert calls == []
     assert not out.exists()
 
 

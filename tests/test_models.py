@@ -503,11 +503,10 @@ def _assert_assembly_matches_mode_loop(geo, bundle, flux, cutoff):
         _assert_same_csr(torus_twisted_derivative(geo, flux, cutoff, axis, bundle), ref)
 
     f_sq = flux.convolved()
-    for block in (None, np.array([[1.0, 2.0j], [-2.0j, 3.0]])):
-        blk = eye if block is None else block
+    for block in (eye, np.array([[1.0, 2.0j], [-2.0j, 3.0]])):
         _, ref = _reference_assembly(
-            geo, theta, cutoff, lambda _: f_sq.get((0, 0, 0), 0.0) * blk,
-            {u: c * blk for u, c in f_sq.items() if u != (0, 0, 0)})
+            geo, theta, cutoff, lambda _: f_sq.get((0, 0, 0), 0.0) * block,
+            {u: c * block for u, c in f_sq.items() if u != (0, 0, 0)})
         _assert_same_csr(
             torus_multiplication_operator(geo, f_sq, cutoff, bundle, block=block), ref)
 

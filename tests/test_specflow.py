@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twisteta.eta import eta_for_model
+from twisteta.eta import eta_for_model, rho
 from twisteta.models import (
     Circle,
     CircleHolonomy,
@@ -11,6 +11,7 @@ from twisteta.models import (
     Sphere3,
     Torus3,
     TorusFlux,
+    TrivialBundle,
     build_torus_operator,
 )
 from twisteta.specflow import (
@@ -42,6 +43,16 @@ def test_sf_for_flux_negative_flux_crosses_downwards():
 def test_sf_for_flux_no_crossing():
     res = sf_for_flux(SpectralModel(Sphere3(1.0)), 1.0)
     assert res.flow == 0 and res.crossings == ()
+
+
+def test_sf_for_flux_at_zero_flux_is_the_general_count():
+    # t = 0 takes the same count as every other flux: no flow, and the
+    # circle's zero mode at n = 0 is flagged at both (coinciding) endpoints
+    res = sf_for_flux(SpectralModel(Circle(1.0)), 0.0)
+    assert res.flow == 0 and res.crossings == ()
+    assert res.endpoint_kernel_flags == (True, True)
+    res = sf_for_flux(SpectralModel(Sphere3(1.0)), 0.0)
+    assert res.flow == 0 and res.endpoint_kernel_flags == (False, False)
 
 
 def test_sf_on_spectrum_concatenation_additivity():
@@ -112,7 +123,7 @@ def test_one_kernel_threshold(engine):
 def test_check_flux_response_bare_zero_flux():
     rpt = check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=0.0))
     assert rpt.residuals["bare"] == pytest.approx(0.0, abs=1e-13)
-    assert rpt.sf.flow == 0 and rpt.h == 0.0
+    assert rpt.sf.flow == 0 and rpt.sf.crossings == ()
 
 
 def test_check_flux_response_bare_reports_measured_residual():
@@ -122,7 +133,7 @@ def test_check_flux_response_bare_reports_measured_residual():
     rpt = check_flux_response(model)
     eta_t = eta_for_model(model, "hurwitz").eta
     eta_0 = eta_for_model(model.with_flux(0.0), "hurwitz").eta
-    assert rpt.h == pytest.approx(0.3 * 2 * np.pi**2, abs=1e-12)
+    # h/(2 pi^2) with h = t Vol = 0.3 * 2 pi^2
     expected = abs(eta_t - eta_0 - 0.0 - 0.3)
     assert rpt.residuals["bare"] == pytest.approx(expected, abs=1e-12)
     # measured response is t/2 - 2 t^3/3, so the bare-constant residual is
@@ -151,7 +162,7 @@ def test_check_flux_response_calibrated_torus_heat():
     model = SpectralModel(Torus3(), flux_shift=0.5)
     rpt = check_flux_response(model, engine="heat_kernel", cutoff=40)
     assert rpt.residuals["calibrated"] <= 1e-8
-    assert rpt.terms["calibrated"] == pytest.approx(-0.5**3 / (3 * np.pi**2), abs=1e-15)
+    assert reduced_local_term(model, 0.5) == pytest.approx(-0.5**3 / (3 * np.pi**2), abs=1e-15)
 
 
 def test_check_flux_response_calibrated_crossing_bookkeeping():
@@ -174,6 +185,39 @@ def test_check_flux_response_shared_zero_flux_eta():
     assert kernel.kernel_dim == 1
     with pytest.raises(ValueError, match="endpoint operator has a kernel"):
         check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=0.3), eta_zero=kernel)
+
+
+# --- top-degree rho ------------------------------------------------------------
+
+# none of these fluxes puts a kernel on the unit sphere or its lens quotients,
+# whose levels are the half-integers
+RHO_FLUXES = (0.4, 1.2, 1.7, 2.6, 3.3, -1.9, 5.1)
+
+
+@pytest.mark.parametrize("p", range(2, 13))
+def test_rho_jumps_by_the_flow_difference_on_lens_characters(p):
+    # for H = t vol the local eta variation is rank times that of the trivial
+    # line, so it cancels in rho: rho(t) - rho(0) = sf_E(t) - sf_1(t)
+    trivial = SpectralModel(Lens(p))
+    jumps = set()
+    for k in range(p):
+        model = SpectralModel(Lens(p), LensCharacter(p, k))
+        rho_0 = rho(model).rho
+        for t in RHO_FLUXES:
+            jump = sf_for_flux(model, t).flow - sf_for_flux(trivial, t).flow
+            assert rho(model.with_flux(t)).rho - rho_0 == pytest.approx(jump, abs=1e-12)
+            jumps.add(jump)
+    assert jumps != {0}  # the identity is checked across crossings
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("t", [0.3, 1.7, 2.6, -3.3])
+def test_rho_of_a_trivial_bundle_has_no_jump(rank, t):
+    # sf_E = rank sf_1, so the flows cancel too and rho stays 0 past crossings
+    line = SpectralModel(Sphere3(1.0))
+    model = SpectralModel(Sphere3(1.0), TrivialBundle(rank), t)
+    assert sf_for_flux(model, t).flow == rank * sf_for_flux(line, t).flow
+    assert abs(rho(model).rho) <= 1e-12
 
 
 def test_reduced_local_term_values():

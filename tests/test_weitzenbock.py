@@ -17,7 +17,6 @@ from twisteta.models import (
     torus_twisted_derivative,
 )
 from twisteta.weitzenbock import (
-    LwReport,
     TheoremViolationError,
     _opnorm_bound,
     _zeroth_order_block,
@@ -41,20 +40,17 @@ def random_flux(n, degrees, seed):
 
 def test_lw_deg3_zero_flux():
     rpt = lw_check_deg3(Torus3(), TorusFlux.constant(0.0), cutoff=4)
-    assert rpt.residual_deg3 == 0.0
-    assert rpt.residual_general == 0.0
+    assert rpt.residual == 0.0
 
 
 def test_lw_deg3_constant_flux():
     rpt = lw_check_deg3(Torus3(), TorusFlux.constant(0.7), cutoff=6)
-    assert rpt.residual_deg3 <= 1e-12
-    assert rpt.residual_general <= 1e-12
+    assert rpt.residual <= 1e-12
 
 
 def test_lw_deg3_single_harmonic():
     rpt = lw_check_deg3(Torus3(), TorusFlux.cosine(0, 1.0), cutoff=8)
-    assert rpt.residual_deg3 <= 1e-10
-    assert rpt.residual_general <= 1e-10
+    assert rpt.residual <= 1e-10
     assert rpt.modes_compared == 15**3
 
 
@@ -62,12 +58,14 @@ def test_lw_deg3_anisotropic_torus_with_holonomy():
     geo = Torus3((1.0, 1.3, 0.7), (0.0, 0.5, 0.5))
     rpt = lw_check_deg3(geo, TorusFlux.cosine(1, 0.8), cutoff=6,
                         bundle=TorusHolonomy((0.2, 0.0, 0.4)))
-    assert rpt.residual_deg3 <= 1e-10
+    assert rpt.residual <= 1e-10
 
 
 def _lw_on_all_rows(geometry, flux, cutoff, bundle):
     """The degree-3 check with every product formed on all rows and the
-    interior block taken at the end: the reference for the interior-row one."""
+    interior block taken at the end: the reference for the interior-row one.
+    Returns the closed-form residual (against ``2 f^2``), the Clifford-block
+    residual (against ``f^2 (x) Z``) and the number of modes compared."""
     op = build_torus_operator(geometry, flux, cutoff, bundle)
     d2 = op.matrix @ op.matrix
     delta = None
@@ -77,13 +75,13 @@ def _lw_on_all_rows(geometry, flux, cutoff, bundle):
     delta = -delta
     f_sq = flux.convolved()
     m2 = torus_multiplication_operator(geometry, {u: 2.0 * c for u, c in f_sq.items()},
-                                       cutoff, bundle)
+                                       cutoff, bundle, block=np.eye(2, dtype=complex))
     zero_block = _zeroth_order_block(build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms())
     m_gen = torus_multiplication_operator(geometry, f_sq, cutoff, bundle, block=zero_block)
     keep = op.interior_indices(max(flux.bandwidth, 1))
-    return LwReport(residual_deg3=_opnorm_bound((d2 - delta + m2)[keep][:, keep]),
-                    residual_general=_opnorm_bound((d2 - delta - m_gen)[keep][:, keep]),
-                    modes_compared=int(keep.size // 2))
+    return (_opnorm_bound((d2 - delta + m2)[keep][:, keep]),
+            _opnorm_bound((d2 - delta - m_gen)[keep][:, keep]),
+            int(keep.size // 2))
 
 
 @pytest.mark.parametrize("flux", [
@@ -93,9 +91,11 @@ def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(flux):
     geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
     bundle = TorusHolonomy((0.2, 0.35, 0.9))
     rpt = lw_check_deg3(geo, flux, 5, bundle)
-    ref = _lw_on_all_rows(geo, flux, 5, bundle)
-    assert rpt.residual_deg3 > 0 and rpt.residual_general > 0  # rounding, not exact zeros
-    assert rpt == ref  # exact float equality
+    closed_form, clifford, modes = _lw_on_all_rows(geo, flux, 5, bundle)
+    assert rpt.residual > 0  # rounding, not an exact zero
+    # exact float equality, against both forms of the zeroth-order term
+    assert rpt.residual == closed_form == clifford
+    assert rpt.modes_compared == modes
 
 
 def test_lw_deg3_zeroth_order_block_must_be_minus_two(monkeypatch):
@@ -163,14 +163,14 @@ def test_lw_general_dimension_guard():
 # --- PSC threshold -------------------------------------------------------------
 
 def test_psc_threshold_examples():
-    assert psc_threshold(8.0, 1.0).u0 == pytest.approx(1.0, abs=1e-15)
-    assert psc_threshold(6.0, 1.0).u0 == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-15)
-    assert psc_threshold(6.0, 2.0).u0 == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-15)
+    assert psc_threshold(8.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert psc_threshold(6.0, 1.0) == pytest.approx(np.sqrt(3.0) / 2.0, abs=1e-15)
+    assert psc_threshold(6.0, 2.0) == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-15)
 
 
 def test_psc_threshold_monotonicity():
-    assert psc_threshold(10.0, 1.0).u0 > psc_threshold(6.0, 1.0).u0
-    assert psc_threshold(6.0, 3.0).u0 < psc_threshold(6.0, 1.0).u0
+    assert psc_threshold(10.0, 1.0) > psc_threshold(6.0, 1.0)
+    assert psc_threshold(6.0, 3.0) < psc_threshold(6.0, 1.0)
 
 
 def test_psc_threshold_rejects_nonpositive():
@@ -189,14 +189,17 @@ def test_psc_threshold_rejects_non_finite(r_min, h_norm):
 
 
 def test_psc_sweep_sphere():
-    rpt = psc_stability_sweep(SpectralModel(Sphere3(1.0)), [0.0, 0.2, 0.4, 0.8])
+    grid = [0.0, 0.2, 0.4, 0.8]
+    rpt = psc_stability_sweep(SpectralModel(Sphere3(1.0)), grid)
     assert rpt.flow == 0
     assert rpt.rho_deviation_max == 0.0
     assert rpt.first_kernel_u == pytest.approx(1.5)
+    assert rpt.u0 == psc_threshold(6.0, 1.0)
     # lowest level moves as |3/2 - u|; all grid points stay above u0 margin
-    for u, low in zip(rpt.u_grid, rpt.min_abs_eigenvalue):
+    assert len(rpt.min_abs_eigenvalue) == len(grid)
+    for u, low in zip(grid, rpt.min_abs_eigenvalue):
         assert low == pytest.approx(abs(1.5 - u), abs=1e-12)
-        assert low >= 1.5 - rpt.threshold.u0 - 1e-12
+        assert low >= 1.5 - rpt.u0 - 1e-12
 
 
 def test_psc_sweep_lens_rho_constant():
