@@ -378,13 +378,20 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
     settings = cfg.eta_settings()
-    # every scale is checked before the first rho is computed
-    scales = [ConformalScale(u) for u in cfg.floats("sweep")]
+    # every scaled model is built, and so checked, before the first rho
+    scaled = []
+    for u in cfg.floats("sweep"):
+        try:
+            scale = ConformalScale(u)
+            scaled.append((scale, transform_spectrum(model, scale)))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for 'sweep': u = {u!r}: {exc}") from None
     base = rho(model, **settings)
 
-    def one(scale: ConformalScale) -> list[ResultRecord]:
+    def one(point: tuple[ConformalScale, SpectralModel]) -> list[ResultRecord]:
+        scale, scaled_model = point
         start = time.perf_counter()
-        value = rho(transform_spectrum(model, scale), **settings)
+        value = rho(scaled_model, **settings)
         wall = time.perf_counter() - start
         method = value.xi_twisted.method
         u = scale.u
@@ -396,7 +403,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  value.converged and base.converged),
         ]
 
-    return _sweep(scales, one, cfg.get("workers", 1))
+    return _sweep(scaled, one, cfg.get("workers", 1))
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

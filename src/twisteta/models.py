@@ -183,6 +183,13 @@ Bundle = Union[TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter]
 BUNDLES = {b.config_name: b for b in (TrivialBundle, CircleHolonomy, TorusHolonomy, LensCharacter)}
 
 
+# kernel threshold: |lambda| <= ZERO_TOL counts as a zero mode
+ZERO_TOL = 1e-9
+# the largest radius or torus edge: the spectral unit, 1/radius or 1/max L,
+# stays at least 1e3 ZERO_TOL, so no level falls into the kernel threshold
+MAX_LENGTH = 1e6
+
+
 # ---------------------------------------------------------------------------
 # geometries
 # ---------------------------------------------------------------------------
@@ -201,8 +208,9 @@ class _Round:
     """Geometry with one length scale, ``radius``."""
 
     def __post_init__(self):
-        if not (isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius!r}")
+        if not 0 < self.radius <= MAX_LENGTH:  # NaN fails too
+            raise ValueError(f"radius must be finite, positive and at most {MAX_LENGTH:g}, "
+                             f"got {self.radius!r}")
 
     def scaled(self, s: float):
         return replace(self, radius=self.radius * s)
@@ -277,8 +285,9 @@ class Torus3:
     scalar_curvature: ClassVar[float] = 0.0
 
     def __post_init__(self):
-        if len(self.lengths) != 3 or not all(isfinite(x) and x > 0 for x in self.lengths):
-            raise ValueError(f"edge lengths must be finite and positive, got {self.lengths!r}")
+        if len(self.lengths) != 3 or not all(0 < x <= MAX_LENGTH for x in self.lengths):
+            raise ValueError(f"edge lengths must be finite, positive and at most "
+                             f"{MAX_LENGTH:g}, got {self.lengths!r}")
         if len(self.spin) != 3 or any(s not in (0.0, 0.5) for s in self.spin):
             raise ValueError("spin structure offsets must each be 0 or 0.5")
 
@@ -375,9 +384,6 @@ class Lens(_Round):
 
 Geometry = Union[Circle, Sphere3, Torus3, Lens]
 GEOMETRIES = {geo.config_name: geo for geo in (Circle, Sphere3, Torus3, Lens)}
-
-# kernel threshold: |lambda| <= ZERO_TOL counts as a zero mode
-ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -409,6 +409,51 @@ def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, ca
     assert not out.exists()
 
 
+LENS_3_1 = "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"
+
+
+def test_conformal_scale_past_the_kernel_threshold_is_config_error(tmp_path, monkeypatch,
+                                                                     capsys):
+    # u = 22 stretches the radius to 3.6e9, where the levels 3.5e-10 apart
+    # fall under the kernel threshold ZERO_TOL; it once gave rho = -2.333
+    # against -1/3 at u = 0, marked converged
+    from twisteta import cli
+
+    calls = []
+    rho_fn = cli.rho
+    monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
+    cfg = write(tmp_path, "c.txt", LENS_3_1 + "flux = 0.1\nsweep = 22\n")
+    out = tmp_path / "conf.jsonl"
+    assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'sweep'" in err and "radius" in err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("rho", LENS_3_1 + "radius = 1e10\n"),
+    ("eta", "geometry = torus3\nlengths = 1.0,1.0,2e6\nengine = heat\n"),
+], ids=["lens-radius-1e10", "torus-edge-2e6"])
+def test_length_past_the_kernel_threshold_is_config_error(tmp_path, capsys, command, text):
+    # rho of the lens at radius 1e10 once gave -6.333, marked converged
+    cfg = write(tmp_path, "c.txt", text)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and ("radius" in err if command == "rho" else "lengths" in err)
+    assert not out.exists()
+
+
+def test_radius_at_the_length_limit_is_accepted(tmp_path):
+    cfg = write(tmp_path, "c.txt", LENS_3_1 + "radius = 1e6\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["rho", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    [value] = [r for r in read_records(out) if r.quantity == "rho"]
+    assert value.value == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert value.converged
+
+
 def test_conformal_deviation_bound_includes_base(tmp_path):
     # |rho_u - rho_0| is off by at most b_u + b_0, and converged only when both are
     cfg = write(tmp_path, "c.txt",

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from twisteta.eta import (
     hurwitz_zeta_nonpositive,
     rho,
 )
-from twisteta.eta import _GL_W, _GL_X, _OddTrace, _tail_floor
+from twisteta import eta as eta_mod
+from twisteta.eta import _GL20_W, _GL20_X, _GL_W, _GL_X, _OddTrace, _integrate_log, _tail_floor
 from twisteta.models import (
     Circle,
     CircleHolonomy,
@@ -26,6 +28,7 @@ from twisteta.models import (
     SpectralModel,
     Sphere3,
     Torus3,
+    TorusHolonomy,
     TrivialBundle,
     enumerate_spectrum,
     progression_spectrum,
@@ -203,6 +206,112 @@ def test_gauss_legendre_rule_matches_mpmath():
     for x, w, (x_ref, w_ref) in zip(_GL_X, _GL_W, nodes):
         assert abs(ctx.mpf(str(x)) - x_ref) <= 4 * eps
         assert abs(ctx.mpf(str(w)) - w_ref) <= 4 * eps
+
+
+@pytest.mark.parametrize("x,w,n", [(_GL20_X, _GL20_W, 20), (_GL_X, _GL_W, 24)],
+                         ids=["20-point", "24-point"])
+def test_gauss_legendre_rules_integrate_even_moments_exactly(x, w, n):
+    # an n-point rule is exact to degree 2n - 1: sum w x^2k = 2/(2k + 1)
+    assert x.size == w.size == n
+    assert x.dtype == w.dtype == np.longdouble
+    eps = np.finfo(np.longdouble).eps
+    for k in range(n):
+        exact = np.longdouble(2) / (2 * k + 1)
+        assert abs(np.sum(w * x ** (2 * k)) - exact) <= 8 * eps
+
+
+def _seeded_heat_models():
+    """Models on all four geometries with |t r| <= 2.9 (r the radius, the
+    largest torus edge): holonomy circles, spheres, lens characters p <= 12
+    and holonomy tori with L_max/L_min <= 2, at cutoffs that converge and
+    ones that do not."""
+    rng = np.random.default_rng(19)
+    models = []
+    for cutoff in (200, 800, 2000):
+        r = rng.uniform(0.5, 2.0)
+        models.append((SpectralModel(Circle(r), CircleHolonomy(rng.uniform(0.0, 1.0)),
+                                     rng.uniform(-2.9, 2.9) / r), cutoff))
+    for cutoff in (60, 150, 400):
+        r = rng.uniform(0.5, 2.0)
+        models.append((SpectralModel(Sphere3(r), flux_shift=rng.uniform(-2.9, 2.9) / r),
+                       cutoff))
+    for cutoff in (60, 150, 400, 400):
+        r, p = rng.uniform(0.5, 2.0), int(rng.integers(2, 13))
+        character = LensCharacter(p, int(rng.integers(0, p)))
+        models.append((SpectralModel(Lens(p, r), character, rng.uniform(-2.9, 2.9) / r),
+                       cutoff))
+    for cutoff in (8, 12):
+        lengths = rng.uniform(1.0, 2.0, 3)
+        lengths[rng.integers(0, 3)] = 1.0
+        holonomy = TorusHolonomy(tuple(rng.uniform(0.0, 1.0, 3)))
+        models.append((SpectralModel(Torus3(tuple(lengths)), holonomy,
+                                     rng.uniform(-2.9, 2.9) / lengths.max()), cutoff))
+    return [pytest.param(model, cutoff, id=f"{model.geometry.config_name}-{cutoff}")
+            for model, cutoff in models]
+
+
+def _record_integrals(monkeypatch) -> list:
+    """Make ``eta_heat`` record the ``(trace, t0, t1, panels, |G24 - G20|)``
+    of each of its ``_integrate_log`` calls in the returned list."""
+    calls = []
+    integrate_log = eta_mod._integrate_log
+
+    def spy(trace, t0, t1, panels):
+        value, err = integrate_log(trace, t0, t1, panels)
+        calls.append((trace, t0, t1, panels, err))
+        return value, err
+
+    monkeypatch.setattr(eta_mod, "_integrate_log", spy)
+    return calls
+
+
+@pytest.mark.parametrize("model,cutoff", _seeded_heat_models())
+def test_quadrature_estimate_bounds_the_two_panel_error(monkeypatch, model, cutoff):
+    # on each half of eta_heat's split, |G24 - G20| at 2 panels bounds the
+    # distance of the 2-panel G24 from the 16-panel G24, up to the rounding
+    # of the sums, 8 eps times the integral of t^(-1/2) times the gross
+    # trace (the evaluation noise that eta_heat budgets separately)
+    calls = _record_integrals(monkeypatch)
+    heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+    halves = [call for call in calls if call[3] == 2]
+    assert len(halves) in (1, 2)
+    eps = float(np.finfo(np.longdouble).eps)
+    for trace, lo, hi, _, quad_err in halves:
+        g24, _ = _integrate_log(trace, lo, hi, 2)
+        reference, _ = _integrate_log(trace, lo, hi, 16)
+        gross, _ = _integrate_log(SimpleNamespace(odd=trace.gross), lo, hi, 2)
+        assert abs(float(g24 - reference)) <= quad_err + 8 * eps * float(gross)
+    if not isinstance(model.geometry, Torus3):
+        exact = eta_for_model(model, "hurwitz")
+        assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+
+
+def test_quadrature_doubles_the_panels_when_the_pair_disagrees(monkeypatch):
+    # at tol 1e-13 the 2-panel |G24 - G20| (about 8.8e-12) fails tol/16, so
+    # both halves are integrated again on 4 panels, where it passes
+    model = SpectralModel(Sphere3(0.8422), flux_shift=0.155296)
+    calls = _record_integrals(monkeypatch)
+    heat = eta_for_model(model, "heat_kernel", cutoff=400, tol=1e-13)
+    assert [call[3] for call in calls] == [2, 2, 4, 4]
+    assert sum(call[4] for call in calls[:2]) > 1e-13 / 16
+    assert sum(call[4] for call in calls[2:]) <= 1e-13 / 16
+    exact = eta_for_model(model, "hurwitz")
+    assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+
+
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Circle(0.8918), CircleHolonomy(0.151786), flux_shift=1.376719), 40),
+    (SpectralModel(Sphere3(0.8422), flux_shift=0.155296), 400),
+], ids=["circle", "sphere"])
+def test_heat_eta_evaluates_201_trace_rows(monkeypatch, model, cutoff):
+    # 12 odd and 12 gross ladder rows, 1 t_max row, and 2 halves x 2 panels
+    # x (24 + 20) quadrature nodes
+    rows = []
+    heat_sums = eta_mod._heat_sums
+    monkeypatch.setattr(eta_mod, "_heat_sums",
+                        lambda lam, weight, ts: rows.append(ts.size) or heat_sums(lam, weight, ts))
+    assert eta_for_model(model, "heat_kernel", cutoff=cutoff).converged
+    assert sum(rows) == 201
 
 
 def test_heat_symmetric_spectrum_cancels_exactly():
