@@ -30,11 +30,15 @@ at ``s = 0``:
 All trace accumulation runs in extended precision (``numpy.longdouble``)
 because alternating sums over quadratically growing multiplicities lose
 about four digits in double precision.  A trace is evaluated for a vector
-of t (the 24 nodes of a quadrature panel, the ladder points), and each t
-sums only its own window, the eigenvalues with ``t lambda^2 <= 11500``.
-Every other term is exactly zero, not merely small: in longdouble
-``exp(-x)`` underflows to 0 for ``x >= 11400`` (below the smallest
-subnormal, ``exp(-11399)``), so the truncation leaves every sum unchanged.
+of t (the nodes of a quadrature panel, the ladder points), and each t sums
+only its own window, the eigenvalues with ``t lambda^2 <= reach``.  A trace
+of total weight ``W = sum |weight|`` has ``reach = min(11500, ln W + 60 ln
+10)``: each dropped term has ``exp(-t lambda^2) <= 1e-60/W``, so a sum drops
+at most 1e-60 in all.  Over the Mellin integral that moves eta by at most
+``1e-60 * 2 sqrt(t_max)/sqrt(pi)``, below 1e-55 for any ``t_max`` the engine
+takes, 40 orders under the ``1e-15 (1 + |eta|)`` rounding term of the
+budget, which therefore needs no term for it.  (11500 is where longdouble
+``exp(-x)`` is exactly 0: the smallest subnormal is ``exp(-11399)``.)
 
 The quadrature runs on 2 panels of equal width in ``log t`` per half.  On
 each panel a 24-point and a 20-point Gauss-Legendre rule share one trace
@@ -260,13 +264,24 @@ def _solve_normal_ld(a: np.ndarray, y: np.ndarray) -> np.ndarray:
 # exp(-x) is exactly 0 in longdouble for x >= 11400 (for x > 746 where
 # longdouble is double), so a term with t lambda^2 beyond this is an exact zero
 _UNDERFLOW = 11500.0
+# a trace drops the terms with exp(-t lambda^2) <= _DROPPED / sum |weight|
+_DROPPED = 1e-60
 
 
-def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _reach(weight: np.ndarray) -> float:
+    """The window ``t lambda^2 <= reach`` of a trace with these weights:
+    ``exp(-reach) = 1e-60 / W``, ``W = sum |weight|``, so the terms outside
+    it add up to at most 1e-60; never past the exact underflow."""
+    total = float(np.sum(np.abs(weight)))
+    return min(_UNDERFLOW, float(np.log(total) - np.log(_DROPPED))) if total > 0 else 0.0
+
+
+def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
+               reach: float) -> np.ndarray:
     """``sum_j weight_j exp(-t lam_j^2)`` for each t, one t at a time over the
-    sorted ``lam`` inside that t's own underflow window ``t lam^2 <= 11500``.
-    The exponent keeps the rounding order ``(-t lam) lam``."""
-    r = np.sqrt(_UNDERFLOW / ts.astype(float))
+    sorted ``lam`` inside that t's own window ``t lam^2 <= reach``.  The
+    exponent keeps the rounding order ``(-t lam) lam``."""
+    r = np.sqrt(reach / ts.astype(float))
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
     out = np.empty(ts.size, dtype=_LD)
     for i, t in enumerate(ts):
@@ -286,13 +301,14 @@ class _OddTrace:
     ``(n, 2)`` array of ``[value, multiplicity]`` rows in any order (equal
     values are merged).
 
-    Both take a vector of t and give each t its own underflow window, the
-    eigenvalues with ``t lambda^2 <= 11500``: both arrays are sorted, so the
-    window is the slice between ``searchsorted(lam, -+sqrt(11500/t))``, and a
-    larger t sums a shorter slice.  Every term outside it has
-    ``exp(-t lambda^2) == 0`` exactly in longdouble (the smallest subnormal is
-    ``exp(-11399)``), so the window drops only exact zeros and the sums equal
-    the full ones.
+    Both take a vector of t and give each t its own window, the eigenvalues
+    with ``t lambda^2 <= reach``: both arrays are sorted, so the window is the
+    slice between ``searchsorted(lam, -+sqrt(reach/t))``, and a larger t sums
+    a shorter slice.  Each trace has its own ``reach = min(11500, ln W + 60
+    ln 10)`` from its total weight ``W = sum |weight|``: a term outside has
+    ``exp(-t lambda^2) <= 1e-60/W``, so the terms dropped from one sum add up
+    to at most 1e-60.  (11500 is the exact underflow: beyond it every term is
+    0 in longdouble, the smallest subnormal being ``exp(-11399)``.)
     """
 
     def __init__(self, spectrum: np.ndarray):
@@ -313,13 +329,16 @@ class _OddTrace:
         self.abs_max = float(self._abs_all[-1]) if values.size else 0.0
         self._odd_weight = self.mult * self.lam
         self._gross_weight = self._mult_all.astype(_LD) * self._abs_all.astype(_LD)
+        self._odd_reach = _reach(self._odd_weight)
+        self._gross_reach = _reach(self._gross_weight)
 
     def odd(self, ts) -> np.ndarray:
-        return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=_LD))
+        return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=_LD),
+                          self._odd_reach)
 
     def gross(self, ts) -> np.ndarray:
         return _heat_sums(self._abs_all.astype(_LD), self._gross_weight,
-                          np.asarray(ts, dtype=_LD))
+                          np.asarray(ts, dtype=_LD), self._gross_reach)
 
 
 def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> tuple[_LD, float]:
@@ -502,6 +521,10 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else model.geometry.default_cutoff
     spec = enumerate_spectrum(model, n)
+    if not len(spec):
+        # a long thin torus: no mode of the short edges fits the shell
+        raise ValueError(f"no eigenvalue lies in the complete shell at cutoff {n}; "
+                         "raise the cutoff")
     values, mults = spec[:, 0], spec[:, 1]
     # the values are sorted; a flux that swamps the spectrum shrinks the radius
     t = model.flux_shift

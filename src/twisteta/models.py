@@ -315,16 +315,27 @@ class Torus3:
         offsets are.  The trim is evaluated in scale-free coordinates (ratios
         ``max(L)/L_j``) so the mode set is identical under a uniform
         rescaling of all edge lengths.
+
+        The box is summed per axis value, not per mode: each axis's squared
+        coordinates ``y_j^2`` are merged first (without holonomy ``v + 1/2``
+        and ``-v - 1/2`` square to the same float), the distinct triples are
+        summed in the order ``(y_0^2 + y_1^2) + y_2^2`` with the product of
+        their counts, and equal ``|w|`` are merged last.  Every float is the
+        one the whole box would give, so the levels are the same bits.
         """
         lmax = max(self.lengths)
         _, x = self.lattice(theta, cutoff + 1)
-        y2 = (x * np.array([[lmax / l] for l in self.lengths])) ** 2
-        scaled_w = np.sqrt((y2[0, :, None, None] + y2[1, None, :, None]
-                            + y2[2, None, None, :]).ravel())
+        y2, mult = zip(*(np.unique((xj * (lmax / l)) ** 2, return_counts=True)
+                         for xj, l in zip(x, self.lengths)))
+        scaled_w = np.sqrt((y2[0][:, None, None] + y2[1][None, :, None]
+                            + y2[2][None, None, :]).ravel())
+        count = (mult[0][:, None, None] * mult[1][None, :, None]
+                 * mult[2][None, None, :]).ravel()
+        inside = scaled_w <= cutoff + 0.5
         # equal |w| are merged here: x -> x + t is monotone, and _merge absorbs
         # the values the flux shift makes collide (and w = 0, where the pair
         # +-2 pi |w| meets)
-        scaled_w, count = np.unique(scaled_w[scaled_w <= cutoff + 0.5], return_counts=True)
+        scaled_w, count = _merge(scaled_w[inside], count[inside])
         x = 2.0 * np.pi * (scaled_w / lmax)
         return np.concatenate([x, -x]), np.concatenate([count, count])
 

@@ -93,13 +93,15 @@ def sf_on_spectrum(spectrum: np.ndarray, t: float) -> SfResult:
 
 def unfluxed_spectrum(model: SpectralModel, reach: float) -> np.ndarray:
     """The zero-flux spectrum past ``reach`` on both sides: the cutoff starts
-    at 8 and doubles until both ends lie beyond it.  Cutoffs are shell
-    complete, so it holds every eigenvalue in ``[-reach, reach]`` and the
-    nearest one on each side of any point there, on a geometry of any size."""
+    at 8 and doubles until both ends lie beyond it (an empty spectrum, a
+    shell too small for any mode of a long thin torus, doubles too).  Cutoffs
+    are shell complete, so it holds every eigenvalue in ``[-reach, reach]``
+    and the nearest one on each side of any point there, on a geometry of any
+    size."""
     base = model.with_flux(0.0)
     n = 8
     spec = enumerate_spectrum(base, n)
-    while min(-spec[0, 0], spec[-1, 0]) <= reach:
+    while not len(spec) or min(-spec[0, 0], spec[-1, 0]) <= reach:
         n *= 2
         spec = enumerate_spectrum(base, n)
     return spec

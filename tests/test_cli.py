@@ -445,6 +445,31 @@ def test_length_past_the_kernel_threshold_is_config_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
+THIN_TORUS = "geometry = torus3\nengine = heat\nflux = 0.1\ncutoff = 40\nsweep = 0.1\n"
+
+
+@pytest.mark.parametrize("command", ["eta", "specflow"])
+def test_empty_shell_of_a_thin_torus_is_config_error_naming_cutoff(tmp_path, capsys, command):
+    # no mode of the unit edges fits the shell (cutoff + 1/2)/100 at cutoff 40;
+    # this once ended in an IndexError traceback
+    cfg = write(tmp_path, "c.txt", THIN_TORUS + "lengths = 1.0,1.0,100\n")
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cutoff 40" in err
+    assert not out.exists()
+
+
+def test_specflow_on_a_thin_torus_counts_past_empty_shells(tmp_path):
+    # the zero-flux spectrum of the flow count is empty at cutoffs 8, 16 and
+    # 32 here and first holds modes at 64; the flux crosses none of them
+    cfg = write(tmp_path, "c.txt", THIN_TORUS + "lengths = 1.0,1.0,50\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["specflow", "--config", cfg, "--out", str(out)]) == EXIT_UNCONVERGED
+    [sf] = [r for r in read_records(out) if r.quantity == "sf"]
+    assert sf.value == 0.0 and sf.param == 0.1
+
+
 def test_radius_at_the_length_limit_is_accepted(tmp_path):
     cfg = write(tmp_path, "c.txt", LENS_3_1 + "radius = 1e6\n")
     out = tmp_path / "out.jsonl"

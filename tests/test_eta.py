@@ -309,7 +309,8 @@ def test_heat_eta_evaluates_201_trace_rows(monkeypatch, model, cutoff):
     rows = []
     heat_sums = eta_mod._heat_sums
     monkeypatch.setattr(eta_mod, "_heat_sums",
-                        lambda lam, weight, ts: rows.append(ts.size) or heat_sums(lam, weight, ts))
+                        lambda lam, weight, ts, reach:
+                        rows.append(ts.size) or heat_sums(lam, weight, ts, reach))
     assert eta_for_model(model, "heat_kernel", cutoff=cutoff).converged
     assert sum(rows) == 201
 
@@ -387,23 +388,54 @@ def test_heat_pole_detection_on_artificial_spectrum():
     (SpectralModel(Sphere3(0.9), flux_shift=1.3), 400),
     (SpectralModel(Torus3((1.0, 1.1, 0.95)), flux_shift=0.2), 12),
 ], ids=["circle", "sphere", "torus"])
-def test_windowed_trace_matches_full_sum(model, cutoff):
+def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff):
+    # on a geometric sweep of t and at every t that eta_heat itself sums:
+    # its ladder, t_max and quadrature nodes
     ld = np.longdouble
+    engine_ts = []
+    heat_sums = eta_mod._heat_sums
+    monkeypatch.setattr(eta_mod, "_heat_sums", lambda lam, weight, ts, reach:
+                        engine_ts.append(ts) or heat_sums(lam, weight, ts, reach))
+    eta_for_model(model, "heat_kernel", cutoff=cutoff)
+    monkeypatch.undo()
+    assert sum(ts.size for ts in engine_ts) == 201
     trace = _OddTrace(enumerate_spectrum(model, cutoff))
     t_floor, _ = _tail_floor(trace, 1e-11)
     t_max = 80.0 / trace.min_abs**2
-    ts = np.geomspace(t_floor, t_max, 20).astype(ld)
+    ts = np.concatenate([np.geomspace(t_floor, t_max, 20).astype(ld), *engine_ts])
     lam, mult = trace.lam, trace.mult
     abs_all, mult_all = trace._abs_all.astype(ld), trace._mult_all.astype(ld)
     full_odd = np.array([np.sum(mult * lam * np.exp(-t * lam * lam)) for t in ts])
     full_gross = np.array([np.sum(mult_all * abs_all * np.exp(-t * abs_all * abs_all))
                            for t in ts])
     odd, gross = trace.odd(ts), trace.gross(ts)
-    eps = np.finfo(ld).eps
-    assert np.all(np.abs(odd - full_odd) <= 4 * eps * full_gross)
-    assert np.all(np.abs(gross - full_gross) <= 4 * eps * full_gross)
+    # rounding of the sums, plus the at most 1e-60 that each window drops
+    slack = 4 * np.finfo(ld).eps * full_gross + 1e-60
+    assert np.all(np.abs(odd - full_odd) <= slack)
+    assert np.all(np.abs(gross - full_gross) <= slack)
     one_by_one = np.array([trace.odd([t])[0] for t in ts])
-    assert np.all(np.abs(one_by_one - full_odd) <= 4 * eps * full_gross)
+    assert np.all(np.abs(one_by_one - full_odd) <= slack)
+
+
+def test_heat_eta_sums_only_the_terms_that_can_matter(monkeypatch):
+    # the window t lambda^2 <= ln(W) + 60 ln 10 of each trace: 179,215 terms
+    # for this eta, where the underflow window t lambda^2 <= 11500 sums 347,593
+    summed = []
+    heat_sums = eta_mod._heat_sums
+
+    def spy(lam, weight, ts, reach):
+        r = np.sqrt(reach / ts.astype(float))
+        summed.append(int(np.sum(np.searchsorted(lam, r, side="right")
+                                 - np.searchsorted(lam, -r, side="left"))))
+        return heat_sums(lam, weight, ts, reach)
+
+    monkeypatch.setattr(eta_mod, "_heat_sums", spy)
+    model = SpectralModel(Circle(1.1549), CircleHolonomy(0.495892), flux_shift=0.674237)
+    heat = eta_for_model(model, "heat_kernel", cutoff=2000)
+    assert sum(summed) < 200_000
+    exact = eta_for_model(model, "hurwitz")
+    assert heat.converged
+    assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 
 def test_trace_is_exactly_zero_where_every_term_underflows():

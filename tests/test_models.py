@@ -136,6 +136,31 @@ def test_array_merge_matches_dict_merge(model, cutoff):
     assert np.array_equal(items, np.array(reference, dtype=float))
 
 
+def _full_box_levels(geometry, theta, cutoff):
+    """The torus levels summed over every mode of the box, one float per
+    mode: the reference for the per-axis merge of ``Torus3.levels``."""
+    lmax = max(geometry.lengths)
+    _, x = geometry.lattice(theta, cutoff + 1)
+    y2 = (x * np.array([[lmax / l] for l in geometry.lengths])) ** 2
+    scaled_w = np.sqrt((y2[0, :, None, None] + y2[1, None, :, None]
+                        + y2[2, None, None, :]).ravel())
+    scaled_w, count = np.unique(scaled_w[scaled_w <= cutoff + 0.5], return_counts=True)
+    x = 2.0 * np.pi * (scaled_w / lmax)
+    return np.concatenate([x, -x]), np.concatenate([count, count])
+
+
+@pytest.mark.parametrize("geometry,theta,cutoff", [
+    (Torus3((1.1247,) * 3), (0.0, 0.0, 0.0), 40),
+    (Torus3(spin=(0.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 20),
+    (Torus3((1.0, 1.3, 0.7)), (0.3, 0.1, 0.0), 20),
+], ids=["cubic", "zero-spin", "noncubic-holonomy"])
+def test_torus_levels_equal_the_full_box_bit_for_bit(geometry, theta, cutoff):
+    values, counts = geometry.levels(theta, cutoff)
+    ref_values, ref_counts = _full_box_levels(geometry, theta, cutoff)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(counts, ref_counts) and counts.dtype == ref_counts.dtype
+
+
 @pytest.mark.parametrize("model", [
     SpectralModel(Circle(0.8), CircleHolonomy(0.35), flux_shift=0.2),
     SpectralModel(Sphere3(1.3), TrivialBundle(2), flux_shift=-0.7),

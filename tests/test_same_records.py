@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "same_records.py"
 _SPEC = importlib.util.spec_from_file_location("same_records", _PATH)
 same_records = importlib.util.module_from_spec(_SPEC)
@@ -25,3 +27,19 @@ def test_records_differing_in_one_value_are_not_the_same():
     b = jsonl({"quantity": "eta", "value": 0.3, "wall_time": 0.5})
     assert not same_records.same_records(a, b)
     assert not same_records.same_records(a, a + a)
+
+
+def test_a_difference_is_measured_against_the_smaller_bound():
+    a = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 1e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    b = jsonl({"quantity": "eta", "value": 0.5 + 4e-13, "error_bound": 2e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    worst, flipped = same_records.difference(a, b)
+    assert worst == pytest.approx(4e-3, rel=1e-3) and not flipped
+    assert same_records.difference(a, a) == (0.0, False)
+    flip = b.replace('"converged": true}', '"converged": false}', 1)
+    assert same_records.difference(a, flip)[1]
+    # a changed quantity, or a missing record, is not a tolerated difference
+    assert same_records.difference(a, b.replace('"sf"', '"xi"')) is None
+    assert same_records.difference(a, a + a) is None
+    assert "exit code changed" in same_records._describe(0, a, 3, flip)

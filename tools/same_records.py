@@ -10,13 +10,18 @@ operation of each workload and seed once through ``twisteta.cli.main``, in its
 own subprocess with its own ``src/`` first on ``sys.path``.  An operation is
 identical when its exit code and its records match after ``wall_time`` is
 dropped from every record.  One line per operation says ``identical`` or
-``different``; the exit status is 1 if any operation differs.
+``different``; the exit status is 1 if any operation differs.  A line that
+says ``different`` also measures the difference: whether the exit code or a
+``converged`` flag changed, and the largest ``|delta value| / error_bound``
+over its records (the smaller of the two bounds), or that the records differ
+in more than ``value``, ``error_bound`` and ``converged``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -42,6 +47,38 @@ def canonical(text: str) -> list[str]:
 def same_records(a: str, b: str) -> bool:
     """Whether two JSONL record texts are equal apart from ``wall_time``."""
     return canonical(a) == canonical(b)
+
+
+def difference(a: str, b: str) -> tuple[float, bool] | None:
+    """For two JSONL record texts: the largest ``|delta value| / error_bound``
+    over records paired in order, taking the smaller of the two bounds, and
+    whether any ``converged`` flag differs.  ``None`` when the texts differ
+    in more than ``value``, ``error_bound`` and ``converged``."""
+    ra, rb = ([json.loads(line) for line in canonical(text)] for text in (a, b))
+    if len(ra) != len(rb):
+        return None
+    worst, flipped = 0.0, False
+    measured = {"value", "error_bound", "converged"}
+    for x, y in zip(ra, rb):
+        if any(x.get(k) != y.get(k) for k in (x.keys() | y.keys()) - measured):
+            return None
+        if x["value"] != y["value"]:
+            bound = min(x["error_bound"], y["error_bound"])
+            worst = max(worst, abs(x["value"] - y["value"]) / bound if bound > 0 else math.inf)
+        flipped |= x["converged"] != y["converged"]
+    return worst, flipped
+
+
+def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
+    """How one differing operation differs, for its report line."""
+    measured = difference(text_a, text_b)
+    if measured is None:
+        records = "records differ beyond value, error_bound and converged"
+    else:
+        worst, flipped = measured
+        records = (f"max |dvalue|/error_bound {worst:.2g}, "
+                   f"converged {'changed' if flipped else 'unchanged'}")
+    return f"exit code {'changed' if code_a != code_b else 'unchanged'}, {records}"
 
 
 def _run_checkout(root: Path, workload: str, seed: int, out: Path) -> int:
@@ -101,7 +138,8 @@ def main(argv=None) -> int:
                     differ += not same
                     print(f"{workload} seed {seed} {label}: exit {code_a}/{code_b}, "
                           f"{len(canonical(text_b))} records, "
-                          f"{'identical' if same else 'different'}")
+                          + ("identical" if same else
+                             "different: " + _describe(code_a, text_a, code_b, text_b)))
     print(f"{differ} operation(s) differ")
     return 1 if differ else 0
 
