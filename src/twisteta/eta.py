@@ -15,8 +15,9 @@ at ``s = 0``:
 
 * :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
   ``S(t) = sum m lambda exp(-t lambda^2)`` on ``[t_min, t_max]`` (log grid,
-  split at t = 1), with Gaussian tail bounds for the enumerated cutoff and a
-  finite-part completion for the small-t end.  The completion matters: for a
+  split at t = 1; a Gaussian tail bound puts the modes beyond the cutoff
+  under ``min(tol, 1e-10)/8`` from t_min on) with a finite-part completion
+  for the small-t end.  The completion matters: for a
   flux-shifted spectrum ``S(t) ~ c t^{-3/2}`` as t -> 0, so the bare
   truncated integral carries a bias ``~ c/t_min``.  The engine extracts the
   half-odd small-t coefficients of ``S`` by a ladder fit at geometric points
@@ -25,7 +26,9 @@ at ``s = 0``:
   at s = 0; its magnitude doubles as a pole detector and error proxy.  On a
   bare spectrum a clear one raises :class:`EtaRegularityError`; the eta of a
   model, a closed odd-dimensional manifold, is regular at s = 0, so there it
-  means the cutoff is too low and the value is reported unconverged.
+  means the cutoff is too low and the value is reported unconverged.  The
+  bound is the quadrature estimate, ``(|c_{-1/2}| + its fit noise)
+  (|ln t_min| + 2)/sqrt(pi)`` and the rounding term ``1e-15 (1 + |eta|)``.
 
 All trace accumulation runs in extended precision (``numpy.longdouble``)
 because alternating sums over quadratically growing multiplicities lose
@@ -374,9 +377,9 @@ def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tup
         panels *= 2
 
 
-def _tail_floor(trace: _OddTrace, tol: float) -> tuple[float, float]:
-    """Smallest t at which modes beyond the enumerated cutoff are negligible,
-    together with the bound achieved there.
+def _tail_floor(trace: _OddTrace, tol: float) -> float:
+    """Smallest t from which the modes beyond the enumerated cutoff move eta
+    by at most ``tol``.
 
     The discarded trace is modelled by extrapolating the enumerated counting
     density by a power law; a Gaussian bound then gives
@@ -405,7 +408,7 @@ def _tail_floor(trace: _OddTrace, tol: float) -> tuple[float, float]:
             hi = mid
         if hi / lo < 1.0001:
             break
-    return float(hi), tail_eta(float(hi))
+    return float(hi)
 
 
 def _too_large(abs_max: float, what: str) -> ValueError:
@@ -440,7 +443,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     abs_sq = trace.abs_max * trace.abs_max
     if not (np.isfinite(abs_sq) and (1e-12 / abs_sq) * (700.0 / abs_sq) >= np.finfo(float).tiny):
         raise _too_large(trace.abs_max, "its t bracket")
-    t_floor, tail_bound = _tail_floor(trace, min(tol, 1e-10) / 8.0)
+    t_floor = _tail_floor(trace, min(tol, 1e-10) / 8.0)
 
     # ladder fit of t^{3/2} S(t) = c0 + c1 t + c2 t^2 + ...  (the small-t
     # expansion of the odd trace has half-odd powers only).  Points whose fit
@@ -466,8 +469,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     while keep > 8 and np.any(resid[-2:] > 1e3 * floors[keep - 2:keep]):
         keep -= 1
         coef, resid = fit(keep)
-    c = [coef[i] / ts[0] ** i for i in range(n_coef)]
-    c_m32, c_m12, c_p12, c_p32 = (float(x) for x in c[:4])
+    c_m32, c_m12, c_p12, c_p32 = (float(coef[i] / ts[0] ** i) for i in range(4))
     c_noise = 8.0 * float(np.max(resid)) + float(np.max(floors[:keep]))
 
     # regularity: the t^{-1/2} coefficient carries the s=0 residue 2 c / sqrt(pi)
@@ -486,9 +488,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     correction = -c_m32 / t_min + c_p12 * t_min + 0.5 * c_p32 * t_min**2
     eta = float((integral + _LD(correction)) / _SQRT_PI)
 
-    next_term = abs(float(c[4])) * t_min**3 / 3.0
-    error = float(quad_err + tail_bound + ladder_noise + next_term
-                  + c_noise / (np.sqrt(np.pi) * t_min) + 1e-15 * (1 + abs(eta)))
+    error = float(quad_err + ladder_noise + 1e-15 * (1 + abs(eta)))
     if not np.isfinite(error):
         raise _too_large(trace.abs_max, "the error budget")
     value = EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol and not pole)

@@ -507,9 +507,6 @@ class Progression:
             raise ValueError("offset and step must be positive")
         _check_integer_valued(tuple(self.mult_coeffs))
 
-    def multiplicity(self, k: int) -> float:
-        return _poly_at(self.mult_coeffs, k)
-
 
 def _poly_at(coeffs: Sequence[float], k: int) -> float:
     """``sum coeffs[i] k^i``."""

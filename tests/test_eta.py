@@ -1,3 +1,5 @@
+import math
+import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -33,6 +35,7 @@ from twisteta.models import (
     enumerate_spectrum,
     progression_spectrum,
 )
+from twisteta.specflow import sf_for_flux
 
 
 # --- Hurwitz zeta building block --------------------------------------------
@@ -400,7 +403,7 @@ def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff):
     monkeypatch.undo()
     assert sum(ts.size for ts in engine_ts) == 201
     trace = _OddTrace(enumerate_spectrum(model, cutoff))
-    t_floor, _ = _tail_floor(trace, 1e-11)
+    t_floor = _tail_floor(trace, 1e-11)
     t_max = 80.0 / trace.min_abs**2
     ts = np.concatenate([np.geomspace(t_floor, t_max, 20).astype(ld), *engine_ts])
     lam, mult = trace.lam, trace.mult
@@ -470,6 +473,75 @@ def test_heat_agrees_with_hurwitz_within_both_bounds(drawn):
     exact = eta_for_model(model, "hurwitz")
     heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
     assert heat.kernel_dim == exact.kernel_dim
+    assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+
+
+def _honesty_draws(count=80, seed=1):
+    """``(model, cutoff)`` draws cycling through the four geometries, at
+    cutoffs that converge and many that do not: holonomy circles at N
+    10-2000, spheres and lens characters (p in {2, 3, 5, 7, 12}) at N 10-400
+    with |t r| <= 2.9, and non-cubic holonomy tori at N 6-20."""
+    rng = random.Random(seed)
+    draws = []
+    for i in range(count):
+        kind = ("circle", "sphere", "lens", "torus")[i % 4]
+        if kind == "torus":
+            lengths = [1.0, rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0)]
+            rng.shuffle(lengths)
+            holonomy = TorusHolonomy(tuple(rng.uniform(0.0, 1.0) for _ in range(3)))
+            t = rng.uniform(-2.9, 2.9) / max(lengths)
+            draws.append((SpectralModel(Torus3(tuple(lengths)), holonomy, t), rng.randint(6, 20)))
+            continue
+        r = rng.uniform(0.5, 2.0)
+        t = rng.uniform(-2.9, 2.9) / r
+        top = 2000 if kind == "circle" else 400
+        cutoff = round(math.exp(rng.uniform(math.log(10), math.log(top))))
+        if kind == "circle":
+            model = SpectralModel(Circle(r), CircleHolonomy(rng.uniform(0.0, 1.0)), t)
+        elif kind == "sphere":
+            model = SpectralModel(Sphere3(r), flux_shift=t)
+        else:
+            p = rng.choice([2, 3, 5, 7, 12])
+            model = SpectralModel(Lens(p, r), LensCharacter(p, rng.randrange(p)), t)
+        draws.append((model, cutoff))
+    return draws
+
+
+def _exact_eta(model):
+    """(eta, its bound): Hurwitz, or ``2 sf - Vol t^3/(3 pi^2)`` on the flat
+    torus, whose holonomy spectrum is symmetric at zero flux."""
+    if isinstance(model.geometry, Torus3):
+        t = model.flux_shift
+        return 2 * sf_for_flux(model, t).flow - model.geometry.volume * t**3 / (3 * np.pi**2), 0.0
+    exact = eta_for_model(model, "hurwitz")
+    return exact.eta, exact.error_bound
+
+
+def test_heat_bounds_are_honest_on_a_seeded_scan():
+    # every heat value, converged or not, lies within its bound of the exact
+    # one; with the budget's former tail, next-term and fit-noise terms none
+    # of these draws was outside either (the sparse-lens defect in CHANGES.md
+    # hits none of them)
+    outside = []
+    for model, cutoff in _honesty_draws():
+        heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+        exact, exact_bound = _exact_eta(model)
+        if abs(heat.eta - exact) > heat.error_bound + exact_bound:
+            outside.append((model, cutoff, heat.converged))
+    assert outside == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="FOUND in CHANGES.md: unconverged heat bounds on sparse lens "
+                          "spectra, fitted on 8 of 12 ladder points, miss the exact eta")
+@pytest.mark.parametrize("p,k,radius,t,cutoff", [
+    (7, 0, 1.4020459598729607, 0.9383711119643134, 10),
+    (12, 6, 1.2615758757669742, 1.8857948915664013, 20),
+], ids=["lens-7-0", "lens-12-6"])
+def test_unconverged_heat_bound_covers_a_sparse_lens_spectrum(p, k, radius, t, cutoff):
+    model = SpectralModel(Lens(p, radius), LensCharacter(p, k), t)
+    heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+    exact = eta_for_model(model, "hurwitz")
     assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 

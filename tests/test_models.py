@@ -22,6 +22,7 @@ from twisteta.models import (
     ZERO_TOL,
     _assemble_blocks,
     _merge,
+    _poly_at,
     build_torus_operator,
     enumerate_spectrum,
     lens_weight_count,
@@ -324,7 +325,7 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
             v = fam.sign * (fam.offset + fam.step * k)
             if abs(v) > (cutoff - 4) / getattr(model.geometry, "radius", 1.0):
                 break
-            mult = round(fam.multiplicity(k))
+            mult = round(_poly_at(fam.mult_coeffs, k))
             if mult:
                 rebuilt[round(v, 9)] = rebuilt.get(round(v, 9), 0) + mult
             k += 1

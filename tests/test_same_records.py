@@ -43,3 +43,21 @@ def test_a_difference_is_measured_against_the_smaller_bound():
     assert same_records.difference(a, b.replace('"sf"', '"xi"')) is None
     assert same_records.difference(a, a + a) is None
     assert "exit code changed" in same_records._describe(0, a, 3, flip)
+
+
+def test_bound_change_reports_identical_values_and_the_largest_bound_ratio():
+    a = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 2e-10, "converged": True},
+              {"quantity": "xi", "value": 0.25, "error_bound": 1e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    b = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 1e-10, "converged": True},
+              {"quantity": "xi", "value": 0.25, "error_bound": 0.9e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    same_values, ratio = same_records.bound_change(a, b)
+    assert same_values and ratio == pytest.approx(0.9)
+    assert same_records.bound_change(b, a)[1] == pytest.approx(2.0)
+    assert not same_records.bound_change(a, b.replace('"value": 0.5', '"value": 0.5000001'))[0]
+    assert not same_records.bound_change(a, b.replace('"value": 2', '"value": -0.0'))[0]
+    assert same_records.bound_change(a, b.replace('"error_bound": 0.0', '"error_bound": 1.0'))[1] \
+        == float("inf")
+    line = same_records._describe(0, a, 0, b)
+    assert "values bit-identical, max error_bound ratio 0.9" in line

@@ -13,8 +13,10 @@ dropped from every record.  One line per operation says ``identical`` or
 ``different``; the exit status is 1 if any operation differs.  A line that
 says ``different`` also measures the difference: whether the exit code or a
 ``converged`` flag changed, and the largest ``|delta value| / error_bound``
-over its records (the smaller of the two bounds), or that the records differ
-in more than ``value``, ``error_bound`` and ``converged``.
+over its records (the smaller of the two bounds), whether every ``value`` is
+bit-identical and the largest ratio of HEAD's ``error_bound`` to BASE's, or
+that the records differ in more than ``value``, ``error_bound`` and
+``converged``.
 """
 
 from __future__ import annotations
@@ -69,6 +71,18 @@ def difference(a: str, b: str) -> tuple[float, bool] | None:
     return worst, flipped
 
 
+def bound_change(a: str, b: str) -> tuple[bool, float]:
+    """For two JSONL record texts paired in order: whether every ``value`` is
+    bit-identical, and the largest ratio of the second text's ``error_bound``
+    to the first's over the records where either bound is nonzero (1 if
+    there are none)."""
+    ra, rb = ([json.loads(line) for line in canonical(text)] for text in (a, b))
+    same_values = all(json.dumps(x["value"]) == json.dumps(y["value"]) for x, y in zip(ra, rb))
+    bounds = [(x["error_bound"], y["error_bound"]) for x, y in zip(ra, rb)]
+    return same_values, max((y / x if x > 0 else math.inf for x, y in bounds if x or y),
+                            default=1.0)
+
+
 def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
     """How one differing operation differs, for its report line."""
     measured = difference(text_a, text_b)
@@ -76,8 +90,11 @@ def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
         records = "records differ beyond value, error_bound and converged"
     else:
         worst, flipped = measured
+        same_values, ratio = bound_change(text_a, text_b)
         records = (f"max |dvalue|/error_bound {worst:.2g}, "
-                   f"converged {'changed' if flipped else 'unchanged'}")
+                   f"converged {'changed' if flipped else 'unchanged'}, "
+                   f"values {'bit-identical' if same_values else 'changed'}, "
+                   f"max error_bound ratio {ratio:.3g}")
     return f"exit code {'changed' if code_a != code_b else 'unchanged'}, {records}"
 
 
