@@ -67,6 +67,12 @@ def _one_of(*choices: str) -> Callable[[str], str]:
     return parse
 
 
+def _output_path(value: str) -> str:
+    if value and (Path(value).is_dir() or not Path(value).parent.is_dir()):
+        raise ValueError(f"must be a file in an existing directory, got {value!r}")
+    return value  # empty: stdout
+
+
 _CONFIG_KEYS = {
     "geometry": str,
     "radius": float,
@@ -86,7 +92,7 @@ _CONFIG_KEYS = {
     "h_norm": float,
     "workers": _positive_int,
     "format": _one_of("json", "csv"),
-    "out": str,
+    "out": _output_path,
 }
 
 _SEMANTIC_KEYS = sorted(set(_CONFIG_KEYS) - {"out", "format", "workers"})
@@ -102,8 +108,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror or exc}") from None
         raw: dict = {}
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -243,7 +253,10 @@ def write_records(records: Sequence[ResultRecord], fmt: str, out: str | None):
             lines.append(",".join(_fmt_csv_value(getattr(r, c)) for c in _CSV_COLUMNS))
         text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

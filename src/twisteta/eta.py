@@ -6,12 +6,15 @@ at ``s = 0``:
 * :func:`eta_hurwitz`: exact analytic continuation for spectra made of
   arithmetic progressions with polynomial multiplicities.  Each family
   ``sign (a + d k)`` with ``m(k) = sum m_i k^i`` is rebased to powers of
-  ``(k + a/d)`` so that the value at 0 is a finite combination of
-  ``zeta_H(-i, a/d) = -B_{i+1}(a/d)/(i+1)`` (Bernoulli polynomials, exact).
-  Within this class the continuation has no pole at s = 0: the only poles of
-  ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.  The
-  coefficients of ``B_n`` are exact fractions, rounded to floats once per
-  degree into a table that Horner's rule reads on every evaluation.
+  ``(k + q)``, ``q = a/d``, so that the value at 0 is a finite combination
+  ``F(q)`` of ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)`` (Bernoulli polynomials,
+  exact).  Within this class the continuation has no pole at s = 0: the
+  only poles of ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.
+  The coefficients of ``B_n`` are exact fractions, rounded to floats once
+  per degree into a table that Horner's rule reads on every evaluation.
+  ``F(q)`` counts the n values a flux pushed past zero, and a kernel ``K``, as
+  +1 (``zeta_H(-i, q) - zeta_H(-i, q+1) = q^i``), so the family adds ``sign
+  (F(q) - 2 S_m(n) - K)``, ``S_m(n) = sum_{k<n} m(k)`` exact by Faulhaber.
 
 * :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
   ``S(t) = sum m lambda exp(-t lambda^2)`` on ``[t_min, t_max]`` (log grid,
@@ -69,8 +72,6 @@ from .models import (
     ZERO_TOL,
     _check_multiplicities,
     _merge,
-    _poly_shift,
-    Progression,
     ProgressionSpectrum,
     SpectralModel,
     enumerate_spectrum,
@@ -180,39 +181,54 @@ def hurwitz_zeta_nonpositive(i: int, q: float) -> float:
     return -acc / (i + 1)
 
 
-def _family_value(fam: Progression) -> tuple[float, float]:
-    """(eta contribution, absolute-value budget) of one progression family."""
-    q = fam.offset / fam.step
-    total = 0.0
-    budget = 0.0
-    for i, ci in enumerate(_poly_shift(fam.mult_coeffs, -q)):
-        term = ci * hurwitz_zeta_nonpositive(i, q)
-        total += term
-        budget += abs(term)
-    return fam.sign * total, budget
+def _poly_shift(coeffs: Sequence[float], j0: float) -> list[float]:
+    """Coefficients of ``p(j + j0)`` given those of ``p(j)``."""
+    if j0 == 0:
+        return [0.0 + c for c in coeffs]
+    powers = [j0 ** k for k in range(len(coeffs))]
+    out = [0.0] * len(coeffs)
+    for n, c in enumerate(coeffs):
+        for i in range(n + 1):
+            out[i] += c * comb(n, i) * powers[n - i]
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _wrong_side_sum(mult_coeffs: tuple[float, ...], n: int) -> int:
+    """``S_m(n) = sum_{k<n} m(k)`` exactly, by Faulhaber's ``sum_{k<n} k^i =
+    (B_{i+1}(n) - B_{i+1}(0))/(i+1)``."""
+    return round(sum(Fraction(c) * b * n**j / (i + 1) for i, c in enumerate(mult_coeffs)
+                     for j, b in enumerate(_bernoulli_poly_coeffs(i + 1)) if j))
 
 
 def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
-    """Exact eta invariant of a progression spectrum.
-
-    Finitely many explicit eigenvalues enter exactly (``|lambda|^-s -> 1``),
-    and kernel eigenvalues are excluded by construction.  Families with
-    non-integer or negative multiplicities cannot be built
-    (:class:`Progression` rejects them).
+    """Exact eta invariant of a progression spectrum.  The bound is ``32
+    eps`` times 1 plus each family's ``sum |c_i zeta_H(-i, q)|`` and ``2 S_m(n)
+    + K``; a value or bound past the double range raises ``ValueError``.
+    Families with non-integer or negative multiplicities cannot be built.
     """
-    total = 0.0
-    budget = 1.0
-    for fam in spectrum.families:
-        val, b = _family_value(fam)
-        total += val
-        budget += b
-    for value, mult in spectrum.extras:
-        if value == 0.0:
-            raise ValueError("explicit zero eigenvalue: kernel must be split off")
-        total += float(np.sign(value)) * mult
-        budget += mult
+    total, budget, kernel = 0.0, 1.0, 0
+    try:
+        for fam in spectrum.families:
+            # F(q), which counts every index as +1, and its budget
+            q = fam.offset / fam.step
+            value = terms = 0.0
+            for i, ci in enumerate(_poly_shift(fam.mult_coeffs, -q)):
+                term = ci * hurwitz_zeta_nonpositive(i, q)
+                value += term
+                terms += abs(term)
+            n, k = fam.crossing()
+            fold = 2 * _wrong_side_sum(fam.mult_coeffs, n) + k
+            total += fam.sign * (value - fold)
+            budget += terms + fold
+            kernel += k
+    except OverflowError:  # a power of q or a count past the double range
+        total = np.inf
     error = 32.0 * np.finfo(float).eps * budget
-    return EtaValue(total, spectrum.kernel_dim, "hurwitz", float(error))
+    if not np.isfinite(total + error):
+        raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
+    rank = spectrum.rank
+    return EtaValue(rank * total, rank * kernel, "hurwitz", float(rank * error))
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ multiplicity by the bundle rank:
   ``(p, k)`` only; it is built once per pair, and each call scales it by the
   radius.
 
-:func:`progression_spectrum` writes each branch as a :class:`Progression`,
-whose multiplicity polynomial must be a non-negative integer at
-``k = 0 .. deg + 1``.  That check depends on the coefficients alone and is
-memoized on them; a polynomial that fails it raises on every construction.
+:func:`progression_spectrum` writes each branch as one :class:`Progression`
+at its flux-shifted offset, of either sign; its multiplicity polynomial must
+be a non-negative integer at ``k = 0 .. deg + 1`` (a check memoized on the
+coefficients: a failure raises on every construction).
 
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
@@ -45,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from math import comb, isfinite
+from fractions import Fraction
+from math import inf, isfinite
 from typing import TYPE_CHECKING, ClassVar, Sequence, Union
 
 import numpy as np
@@ -188,6 +189,7 @@ ZERO_TOL = 1e-9
 # the largest radius or torus edge: the spectral unit, 1/radius or 1/max L,
 # stays at least 1e3 ZERO_TOL, so no level falls into the kernel threshold
 MAX_LENGTH = 1e6
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +495,7 @@ def enumerate_spectrum(model: SpectralModel, cutoff: int) -> np.ndarray:
 class Progression:
     """Eigenvalue family ``sign * (offset + step * k)``, k >= 0, with a
     polynomial multiplicity ``m(k) = sum mult_coeffs[i] k^i``, checked to be
-    a non-negative integer at ``k = 0 .. deg + 1``."""
+    a non-negative integer at ``k = 0 .. deg + 1``.  The offset may be < 0."""
 
     sign: int
     offset: float
@@ -503,9 +505,25 @@ class Progression:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        if self.offset <= 0 or self.step <= 0:
-            raise ValueError("offset and step must be positive")
+        # a step above 2 ZERO_TOL leaves at most one index in the kernel
+        if not (2 * ZERO_TOL < self.step < inf and isfinite(self.offset / self.step)):
+            raise ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
+                             f"offset/step finite, got {self.offset!r}/{self.step!r}")
         _check_integer_valued(tuple(self.mult_coeffs))
+
+    def crossing(self) -> tuple[int, int]:
+        """``(n, K)``: the n indices with ``offset + step k < -ZERO_TOL``, and
+        ``K = m(n)`` (exact) if index n, the one nearest ``-offset/step``, is
+        a kernel mode, ``|offset + step n| <= ZERO_TOL``, else 0."""
+        j = max(0, round(-self.offset / self.step))
+        v = self.offset + self.step * j
+        # v is off by up to eps (|offset| + step): no float test can tell there
+        if abs(abs(v) - ZERO_TOL) <= _EPS * (abs(self.offset) + self.step):
+            raise ValueError(f"the flux puts offset {self.offset:.6g} too far from zero to "
+                             f"resolve the kernel threshold {ZERO_TOL:g}")
+        if abs(v) <= ZERO_TOL:
+            return j, round(sum(Fraction(c) * j**i for i, c in enumerate(self.mult_coeffs)))
+        return (j + 1 if v < 0 else j), 0
 
 
 def _poly_at(coeffs: Sequence[float], k: int) -> float:
@@ -528,61 +546,15 @@ def _check_integer_valued(mult_coeffs: tuple[float, ...]) -> None:
 
 @dataclass(frozen=True)
 class ProgressionSpectrum:
-    """Full nonzero spectrum as progression families plus finitely many
-    explicit ``(value, multiplicity)`` pairs, with the kernel dimension split
-    off."""
+    """Full spectrum, kernel included: ``rank`` copies of the families (so a
+    rank-r trivial bundle has exactly r times the line bundle's eta)."""
 
     families: tuple[Progression, ...]
-    extras: tuple[tuple[float, int], ...] = ()
-    kernel_dim: int = 0
+    rank: int = 1
 
-    def __post_init__(self):
-        _check_multiplicities([m for _, m in self.extras])
-
-
-def _poly_shift(coeffs: Sequence[float], j0: float) -> list[float]:
-    """Coefficients of ``p(j + j0)`` given those of ``p(j)``."""
-    if j0 == 0:
-        return [0.0 + c for c in coeffs]
-    powers = [j0 ** k for k in range(len(coeffs))]
-    out = [0.0] * len(coeffs)
-    for n, c in enumerate(coeffs):
-        for i in range(n + 1):
-            out[i] += c * comb(n, i) * powers[n - i]
-    return out
-
-
-# explicit eigenvalues a flux may push across zero before folding gives up
-_MAX_EXPLICIT = 10_000
-
-
-def _split_branch(value0: float, step: float, mult_coeffs: list[float]):
-    """Split the monotone family ``value0 + step*j`` (step of either sign)
-    into explicit items on the wrong side of zero, kernel hits, and the
-    infinite same-sign tail as a Progression."""
-    extras: list[tuple[float, int]] = []
-    kernel = 0
-    j = 0
-    while True:
-        v = value0 + step * j
-        if (step > 0 and v > ZERO_TOL) or (step < 0 and v < -ZERO_TOL):
-            break
-        mult = round(_poly_at(mult_coeffs, j))
-        if abs(v) <= ZERO_TOL:
-            kernel += mult
-        elif mult:
-            extras.append((v, mult))
-        j += 1
-        if j > _MAX_EXPLICIT:
-            raise ValueError("flux shift too large to fold the spectrum")
-    sign = 1 if step > 0 else -1
-    tail = Progression(
-        sign=sign,
-        offset=abs(value0 + step * j),
-        step=abs(step),
-        mult_coeffs=tuple(_poly_shift(mult_coeffs, j)),
-    )
-    return tail, extras, kernel
+    @property
+    def kernel_dim(self) -> int:
+        return self.rank * sum(fam.crossing()[1] for fam in self.families)
 
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
@@ -591,16 +563,13 @@ def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     Torus norms ``2 pi |v + delta + theta|`` are not arithmetic progressions,
     so torus models must use the heat engine.
     """
-    t, rank = model.flux_shift, model.rank
-    families: list[Progression] = []
-    extras: list[tuple[float, int]] = []
-    kernel = 0
+    t = model.flux_shift
+    families = []
     for v0, step, coeffs in model.geometry.branches(model.bundle.twist):
-        tail, ex, ker = _split_branch(v0 + t, step, [rank * c for c in coeffs])
-        families.append(tail)
-        extras.extend(ex)
-        kernel += ker
-    return ProgressionSpectrum(tuple(families), tuple(sorted(extras)), kernel)
+        sign = 1 if step > 0 else -1
+        families.append(Progression(sign, sign * (v0 + t), abs(step),
+                                    tuple(float(c) for c in coeffs)))
+    return ProgressionSpectrum(tuple(families), model.rank)
 
 
 # ---------------------------------------------------------------------------

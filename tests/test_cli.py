@@ -18,7 +18,9 @@ from twisteta.cli import (
     ResultRecord,
     RunConfig,
     main,
+    write_records,
 )
+from twisteta import cli
 from twisteta.eta import eta_for_model, rho
 from twisteta.models import Circle, CircleHolonomy, SpectralModel, Sphere3
 
@@ -559,6 +561,46 @@ def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
     err = capsys.readouterr().err
     assert "eigenvalues are too large for the heat engine" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model", [
+    "geometry = sphere3\n",
+    "geometry = lens\nlens_p = 5\nbundle = lens_character\ncharacter = 2\nradius = 1.3\n",
+], ids=["sphere3", "lens"])
+def test_huge_flux_hurwitz_engine_is_a_config_error(tmp_path, capsys, model):
+    cfg = write(tmp_path, "c.txt", model + "engine = hurwitz\nflux = 1e300\n")
+    assert main(["eta", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "flux" in err and "too large to fold" not in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["config-missing", "config-is-a-directory",
+                                  "out-is-a-directory", "out-directory-missing"])
+def test_unreadable_config_or_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                               case):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "c.txt", CIRCLE_CFG)
+    argv, path = {
+        "config-missing": (["--config", "missing.cfg"], "missing.cfg"),
+        "config-is-a-directory": (["--config", str(tmp_path)], str(tmp_path)),
+        "out-is-a-directory": (["--config", cfg, "--out", str(tmp_path)], str(tmp_path)),
+        "out-directory-missing": (["--config", cfg, "--out", "nodir/x.json"], "nodir/x.json"),
+    }[case]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad path must be refused before any computation")
+
+    monkeypatch.setattr(cli, "eta_for_model", refuse)
+    assert main(["eta", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and repr(path) in err
+
+
+def test_a_failed_write_is_a_config_error_naming_the_path(tmp_path):
+    out = str(tmp_path / "gone" / "x.json")
+    with pytest.raises(ConfigError, match=f"cannot write output {out!r}"):
+        write_records([], "json", out)
 
 
 @pytest.mark.parametrize("holonomy,flux,cutoff", [

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -144,13 +145,18 @@ def test_lens_eta_additivity_over_characters(p):
     assert total == pytest.approx(sphere, abs=1e-11)
 
 
+def _oracles():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import oracles
+
+    return oracles
+
+
 def test_hurwitz_matches_mpmath_zeta_oracle():
     # third engine: bench/oracles.py sums c_i zeta_H(-i, q) at 40 digits from
     # brute-force lens weight counts and imports nothing from twisteta; it
     # holds below the first level, |tau| < 3/2, and |tau| = 1e-3 probes s = 0
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
-    import oracles
-
+    oracles = _oracles()
     taus = (-1.37, -0.6, 0.0, 0.45, 1.2, 1.49)
     for p in (1, 2, 3, 5, 7, 12):
         for k in range(p):
@@ -163,33 +169,137 @@ def test_hurwitz_matches_mpmath_zeta_oracle():
                 assert exact == pytest.approx(oracles.level_eta_direct(p, k, tau), abs=1e-12)
 
 
+def _hurwitz_honesty_draws(seed=1):
+    """``(model, p, k, rank)``: one lens draw per character of p in {2, 3, 5,
+    7, 12}, 15 spheres and 10 lens spaces with trivial bundles of rank 1-3,
+    radius 0.8-1.25 and scale-free flux |tau| <= 50 off the levels."""
+    oracles = _oracles()
+    rng = random.Random(seed)
+    cases = [(p, k) for p in (2, 3, 5, 7, 12) for k in range(p)]
+    cases += [(1, None)] * 15 + [(p, None) for p in (2, 3, 5, 7, 12)] * 2
+    draws = []
+    for p, k in cases:
+        r = rng.uniform(0.8, 1.25)
+        rank = 1 if k is not None else rng.randint(1, 3)
+        geometry = Sphere3(r) if p == 1 else Lens(p, r)
+        bundle = TrivialBundle(rank) if k is None else LensCharacter(p, k)
+        tau = rng.uniform(-50.0, 50.0)
+        while oracles.level_kernel_margin(tau) < 1e-6:
+            tau = rng.uniform(-50.0, 50.0)
+        draws.append((SpectralModel(geometry, bundle, tau / r), p, k or 0, rank))
+    return draws
+
+
+def test_hurwitz_bounds_are_honest_on_a_seeded_scan():
+    # the fold count against bench/oracles: mpmath below the first level, the
+    # flux-response identity beyond it, at the model's own tau = t r
+    oracles = _oracles()
+    outside = []
+    for model, p, k, rank in _hurwitz_honesty_draws():
+        value = eta_for_model(model, "hurwitz")
+        exact = rank * oracles.level_eta(p, k, model.flux_shift * model.geometry.radius)
+        if not (value.kernel_dim == 0 and abs(value.eta - exact) <= value.error_bound + 1e-12):
+            outside.append((model, value, exact))
+    assert outside == []
+
+
+def test_hurwitz_kernel_on_a_level_is_its_multiplicity():
+    # at tau = +-(3/2 + m) the level -+(3/2 + m) is the kernel; eta leaves it
+    # out, so it exceeds the value below the level (the oracle's) by
+    # sign(tau) times the multiplicity
+    oracles = _oracles()
+    rng = random.Random(2)
+    for i in range(12):
+        p = (1, 2, 3, 5, 7, 12)[i % 6]
+        k, r, side = rng.randrange(p), rng.uniform(0.8, 1.25), rng.choice((-1, 1))
+        kernel = 0
+        while not kernel:
+            m = rng.randrange(48)
+            kernel = oracles.level_multiplicities(m, p, k)[0 if side < 0 else 1]
+        tau = side * (1.5 + m)
+        geometry = Sphere3(r) if p == 1 else Lens(p, r)
+        bundle = TrivialBundle(1) if p == 1 else LensCharacter(p, k)
+        value = eta_for_model(SpectralModel(geometry, bundle, tau / r), "hurwitz")
+        assert value.kernel_dim == kernel
+        exact = oracles.level_eta(p, k, tau) + side * kernel
+        assert abs(value.eta - exact) <= value.error_bound + 1e-12
+
+
+def test_hurwitz_eta_past_ten_thousand_crossed_levels():
+    # unit sphere: eta = 2 S(n) + tau/2 - 2 tau^3/3, where the n lowest
+    # negative levels, S(n) = n(n+1)(n+2)/3 modes, have crossed zero
+    tau = 12000.25
+    value = eta_for_model(SpectralModel(Sphere3(1.0), flux_shift=tau), "hurwitz")
+    t = Fraction(tau)
+    n = math.ceil(t - Fraction(3, 2))
+    exact = Fraction(2 * n * (n + 1) * (n + 2), 3) + t / 2 - 2 * t**3 / 3
+    assert value.kernel_dim == 0
+    assert abs(Fraction(value.eta) - exact) <= Fraction(value.error_bound)
+
+
+@pytest.mark.parametrize("tau", [1e7 + 1.5, 1e100])
+def test_hurwitz_refuses_a_kernel_test_it_cannot_resolve(tau):
+    # a kernel at 1e7 + 3/2 is exact in floats, but the test's rounding error
+    # eps |offset| is above ZERO_TOL there; at 1e100 the index nearest -q
+    # gives a float value of exactly 0
+    model = SpectralModel(Sphere3(1.0), flux_shift=tau)
+    with pytest.raises(ValueError, match="flux puts offset"):
+        eta_for_model(model, "hurwitz")
+    with pytest.raises(ValueError, match="flux puts offset"):
+        progression_spectrum(model).kernel_dim
+
+
 def test_eta_scale_invariance():
-    ps = progression_spectrum(SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=0.2))
-    scaled = ProgressionSpectrum(
-        tuple(Progression(f.sign, 7.0 * f.offset, 7.0 * f.step, f.mult_coeffs)
-              for f in ps.families),
-        tuple((7.0 * v, m) for v, m in ps.extras),
-        ps.kernel_dim)
-    assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
+    # at t = 4.1 the lowest levels have crossed zero
+    for t in (0.2, 4.1):
+        ps = progression_spectrum(SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=t))
+        scaled = ProgressionSpectrum(
+            tuple(Progression(f.sign, 7.0 * f.offset, 7.0 * f.step, f.mult_coeffs)
+                  for f in ps.families))
+        assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
 
 
 def test_eta_hurwitz_antisymmetry():
-    ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3)))
-    flipped = ProgressionSpectrum(
-        tuple(Progression(-f.sign, f.offset, f.step, f.mult_coeffs) for f in ps.families),
-        tuple((-v, m) for v, m in ps.extras),
-        ps.kernel_dim)
-    assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
+    for t in (0.0, 2.45):
+        ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3), t))
+        flipped = ProgressionSpectrum(
+            tuple(Progression(-f.sign, f.offset, f.step, f.mult_coeffs) for f in ps.families))
+        assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
 
 
 def test_eta_hurwitz_input_validation():
-    with pytest.raises(ValueError):
-        Progression(sign=1, offset=-1.0, step=1.0, mult_coeffs=(1.0,))
+    for offset in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            Progression(sign=1, offset=offset, step=1.0, mult_coeffs=(1.0,))
     with pytest.raises(ValueError):
         Progression(sign=1, offset=1.0, step=0.0, mult_coeffs=(1.0,))
     with pytest.raises(ValueError):
         eta_hurwitz(ProgressionSpectrum(
             (Progression(sign=1, offset=1.0, step=1.0, mult_coeffs=(0.5,)),)))
+
+
+def _shifted(coeffs, by=1):
+    """Coefficients of ``m(k + by)``, exact for integer coefficients."""
+    return tuple(sum(c * math.comb(n, i) * by ** (n - i) for n, c in enumerate(coeffs) if n >= i)
+                 for i in range(len(coeffs)))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (2.0, 3.0, 1.0), (0.0, 0.5, 0.5), (4.0, 0.0, 2.0),
+                                    (1.0, 0.0, 0.0, 1.0)])
+def test_eta_hurwitz_fold_identity(coeffs):
+    # zeta_H(-i, q) - zeta_H(-i, q + 1) = q^i: dropping a family's first value
+    # v0 changes eta by sign(v0) m(0), or the kernel by m(0) where v0 = 0
+    m0 = coeffs[0]
+    for sign in (1, -1):
+        for step in (1.0, 0.7):
+            for offset in (-7.3, -2.1, -0.4, 0.0, 0.6, 3.25):
+                family = ProgressionSpectrum((Progression(sign, offset, step, coeffs),))
+                later = ProgressionSpectrum(
+                    (Progression(sign, offset + step, step, _shifted(coeffs)),))
+                a, b = eta_hurwitz(family), eta_hurwitz(later)
+                v0 = sign * offset
+                assert abs(a.eta - (b.eta + np.sign(v0) * m0)) <= a.error_bound + b.error_bound
+                assert a.kernel_dim == b.kernel_dim + (m0 if offset == 0 else 0)
 
 
 # --- heat engine --------------------------------------------------------------
@@ -364,8 +474,6 @@ def test_heat_rejects_kernel_modes():
 def test_multiplicities_must_be_positive_integers(mult):
     with pytest.raises(ValueError, match="positive integers"):
         eta_heat([(1.0, mult), (2.0, 1)])
-    with pytest.raises(ValueError, match="positive integers"):
-        ProgressionSpectrum((), ((1.0, mult),))
 
 
 def test_heat_unconverged_flagged():

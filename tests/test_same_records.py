@@ -61,3 +61,16 @@ def test_bound_change_reports_identical_values_and_the_largest_bound_ratio():
         == float("inf")
     line = same_records._describe(0, a, 0, b)
     assert "values bit-identical, max error_bound ratio 0.9" in line
+
+
+def test_changed_quantities_name_the_records_that_differ():
+    a = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 1e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    b = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 2e-10, "converged": True},
+              {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    assert same_records.changed_quantities(a, a) == []
+    assert same_records.changed_quantities(a, b) == ["eta"]
+    # a record without a partner counts as changed
+    assert same_records.changed_quantities(a, b + jsonl({"quantity": "xi", "value": 0.1})) \
+        == ["eta", "xi"]
+    assert same_records._describe(0, a, 0, b).endswith("changed quantities eta")

@@ -16,7 +16,9 @@ says ``different`` also measures the difference: whether the exit code or a
 over its records (the smaller of the two bounds), whether every ``value`` is
 bit-identical and the largest ratio of HEAD's ``error_bound`` to BASE's, or
 that the records differ in more than ``value``, ``error_bound`` and
-``converged``.
+``converged``; it ends with the ``quantity`` names of the records that
+differ.  Each workload closes with a summary line: how many of its
+operations are identical, and every quantity that changed in any of them.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ def bound_change(a: str, b: str) -> tuple[bool, float]:
                             default=1.0)
 
 
+def changed_quantities(a: str, b: str) -> list[str]:
+    """The ``quantity`` names, sorted, of the records paired in order that
+    differ apart from ``wall_time`` (a record without a partner counts)."""
+    ra, rb = ([json.loads(line) for line in canonical(text)] for text in (a, b))
+    names = {x.get("quantity") for x, y in zip(ra, rb) if x != y}
+    names |= {r.get("quantity") for r in ra[len(rb):] + rb[len(ra):]}
+    return sorted(str(n) for n in names)
+
+
 def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
     """How one differing operation differs, for its report line."""
     measured = difference(text_a, text_b)
@@ -95,7 +106,8 @@ def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
                    f"converged {'changed' if flipped else 'unchanged'}, "
                    f"values {'bit-identical' if same_values else 'changed'}, "
                    f"max error_bound ratio {ratio:.3g}")
-    return f"exit code {'changed' if code_a != code_b else 'unchanged'}, {records}"
+    return (f"exit code {'changed' if code_a != code_b else 'unchanged'}, {records}, "
+            f"changed quantities {', '.join(changed_quantities(text_a, text_b)) or 'none'}")
 
 
 def _run_checkout(root: Path, workload: str, seed: int, out: Path) -> int:
@@ -144,6 +156,8 @@ def main(argv=None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for workload in args.workloads:
+            ops, differ_before = 0, differ
+            changed: set[str] = set()
             for seed in args.seeds:
                 where = Path(tmp) / f"{workload}-{seed}"
                 base = _outcomes(args.base, workload, seed, where / "base")
@@ -153,10 +167,14 @@ def main(argv=None) -> int:
                         side.get(label, (None, "")) for side in (base, head))
                     same = code_a == code_b and same_records(text_a, text_b)
                     differ += not same
+                    ops += 1
+                    changed.update(changed_quantities(text_a, text_b))
                     print(f"{workload} seed {seed} {label}: exit {code_a}/{code_b}, "
                           f"{len(canonical(text_b))} records, "
                           + ("identical" if same else
                              "different: " + _describe(code_a, text_a, code_b, text_b)))
+            print(f"{workload}: {ops - (differ - differ_before)} of {ops} operation(s) "
+                  f"identical, changed quantities {', '.join(sorted(changed)) or 'none'}")
     print(f"{differ} operation(s) differ")
     return 1 if differ else 0
 
