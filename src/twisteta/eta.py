@@ -4,16 +4,17 @@ Two independent regularizations of ``eta(A) = sum sign(lambda) |lambda|^-s``
 at ``s = 0``:
 
 * :func:`eta_hurwitz`: exact analytic continuation for spectra made of
-  arithmetic progressions with polynomial multiplicities.  Each family
-  ``sign (a + d k)`` with ``m(k) = sum m_i k^i`` is rebased to powers of
-  ``(k + q)``, ``q = a/d``, so that the value at 0 is a finite combination
-  ``F(q)`` of ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)`` (Bernoulli polynomials,
-  exact).  Within this class the continuation has no pole at s = 0: the
-  only poles of ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.
-  The coefficients of ``B_n`` are exact fractions, rounded to floats once
-  per degree into a table that Horner's rule reads on every evaluation.
-  ``F(q)`` counts the n values a flux pushed past zero, and a kernel ``K``, as
-  +1 (``zeta_H(-i, q) - zeta_H(-i, q+1) = q^i``), so the family adds ``sign
+  arithmetic progressions with polynomial multiplicities.  A family ``sign
+  (a + d k)`` with ``m(k) = sum c_n k^n`` has, at ``q = a/d``, the value
+  ``F_m(q) = sum_i c_i(q) zeta_H(-i, q)``, where ``m(k) = sum_i c_i(q) (k +
+  q)^i`` and ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)`` (Bernoulli polynomials).
+  Within this class the continuation has no pole at s = 0: the only poles of
+  ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.  ``F_m`` is
+  one polynomial in q of degree ``deg m + 1``; its exact coefficients depend
+  on m alone, so they are built once per m, rounded to floats, and read by
+  Horner's rule, whose running error sum gives the bound.  ``F(q)`` counts
+  the n values a flux pushed past zero, and a kernel ``K``, as +1
+  (``zeta_H(-i, q) - zeta_H(-i, q+1) = q^i``), so the family adds ``sign
   (F(q) - 2 S_m(n) - K)``, ``S_m(n) = sum_{k<n} m(k)`` exact by Faulhaber.
 
 * :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
@@ -63,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +83,6 @@ __all__ = [
     "EtaValue",
     "RhoValue",
     "EtaRegularityError",
-    "hurwitz_zeta_nonpositive",
     "eta_hurwitz",
     "eta_heat",
     "eta_for_model",
@@ -149,82 +149,80 @@ class RhoValue:
 # exact Hurwitz engine
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _bernoulli_numbers(nmax: int) -> tuple[Fraction, ...]:
-    out = [Fraction(1)]
-    for m in range(1, nmax + 1):
-        s = sum(Fraction(comb(m + 1, j)) * out[j] for j in range(m))
-        out.append(-s / (m + 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _bernoulli_poly_coeffs(n: int) -> tuple[Fraction, ...]:
+def _bernoulli_poly(n: int) -> list[Fraction]:
     """Coefficients of B_n(x), ascending powers."""
-    bern = _bernoulli_numbers(n)
-    return tuple(Fraction(comb(n, k)) * bern[k] for k in reversed(range(n + 1)))
+    bern = [Fraction(1)]
+    for m in range(1, n + 1):
+        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return [comb(n, k) * bern[k] for k in reversed(range(n + 1))]
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_horner(n: int) -> tuple[float, ...]:
-    """The coefficients of B_n(x) as floats, descending powers (Horner order)."""
-    return tuple(float(c) for c in reversed(_bernoulli_poly_coeffs(n)))
+def _family_polys(mult_coeffs: tuple[float, ...]
+                  ) -> tuple[tuple[float, ...], tuple[int, ...], int]:
+    """The two polynomials of a family with ``m(k) = sum c_n k^n``, exact
+    from the fractions of ``c_n`` and built once per ``mult_coeffs``:
 
-
-def hurwitz_zeta_nonpositive(i: int, q: float) -> float:
-    """``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)`` for integer i >= 0."""
-    if i < 0:
-        raise ValueError("only non-positive arguments -i, i >= 0")
-    acc = 0.0
-    for c in _bernoulli_horner(i + 1):
-        acc = acc * q + c
-    return -acc / (i + 1)
-
-
-def _poly_shift(coeffs: Sequence[float], j0: float) -> list[float]:
-    """Coefficients of ``p(j + j0)`` given those of ``p(j)``."""
-    if j0 == 0:
-        return [0.0 + c for c in coeffs]
-    powers = [j0 ** k for k in range(len(coeffs))]
-    out = [0.0] * len(coeffs)
-    for n, c in enumerate(coeffs):
+    * ``F_m(q) = sum_i c_i(q) zeta_H(-i, q)``, where ``m(k) = sum_i c_i(q)
+      (k + q)^i`` (``c_n k^n = c_n sum_i C(n, i) (-q)^(n-i) (k + q)^i``) and
+      ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)``, rounded to floats once, in
+      Horner order;
+    * ``S_m(n) = sum_{k<n} m(k)`` by Faulhaber, ``sum_{k<n} k^i =
+      (B_{i+1}(n) - B_{i+1}(0))/(i+1)``, as integer numerators in Horner
+      order over one common denominator.
+    """
+    f = [Fraction(0)] * (len(mult_coeffs) + 1)
+    s = f[:]
+    for n, c in enumerate(map(Fraction, mult_coeffs)):
         for i in range(n + 1):
-            out[i] += c * comb(n, i) * powers[n - i]
-    return out
-
-
-@lru_cache(maxsize=4096)
-def _wrong_side_sum(mult_coeffs: tuple[float, ...], n: int) -> int:
-    """``S_m(n) = sum_{k<n} m(k)`` exactly, by Faulhaber's ``sum_{k<n} k^i =
-    (B_{i+1}(n) - B_{i+1}(0))/(i+1)``."""
-    return round(sum(Fraction(c) * b * n**j / (i + 1) for i, c in enumerate(mult_coeffs)
-                     for j, b in enumerate(_bernoulli_poly_coeffs(i + 1)) if j))
+            w = c * comb(n, i) * (-1) ** (n - i) / -(i + 1)
+            for j, b in enumerate(_bernoulli_poly(i + 1)):
+                f[n - i + j] += w * b
+        for j, b in enumerate(_bernoulli_poly(n + 1)[1:], 1):
+            s[j] += c * b / (n + 1)
+    denom = lcm(*(x.denominator for x in s))
+    return (tuple(float(x) for x in reversed(f)),
+            tuple(int(x * denom) for x in reversed(s)), denom)
 
 
 def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
-    """Exact eta invariant of a progression spectrum.  The bound is ``32
-    eps`` times 1 plus each family's ``sum |c_i zeta_H(-i, q)|`` and ``2 S_m(n)
-    + K``; a value or bound past the double range raises ``ValueError``.
-    Families with non-integer or negative multiplicities cannot be built.
+    """Exact eta invariant of a progression spectrum: per family ``sign
+    (F_m(q) - 2 S_m(n) - K)`` at ``q = offset/step``, ``(n, K)`` from
+    :meth:`Progression.crossing`; a value or bound past the double range
+    raises ``ValueError``.
+
+    The bound, with ``u = eps/2``, Horner's partial results ``y_j`` and their
+    running sum ``mu = sum_j |q|^j |y_j|`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2002, sec. 5.1), adds to first order in u:
+    Horner's rule, ``u (2 mu - |y_0|)``; the rounded coefficients, ``u sum_j
+    |a_j q^j| <= 2u mu`` as ``a_j = y_j - q y_{j+1}``; the rounded q, ``u |q
+    F'(q)| <= u mu`` as ``q F'(q) = sum_{j>=1} y_j q^j``; and u times twice
+    the fold ``2 S_m(n) + K``, ``|F(q)|`` and every partial sum over the
+    families, the last twice.  That is at most ``5u (sum mu + folds + sum
+    |partial sums|)``; ``6u = 3 eps`` times the same sum also covers the
+    higher-order terms and the rounding of the bound itself.
     """
-    total, budget, kernel = 0.0, 1.0, 0
+    total = bound = 0.0
+    kernel = 0
     try:
         for fam in spectrum.families:
-            # F(q), which counts every index as +1, and its budget
+            f_coeffs, s_coeffs, denom = _family_polys(fam.mult_coeffs)
             q = fam.offset / fam.step
-            value = terms = 0.0
-            for i, ci in enumerate(_poly_shift(fam.mult_coeffs, -q)):
-                term = ci * hurwitz_zeta_nonpositive(i, q)
-                value += term
-                terms += abs(term)
+            value = mu = 0.0
+            for a in f_coeffs:
+                value = value * q + a
+                mu = mu * abs(q) + abs(value)
             n, k = fam.crossing()
-            fold = 2 * _wrong_side_sum(fam.mult_coeffs, n) + k
+            s = 0
+            for a in s_coeffs:
+                s = s * n + a
+            fold = 2 * ((2 * s + denom) // (2 * denom)) + k  # S_m(n), the nearest integer
             total += fam.sign * (value - fold)
-            budget += terms + fold
+            bound += mu + fold + abs(total)
             kernel += k
-    except OverflowError:  # a power of q or a count past the double range
+    except OverflowError:  # a count past the double range
         total = np.inf
-    error = 32.0 * np.finfo(float).eps * budget
+    error = 3.0 * np.finfo(float).eps * bound
     if not np.isfinite(total + error):
         raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
     rank = spectrum.rank

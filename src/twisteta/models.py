@@ -552,10 +552,6 @@ class ProgressionSpectrum:
     families: tuple[Progression, ...]
     rank: int = 1
 
-    @property
-    def kernel_dim(self) -> int:
-        return self.rank * sum(fam.crossing()[1] for fam in self.families)
-
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     """Exact progression decomposition; circle, sphere and lens models only.

@@ -16,7 +16,6 @@ from twisteta.eta import (
     eta_for_model,
     eta_heat,
     eta_hurwitz,
-    hurwitz_zeta_nonpositive,
     rho,
 )
 from twisteta import eta as eta_mod
@@ -41,25 +40,27 @@ from twisteta.specflow import sf_for_flux
 
 # --- Hurwitz zeta building block --------------------------------------------
 
+def _family_eta(coeffs, q):
+    """Eta of one family ``k + q``, ``q > 0``: the polynomial ``F_m(q)``."""
+    return eta_hurwitz(ProgressionSpectrum((Progression(1, q, 1.0, coeffs),)))
+
+
 def test_hurwitz_zeta_at_zero():
+    # m = 1: F(q) = zeta_H(0, q) = 1/2 - q and S(n) = n, both tables exact
+    assert eta_mod._family_polys((1.0,)) == ((-1.0, 0.5), (1, 0), 1)
     for q in (0.25, 0.5, 1.0, 1.75, 3.2):
-        assert hurwitz_zeta_nonpositive(0, q) == pytest.approx(0.5 - q, abs=1e-15)
+        value = _family_eta((1.0,), q)
+        assert value.eta == pytest.approx(0.5 - q, abs=1e-15)
+        assert abs(value.eta - (0.5 - q)) <= value.error_bound
 
 
 def test_hurwitz_zeta_riemann_values():
-    # zeta(-1) = -1/12, zeta(-2) = 0, zeta(-3) = 1/120 via q = 1
-    assert hurwitz_zeta_nonpositive(1, 1.0) == pytest.approx(-1.0 / 12.0, abs=1e-15)
-    assert hurwitz_zeta_nonpositive(2, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert hurwitz_zeta_nonpositive(3, 1.0) == pytest.approx(1.0 / 120.0, abs=1e-15)
-
-
-def test_hurwitz_zeta_shift_identity():
-    # zeta_H(-i, q) = zeta_H(-i, q+1) + q^i
-    for i in (0, 1, 2, 3):
-        for q in (0.3, 1.7):
-            lhs = hurwitz_zeta_nonpositive(i, q)
-            rhs = hurwitz_zeta_nonpositive(i, q + 1.0) + q**i
-            assert lhs == pytest.approx(rhs, abs=1e-14)
+    # m(k) = (k + 1)^i at q = 1: F(1) = zeta_H(-i, 1) = zeta(-i), which is
+    # -1/12, 0 and 1/120 for i = 1, 2, 3
+    for i, zeta in [(1, Fraction(-1, 12)), (2, Fraction(0)), (3, Fraction(1, 120))]:
+        value = _family_eta(tuple(float(math.comb(i, j)) for j in range(i + 1)), 1.0)
+        assert value.eta == pytest.approx(float(zeta), abs=1e-15)
+        assert abs(Fraction(value.eta) - zeta) <= Fraction(value.error_bound)
 
 
 # --- eta via exact continuation ----------------------------------------------
@@ -225,16 +226,18 @@ def test_hurwitz_kernel_on_a_level_is_its_multiplicity():
         assert abs(value.eta - exact) <= value.error_bound + 1e-12
 
 
-def test_hurwitz_eta_past_ten_thousand_crossed_levels():
-    # unit sphere: eta = 2 S(n) + tau/2 - 2 tau^3/3, where the n lowest
-    # negative levels, S(n) = n(n+1)(n+2)/3 modes, have crossed zero
-    tau = 12000.25
+@pytest.mark.parametrize("tau", [12000.25, -12000.25, 1e7 + 0.3, 1e10])
+def test_hurwitz_eta_past_ten_thousand_crossed_levels(tau):
+    # unit sphere, tau > 0: eta = 2 S(n) + tau/2 - 2 tau^3/3, where the n
+    # lowest negative levels, S(n) = n(n+1)(n+2)/3 modes, have crossed zero;
+    # eta is odd in tau.  At tau = 1e10, F(q) and 2 S(n) are 20 orders of
+    # magnitude above their difference.
     value = eta_for_model(SpectralModel(Sphere3(1.0), flux_shift=tau), "hurwitz")
-    t = Fraction(tau)
+    t = abs(Fraction(tau))
     n = math.ceil(t - Fraction(3, 2))
     exact = Fraction(2 * n * (n + 1) * (n + 2), 3) + t / 2 - 2 * t**3 / 3
     assert value.kernel_dim == 0
-    assert abs(Fraction(value.eta) - exact) <= Fraction(value.error_bound)
+    assert abs(Fraction(value.eta) - math.copysign(1, tau) * exact) <= Fraction(value.error_bound)
 
 
 @pytest.mark.parametrize("tau", [1e7 + 1.5, 1e100])
@@ -246,7 +249,7 @@ def test_hurwitz_refuses_a_kernel_test_it_cannot_resolve(tau):
     with pytest.raises(ValueError, match="flux puts offset"):
         eta_for_model(model, "hurwitz")
     with pytest.raises(ValueError, match="flux puts offset"):
-        progression_spectrum(model).kernel_dim
+        [fam.crossing() for fam in progression_spectrum(model).families]
 
 
 def test_eta_scale_invariance():

@@ -248,7 +248,8 @@ def test_kernel_dimension_examples():
         values, mults = enumerate_spectrum(model, 4).T
         assert mults[np.abs(values) <= ZERO_TOL].sum() == expected
         if not isinstance(model.geometry, Torus3):
-            assert progression_spectrum(model).kernel_dim == expected
+            families = progression_spectrum(model).families
+            assert sum(fam.crossing()[1] for fam in families) == expected
 
 
 # --- lens spaces -----------------------------------------------------------
@@ -337,10 +338,11 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
 
 
 def test_progressions_kernel_split():
+    # (n, K) per family: the negative sphere branch has its first level at 0
     ps = progression_spectrum(SpectralModel(Sphere3(1.0), flux_shift=1.5))
-    assert ps.kernel_dim == 2
+    assert [fam.crossing() for fam in ps.families] == [(0, 0), (0, 2)]
     ps = progression_spectrum(SpectralModel(Circle(1.0)))
-    assert ps.kernel_dim == 1
+    assert sum(fam.crossing()[1] for fam in ps.families) == 1
 
 
 def test_progressions_torus_unsupported():

@@ -74,3 +74,20 @@ def test_changed_quantities_name_the_records_that_differ():
     assert same_records.changed_quantities(a, b + jsonl({"quantity": "xi", "value": 0.1})) \
         == ["eta", "xi"]
     assert same_records._describe(0, a, 0, b).endswith("changed quantities eta")
+
+
+def test_summary_gives_the_largest_difference_and_bound_ratio_of_a_workload():
+    a = jsonl({"quantity": "eta", "value": 0.5, "error_bound": 1e-10, "converged": True})
+    b = jsonl({"quantity": "eta", "value": 0.5 + 2e-11, "error_bound": 3e-10, "converged": True})
+    c = jsonl({"quantity": "eta", "value": 0.5 - 5e-11, "error_bound": 0.5e-10,
+               "converged": True})
+    heat = jsonl({"quantity": "eta", "value": 9.0, "error_bound": 1e-3, "converged": True,
+                  "method": "heat_kernel"})
+    line = same_records.summary("sweeps", [(0, a, 0, a), (0, a, 0, b), (0, a, 0, c),
+                                           (0, a, 3, heat)])
+    # |dvalue|/bound over a-b (0.2) and a-c (1.0); bound ratios 3 and 0.5;
+    # the operation whose records differ beyond value and bound is not measured
+    assert line == ("sweeps: 1 of 4 operation(s) identical, max |dvalue|/error_bound 1, "
+                    "max error_bound ratio 3, changed quantities eta")
+    assert same_records.summary("lw", [(0, a, 0, a)]) == (
+        "lw: 1 of 1 operation(s) identical, no measured difference, changed quantities none")

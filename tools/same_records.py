@@ -18,7 +18,9 @@ bit-identical and the largest ratio of HEAD's ``error_bound`` to BASE's, or
 that the records differ in more than ``value``, ``error_bound`` and
 ``converged``; it ends with the ``quantity`` names of the records that
 differ.  Each workload closes with a summary line: how many of its
-operations are identical, and every quantity that changed in any of them.
+operations are identical, the largest ``|delta value| / error_bound`` and
+the largest ``error_bound`` ratio over its differing operations, and every
+quantity that changed in any of them.
 """
 
 from __future__ import annotations
@@ -110,6 +112,28 @@ def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
             f"changed quantities {', '.join(changed_quantities(text_a, text_b)) or 'none'}")
 
 
+def summary(workload: str, outcomes: list[tuple[int | None, str, int | None, str]]) -> str:
+    """The closing line of a workload from the ``(exit code, records text)``
+    pairs of BASE and HEAD for each of its operations: how many are
+    identical; over the differing ones whose records differ only in
+    ``value``, ``error_bound`` and ``converged``, the largest ``|delta
+    value| / error_bound`` and the largest ``error_bound`` ratio; and every
+    quantity that changed."""
+    same, worst, ratios = 0, [], []
+    changed: set[str] = set()
+    for code_a, text_a, code_b, text_b in outcomes:
+        changed.update(changed_quantities(text_a, text_b))
+        if code_a == code_b and same_records(text_a, text_b):
+            same += 1
+        elif (measured := difference(text_a, text_b)) is not None:
+            worst.append(measured[0])
+            ratios.append(bound_change(text_a, text_b)[1])
+    sizes = (f"max |dvalue|/error_bound {max(worst):.2g}, max error_bound ratio "
+             f"{max(ratios):.3g}" if worst else "no measured difference")
+    return (f"{workload}: {same} of {len(outcomes)} operation(s) identical, {sizes}, "
+            f"changed quantities {', '.join(sorted(changed)) or 'none'}")
+
+
 def _run_checkout(root: Path, workload: str, seed: int, out: Path) -> int:
     """Run every operation in this process; write ``exit_codes.json``."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -156,8 +180,7 @@ def main(argv=None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         for workload in args.workloads:
-            ops, differ_before = 0, differ
-            changed: set[str] = set()
+            outcomes = []
             for seed in args.seeds:
                 where = Path(tmp) / f"{workload}-{seed}"
                 base = _outcomes(args.base, workload, seed, where / "base")
@@ -167,14 +190,12 @@ def main(argv=None) -> int:
                         side.get(label, (None, "")) for side in (base, head))
                     same = code_a == code_b and same_records(text_a, text_b)
                     differ += not same
-                    ops += 1
-                    changed.update(changed_quantities(text_a, text_b))
+                    outcomes.append((code_a, text_a, code_b, text_b))
                     print(f"{workload} seed {seed} {label}: exit {code_a}/{code_b}, "
                           f"{len(canonical(text_b))} records, "
                           + ("identical" if same else
                              "different: " + _describe(code_a, text_a, code_b, text_b)))
-            print(f"{workload}: {ops - (differ - differ_before)} of {ops} operation(s) "
-                  f"identical, changed quantities {', '.join(sorted(changed)) or 'none'}")
+            print(summary(workload, outcomes))
     print(f"{differ} operation(s) differ")
     return 1 if differ else 0
 
