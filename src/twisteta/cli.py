@@ -29,7 +29,7 @@ from . import __version__
 from .conformal import ConformalScale, transform_spectrum
 from .eta import eta_for_model, rho
 from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
-from .specflow import check_flux_response
+from .specflow import UnfluxedSpectrum, check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
 
 __all__ = ["RunConfig", "ResultRecord", "ConfigError", "main"]
@@ -327,12 +327,15 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     base = cfg.model()
     settings = cfg.eta_settings()
     points = cfg.floats("sweep")
-    # the unfluxed endpoint is shared by every point of the sweep
+    # the unfluxed endpoint and its spectrum are shared by every point of the
+    # sweep; the spectrum grows only as far as a point that reached it needs
     eta_zero = eta_for_model(base.with_flux(0.0), **settings)
+    unfluxed = UnfluxedSpectrum(base)
 
     def one(t: float) -> list[ResultRecord]:
         start = time.perf_counter()
-        rpt = check_flux_response(base.with_flux(t), **settings, eta_zero=eta_zero)
+        rpt = check_flux_response(base.with_flux(t), **settings, eta_zero=eta_zero,
+                                  unfluxed=unfluxed)
         wall = time.perf_counter() - start
         conv = rpt.eta_flux.converged and rpt.eta_zero.converged
         return [

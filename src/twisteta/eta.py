@@ -11,11 +11,15 @@ at ``s = 0``:
   Within this class the continuation has no pole at s = 0: the only poles of
   ``zeta_H(s - i, q)`` sit at positive integers ``s = i + 1``.  ``F_m`` is
   one polynomial in q of degree ``deg m + 1``; its exact coefficients depend
-  on m alone, so they are built once per m, rounded to floats, and read by
-  Horner's rule, whose running error sum gives the bound.  ``F(q)`` counts
-  the n values a flux pushed past zero, and a kernel ``K``, as +1
-  (``zeta_H(-i, q) - zeta_H(-i, q+1) = q^i``), so the family adds ``sign
-  (F(q) - 2 S_m(n) - K)``, ``S_m(n) = sum_{k<n} m(k)`` exact by Faulhaber.
+  on m alone.  ``F(q)`` counts the n values a flux pushed past zero, and a
+  kernel ``K``, as +1 (``zeta_H(-i, q) - zeta_H(-i, q+1) = q^i``), so the
+  family adds ``sign (F(q) - 2 S_m(n) - K)``, ``S_m(n) = sum_{k<n} m(k)``
+  exact by Faulhaber.  Both polynomials, rounded to floats and to integer
+  numerators once, sit in the family table of the model's geometry class,
+  lens order and twist (``models.progression_spectrum``), which every radius
+  and flux share.  A call reads each family's offset and step off that table
+  and runs only Horner's rule, whose running error sum gives the bound, the
+  crossing count and the fold.
 
 * :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
   ``S(t) = sum m lambda exp(-t lambda^2)`` on ``[t_min, t_max]`` (log grid,
@@ -62,16 +66,16 @@ of about 1e-15 into integrals whose terms cancel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import comb, lcm
+from math import inf, isfinite
 from typing import Sequence
 
 import numpy as np
 
 from .models import (
+    _EPS,
     ZERO_TOL,
     _check_multiplicities,
+    _crossing,
     _merge,
     ProgressionSpectrum,
     SpectralModel,
@@ -149,47 +153,11 @@ class RhoValue:
 # exact Hurwitz engine
 # ---------------------------------------------------------------------------
 
-def _bernoulli_poly(n: int) -> list[Fraction]:
-    """Coefficients of B_n(x), ascending powers."""
-    bern = [Fraction(1)]
-    for m in range(1, n + 1):
-        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
-    return [comb(n, k) * bern[k] for k in reversed(range(n + 1))]
-
-
-@lru_cache(maxsize=None)
-def _family_polys(mult_coeffs: tuple[float, ...]
-                  ) -> tuple[tuple[float, ...], tuple[int, ...], int]:
-    """The two polynomials of a family with ``m(k) = sum c_n k^n``, exact
-    from the fractions of ``c_n`` and built once per ``mult_coeffs``:
-
-    * ``F_m(q) = sum_i c_i(q) zeta_H(-i, q)``, where ``m(k) = sum_i c_i(q)
-      (k + q)^i`` (``c_n k^n = c_n sum_i C(n, i) (-q)^(n-i) (k + q)^i``) and
-      ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)``, rounded to floats once, in
-      Horner order;
-    * ``S_m(n) = sum_{k<n} m(k)`` by Faulhaber, ``sum_{k<n} k^i =
-      (B_{i+1}(n) - B_{i+1}(0))/(i+1)``, as integer numerators in Horner
-      order over one common denominator.
-    """
-    f = [Fraction(0)] * (len(mult_coeffs) + 1)
-    s = f[:]
-    for n, c in enumerate(map(Fraction, mult_coeffs)):
-        for i in range(n + 1):
-            w = c * comb(n, i) * (-1) ** (n - i) / -(i + 1)
-            for j, b in enumerate(_bernoulli_poly(i + 1)):
-                f[n - i + j] += w * b
-        for j, b in enumerate(_bernoulli_poly(n + 1)[1:], 1):
-            s[j] += c * b / (n + 1)
-    denom = lcm(*(x.denominator for x in s))
-    return (tuple(float(x) for x in reversed(f)),
-            tuple(int(x * denom) for x in reversed(s)), denom)
-
-
 def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
-    """Exact eta invariant of a progression spectrum: per family ``sign
-    (F_m(q) - 2 S_m(n) - K)`` at ``q = offset/step``, ``(n, K)`` from
-    :meth:`Progression.crossing`; a value or bound past the double range
-    raises ``ValueError``.
+    """Exact eta invariant of a progression spectrum: per row of
+    :meth:`ProgressionSpectrum.rows`, ``sign (F_m(q) - 2 S_m(n) - K)`` at
+    ``q = offset/step``, ``(n, K)`` from ``models._crossing``; a value or
+    bound past the double range raises ``ValueError``.
 
     The bound, with ``u = eps/2``, Horner's partial results ``y_j`` and their
     running sum ``mu = sum_j |q|^j |y_j|`` (Higham, *Accuracy and Stability
@@ -204,26 +172,29 @@ def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
     """
     total = bound = 0.0
     kernel = 0
+    rows = spectrum.rows()
     try:
-        for fam in spectrum.families:
-            f_coeffs, s_coeffs, denom = _family_polys(fam.mult_coeffs)
-            q = fam.offset / fam.step
+        for sign, offset, step, coeffs, (f_coeffs, s_coeffs, denom) in rows:
+            q = offset / step
+            abs_q = abs(q)
             value = mu = 0.0
             for a in f_coeffs:
                 value = value * q + a
-                mu = mu * abs(q) + abs(value)
-            n, k = fam.crossing()
-            s = 0
-            for a in s_coeffs:
-                s = s * n + a
-            fold = 2 * ((2 * s + denom) // (2 * denom)) + k  # S_m(n), the nearest integer
-            total += fam.sign * (value - fold)
+                mu = mu * abs_q + abs(value)
+            n, k = _crossing(offset, step, coeffs)
+            fold = k
+            if n:  # S_m(0) = 0
+                s = 0
+                for a in s_coeffs:
+                    s = s * n + a
+                fold += 2 * ((2 * s + denom) // (2 * denom))  # S_m(n), the nearest integer
+            total += sign * (value - fold)
             bound += mu + fold + abs(total)
             kernel += k
     except OverflowError:  # a count past the double range
-        total = np.inf
-    error = 3.0 * np.finfo(float).eps * bound
-    if not np.isfinite(total + error):
+        total = inf
+    error = 3.0 * _EPS * bound
+    if not isfinite(total + error):
         raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
     rank = spectrum.rank
     return EtaValue(rank * total, rank * kernel, "hurwitz", float(rank * error))

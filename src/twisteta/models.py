@@ -15,14 +15,18 @@ multiplicity by the bundle rank:
   ``(m+2) * N(m, k)`` and ``-(3/2+m)/r`` with ``(m+1) * N(m+1, k)`` where
   ``N(m, k)`` counts weights ``{m, m-2, ..., -m}`` congruent to k mod p.
   N is linear along each class of m mod 2p (closed form in ``Lens.branches``),
-  so the classes' multiplicity polynomials form a table that depends on
-  ``(p, k)`` only; it is built once per pair, and each call scales it by the
-  radius.
+  so each class is one branch with a quadratic multiplicity.
 
-:func:`progression_spectrum` writes each branch as one :class:`Progression`
-at its flux-shifted offset, of either sign; its multiplicity polynomial must
-be a non-negative integer at ``k = 0 .. deg + 1`` (a check memoized on the
-coefficients: a failure raises on every construction).
+:func:`progression_spectrum` gives each branch as one family at its
+flux-shifted offset, of either sign.  Everything about a family that depends
+on neither radius nor flux (sign, first value and step at radius 1, the
+multiplicity polynomial, checked to be a non-negative integer at ``k = 0 ..
+deg + 1``, and the two exact polynomials the Hurwitz engine evaluates) sits
+in a family table, built once per geometry class, lens order and twist and
+kept in a bounded cache: every scale of a conformal sweep and every flux of
+a specflow sweep reads one table.  A call only divides by the radius and
+adds the flux, the float operations ``branches`` would do at that radius;
+the checks that depend on them run per call.
 
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
@@ -46,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from fractions import Fraction
-from math import inf, isfinite
+from math import comb, inf, isfinite, lcm
 from typing import TYPE_CHECKING, ClassVar, Sequence, Union
 
 import numpy as np
@@ -203,11 +207,15 @@ _EPS = float(np.finfo(float).eps)
 # ``levels(twist, cutoff)``: eigenvalue and multiplicity arrays of the
 # shell-complete spectrum, not yet merged into distinct values.
 # ``branches(twist)``: ``(v0, step, mult_coeffs)`` families ``v0 + step j``
-# with multiplicity ``sum mult_coeffs[i] j^i``.
+# with multiplicity ``sum mult_coeffs[i] j^i`` (the round geometries only:
+# the torus spectrum is no such family).
 # ``from_config(cfg)``: the geometry a config describes.
 
 class _Round:
-    """Geometry with one length scale, ``radius``."""
+    """Geometry with one length scale, ``radius``; ``shape`` holds its other
+    fields, in order (the lens order), and keys its family table."""
+
+    shape: ClassVar[tuple] = ()
 
     def __post_init__(self):
         if not 0 < self.radius <= MAX_LENGTH:  # NaN fails too
@@ -341,11 +349,6 @@ class Torus3:
         x = 2.0 * np.pi * (scaled_w / lmax)
         return np.concatenate([x, -x]), np.concatenate([count, count])
 
-    def branches(self, theta):
-        raise ValueError(
-            "torus spectra are not arithmetic progressions; use the heat engine"
-        )
-
     @classmethod
     def from_config(cls, cfg) -> "Torus3":
         return cls(lengths=tuple(cfg.floats("lengths", cls.lengths)),
@@ -368,6 +371,10 @@ class Lens(_Round):
         super().__post_init__()
 
     @property
+    def shape(self) -> tuple[int]:
+        return (self.p,)
+
+    @property
     def volume(self) -> float:
         return 2.0 * np.pi**2 * self.radius**3 / self.p
 
@@ -386,9 +393,22 @@ class Lens(_Round):
         return values[keep], mults[keep]
 
     def branches(self, k_char: int):
-        r, period = self.radius, 2 * self.p
-        return [(step_sign * (1.5 + rho) / r, step_sign * period / r, list(coeffs))
-                for rho, step_sign, coeffs in _lens_classes(self.p, k_char)]
+        # class m = rho + 2p j: (base + 2p j) N(m', k) with m' = m on the +
+        # branch and m + 1 on the -; along it N grows by 2g per step when
+        # g = gcd(2, p) divides m' - k (the 2p new weights at each end hit
+        # every such residue g times) and stays 0 otherwise
+        r, p, period = self.radius, self.p, 2 * self.p
+        g = 2 if p % 2 == 0 else 1
+        out = []
+        for rho in range(period):
+            for shift, step_sign in ((0, 1.0), (1, -1.0)):
+                m, base = rho + shift, rho + 2 - shift
+                n0 = lens_weight_count(m, k_char, p)
+                d1 = 2 * g if (m - k_char) % g == 0 else 0
+                coeffs = [base * n0, base * d1 + period * n0, period * d1]
+                if any(coeffs):
+                    out.append((step_sign * (1.5 + rho) / r, step_sign * period / r, coeffs))
+        return out
 
     @classmethod
     def from_config(cls, cfg) -> "Lens":
@@ -441,28 +461,6 @@ def lens_weight_count(m, k: int, p: int):
     return ((d % g == 0) & (m >= i0)) * ((m - i0) // q + 1)
 
 
-@lru_cache(maxsize=1024)
-def _lens_classes(p: int, k_char: int) -> tuple[tuple[int, float, tuple[int, int, int]], ...]:
-    """The radius-free part of ``Lens(p, r).branches(k_char)``: one
-    ``(rho, step_sign, mult_coeffs)`` per nonempty class of levels."""
-    # class m = rho + 2p j: (base + 2p j) N(m', k) with m' = m on the +
-    # branch and m + 1 on the -; along it N grows by 2g per step when
-    # g = gcd(2, p) divides m' - k (the 2p new weights at each end hit
-    # every such residue g times) and stays 0 otherwise
-    period = 2 * p
-    g = 2 if p % 2 == 0 else 1
-    out = []
-    for rho in range(period):
-        for shift, step_sign in ((0, 1.0), (1, -1.0)):
-            m, base = rho + shift, rho + 2 - shift
-            n0 = lens_weight_count(m, k_char, p)
-            d1 = 2 * g if (m - k_char) % g == 0 else 0
-            coeffs = (base * n0, base * d1 + period * n0, period * d1)
-            if any(coeffs):
-                out.append((rho, step_sign, coeffs))
-    return tuple(out)
-
-
 def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Distinct eigenvalues, ascending, with their summed multiplicities."""
     distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
@@ -505,25 +503,35 @@ class Progression:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
-        # a step above 2 ZERO_TOL leaves at most one index in the kernel
-        if not (2 * ZERO_TOL < self.step < inf and isfinite(self.offset / self.step)):
-            raise ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
-                             f"offset/step finite, got {self.offset!r}/{self.step!r}")
+        _check_step(self.offset, self.step)
         _check_integer_valued(tuple(self.mult_coeffs))
 
     def crossing(self) -> tuple[int, int]:
-        """``(n, K)``: the n indices with ``offset + step k < -ZERO_TOL``, and
-        ``K = m(n)`` (exact) if index n, the one nearest ``-offset/step``, is
-        a kernel mode, ``|offset + step n| <= ZERO_TOL``, else 0."""
-        j = max(0, round(-self.offset / self.step))
-        v = self.offset + self.step * j
-        # v is off by up to eps (|offset| + step): no float test can tell there
-        if abs(abs(v) - ZERO_TOL) <= _EPS * (abs(self.offset) + self.step):
-            raise ValueError(f"the flux puts offset {self.offset:.6g} too far from zero to "
-                             f"resolve the kernel threshold {ZERO_TOL:g}")
-        if abs(v) <= ZERO_TOL:
-            return j, round(sum(Fraction(c) * j**i for i, c in enumerate(self.mult_coeffs)))
-        return (j + 1 if v < 0 else j), 0
+        """``(n, K)`` of :func:`_crossing`."""
+        return _crossing(self.offset, self.step, self.mult_coeffs)
+
+
+def _check_step(offset: float, step: float) -> None:
+    # a step above 2 ZERO_TOL leaves at most one index in the kernel
+    if not (2 * ZERO_TOL < step < inf and isfinite(offset / step)):
+        raise ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
+                         f"offset/step finite, got {offset!r}/{step!r}")
+
+
+def _crossing(offset: float, step: float, mult_coeffs: Sequence[float]) -> tuple[int, int]:
+    """``(n, K)`` of the family ``offset + step k``: the n indices with
+    ``offset + step k < -ZERO_TOL``, and ``K = m(n)`` (exact) if index n, the
+    one nearest ``-offset/step``, is a kernel mode, ``|offset + step n| <=
+    ZERO_TOL``, else 0."""
+    j = max(0, round(-offset / step))
+    v = offset + step * j
+    # v is off by up to eps (|offset| + step): no float test can tell there
+    if abs(abs(v) - ZERO_TOL) <= _EPS * (abs(offset) + step):
+        raise ValueError(f"the flux puts offset {offset:.6g} too far from zero to "
+                         f"resolve the kernel threshold {ZERO_TOL:g}")
+    if abs(v) <= ZERO_TOL:
+        return j, round(sum(Fraction(c) * j**i for i, c in enumerate(mult_coeffs)))
+    return (j + 1 if v < 0 else j), 0
 
 
 def _poly_at(coeffs: Sequence[float], k: int) -> float:
@@ -531,11 +539,9 @@ def _poly_at(coeffs: Sequence[float], k: int) -> float:
     return sum(c * k**i for i, c in enumerate(coeffs))
 
 
-@lru_cache(maxsize=4096)
 def _check_integer_valued(mult_coeffs: tuple[float, ...]) -> None:
     """Raise ``ValueError`` unless the multiplicity polynomial is a
-    non-negative integer at ``k = 0 .. deg + 1``.  Memoized on the
-    coefficients; a failure is not cached, so it raises on every call."""
+    non-negative integer at ``k = 0 .. deg + 1``."""
     for k in range(len(mult_coeffs) + 2):
         v = _poly_at(mult_coeffs, k)
         if abs(v - round(v)) > 1e-6 * max(1.0, abs(v)):
@@ -544,28 +550,121 @@ def _check_integer_valued(mult_coeffs: tuple[float, ...]) -> None:
             raise ValueError(f"multiplicity polynomial is negative at k={k}")
 
 
+def _bernoulli_poly(n: int) -> list[Fraction]:
+    """Coefficients of B_n(x), ascending powers."""
+    bern = [Fraction(1)]
+    for m in range(1, n + 1):
+        bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
+    return [comb(n, k) * bern[k] for k in reversed(range(n + 1))]
+
+
+@lru_cache(maxsize=1024)
+def _family_polys(mult_coeffs: tuple[float, ...]
+                  ) -> tuple[tuple[float, ...], tuple[int, ...], int]:
+    """The two polynomials of a family with ``m(k) = sum c_n k^n`` that the
+    Hurwitz engine evaluates, exact from the fractions of ``c_n``:
+
+    * ``F_m(q) = sum_i c_i(q) zeta_H(-i, q)``, where ``m(k) = sum_i c_i(q)
+      (k + q)^i`` (``c_n k^n = c_n sum_i C(n, i) (-q)^(n-i) (k + q)^i``) and
+      ``zeta_H(-i, q) = -B_{i+1}(q)/(i+1)``, rounded to floats once, in
+      Horner order;
+    * ``S_m(n) = sum_{k<n} m(k)`` by Faulhaber, ``sum_{k<n} k^i =
+      (B_{i+1}(n) - B_{i+1}(0))/(i+1)``, as integer numerators in Horner
+      order over one common denominator.
+    """
+    f = [Fraction(0)] * (len(mult_coeffs) + 1)
+    s = f[:]
+    for n, c in enumerate(map(Fraction, mult_coeffs)):
+        for i in range(n + 1):
+            w = c * comb(n, i) * (-1) ** (n - i) / -(i + 1)
+            for j, b in enumerate(_bernoulli_poly(i + 1)):
+                f[n - i + j] += w * b
+        for j, b in enumerate(_bernoulli_poly(n + 1)[1:], 1):
+            s[j] += c * b / (n + 1)
+    denom = lcm(*(x.denominator for x in s))
+    return (tuple(float(x) for x in reversed(f)),
+            tuple(int(x * denom) for x in reversed(s)), denom)
+
+
+# A family table holds one row ``(sign, v0, step, mult_coeffs, polys)`` per
+# family, everything of it that depends on neither radius nor flux: its
+# first eigenvalue ``v0`` and its ``step > 0`` at radius 1 and flux 0, the
+# multiplicity polynomial (checked integer-valued once, here) and its
+# ``_family_polys``.  At radius r and flux t the family is ``sign (offset +
+# step' k)`` with ``offset = sign (v0/r + t)`` and ``step' = step/r``: the
+# float operations of ``branches`` at radius r, then the flux.
+FamilyRow = tuple[int, float, float, tuple[float, ...],
+                  tuple[tuple[float, ...], tuple[int, ...], int]]
+
+
+def _row(sign: int, v0: float, step: float, mult_coeffs) -> FamilyRow:
+    coeffs = tuple(float(c) for c in mult_coeffs)
+    _check_integer_valued(coeffs)
+    return sign, v0, step, coeffs, _family_polys(coeffs)
+
+
+@lru_cache(maxsize=256)
+def _family_table(geometry: type, shape: tuple, twist) -> tuple[FamilyRow, ...]:
+    """The family table of ``geometry(*shape)`` with this twist, from its
+    ``branches`` at radius 1: built once per key, which leaves out the
+    radius, so every scale of a conformal sweep reads one table."""
+    rows = []
+    for v0, step, coeffs in geometry(*shape, radius=1.0).branches(twist):
+        rows.append(_row(1 if step > 0 else -1, v0, abs(step), coeffs))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class ProgressionSpectrum:
-    """Full spectrum, kernel included: ``rank`` copies of the families (so a
-    rank-r trivial bundle has exactly r times the line bundle's eta)."""
+    """Full spectrum, kernel included: ``rank`` copies of the families of a
+    family table read at ``radius`` and ``flux`` (so a rank-r trivial bundle
+    has exactly r times the line bundle's eta)."""
 
-    families: tuple[Progression, ...]
+    table: tuple[FamilyRow, ...]
+    radius: float = 1.0
+    flux: float = 0.0
     rank: int = 1
+
+    @classmethod
+    def of(cls, families: Sequence[Progression], rank: int = 1) -> "ProgressionSpectrum":
+        """The spectrum of explicit families, at radius 1 and flux 0."""
+        return cls(tuple(_row(f.sign, f.sign * f.offset, f.step, f.mult_coeffs)
+                         for f in families), rank=rank)
+
+    def rows(self) -> list[FamilyRow]:
+        """The table's rows at this radius and flux, ``(sign, offset, step,
+        mult_coeffs, polys)`` with the family's own offset and step, each
+        pair checked as :class:`Progression` checks it, all before the first
+        row is returned."""
+        r, t = self.radius, self.flux
+        rows = []
+        for sign, v0, step, coeffs, polys in self.table:
+            offset, step = sign * (v0 / r + t), step / r
+            _check_step(offset, step)
+            rows.append((sign, offset, step, coeffs, polys))
+        return rows
+
+    @property
+    def families(self) -> tuple[Progression, ...]:
+        return tuple(Progression(*row[:4]) for row in self.rows())
 
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     """Exact progression decomposition; circle, sphere and lens models only.
 
-    Torus norms ``2 pi |v + delta + theta|`` are not arithmetic progressions,
-    so torus models must use the heat engine.
+    Returns the family table of the model's geometry class, lens order and
+    twist, from a bounded cache whose key leaves out the radius, with the
+    model's radius, flux and rank: no family is built or validated here.
+    :meth:`ProgressionSpectrum.rows` reads the table at that radius and flux
+    and checks each family's offset and step.  Torus norms ``2 pi |v + delta
+    + theta|`` are not arithmetic progressions, so torus models must use the
+    heat engine.
     """
-    t = model.flux_shift
-    families = []
-    for v0, step, coeffs in model.geometry.branches(model.bundle.twist):
-        sign = 1 if step > 0 else -1
-        families.append(Progression(sign, sign * (v0 + t), abs(step),
-                                    tuple(float(c) for c in coeffs)))
-    return ProgressionSpectrum(tuple(families), model.rank)
+    geo = model.geometry
+    if not isinstance(geo, _Round):
+        raise ValueError("torus spectra are not arithmetic progressions; use the heat engine")
+    return ProgressionSpectrum(_family_table(type(geo), geo.shape, model.bundle.twist),
+                               geo.radius, model.flux_shift, model.rank)
 
 
 # ---------------------------------------------------------------------------

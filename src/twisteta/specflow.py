@@ -40,6 +40,7 @@ __all__ = [
     "SfResult",
     "sf_on_spectrum",
     "sf_for_flux",
+    "UnfluxedSpectrum",
     "FluxResponseReport",
     "check_flux_response",
     "reduced_local_term",
@@ -91,25 +92,39 @@ def sf_on_spectrum(spectrum: np.ndarray, t: float) -> SfResult:
 # model-level drivers
 # ---------------------------------------------------------------------------
 
-def unfluxed_spectrum(model: SpectralModel, reach: float) -> np.ndarray:
-    """The zero-flux spectrum past ``reach`` on both sides: the cutoff starts
-    at 8 and doubles until both ends lie beyond it (an empty spectrum, a
-    shell too small for any mode of a long thin torus, doubles too).  Cutoffs
-    are shell complete, so it holds every eigenvalue in ``[-reach, reach]``
-    and the nearest one on each side of any point there, on a geometry of any
-    size."""
-    base = model.with_flux(0.0)
-    n = 8
-    spec = enumerate_spectrum(base, n)
-    while not len(spec) or min(-spec[0, 0], spec[-1, 0]) <= reach:
-        n *= 2
-        spec = enumerate_spectrum(base, n)
-    return spec
+class UnfluxedSpectrum:
+    """The zero-flux spectrum of a model, enumerated on demand and kept for
+    the next request: :meth:`past` grows it only when a reach lies beyond
+    it, so a sweep enumerates it once per new reach, never ahead of a point.
+    Its cutoff starts at 8 and doubles until both ends lie beyond the reach
+    (an empty spectrum, a shell too small for any mode of a long thin torus,
+    doubles too).  Cutoffs are shell complete, so every eigenvalue of a
+    larger cutoff is one of a smaller cutoff with the same bits and
+    multiplicity, or lies beyond that cutoff's ends."""
+
+    def __init__(self, model: SpectralModel):
+        self._base = model.with_flux(0.0)
+        self._grown = None  # (cutoff, spectrum), set in one assignment
+
+    def past(self, reach: float) -> np.ndarray:
+        """The spectrum past ``reach`` on both sides: it holds every
+        eigenvalue in ``[-reach, reach]`` and the nearest one on each side of
+        any point there, on a geometry of any size."""
+        n, spec = self._grown or (8, enumerate_spectrum(self._base, 8))
+        while not len(spec) or min(-spec[0, 0], spec[-1, 0]) <= reach:
+            n *= 2
+            spec = enumerate_spectrum(self._base, n)
+        self._grown = (n, spec)
+        return spec
 
 
-def sf_for_flux(model: SpectralModel, t: float) -> SfResult:
-    """Spectral flow from the unfluxed operator to flux ``t`` (exact)."""
-    return sf_on_spectrum(unfluxed_spectrum(model, abs(t) + 1.0), t)
+def sf_for_flux(model: SpectralModel, t: float,
+                unfluxed: UnfluxedSpectrum | None = None) -> SfResult:
+    """Spectral flow from the unfluxed operator to flux ``t`` (exact).  A
+    sweep passes the zero-flux spectrum ``unfluxed`` that its points share;
+    without it the spectrum is enumerated here."""
+    spectrum = (unfluxed or UnfluxedSpectrum(model)).past(abs(t) + 1.0)
+    return sf_on_spectrum(spectrum, t)
 
 
 def _require_3d(model: SpectralModel):
@@ -142,15 +157,17 @@ class FluxResponseReport:
 
 def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
                         cutoff: int | None = None, tol: float = 1e-8,
-                        eta_zero: EtaValue | None = None) -> FluxResponseReport:
+                        eta_zero: EtaValue | None = None,
+                        unfluxed: UnfluxedSpectrum | None = None) -> FluxResponseReport:
     """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for the bare term
     ``t Vol/(2 pi^2)`` and the calibrated :func:`reduced_local_term`, from one
     measurement of the eta difference and the spectral flow.
 
     Both endpoint operators must be invertible.  ``eta_zero`` is the eta of
     the unfluxed operator ``model.with_flux(0)`` through the same engine,
-    cutoff and tol; a sweep over fluxes evaluates it once and passes it to
-    every point.  It is evaluated here when not given.
+    cutoff and tol, and ``unfluxed`` its spectrum; a sweep over fluxes
+    evaluates the one once and grows the other as its points need, and
+    passes both to every point.  Each is evaluated here when not given.
     """
     _require_3d(model)
     t = model.flux_shift
@@ -159,7 +176,7 @@ def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
     eta_flux = eta_for_model(model, engine, cutoff, tol)
     if eta_zero.kernel_dim or eta_flux.kernel_dim:
         raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
-    sf = sf_for_flux(model, t)
+    sf = sf_for_flux(model, t, unfluxed)
     terms = {"bare": t * model.geometry.volume / (2.0 * np.pi**2),
              "calibrated": reduced_local_term(model, t)}
     residuals = {name: abs(eta_flux.eta - eta_zero.eta - 2.0 * sf.flow - term)

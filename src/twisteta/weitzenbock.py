@@ -55,7 +55,7 @@ from .models import (
     torus_multiplication_operator,
     torus_twisted_derivative,
 )
-from .specflow import sf_on_spectrum, unfluxed_spectrum
+from .specflow import UnfluxedSpectrum, sf_on_spectrum
 
 __all__ = [
     "LwReport",
@@ -209,7 +209,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     # exactly (merging equal values moves no minimum), and it holds the value
     # nearest to -u h_norm on both sides for every u on the grid and every
     # value the flux path to the last u crosses
-    spectrum = unfluxed_spectrum(model, grid[-1] * h_norm + 1.0)
+    spectrum = UnfluxedSpectrum(model).past(grid[-1] * h_norm + 1.0)
     base = spectrum[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 

@@ -149,6 +149,94 @@ def test_specflow_on_a_large_sphere(tmp_path):
     assert by_key[(2.03, "residual_calibrated")] <= 1e-8
 
 
+@pytest.mark.parametrize("model", [
+    "geometry = sphere3\nradius = 1.1\n",
+    "geometry = lens\nlens_p = 5\nbundle = lens_character\ncharacter = 2\nradius = 1.3\n",
+], ids=["sphere3", "lens"])
+def test_specflow_sweep_writes_the_records_of_its_points_run_alone(tmp_path, model):
+    # the points share one zero-flux spectrum, grown at 6.3 in the middle of
+    # the sweep: the points after it read a spectrum larger than their own
+    fluxes = ["0.4", "-2.9", "6.3", "1.7", "-0.9", "3.6"]
+
+    def records(name, sweep):
+        cfg = write(tmp_path, f"{name}.txt", model + f"engine = hurwitz\nsweep = {sweep}\n")
+        out = tmp_path / f"{name}.jsonl"
+        assert main(["specflow", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        return [dataclasses.replace(r, config={}, config_hash="", wall_time=0.0)
+                for r in read_records(out)]
+
+    swept = records("sweep", ",".join(fluxes))
+    alone = [r for i, t in enumerate(fluxes) for r in records(f"point{i}", t)]
+    assert len(swept) == 4 * len(fluxes) and swept == alone
+    assert [r.quantity for r in swept[:4]] == ["eta", "sf", "residual", "residual_calibrated"]
+    flows = [r.value for r in swept if r.quantity == "sf"]
+    assert min(flows) < 0 < max(flows)
+
+
+def test_specflow_sweep_enumerates_its_spectrum_once_per_new_reach(tmp_path, monkeypatch):
+    from twisteta import specflow
+
+    seen = []
+    enumerate_spectrum = specflow.enumerate_spectrum
+
+    def recording(model, cutoff):
+        seen.append(cutoff)
+        return enumerate_spectrum(model, cutoff)
+
+    monkeypatch.setattr(specflow, "enumerate_spectrum", recording)
+    # unit sphere: cutoff 8 reaches 9.5 and 16 reaches 17.5, past 12.3 + 1
+    cfg = write(tmp_path, "c.txt", "geometry = sphere3\nsweep = 0.4,12.3,-3.2,0.7\n")
+    assert main(["specflow", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+    assert seen == [8, 16]
+
+
+def test_specflow_threads_sharing_one_spectrum_write_the_sequential_records(tmp_path):
+    # four threads grow the shared zero-flux spectrum in turn, switching every
+    # microsecond; a lost growth costs an enumeration, never a record
+    # |t| = 0.2 + 0.8 i (never a level 1.5 + k), large and small interleaved
+    fluxes = ",".join(f"{sign * (0.2 + 0.8 * ((7 * i) % 24)):.1f}" for i in range(24)
+                      for sign in (1, -1))
+    cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nsweep = {fluxes}\n")
+    outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+    assert main(["specflow", "--config", cfg, "--out", str(outs[0])]) == EXIT_OK
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(["specflow", "--config", cfg, "--out", str(outs[1]),
+                     "--workers", "4"]) == EXIT_OK
+    finally:
+        sys.setswitchinterval(interval)
+    a, b = ([dataclasses.replace(r, wall_time=0.0) for r in read_records(out)] for out in outs)
+    assert len(a) == 4 * 48 and a == b
+
+
+def test_specflow_sweep_to_a_flux_past_the_doubles_is_refused(tmp_path, capsys):
+    # the point's own eta refuses the flux before its spectrum would be grown
+    cfg = write(tmp_path, "c.txt", "geometry = sphere3\nsweep = 0.5,1e300\n")
+    assert main(["specflow", "--config", cfg]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: the flux puts offset -1e+300 too far from zero to resolve "
+        "the kernel threshold 1e-09\n")
+
+
+def test_conformal_scales_of_a_lens_share_one_family_table_per_bundle(tmp_path):
+    from twisteta import models
+
+    scales = ",".join(str(-1.5 + 0.2 * i) for i in range(16))
+    cfg = write(tmp_path, "c.txt",
+                "geometry = lens\nlens_p = 12\nbundle = lens_character\ncharacter = 5\n"
+                f"radius = 1.1\nflux = 0.37\nsweep = {scales}\n")
+    models._family_table.cache_clear()
+    assert main(["conformal", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
+    # the character 5 and the trivial partner: 17 rho, 34 eta, 2 tables
+    info = models._family_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 32, 2)
+    # bounded: a new key past the limit evicts the oldest entry
+    for i in range(info.maxsize + 10):
+        models.progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(i / 1000.0)))
+    assert models._family_table.cache_info().currsize == info.maxsize
+
+
 def test_specflow_workers_preserve_order(tmp_path):
     sweep = "0.1,0.2,0.3,0.4"
     cfg1 = write(tmp_path, "c1.txt", f"geometry = sphere3\nsweep = {sweep}\n")

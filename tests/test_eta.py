@@ -19,6 +19,7 @@ from twisteta.eta import (
     rho,
 )
 from twisteta import eta as eta_mod
+from twisteta import models as models_mod
 from twisteta.eta import _GL20_W, _GL20_X, _GL_W, _GL_X, _OddTrace, _integrate_log, _tail_floor
 from twisteta.models import (
     Circle,
@@ -42,12 +43,12 @@ from twisteta.specflow import sf_for_flux
 
 def _family_eta(coeffs, q):
     """Eta of one family ``k + q``, ``q > 0``: the polynomial ``F_m(q)``."""
-    return eta_hurwitz(ProgressionSpectrum((Progression(1, q, 1.0, coeffs),)))
+    return eta_hurwitz(ProgressionSpectrum.of((Progression(1, q, 1.0, coeffs),)))
 
 
 def test_hurwitz_zeta_at_zero():
     # m = 1: F(q) = zeta_H(0, q) = 1/2 - q and S(n) = n, both tables exact
-    assert eta_mod._family_polys((1.0,)) == ((-1.0, 0.5), (1, 0), 1)
+    assert models_mod._family_polys((1.0,)) == ((-1.0, 0.5), (1, 0), 1)
     for q in (0.25, 0.5, 1.0, 1.75, 3.2):
         value = _family_eta((1.0,), q)
         assert value.eta == pytest.approx(0.5 - q, abs=1e-15)
@@ -256,7 +257,7 @@ def test_eta_scale_invariance():
     # at t = 4.1 the lowest levels have crossed zero
     for t in (0.2, 4.1):
         ps = progression_spectrum(SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=t))
-        scaled = ProgressionSpectrum(
+        scaled = ProgressionSpectrum.of(
             tuple(Progression(f.sign, 7.0 * f.offset, 7.0 * f.step, f.mult_coeffs)
                   for f in ps.families))
         assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
@@ -265,7 +266,7 @@ def test_eta_scale_invariance():
 def test_eta_hurwitz_antisymmetry():
     for t in (0.0, 2.45):
         ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3), t))
-        flipped = ProgressionSpectrum(
+        flipped = ProgressionSpectrum.of(
             tuple(Progression(-f.sign, f.offset, f.step, f.mult_coeffs) for f in ps.families))
         assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
 
@@ -277,7 +278,7 @@ def test_eta_hurwitz_input_validation():
     with pytest.raises(ValueError):
         Progression(sign=1, offset=1.0, step=0.0, mult_coeffs=(1.0,))
     with pytest.raises(ValueError):
-        eta_hurwitz(ProgressionSpectrum(
+        eta_hurwitz(ProgressionSpectrum.of(
             (Progression(sign=1, offset=1.0, step=1.0, mult_coeffs=(0.5,)),)))
 
 
@@ -296,8 +297,8 @@ def test_eta_hurwitz_fold_identity(coeffs):
     for sign in (1, -1):
         for step in (1.0, 0.7):
             for offset in (-7.3, -2.1, -0.4, 0.0, 0.6, 3.25):
-                family = ProgressionSpectrum((Progression(sign, offset, step, coeffs),))
-                later = ProgressionSpectrum(
+                family = ProgressionSpectrum.of((Progression(sign, offset, step, coeffs),))
+                later = ProgressionSpectrum.of(
                     (Progression(sign, offset + step, step, _shifted(coeffs)),))
                 a, b = eta_hurwitz(family), eta_hurwitz(later)
                 v0 = sign * offset

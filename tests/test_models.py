@@ -345,6 +345,29 @@ def test_progressions_kernel_split():
     assert sum(fam.crossing()[1] for fam in ps.families) == 1
 
 
+@pytest.mark.parametrize("model", [
+    SpectralModel(Circle(1.37), CircleHolonomy(0.3), flux_shift=-2.71),
+    SpectralModel(Circle(0.81), flux_shift=0.9),
+    SpectralModel(Sphere3(1.1), flux_shift=0.37),
+    SpectralModel(Sphere3(0.93), TrivialBundle(3), flux_shift=-5.2),
+    SpectralModel(Lens(12, 1.1), LensCharacter(12, 5), flux_shift=0.37),
+    SpectralModel(Lens(7, 2.9), LensCharacter(7, 0), flux_shift=-1.3),
+])
+def test_family_table_gives_the_families_of_the_branches_at_the_radius(model):
+    # the table is built at radius 1; a call divides by the radius and adds
+    # the flux, the float operations of the branches at that radius
+    t = model.flux_shift
+    expected = []
+    for v0, step, coeffs in model.geometry.branches(model.bundle.twist):
+        sign = 1 if step > 0 else -1
+        expected.append(Progression(sign, sign * (v0 + t), abs(step),
+                                    tuple(float(c) for c in coeffs)))
+    spectrum = progression_spectrum(model)
+    assert spectrum.families == tuple(expected)
+    assert spectrum.rank == model.rank
+    assert progression_spectrum(model.with_flux(0.0)).table is spectrum.table
+
+
 def test_progressions_torus_unsupported():
     with pytest.raises(ValueError):
         progression_spectrum(SpectralModel(Torus3()))

@@ -74,6 +74,10 @@ def test_changed_quantities_name_the_records_that_differ():
     assert same_records.changed_quantities(a, b + jsonl({"quantity": "xi", "value": 0.1})) \
         == ["eta", "xi"]
     assert same_records._describe(0, a, 0, b).endswith("changed quantities eta")
+    # a paired record whose quantity itself changed is named under both names
+    renamed = b.replace('"quantity": "eta"', '"quantity": "xi"')
+    assert same_records.changed_quantities(a, renamed) == ["eta", "xi"]
+    assert same_records.changed_quantities(renamed, a) == ["eta", "xi"]
 
 
 def test_summary_gives_the_largest_difference_and_bound_ratio_of_a_workload():

@@ -16,11 +16,11 @@ from twisteta.models import (
 )
 from twisteta.specflow import (
     Crossing,
+    UnfluxedSpectrum,
     check_flux_response,
     reduced_local_term,
     sf_for_flux,
     sf_on_spectrum,
-    unfluxed_spectrum,
 )
 from twisteta.weitzenbock import psc_stability_sweep
 
@@ -56,7 +56,7 @@ def test_sf_for_flux_at_zero_flux_is_the_general_count():
 
 
 def test_sf_on_spectrum_concatenation_additivity():
-    spec = unfluxed_spectrum(SpectralModel(Sphere3(1.0)), 4.0)
+    spec = UnfluxedSpectrum(SpectralModel(Sphere3(1.0))).past(4.0)
     whole = sf_on_spectrum(spec, 2.8)
     first = sf_on_spectrum(spec, 1.0)
     # second leg: every eigenvalue advanced by u = 1.0

@@ -89,9 +89,10 @@ def bound_change(a: str, b: str) -> tuple[bool, float]:
 
 def changed_quantities(a: str, b: str) -> list[str]:
     """The ``quantity`` names, sorted, of the records paired in order that
-    differ apart from ``wall_time`` (a record without a partner counts)."""
+    differ apart from ``wall_time``, both sides' where a pair's names differ
+    (a record without a partner counts)."""
     ra, rb = ([json.loads(line) for line in canonical(text)] for text in (a, b))
-    names = {x.get("quantity") for x, y in zip(ra, rb) if x != y}
+    names = {r.get("quantity") for x, y in zip(ra, rb) if x != y for r in (x, y)}
     names |= {r.get("quantity") for r in ra[len(rb):] + rb[len(ra):]}
     return sorted(str(n) for n in names)
 
