@@ -36,19 +36,22 @@ are never truncated inside a level.  :func:`enumerate_spectrum` returns one
 are exact in float64), and ``|lambda| <= ZERO_TOL`` is a kernel mode.
 
 ``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
-for both the spectrum and the Fourier-mode operator.  ``_assemble_blocks``
-writes that operator's CSR arrays shift by shift: the source modes of a
-shift are a product of three index ranges, each nonzero entry of its
-constant block fills one strided run of rows, and the shifts go in ascending
-column order, so the matrix needs no sort.
-It is the one runtime user of ``scipy.sparse`` and imports it on its first
-call, so only a command that assembles a torus operator (``lw``) loads scipy.
+for both the spectrum and the Fourier-mode operator.  A ``TorusSymbol`` holds
+an operator's block data: a constant 2x2 block per Fourier shift and, for
+the diagonal, per-axis symbol arrays.  The LW check works on symbols.
+``_assemble_blocks`` writes a symbol's CSR arrays shift by shift for the
+public builders (``build_torus_operator``, ``torus_twisted_derivative``,
+``torus_multiplication_operator``): the source modes of a shift are a
+product of three index ranges, each nonzero entry of its constant block
+fills one strided run of rows, and the shifts go in ascending column order,
+so the matrix needs no sort.  It is the one user of ``scipy.sparse`` and
+imports it on its first call; no command calls it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from math import comb, inf, isfinite, lcm
 from typing import TYPE_CHECKING, ClassVar, Sequence, Union
@@ -550,12 +553,13 @@ def _check_integer_valued(mult_coeffs: tuple[float, ...]) -> None:
             raise ValueError(f"multiplicity polynomial is negative at k={k}")
 
 
-def _bernoulli_poly(n: int) -> list[Fraction]:
-    """Coefficients of B_n(x), ascending powers."""
+@lru_cache(maxsize=64)
+def _bernoulli_poly(n: int) -> tuple[Fraction, ...]:
+    """Coefficients of B_n(x), ascending powers, built once per ``n``."""
     bern = [Fraction(1)]
     for m in range(1, n + 1):
         bern.append(-sum(comb(m + 1, j) * bern[j] for j in range(m)) / (m + 1))
-    return [comb(n, k) * bern[k] for k in reversed(range(n + 1))]
+    return tuple(comb(n, k) * bern[k] for k in reversed(range(n + 1)))
 
 
 @lru_cache(maxsize=1024)
@@ -752,13 +756,67 @@ def _unit_top_form():
     return build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms()
 
 
-def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
-                     grad: dict[int, np.ndarray], coupling: dict[tuple[int, int, int], np.ndarray]):
-    """Block operator on the mode box of ``geometry.lattice``: mode ``v``
-    carries ``sum_j 2 pi i w_j grad[j]`` (``d/dx_j`` acts on mode ``v`` as
-    ``2 pi i w_j``, ``w`` its frequencies) and couples to ``v - u`` by the
-    constant block ``coupling[u]`` when that mode is in the box.  The zero
-    shift adds into the diagonal block.
+@dataclass(frozen=True, eq=False)
+class TorusSymbol:
+    """A block operator on the mode box ``[-N, N]^3`` of ``geometry.lattice``
+    by its symbol, the one home of its block data.  Mode ``v`` carries the
+    diagonal block ``sum_j s_j(v_j) grad[j] + coupling[0]``, where ``s_j = 2 pi
+    i x_j/L_j`` is ``d/dx_j`` on mode ``v`` (``axis_symbol[j, v_j + N]``, ``x``
+    its shifted coordinates), and couples to ``v - u`` by the constant block
+    ``coupling[u]``, ``u != 0``, when that mode is in the box."""
+
+    cutoff: int
+    axis_symbol: np.ndarray  # (3, 2N+1)
+    grad: dict[int, np.ndarray]
+    coupling: dict[tuple[int, int, int], np.ndarray]
+
+    @classmethod
+    def on(cls, geometry: Torus3, theta, cutoff: int, grad: dict[int, np.ndarray],
+           coupling: dict[tuple[int, int, int], np.ndarray]) -> "TorusSymbol":
+        _, x = geometry.lattice(theta, cutoff)
+        return cls(cutoff, 2.0j * np.pi * (x / np.asarray(geometry.lengths)[:, None]),
+                   grad, coupling)
+
+    @property
+    def zero_block(self) -> np.ndarray:
+        return np.asarray(self.coupling.get((0, 0, 0), np.zeros((2, 2))), dtype=complex)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """The diagonal blocks on the box, shape ``(2N+1,) * 3 + (2, 2)`` up to
+        broadcasting: an axis the blocks do not depend on has length 1 (all
+        of them without ``grad``)."""
+        zero = self.zero_block
+        if not self.grad:
+            return zero
+        side = 2 * self.cutoff + 1
+        diag = sum(self.axis_symbol[j].reshape([side if k == j else 1 for k in range(3)] + [1, 1])
+                   * blk for j, blk in self.grad.items())
+        # the nonzero one of the two, or their sum where both are nonzero
+        return np.where(diag != 0, np.where(zero != 0, diag + zero, diag), zero)
+
+    def assembled_shifts(self) -> list[tuple[int, int, int]]:
+        """The shifts ``u != 0`` with a source mode in the box."""
+        side = 2 * self.cutoff + 1
+        return [u for u in self.coupling if any(u) and all(abs(k) < side for k in u)]
+
+    def hermitian_deviation(self) -> float:
+        """``max |X - X^H|`` over the entries of the assembled matrix: each
+        diagonal block against its conjugate transpose, each assembled
+        ``coupling[u]`` against ``coupling[-u]^H``.  NaN propagates."""
+        def adjoint(blk):
+            return np.conj(np.swapaxes(blk, -1, -2))
+
+        diag = self.diagonal
+        devs = [np.abs(diag - adjoint(diag)).max()]
+        for u in self.assembled_shifts():
+            neg = self.coupling.get((-u[0], -u[1], -u[2]), np.zeros((2, 2)))
+            devs.append(np.abs(self.coupling[u] - adjoint(neg)).max())
+        return float(np.max(devs))
+
+
+def _assemble_blocks(symbol: TorusSymbol):
+    """The CSR matrix of a symbol's operator, with its mode list.
 
     The CSR arrays are written shift by shift.  The box index ``i`` is linear
     in ``v``, so shift ``u`` sends ``i`` to ``i - off`` for a fixed ``off``,
@@ -768,9 +826,10 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
     The shifts are written in descending ``off`` (the diagonal at 0), so the
     columns of every row ascend and the matrix needs no sort.  Exact zeros
     are skipped."""
-    import scipy.sparse as sp  # deferred: no other command needs scipy
+    import scipy.sparse as sp  # deferred: no command needs scipy
 
-    v, x = geometry.lattice(theta, cutoff)
+    cutoff = symbol.cutoff
+    v = np.arange(-cutoff, cutoff + 1)
     side = 2 * cutoff + 1
     nm, box = side**3, (side, side, side)
 
@@ -782,22 +841,13 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
         return out.reshape(nm, 3)
 
     modes = on_box(np.broadcast_to(v, (3, side)))
-    zero = np.asarray(coupling.get((0, 0, 0), np.zeros((2, 2))), dtype=complex)
-    if grad:
-        symbol = 2.0j * np.pi * on_box(x / np.asarray(geometry.lengths)[:, None])
-        diag = sum(symbol[:, j, None, None] * blk for j, blk in grad.items())
-        diag_mask = diag != 0
-        # the nonzero one of the two, or their sum where both are nonzero
-        diag = np.where(diag_mask, np.where(zero != 0, diag + zero, diag), zero)
-        diag_mask |= zero != 0
-    else:  # a constant diagonal: broadcast, not materialised
-        diag = np.broadcast_to(zero, (nm, 2, 2))
-        diag_mask = np.broadcast_to(zero != 0, (nm, 2, 2))
+    zero = symbol.zero_block
+    diag = np.broadcast_to(symbol.diagonal, box + (2, 2)).reshape(nm, 2, 2)
+    diag_mask = (diag != 0) | (zero != 0)
     pieces = [(0, None, None)]  # (off, source ranges, block); None: the diagonal
-    for u, blk in coupling.items():
+    for u in symbol.assembled_shifts():
         ranges = tuple(slice(max(0, k), min(side, side + k)) for k in u)
-        if any(u) and all(r.start < r.stop for r in ranges):
-            pieces.append(((u[0] * side + u[1]) * side + u[2], ranges, blk))
+        pieces.append(((u[0] * side + u[1]) * side + u[2], ranges, symbol.coupling[u]))
     pieces.sort(key=lambda piece: -piece[0])
 
     # entries and next free slot of row 2i + a, held as [a][i] on the box
@@ -838,9 +888,9 @@ def _assemble_blocks(geometry: Torus3, theta, cutoff: int,
     return modes, mat
 
 
-def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
-                         bundle: Bundle = TrivialBundle(1)) -> ModeBlockOperator:
-    """Assemble ``D + c(H)`` for ``H = f(x) vol`` in the Fourier basis."""
+def _dirac_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int,
+                  bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
+    """The symbol of ``D + c(H)`` for ``H = f(x) vol``, checked Hermitian."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     bundle.check(geometry)
@@ -851,10 +901,36 @@ def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
     c_vol = _clifford_terms(rep, vol)  # the identity
     coupling = {u: c * c_vol for u, c in flux.table().items()}
     grad = dict(enumerate(rep.gammas))  # D = sum_j c(e_j) d_j
-    modes, mat = _assemble_blocks(geometry, bundle.twist, cutoff, grad, coupling)
-    herm = abs(mat - mat.getH()).max()
+    symbol = TorusSymbol.on(geometry, bundle.twist, cutoff, grad, coupling)
+    herm = symbol.hermitian_deviation()
     if not herm <= 1e-12:  # NaN fails too
         raise AssertionError(f"assembled operator not Hermitian: deviation {herm}")
+    return symbol
+
+
+def _derivative_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int,
+                       bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
+    """The symbol of ``d/dx_j + c(iota_{e_j} H)`` (the flux contraction acts
+    as ``f(x) c(iota_{e_j} vol)``)."""
+    rep, vol = _unit_top_form()
+    blk = _clifford_terms(rep, _contract(vol, axis))  # i sigma_j
+    coupling = {u: c * blk for u, c in flux.table().items()}
+    return TorusSymbol.on(geometry, bundle.twist, cutoff, {axis: np.eye(2, dtype=complex)},
+                          coupling)
+
+
+def _multiplication_symbol(geometry: Torus3, coeffs: dict[tuple[int, int, int], complex],
+                           cutoff: int, bundle: Bundle, block: np.ndarray) -> TorusSymbol:
+    """The symbol of multiplication by the scalar Fourier series ``coeffs``,
+    tensored with the constant 2x2 ``block``."""
+    return TorusSymbol.on(geometry, bundle.twist, cutoff, {},
+                          {u: c * block for u, c in coeffs.items()})
+
+
+def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
+                         bundle: Bundle = TrivialBundle(1)) -> ModeBlockOperator:
+    """Assemble ``D + c(H)`` for ``H = f(x) vol`` in the Fourier basis."""
+    modes, mat = _assemble_blocks(_dirac_symbol(geometry, flux, cutoff, bundle))
     return ModeBlockOperator(cutoff=cutoff, modes=modes, matrix=mat)
 
 
@@ -862,12 +938,7 @@ def torus_twisted_derivative(geometry: Torus3, flux: TorusFlux, cutoff: int, axi
                              bundle: Bundle = TrivialBundle(1)) -> sp.csr_matrix:
     """Skew-adjoint connection component ``d/dx_j + c(iota_{e_j} H)`` in the
     Fourier basis (the flux contraction acts as ``f(x) c(iota_{e_j} vol)``)."""
-    rep, vol = _unit_top_form()
-    blk = _clifford_terms(rep, _contract(vol, axis))  # i sigma_j
-    coupling = {u: c * blk for u, c in flux.table().items()}
-    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff,
-                              {axis: np.eye(2, dtype=complex)}, coupling)
-    return mat
+    return _assemble_blocks(_derivative_symbol(geometry, flux, cutoff, axis, bundle))[1]
 
 
 def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int, int], complex],
@@ -875,6 +946,4 @@ def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int,
                                   block: np.ndarray) -> sp.csr_matrix:
     """Multiplication operator by the scalar Fourier series ``coeffs``, tensored
     with the constant 2x2 ``block``."""
-    _, mat = _assemble_blocks(geometry, bundle.twist, cutoff, {},
-                              {u: c * block for u, c in coeffs.items()})
-    return mat
+    return _assemble_blocks(_multiplication_symbol(geometry, coeffs, cutoff, bundle, block))[1]

@@ -5,16 +5,23 @@ Degree-3 identity on the flat torus (scalar curvature 0):
 
     (D + c(H))^2 = Delta_H - 2 |H|^2,   H = f(x) vol,
 
-with ``Delta_H = -sum_j (d_j + c(iota_{e_j} H))^2`` assembled mode by mode in
-the Fourier basis and ``|H|^2 = f(x)^2`` acting by convolution.  The
-comparison is restricted to interior modes (margin = flux bandwidth) where
-the truncated products agree with the infinite-volume operator entry by
-entry, so the residual is pure floating-point noise.  The products and the
-residual are formed on the interior rows only, and the interior columns are
-taken at the end: sparse products and sums build each row on its own, so
-this is bit for bit the interior block of the products on all rows.  The
-zeroth-order term is one operator ``f^2 (x) Z``: the Clifford block ``Z`` of
-the unit top form must be the closed form ``-2 I`` exactly.
+with ``Delta_H = -sum_j (d_j + c(iota_{e_j} H))^2`` in the Fourier basis and
+``|H|^2 = f(x)^2`` acting by convolution.  The comparison is restricted to
+interior modes (margin = flux bandwidth) where the truncated products agree
+with the infinite-volume operator entry by entry, so the residual is pure
+floating-point noise.  The zeroth-order term is one operator ``f^2 (x) Z``:
+the Clifford block ``Z`` of the unit top form must be the closed form ``-2
+I`` exactly.
+
+The residual comes from the operators' symbols (``TorusSymbol``: a 2x2 block
+per Fourier shift, the diagonal one per mode), with no sparse matrix: each
+square is formed shift by shift on the interior modes, and so is the norm
+bound of the interior block.  The arithmetic is the sparse path's, term for
+term: products summed in the left factor's CSR column order, complex
+products without fused multiply-adds, the sums ``(D^2 + ((A_0^2 + A_1^2) +
+A_2^2)) - M``, and the row and column sums of the norm in the order scipy
+takes them.  So the residual is bit for bit that of the sparse products,
+which the tests keep as its reference.
 
 The general constant-coefficient identity equates ``c(H)^2 +
 sum_j c(iota_{e_j} H)^2`` with contraction terms of order two and higher,
@@ -49,11 +56,12 @@ from .models import (
     SpectralModel,
     Torus3,
     TorusFlux,
+    TorusSymbol,
     TrivialBundle,
+    _derivative_symbol,
+    _dirac_symbol,
+    _multiplication_symbol,
     _unit_top_form,
-    build_torus_operator,
-    torus_multiplication_operator,
-    torus_twisted_derivative,
 )
 from .specflow import UnfluxedSpectrum, sf_on_spectrum
 
@@ -78,16 +86,9 @@ class LwReport:
     modes_compared: int
 
     def __post_init__(self):
-        if self.residual < 0:
-            raise ValueError("the residual is a norm, must be >= 0")
-
-
-def _opnorm_bound(mat) -> float:
-    """Upper bound for the spectral norm: sqrt(norm_1 * norm_inf)."""
-    a = abs(mat)
-    row = a.sum(axis=1).max()
-    col = a.sum(axis=0).max()
-    return float(np.sqrt(float(row) * float(col)))
+        if not (isfinite(self.residual) and self.residual >= 0):
+            raise ValueError(f"the residual is a norm, must be finite and >= 0, "
+                             f"got {self.residual!r}")
 
 
 def _zeroth_order_block(rep: GammaRep, h_terms) -> np.ndarray:
@@ -100,6 +101,108 @@ def _zeroth_order_block(rep: GammaRep, h_terms) -> np.ndarray:
     return block
 
 
+# Blocks of an operator on the interior rows, by shift ``w``: the real and
+# imaginary parts of ``X_w(v)``, spinor axes first, shape ``(2, 2, n, n, n)``
+# over the interior modes ``v`` up to broadcasting.
+Blocks = dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]
+
+
+def _offset(u, side: int) -> int:
+    """Box index step of shift ``u``: mode ``i`` couples to column mode ``i - off``."""
+    return (u[0] * side + u[1]) * side + u[2]
+
+
+def _parts(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of blocks ``(..., 2, 2)``, spinor axes first."""
+    blk = np.moveaxis(blk, (-2, -1), (0, 1)).reshape((2, 2) + (blk.shape[:-2] or (1, 1, 1)))
+    return np.ascontiguousarray(blk.real), np.ascontiguousarray(blk.imag)
+
+
+def _interior_square(symbol: TorusSymbol, margin: int) -> Blocks:
+    """``X^2`` on the interior rows from the symbol of ``X``: ``(X^2)_w(v) =
+    sum_u X_u(v) X_{w-u}(v - u)``, with ``v - u`` in the box for every
+    interior ``v`` (``|u|_inf <= margin``).
+
+    Each sum runs in the order of the sparse product: the terms of the left
+    factor's CSR row, by descending offset of ``u`` and then spinor column
+    ``b``.  Each complex product is ``(xr yr - xi yi, xr yi + xi yr)`` with no
+    fused multiply-add.  Entries the CSR matrix does not store are exact
+    zeros here, so they add only signed zeros, which no norm sees."""
+    side = 2 * symbol.cutoff + 1
+    consts = {u: _parts(blk) for u, blk in symbol.coupling.items() if any(u)}
+    shifts = sorted({(0, 0, 0), *consts}, key=lambda u: -_offset(u, side))
+    dr, di = _parts(symbol.diagonal)
+    diagonal = {}  # the diagonal on the rows v - at of the interior modes v, by shift at
+    for at in shifts:
+        box = (slice(None),) * 2 + tuple(slice(margin - k, side - margin - k) if n > 1
+                                         else slice(None) for k, n in zip(at, dr.shape[2:]))
+        diagonal[at] = np.ascontiguousarray(dr[box]), np.ascontiguousarray(di[box])
+
+    def rows(u, at):  # X_u on the rows v - at of the interior modes v
+        return consts[u] if any(u) else diagonal[at]
+
+    out: Blocks = {}
+    for u in shifts:
+        lr, li = rows(u, (0, 0, 0))
+        for u2 in shifts:
+            rr, ri = rows(u2, u)
+            w = (u[0] + u2[0], u[1] + u2[1], u[2] + u2[2])
+            for b in range(2):
+                xr, xi = lr[:, b, None], li[:, b, None]
+                yr, yi = rr[None, b], ri[None, b]
+                re, im = xr * yr - xi * yi, xr * yi + xi * yr
+                if w in out:
+                    re, im = out[w][0] + re, out[w][1] + im
+                out[w] = re, im
+    return out
+
+
+def _plus(x: Blocks, y: Blocks) -> Blocks:
+    """``x + y`` by shift (the sparse sum, a missing shift being zero)."""
+    out = dict(x)
+    for w, (yr, yi) in y.items():
+        out[w] = (out[w][0] + yr, out[w][1] + yi) if w in out else (yr, yi)
+    return out
+
+
+def _interior_norm_bound(blocks: Blocks, cutoff: int, margin: int) -> float:
+    """``sqrt(max row sum * max column sum)`` of ``|X|`` on the interior rows
+    and columns, the norm bound of the CSR matrix ``X[keep][:, keep]``, bit
+    for bit.
+
+    Its stored entries are the nonzero ones, rows ascending and the columns
+    of a row ascending (shifts by descending offset, then spinor column); the
+    moduli are taken in that order.  The row sums are ``np.add.reduceat``
+    over them, as the sparse ``sum(axis=1)`` takes them, and the column sums
+    ``np.bincount`` in row order, as its ``sum(axis=0)`` adds them."""
+    side = 2 * cutoff + 1
+    n = side - 2 * margin
+    # the entries (a, w, c) of a mode's two rows in storage order, all-zero ones left out
+    groups = [(a, w, c) for a in range(2) for w in sorted(blocks, key=lambda w: -_offset(w, side))
+              for c in range(2) if blocks[w][0][a, c].any() or blocks[w][1][a, c].any()]
+    if not groups:
+        return 0.0
+    by_entry = np.empty((len(groups), n, n, n), dtype=complex)
+    for g, (a, w, c) in enumerate(groups):
+        by_entry[g].real, by_entry[g].imag = blocks[w][0][a, c], blocks[w][1][a, c]
+        for axis, x in enumerate(w):  # rows whose column mode v - w leaves the interior
+            if x:
+                cut = [slice(None)] * 3
+                cut[axis] = slice(0, x) if x > 0 else slice(n + x, n)
+                by_entry[g][tuple(cut)] = 0
+    vals = np.ascontiguousarray(by_entry.reshape(len(groups), n**3).T).ravel()
+    pos = np.flatnonzero(vals)
+    if not pos.size:
+        return 0.0
+    entries = np.abs(vals[pos])
+    mode, g = np.divmod(pos, len(groups))
+    a, off, c = (np.array(x) for x in zip(*((a, _offset(w, n), c) for a, w, c in groups)))
+    row = 2 * mode + a[g]
+    row_sum = np.add.reduceat(entries, np.flatnonzero(np.diff(row, prepend=-1)))
+    col_sum = np.bincount(2 * (mode - off[g]) + c[g], weights=entries)
+    return float(np.sqrt(float(row_sum.max()) * float(col_sum.max())))
+
+
 def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
                   bundle=TrivialBundle(1)) -> LwReport:
     """Matrix residual of the degree-3 identity on the flat torus.
@@ -107,7 +210,8 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     The Clifford block ``Z = c(vol)^2 + sum_j c(iota_j vol)^2`` must equal the
     closed form ``-2 I`` exactly (else :class:`TheoremViolationError`), so the
     one residual against ``f^2 (x) Z`` checks the degree-3 closed form and the
-    general identity at once.
+    general identity at once.  A flux too large for double precision makes
+    the residual overflow; that is a ``ValueError`` naming the flux.
     """
     b = flux.bandwidth
     if cutoff < 2 * max(b, 1):
@@ -116,19 +220,22 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     if not np.array_equal(zero_block, -2.0 * np.eye(2)):
         raise TheoremViolationError(f"zeroth-order block {zero_block.tolist()} is not the "
                                     "closed form -2 I: check Clifford conventions")
-    op = build_torus_operator(geometry, flux, cutoff, bundle)
-    keep = op.interior_indices(max(b, 1))
-    # products on the interior rows only: SpGEMM builds each row on its own
-    d = op.matrix
-    a_sq = None  # sum_j A_j^2 = -Delta_H
-    for axis in range(3):
-        aj = torus_twisted_derivative(geometry, flux, cutoff, axis, bundle)
-        term = aj[keep] @ aj
-        a_sq = term if a_sq is None else a_sq + term
-    m_gen = torus_multiplication_operator(geometry, flux.convolved(), cutoff, bundle,
-                                          block=zero_block)
-    residual = _opnorm_bound((d[keep] @ d + a_sq - m_gen[keep])[:, keep])
-    return LwReport(residual=residual, modes_compared=int(keep.size // 2))
+    margin = max(b, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        d_sq = _interior_square(_dirac_symbol(geometry, flux, cutoff, bundle), margin)
+        a_sq = None  # sum_j A_j^2 = -Delta_H
+        for axis in range(3):
+            term = _interior_square(_derivative_symbol(geometry, flux, cutoff, axis, bundle),
+                                    margin)
+            a_sq = term if a_sq is None else _plus(a_sq, term)
+        # - M, its constant blocks negated: x - m is x + (-m) exactly
+        m_gen = _multiplication_symbol(geometry, flux.convolved(), cutoff, bundle, zero_block)
+        minus_m = {u: _parts(-blk) for u, blk in m_gen.coupling.items()}
+        residual = _interior_norm_bound(_plus(_plus(d_sq, a_sq), minus_m), cutoff, margin)
+    if not isfinite(residual):
+        raise ValueError(f"the LW residual of flux {flux.table()} is {residual}: "
+                         "the flux overflows double precision")
+    return LwReport(residual=residual, modes_compared=(2 * (cutoff - margin) + 1) ** 3)
 
 
 def lw_check_general(rep: GammaRep, flux: FluxForm) -> float:

@@ -297,13 +297,31 @@ def test_cli_import_loads_only_what_every_command_needs(tmp_path):
 
 
 def test_lw_command_in_a_fresh_interpreter(tmp_path):
+    # the check works on the operators' symbols: no command loads scipy
     cfg = write(tmp_path, "c.txt", "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 3\n")
     out = tmp_path / "lw.jsonl"
-    proc = run_fresh(["-m", "twisteta", "lw", "--config", cfg, "--out", str(out)], tmp_path)
+    script = ("import sys; from twisteta.cli import main; code = main(sys.argv[1:]); "
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+              "raise SystemExit(code)")
+    proc = run_fresh(["-c", script, "lw", "--config", cfg, "--out", str(out)], tmp_path)
     assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split() == []
     by_name = {r.quantity: r for r in read_records(out)}
     assert by_name["lw_residual_deg3"].value <= 1e-10
     assert by_name["lw_residual_general"].value <= 1e-10
+
+
+@pytest.mark.parametrize("text", [
+    "geometry = torus3\ncutoff = 4\nflux = 1e150\n",  # row * column sum overflows
+    "geometry = torus3\ncutoff = 4\nflux_cosine = 0:1e160\n",  # f^2 overflows: inf * 0
+], ids=["inf", "nan"])
+def test_lw_residual_that_overflows_is_refused(tmp_path, capsys, text):
+    cfg = write(tmp_path, "c.txt", text)
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "flux" in err and "overflows" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_lw_requires_torus(tmp_path):

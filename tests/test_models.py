@@ -18,9 +18,11 @@ from twisteta.models import (
     Torus3,
     TorusFlux,
     TorusHolonomy,
+    TorusSymbol,
     TrivialBundle,
     ZERO_TOL,
     _assemble_blocks,
+    _derivative_symbol,
     _merge,
     _poly_at,
     build_torus_operator,
@@ -441,6 +443,26 @@ def test_torus_operator_constant_flux_is_shift():
     assert np.max(np.abs(b - (a + 0.8))) <= 1e-10
 
 
+@pytest.mark.parametrize("flux,cutoff,real", [
+    (TorusFlux.cosine(1, -0.9, 1), 3, True),
+    # real within the tolerance of TorusFlux, not Hermitian within 1e-12
+    (TorusFlux((((1, 0, 0), 1e6 + 0j), ((-1, 0, 0), 1e6 + 1e-7j))), 3, False),
+    (TorusFlux.cosine(0, 0.5, 3), 1, True),  # the shift has no source mode in the box
+], ids=["cosine", "near-hermitian", "shift-outside"])
+def test_symbol_hermitian_deviation_is_the_sparse_one(flux, cutoff, real):
+    geo, bundle = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5)), TorusHolonomy((0.2, 0.35, 0.9))
+    rep = build_gamma_rep(3)
+    symbols = [_derivative_symbol(geo, flux, cutoff, axis, bundle) for axis in range(3)]
+    symbols.append(TorusSymbol.on(geo, bundle.twist, cutoff, dict(enumerate(rep.gammas)),
+                                  {u: c * np.eye(2) for u, c in flux.table().items()}))
+    for symbol in symbols:
+        mat = _assemble_blocks(symbol)[1]
+        assert symbol.hermitian_deviation() == abs(mat - mat.getH()).max()
+    # the derivatives are skew-Hermitian; the Dirac symbol is Hermitian for a real flux
+    assert min(s.hermitian_deviation() for s in symbols[:3]) > 1.0
+    assert (symbols[-1].hermitian_deviation() == 0.0) == real
+
+
 def test_torus_degree_one_flux_is_holonomy_shift():
     # c(i H1) for constant H1 = sum a_j e^j adds i a_j c(e_j) to the symbol
     # 2 pi i w_j c(e_j) of d/dx_j: the holonomy moves by a_j L_j / (2 pi)
@@ -450,9 +472,9 @@ def test_torus_degree_one_flux_is_holonomy_shift():
     h1 = FluxForm((FormComponent.from_terms(1, {(j,): a[j] for j in range(3)}),))
     grad = dict(enumerate(rep.gammas))
     block = _clifford_terms(rep, h1.complex_terms())
-    _, twisted = _assemble_blocks(geo, theta, 6, grad, {(0, 0, 0): block})
-    _, shifted = _assemble_blocks(geo, theta + a * np.array(geo.lengths) / (2 * np.pi), 6,
-                                  grad, {})
+    _, twisted = _assemble_blocks(TorusSymbol.on(geo, theta, 6, grad, {(0, 0, 0): block}))
+    _, shifted = _assemble_blocks(TorusSymbol.on(
+        geo, theta + a * np.array(geo.lengths) / (2 * np.pi), 6, grad, {}))
     assert abs(twisted - shifted).max() <= 1e-13
     assert abs(shifted).max() > 50.0
 

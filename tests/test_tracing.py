@@ -17,6 +17,8 @@ SCRIPT = """
 import json, sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, sys.argv[1])
 import twisteta.cli as cli
 import tracing
@@ -34,6 +36,12 @@ for command, text in runs.items():
     Path(f"{command}.txt").write_text(text)
     code = cli.main([command, "--config", f"{command}.txt", "--out", f"{command}.jsonl"])
     assert code == 0, (command, code)
+# no command assembles a sparse torus operator; the builders are public API
+from twisteta import models
+flux = models.TorusFlux.cosine(0, 1.0)
+models.build_torus_operator(models.Torus3(), flux, 2)
+models.torus_twisted_derivative(models.Torus3(), flux, 2, 0)
+models.torus_multiplication_operator(models.Torus3(), flux.convolved(), 2, block=np.eye(2))
 spans = tracer.take()
 tracing.layer_metrics(spans, 2)
 print(json.dumps({"recorded": sorted({s[0] for s in spans}),

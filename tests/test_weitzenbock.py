@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import numpy as np
@@ -12,13 +13,14 @@ from twisteta.models import (
     Torus3,
     TorusFlux,
     TorusHolonomy,
+    TrivialBundle,
     build_torus_operator,
     torus_multiplication_operator,
     torus_twisted_derivative,
 )
 from twisteta.weitzenbock import (
+    LwReport,
     TheoremViolationError,
-    _opnorm_bound,
     _zeroth_order_block,
     lw_check_deg3,
     lw_check_general,
@@ -61,11 +63,20 @@ def test_lw_deg3_anisotropic_torus_with_holonomy():
     assert rpt.residual <= 1e-10
 
 
+def _opnorm_bound(mat) -> float:
+    """Upper bound for the spectral norm of a sparse matrix: sqrt(norm_1 * norm_inf)."""
+    a = abs(mat)
+    row = a.sum(axis=1).max()
+    col = a.sum(axis=0).max()
+    return float(np.sqrt(float(row) * float(col)))
+
+
 def _lw_on_all_rows(geometry, flux, cutoff, bundle):
-    """The degree-3 check with every product formed on all rows and the
-    interior block taken at the end: the reference for the interior-row one.
-    Returns the closed-form residual (against ``2 f^2``), the Clifford-block
-    residual (against ``f^2 (x) Z``) and the number of modes compared."""
+    """The degree-3 check from the sparse matrices, every product formed on
+    all rows and the interior block taken at the end: the reference for the
+    one from the symbols.  Returns the closed-form residual (against ``2
+    f^2``), the Clifford-block residual (against ``f^2 (x) Z``) and the number
+    of modes compared."""
     op = build_torus_operator(geometry, flux, cutoff, bundle)
     d2 = op.matrix @ op.matrix
     delta = None
@@ -84,18 +95,76 @@ def _lw_on_all_rows(geometry, flux, cutoff, bundle):
             int(keep.size // 2))
 
 
-@pytest.mark.parametrize("flux", [
-    TorusFlux.constant(0.7), TorusFlux.cosine(1, -0.9, 1), TorusFlux.cosine(2, 0.6, 2),
-], ids=["constant", "cosine-1", "cosine-2"])
-def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(flux):
-    geo = Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5))
-    bundle = TorusHolonomy((0.2, 0.35, 0.9))
-    rpt = lw_check_deg3(geo, flux, 5, bundle)
-    closed_form, clifford, modes = _lw_on_all_rows(geo, flux, 5, bundle)
+def _complex_flux(c1, c2, c0=0.0):
+    """A real flux on the wave vectors (1, 1, 0) and (0, -1, 2), complex coefficients."""
+    return TorusFlux((((1, 1, 0), c1), ((-1, -1, 0), np.conj(c1)),
+                      ((0, -1, 2), c2), ((0, 1, -2), np.conj(c2)), ((0, 0, 0), c0)))
+
+
+ANISOTROPIC = (Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5)), TorusHolonomy((0.2, 0.35, 0.9)))
+
+
+@pytest.mark.parametrize("geo,bundle,flux,cutoff", [
+    (*ANISOTROPIC, TorusFlux.constant(0.7), 5),
+    (*ANISOTROPIC, TorusFlux.cosine(1, -0.9, 1), 5),
+    (*ANISOTROPIC, TorusFlux.cosine(2, 0.6, 2), 5),
+    (Torus3((1.1, 0.9, 1.2), (0.0, 0.0, 0.0)), TrivialBundle(),
+     _complex_flux(0.4 - 0.3j, -0.2 + 0.5j, 0.3), 5),
+    (*ANISOTROPIC, TorusFlux.cosine(0, 0.8, 3), 6),
+], ids=["constant", "cosine-1", "cosine-2", "complex-spin-000", "cosine-3"])
+def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(geo, bundle, flux, cutoff):
+    rpt = lw_check_deg3(geo, flux, cutoff, bundle)
+    closed_form, clifford, modes = _lw_on_all_rows(geo, flux, cutoff, bundle)
     assert rpt.residual > 0  # rounding, not an exact zero
     # exact float equality, against both forms of the zeroth-order term
     assert rpt.residual == closed_form == clifford
     assert rpt.modes_compared == modes
+
+
+def test_lw_deg3_matches_all_rows_on_seeded_tori():
+    rng = np.random.default_rng(20251019)
+    kinds = collections.Counter()
+    for case in range(20):
+        geo = Torus3(tuple(rng.uniform(0.7, 1.4, 3)), tuple(rng.choice([0.0, 0.5], 3)))
+        bundle = (TrivialBundle() if case % 4 == 0
+                  else TorusHolonomy(tuple(rng.uniform(0.0, 1.0, 3))))
+        kind = ("constant", "cosine", "complex")[case % 3]
+        if kind == "constant":
+            flux = TorusFlux.constant(rng.normal())
+        elif kind == "cosine":
+            flux = TorusFlux.cosine(int(rng.integers(3)), rng.normal(), int(rng.integers(1, 3)))
+        else:
+            flux = _complex_flux(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
+                                 rng.normal())
+        cutoff = 2 * max(flux.bandwidth, 1) + int(rng.integers(0, 2))
+        rpt = lw_check_deg3(geo, flux, cutoff, bundle)
+        closed_form, clifford, modes = _lw_on_all_rows(geo, flux, cutoff, bundle)
+        assert rpt.residual == closed_form == clifford, (case, geo, bundle, flux)
+        assert rpt.modes_compared == modes
+        kinds[kind] += rpt.residual > 0
+    assert min(kinds.values()) >= 5  # rounding residuals of every kind, not exact zeros
+
+
+@pytest.mark.parametrize("flux", [TorusFlux.constant(1e150), TorusFlux.cosine(0, 1e160)],
+                         ids=["inf", "nan"])
+def test_lw_deg3_refuses_a_residual_that_overflows(flux):
+    with pytest.raises(ValueError, match="flux"):
+        lw_check_deg3(Torus3(), flux, cutoff=4)
+
+
+@pytest.mark.parametrize("residual", [float("nan"), float("inf"), -1e-300])
+def test_lw_report_residual_is_a_finite_norm(residual):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        LwReport(residual=residual, modes_compared=1)
+
+
+def test_lw_deg3_refuses_a_non_hermitian_operator():
+    # within the reality tolerance of TorusFlux, but not Hermitian to 1e-12
+    flux = TorusFlux((((1, 0, 0), 1e6 + 0j), ((-1, 0, 0), 1e6 + 1e-7j)))
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        build_torus_operator(Torus3(), flux, 2)
+    with pytest.raises(AssertionError, match="not Hermitian"):
+        lw_check_deg3(Torus3(), flux, 2)
 
 
 def test_lw_deg3_zeroth_order_block_must_be_minus_two(monkeypatch):
