@@ -919,14 +919,6 @@ def _derivative_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int
                           coupling)
 
 
-def _multiplication_symbol(geometry: Torus3, coeffs: dict[tuple[int, int, int], complex],
-                           cutoff: int, bundle: Bundle, block: np.ndarray) -> TorusSymbol:
-    """The symbol of multiplication by the scalar Fourier series ``coeffs``,
-    tensored with the constant 2x2 ``block``."""
-    return TorusSymbol.on(geometry, bundle.twist, cutoff, {},
-                          {u: c * block for u, c in coeffs.items()})
-
-
 def build_torus_operator(geometry: Torus3, flux: TorusFlux, cutoff: int,
                          bundle: Bundle = TrivialBundle(1)) -> ModeBlockOperator:
     """Assemble ``D + c(H)`` for ``H = f(x) vol`` in the Fourier basis."""
@@ -946,4 +938,6 @@ def torus_multiplication_operator(geometry: Torus3, coeffs: dict[tuple[int, int,
                                   block: np.ndarray) -> sp.csr_matrix:
     """Multiplication operator by the scalar Fourier series ``coeffs``, tensored
     with the constant 2x2 ``block``."""
-    return _assemble_blocks(_multiplication_symbol(geometry, coeffs, cutoff, bundle, block))[1]
+    symbol = TorusSymbol.on(geometry, bundle.twist, cutoff, {},
+                            {u: c * block for u, c in coeffs.items()})
+    return _assemble_blocks(symbol)[1]

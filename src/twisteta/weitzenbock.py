@@ -60,7 +60,6 @@ from .models import (
     TrivialBundle,
     _derivative_symbol,
     _dirac_symbol,
-    _multiplication_symbol,
     _unit_top_form,
 )
 from .specflow import UnfluxedSpectrum, sf_on_spectrum
@@ -229,8 +228,7 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
                                     margin)
             a_sq = term if a_sq is None else _plus(a_sq, term)
         # - M, its constant blocks negated: x - m is x + (-m) exactly
-        m_gen = _multiplication_symbol(geometry, flux.convolved(), cutoff, bundle, zero_block)
-        minus_m = {u: _parts(-blk) for u, blk in m_gen.coupling.items()}
+        minus_m = {u: _parts(-(c * zero_block)) for u, c in flux.convolved().items()}
         residual = _interior_norm_bound(_plus(_plus(d_sq, a_sq), minus_m), cutoff, margin)
     if not isfinite(residual):
         raise ValueError(f"the LW residual of flux {flux.table()} is {residual}: "

@@ -297,18 +297,28 @@ def test_cli_import_loads_only_what_every_command_needs(tmp_path):
 
 
 def test_lw_command_in_a_fresh_interpreter(tmp_path):
-    # the check works on the operators' symbols: no command loads scipy
     cfg = write(tmp_path, "c.txt", "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 3\n")
     out = tmp_path / "lw.jsonl"
-    script = ("import sys; from twisteta.cli import main; code = main(sys.argv[1:]); "
-              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-              "raise SystemExit(code)")
-    proc = run_fresh(["-c", script, "lw", "--config", cfg, "--out", str(out)], tmp_path)
+    proc = run_fresh(["-m", "twisteta", "lw", "--config", cfg, "--out", str(out)], tmp_path)
     assert proc.returncode == EXIT_OK, proc.stderr
-    assert proc.stdout.split() == []
     by_name = {r.quantity: r for r in read_records(out)}
     assert by_name["lw_residual_deg3"].value <= 1e-10
     assert by_name["lw_residual_general"].value <= 1e-10
+    # the check works on the operators' symbols: the same entry point, run
+    # by runpy as -m runs it, leaves no scipy module loaded
+    again = tmp_path / "again.jsonl"
+    script = ("import runpy, sys\n"
+              "try:\n"
+              "    runpy.run_module('twisteta', run_name='__main__', alter_sys=True)\n"
+              "except SystemExit as stop:\n"
+              "    code = stop.code\n"
+              "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+              "raise SystemExit(code)\n")
+    proc = run_fresh(["-c", script, "lw", "--config", cfg, "--out", str(again)], tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.split() == []
+    assert [(r.quantity, r.value) for r in read_records(again)] == \
+        [(r.quantity, r.value) for r in read_records(out)]
 
 
 @pytest.mark.parametrize("text", [

@@ -103,6 +103,13 @@ def _complex_flux(c1, c2, c0=0.0):
 
 ANISOTROPIC = (Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5)), TorusHolonomy((0.2, 0.35, 0.9)))
 
+# The two tests below demand exact equality between the symbol path, whose
+# complex products are written out unfused in numpy, and scipy's compiled
+# SpGEMM.  That holds where scipy's build does not fuse its complex
+# multiply-adds (x86-64 builds of scipy do not); a build that contracts them
+# into FMAs (GCC's default on aarch64) would differ in the last bits, and
+# these tests would then flag a residual that is still right to rounding.
+
 
 @pytest.mark.parametrize("geo,bundle,flux,cutoff", [
     (*ANISOTROPIC, TorusFlux.constant(0.7), 5),
