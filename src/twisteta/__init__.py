@@ -18,7 +18,6 @@ from .clifford import (
 )
 from .conformal import ConformalScale, check_rho_conformal, transform_flux, transform_spectrum
 from .eta import (
-    EtaRegularityError,
     EtaValue,
     RhoValue,
     eta_for_model,

@@ -21,53 +21,39 @@ at ``s = 0``:
   and runs only Horner's rule, whose running error sum gives the bound, the
   crossing count and the fold.
 
-* :func:`eta_heat`: numerical Mellin quadrature of the odd heat trace
-  ``S(t) = sum m lambda exp(-t lambda^2)`` on ``[t_min, t_max]`` (log grid,
-  split at t = 1; a Gaussian tail bound puts the modes beyond the cutoff
-  under ``min(tol, 1e-10)/8`` from t_min on) with a finite-part completion
-  for the small-t end.  The completion matters: for a
-  flux-shifted spectrum ``S(t) ~ c t^{-3/2}`` as t -> 0, so the bare
-  truncated integral carries a bias ``~ c/t_min``.  The engine extracts the
-  half-odd small-t coefficients of ``S`` by a ladder fit at geometric points
-  and adds the exact finite part of the subtracted powers.  The fitted
-  ``t^{-1/2}`` coefficient must vanish whenever the continuation is regular
-  at s = 0; its magnitude doubles as a pole detector and error proxy.  On a
-  bare spectrum a clear one raises :class:`EtaRegularityError`; the eta of a
-  model, a closed odd-dimensional manifold, is regular at s = 0, so there it
-  means the cutoff is too low and the value is reported unconverged.  The
-  bound is the quadrature estimate, ``(|c_{-1/2}| + its fit noise)
-  (|ln t_min| + 2)/sqrt(pi)`` and the rounding term ``1e-15 (1 + |eta|)``.
+* :func:`eta_heat`: Mellin quadrature of the odd heat trace ``S(s) = sum m
+  lambda exp(-s lambda^2)``, ``eta = int_0^inf s^(-1/2) S ds/sqrt(pi)``.  On
+  a model ``S = c s^(-3/2) + E`` exactly, ``c = rank weyl_coefficient t``, and
+  each Poisson (on a lens, Donnelly) term of ``E`` carries ``exp(-omega^2/
+  (4s))``, ``omega >= l`` the shortest closed geodesic; no ``s^(-1/2)`` term
+  exists, eta being regular at s = 0 (Atiyah-Patodi-Singer III).  So ``eta =
+  (int_{t_min}^{t_max} s^(-1/2) S ds - c/t_min)/sqrt(pi)``, nothing fitted,
+  up to ``int_0^{t_min} s^(-1/2) |E|`` and what the modes past the cutoff add
+  from ``t_min`` on: the model's derived ``remainder``.  ``t_min`` starts at
+  ``t_geo = l^2/(4 kappa)``, ``kappa = 60``, where the rest is ``e^-60`` times
+  a polynomial (below 1e-22 for lens orders p <= 50 at ``|t r| <= 3``), and
+  steps up while the remainder falls, as it does while the modes past a low
+  cutoff outweigh the rest: there the value is unconverged, not wrong.  The
+  bound adds the quadrature estimate, the remainder and the rounding (of the
+  sums, of c against the integral's bulk ``c/t_min``, of the levels).
 
-All trace accumulation runs in extended precision (``numpy.longdouble``)
-because alternating sums over quadratically growing multiplicities lose
-about four digits in double precision.  A trace is evaluated for a vector
-of t (the nodes of a quadrature panel, the ladder points), and each t sums
-only its own window, the eigenvalues with ``t lambda^2 <= reach``.  A trace
-of total weight ``W = sum |weight|`` has ``reach = min(11500, ln W + 60 ln
-10)``: each dropped term has ``exp(-t lambda^2) <= 1e-60/W``, so a sum drops
-at most 1e-60 in all.  Over the Mellin integral that moves eta by at most
-``1e-60 * 2 sqrt(t_max)/sqrt(pi)``, below 1e-55 for any ``t_max`` the engine
-takes, 40 orders under the ``1e-15 (1 + |eta|)`` rounding term of the
-budget, which therefore needs no term for it.  (11500 is where longdouble
-``exp(-x)`` is exactly 0: the smallest subnormal is ``exp(-11399)``.)
-
-The quadrature runs on 2 panels of equal width in ``log t`` per half.  On
-each panel a 24-point and a 20-point Gauss-Legendre rule share one trace
-evaluation of their 44 nodes; the value is the 24-point sum G24, and
-``|G24 - G20|`` is its error estimate: it exceeds the 24-point error
-wherever that error stands above the rounding of the sums.  Only if the
-estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))`` are the panels
-doubled, up to 512.
-Both rules' nodes and weights are computed in longdouble at import (Newton
-steps on the Legendre recurrence): float64 nodes would put a relative error
-of about 1e-15 into integrals whose terms cancel.
+Traces accumulate in ``numpy.longdouble`` (alternating sums over growing
+multiplicities lose four digits in doubles), each t over its own window
+``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W = sum |weight|``:
+a sum drops at most 1e-60, moving eta by under 1e-55.  (Longdouble
+``exp(-x)`` is exactly 0 from 11400 on.)  Each half of the integral, split
+at t = 1, runs on panels at most 3 wide in ``log t`` (at least 2), where a
+24-point and a 20-point Gauss-Legendre rule (longdouble nodes and weights)
+share one trace evaluation: G24 is the value and ``|G24 - G20|`` its error
+estimate.  The panels are doubled, up to 512, while the estimate exceeds
+``max(tol/16, 1e-16 (1 + |integral|))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
-from typing import Sequence
+from math import ceil, inf, isfinite, log, pi, sqrt
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -86,7 +72,6 @@ from .models import (
 __all__ = [
     "EtaValue",
     "RhoValue",
-    "EtaRegularityError",
     "eta_hurwitz",
     "eta_heat",
     "eta_for_model",
@@ -95,21 +80,6 @@ __all__ = [
 
 _LD = np.longdouble
 _SQRT_PI = _LD("1.7724538509055160272981674833411451828")
-
-
-class EtaRegularityError(RuntimeError):
-    """The fitted small-t expansion of the odd heat trace has a ``t^(-1/2)``
-    term: a pole of the eta function at s = 0, or a cutoff too low to
-    resolve the expansion.  ``value`` is the finite part computed regardless,
-    unconverged, with the fitted residue in its error bound."""
-
-    def __init__(self, residue: float, value: "EtaValue"):
-        self.residue = residue
-        self.value = value
-        super().__init__(
-            f"eta function has a nonzero residue {residue:.3e} at s = 0; "
-            "refusing to return a finite part"
-        )
 
 
 @dataclass(frozen=True)
@@ -229,26 +199,6 @@ _GL20_X, _GL20_W = _gauss_legendre_ld(20)
 _PAIR_X = np.concatenate([_GL_X, _GL20_X])
 
 
-def _solve_normal_ld(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least squares via normal equations, all in longdouble."""
-    m = (a.T @ a).astype(_LD)
-    v = (a.T @ y).astype(_LD)
-    n = m.shape[0]
-    for i in range(n):
-        p = i + int(np.argmax(np.abs(m[i:, i])))
-        if p != i:
-            m[[i, p]] = m[[p, i]]
-            v[[i, p]] = v[[p, i]]
-        for j in range(i + 1, n):
-            f = m[j, i] / m[i, i]
-            m[j, i:] -= f * m[i, i:]
-            v[j] -= f * v[i]
-    x = np.zeros(n, dtype=_LD)
-    for i in range(n - 1, -1, -1):
-        x[i] = (v[i] - m[i, i + 1:] @ x[i + 1:]) / m[i, i]
-    return x
-
-
 # exp(-x) is exactly 0 in longdouble for x >= 11400 (for x > 746 where
 # longdouble is double), so a term with t lambda^2 beyond this is an exact zero
 _UNDERFLOW = 11500.0
@@ -284,20 +234,10 @@ def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
 
 class _OddTrace:
     """``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble after exact
-    cancellation of symmetric pairs, and the gross trace
-    ``sum m |lambda| exp(-t lambda^2)`` of the whole spectrum, built from an
-    ``(n, 2)`` array of ``[value, multiplicity]`` rows in any order (equal
-    values are merged).
-
-    Both take a vector of t and give each t its own window, the eigenvalues
-    with ``t lambda^2 <= reach``: both arrays are sorted, so the window is the
-    slice between ``searchsorted(lam, -+sqrt(reach/t))``, and a larger t sums
-    a shorter slice.  Each trace has its own ``reach = min(11500, ln W + 60
-    ln 10)`` from its total weight ``W = sum |weight|``: a term outside has
-    ``exp(-t lambda^2) <= 1e-60/W``, so the terms dropped from one sum add up
-    to at most 1e-60.  (11500 is the exact underflow: beyond it every term is
-    0 in longdouble, the smallest subnormal being ``exp(-11399)``.)
-    """
+    cancellation of symmetric pairs, built from an ``(n, 2)`` array of
+    ``[value, multiplicity]`` rows in any order (equal values are merged;
+    ``values`` and ``mults`` keep them all).  ``odd`` sums each t over its
+    window of the sorted ``lam``, between ``searchsorted(lam, -+sqrt(reach/t))``."""
 
     def __init__(self, spectrum: np.ndarray):
         values, mults = _merge(spectrum[:, 0], spectrum[:, 1])
@@ -308,112 +248,72 @@ class _OddTrace:
         unpaired = (values < 0) & ~has_mirror
         self.lam = np.concatenate([values[unpaired], values[pos][net != 0]]).astype(_LD)
         self.mult = np.concatenate([mults[unpaired], net[net != 0]]).astype(_LD)
-        self.empty = self.lam.size == 0
-        self.min_abs = float(np.min(np.abs(self.lam))) if not self.empty else np.inf
-        abs_values = np.abs(values)
-        order = np.argsort(abs_values, kind="stable")
-        self._abs_all = abs_values[order]
-        self._mult_all = mults[order].astype(float)
-        self.abs_max = float(self._abs_all[-1]) if values.size else 0.0
+        self.min_abs = float(np.min(np.abs(self.lam))) if self.lam.size else np.inf
+        self.values, self.mults = values.astype(_LD), mults.astype(_LD)
+        self.abs_max = float(max(-values[0], values[-1])) if values.size else 0.0
         self._odd_weight = self.mult * self.lam
-        self._gross_weight = self._mult_all.astype(_LD) * self._abs_all.astype(_LD)
         self._odd_reach = _reach(self._odd_weight)
-        self._gross_reach = _reach(self._gross_weight)
 
     def odd(self, ts) -> np.ndarray:
         return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=_LD),
                           self._odd_reach)
-
-    def gross(self, ts) -> np.ndarray:
-        return _heat_sums(self._abs_all.astype(_LD), self._gross_weight,
-                          np.asarray(ts, dtype=_LD), self._gross_reach)
 
 
 def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> tuple[_LD, float]:
     """``int_t0^t1 t^(-1/2) S(t) dt`` over ``panels`` equal panels in ``log t``
     by the 24-point rule, and ``|G24 - G20|`` against the 20-point rule on
     the same panels as its error estimate."""
-    a, b = np.log(_LD(t0)), np.log(_LD(t1))
-    edges = np.linspace(a, b, panels + 1)
-    g24 = g20 = _LD(0)
-    for i in range(panels):
-        mid = (edges[i] + edges[i + 1]) / 2
-        half = (edges[i + 1] - edges[i]) / 2
-        xs = mid + half * _PAIR_X
-        vals = np.exp(xs / 2) * trace.odd(np.exp(xs))
-        g24 += half * np.sum(_GL_W * vals[:_GL_X.size])
-        g20 += half * np.sum(_GL20_W * vals[_GL_X.size:])
+    edges = np.linspace(np.log(_LD(t0)), np.log(_LD(t1)), panels + 1)
+    half = (edges[1:] - edges[:-1]) / 2
+    xs = ((edges[1:] + edges[:-1]) / 2)[:, None] + half[:, None] * _PAIR_X
+    vals = half[:, None] * np.exp(xs / 2) * trace.odd(np.exp(xs).ravel()).reshape(xs.shape)
+    g24, g20 = np.sum(vals[:, :_GL_X.size] @ _GL_W), np.sum(vals[:, _GL_X.size:] @ _GL20_W)
     return g24, abs(float(g24 - g20))
 
 
+# One eigenvalue's term s^(1/2) lambda exp(-s lambda^2) is, in u = ln s, the
+# bump exp(3u/2 - e^u) moved by -ln lambda^2.  On a panel at most 3 wide in u
+# the 24-point rule integrates it to 6e-17 of its weight wherever it sits; at
+# 6.2 wide the error reaches 3e-9, and |G24 - G20| can read 11 times less.
+_PANEL_WIDTH = 3.0
+
+
 def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tuple[_LD, float]:
-    """``int t^(-1/2) S(t) dt`` over ``[t_min, t_max]``, split at t = 1, and
-    its error estimate, the halves' ``|G24 - G20|`` added.  Each half starts
-    at 2 panels, doubled up to 512 while the estimate exceeds
-    ``max(tol/16, 1e-16 (1 + |integral|))``."""
+    """``int t^(-1/2) S(t) dt`` over ``[t_min, t_max]`` and its error estimate,
+    the halves' ``|G24 - G20|`` added (see the module docstring)."""
     halves = [(t_min, 1.0), (1.0, t_max)] if t_max > 1.0 > t_min else [(t_min, t_max)]
-    panels = 2
+    panels = [max(2, ceil(log(hi / lo) / _PANEL_WIDTH)) for lo, hi in halves]
     while True:
-        parts = [_integrate_log(trace, lo, hi, panels) for lo, hi in halves]
+        parts = [_integrate_log(trace, lo, hi, n) for (lo, hi), n in zip(halves, panels)]
         integral = sum(val for val, _ in parts)
         quad_err = sum(err for _, err in parts)
-        if panels >= 512 or quad_err <= max(tol / 16.0, 1e-16 * (1 + abs(float(integral)))):
+        if max(panels) >= 512 or quad_err <= max(tol / 16.0, 1e-16 * (1 + abs(float(integral)))):
             return integral, quad_err
-        panels *= 2
+        panels = [2 * n for n in panels]
 
 
-def _tail_floor(trace: _OddTrace, tol: float) -> float:
-    """Smallest t from which the modes beyond the enumerated cutoff move eta
-    by at most ``tol``.
-
-    The discarded trace is modelled by extrapolating the enumerated counting
-    density by a power law; a Gaussian bound then gives
-    ``tail(t) <~ N (p+1) exp(-t L^2) / (t L^2)`` with L the cutoff radius.
-    """
-    lam = trace._abs_all
-    mult = trace._mult_all
-    L = trace.abs_max
-    n_full = float(np.sum(mult))
-    n_half = float(np.sum(mult[lam <= L / 2])) or 1.0
-    p = max(0.0, min(4.0, np.log2(max(n_full / n_half, 1.0 + 1e-9)) - 1.0))
-
-    def tail_eta(tmin: float) -> float:
-        # integral of t^{-1/2} tail(t) from tmin, crude upper bound
-        x = tmin * L * L
-        if x > 700:
-            return 0.0
-        return float(4.0 * n_full * (p + 1.0) * np.exp(-x) / (x * np.sqrt(tmin) * np.sqrt(np.pi)))
-
-    lo, hi = 1e-12 / (L * L), 700.0 / (L * L)
-    for _ in range(200):
-        mid = np.sqrt(lo * hi)
-        if tail_eta(mid) > tol:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0001:
-            break
-    return float(hi)
+# t_geo = l^2/(4 KAPPA), where the remainder is exp(-KAPPA) times a polynomial
+_KAPPA = 60.0
 
 
-def _too_large(abs_max: float, what: str) -> ValueError:
-    return ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
-                      f"{abs_max:.3e} puts {what} outside the double range")
-
-
-def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float = 1e-8,
-             kernel_dim: int = 0) -> EtaValue:
+def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
+             geodesic: float, remainder: Callable[[float], float], flux: float = 0.0,
+             tol: float = 1e-8, kernel_dim: int = 0) -> EtaValue:
     """Heat-kernel eta of an enumerated nonzero spectrum.
 
-    ``spectrum`` holds ``[value, multiplicity]`` rows, as the ``(n, 2)``
-    array of :func:`enumerate_spectrum`; multiplicities must be positive
-    integers.  It must be complete up to its largest ``|lambda|`` and hold
-    no kernel modes, ``|lambda| <= ZERO_TOL`` (split those off first; their
-    count is echoed in the result).  If the requested tolerance is out of
-    reach at this cutoff the value is returned with ``converged=False`` and
-    the achieved bound.  A clear fitted ``t^(-1/2)`` term raises
-    :class:`EtaRegularityError`, which carries that unconverged value.
+    ``spectrum`` holds ``[value, multiplicity]`` rows, as the ``(n, 2)`` array
+    of :func:`enumerate_spectrum`, with positive integer multiplicities and no
+    kernel mode, ``|lambda| <= ZERO_TOL`` (their count is echoed in the
+    result).  The odd trace of the full spectrum it is cut from must be ``weyl
+    s^(-3/2)`` plus a rest ``E`` of Poisson frequencies at least ``geodesic``,
+    ``remainder(T)`` must bound ``int_0^T s^(-1/2) |E| ds`` plus what the modes
+    past the cutoff add to ``int_T^inf s^(-1/2) S ds``, and each value must lie
+    within ``6 eps (|lambda| + |flux|)`` of its exact eigenvalue: a model's
+    small-time heat data.  A bound above ``tol`` is returned unconverged.
     """
+    if not (isfinite(weyl) and 0.0 < geodesic < inf):
+        raise ValueError(f"the Weyl term must be finite and the geodesic positive, "
+                         f"got {weyl!r} and {geodesic!r}")
     spec = np.asarray(spectrum, dtype=float).reshape(-1, 2)
     if not len(spec):
         raise ValueError("empty spectrum")
@@ -421,65 +321,38 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, tol: float =
     if np.any(np.abs(spec[:, 0]) <= ZERO_TOL):
         raise ValueError("spectrum contains kernel modes; strip them first")
     trace = _OddTrace(spec)
-    if trace.empty:
+    if not trace.lam.size:
         return EtaValue(0.0, kernel_dim, "heat_kernel", 0.0)
 
-    # the t-floor bisection takes geometric means inside [1e-12, 700]/|lambda|^2
-    abs_sq = trace.abs_max * trace.abs_max
-    if not (np.isfinite(abs_sq) and (1e-12 / abs_sq) * (700.0 / abs_sq) >= np.finfo(float).tiny):
-        raise _too_large(trace.abs_max, "its t bracket")
-    t_floor = _tail_floor(trace, min(tol, 1e-10) / 8.0)
+    # up from t_geo while the remainder (the modes past the cutoff) falls
+    t_min = geodesic * geodesic / (4.0 * _KAPPA)
+    rest = remainder(t_min)
+    while rest > 0 and t_min < 1e8 and (step := remainder(2**0.25 * t_min)) < rest:
+        t_min, rest = 2**0.25 * t_min, step
 
-    # ladder fit of t^{3/2} S(t) = c0 + c1 t + c2 t^2 + ...  (the small-t
-    # expansion of the odd trace has half-odd powers only).  Points whose fit
-    # residual sticks out above the evaluation-noise floor are trimmed from
-    # the top: they sit outside the asymptotic window (for lattice spectra
-    # the window is limited by theta-function corrections ~ exp(-q/t)).
-    n_points, n_coef = 12, 6
-    ratio = _LD(2) ** _LD(0.5)
-    ts = np.array([_LD(t_floor) * ratio**j for j in range(n_points)], dtype=_LD)
-    ys = ts ** _LD(1.5) * trace.odd(ts)
-    eps = float(np.finfo(_LD).eps)
-    floors = 8.0 * eps * (ts ** _LD(1.5) * trace.gross(ts)).astype(float) + 1e-300
-
-    def fit(npts: int):
-        scale_t = (ts[:npts] / ts[0]).astype(_LD)
-        design = np.stack([scale_t**i for i in range(n_coef)], axis=1)
-        coef = _solve_normal_ld(design, ys[:npts])
-        resid = np.abs((design @ coef - ys[:npts]).astype(float))
-        return coef, resid
-
-    keep = n_points
-    coef, resid = fit(keep)
-    while keep > 8 and np.any(resid[-2:] > 1e3 * floors[keep - 2:keep]):
-        keep -= 1
-        coef, resid = fit(keep)
-    c_m32, c_m12, c_p12, c_p32 = (float(coef[i] / ts[0] ** i) for i in range(4))
-    c_noise = 8.0 * float(np.max(resid)) + float(np.max(floors[:keep]))
-
-    # regularity: the t^{-1/2} coefficient carries the s=0 residue 2 c / sqrt(pi)
-    t_min = float(t_floor)
-    dc_m12 = c_noise / t_min  # coefficient-level noise of the fitted c_{-1/2}
-    ladder_noise = (abs(c_m12) + dc_m12) * (abs(np.log(t_min)) + 2.0) / np.sqrt(np.pi)
-    residue = 2.0 * c_m12 / np.sqrt(np.pi)
-    pole = abs(residue) > 1e-3 and abs(c_m12) > 30.0 * dc_m12
-
-    t_max = max(8.0, 80.0 / trace.min_abs**2)
+    t_max = max(8.0, 80.0 / trace.min_abs**2, 2.0 * t_min)
     while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
         t_max *= 2.0
     integral, quad_err = _quadrature(trace, t_min, t_max, tol)
+    # int_0^t_min s^(-1/2) c s^(-3/2) ds continues to -c/t_min
+    eta = float((integral - _LD(weyl) / _LD(t_min)) / _SQRT_PI)
 
-    # finite part of the subtracted small-t powers on (0, t_min]
-    correction = -c_m32 / t_min + c_p12 * t_min + 0.5 * c_p32 * t_min**2
-    eta = float((integral + _LD(correction)) / _SQRT_PI)
-
-    error = float(quad_err + ladder_noise + 1e-15 * (1 + abs(eta)))
+    # the kernel modes split off are |lambda| <= ZERO_TOL away from the trace
+    # the Weyl term describes: at most 2 ZERO_TOL sqrt(t_min) each below t_min
+    small_t = (rest + 2.0 * kernel_dim * ZERO_TOL * sqrt(t_min)) / sqrt(pi)
+    # rounding: of the sums; of c (a few double roundings) against the bulk
+    # c/t_min; of each eigenvalue, which moves the integral by its error times
+    # [2 sqrt(s) exp(-s lambda^2)] between t_min and t_max
+    ends = np.array([t_min, t_max], dtype=_LD)
+    weight = trace.mults * (np.abs(trace.values) + abs(flux))
+    moved = _heat_sums(trace.values, weight, ends, _reach(weight))
+    rounding = (1e-15 * (1 + abs(eta)) + 4.0 * _EPS * abs(weyl) / t_min
+                + 12.0 * _EPS * float(np.sum(np.sqrt(ends) * moved)) / sqrt(pi))
+    error = float(quad_err + small_t + rounding)
     if not np.isfinite(error):
-        raise _too_large(trace.abs_max, "the error budget")
-    value = EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol and not pole)
-    if pole:
-        raise EtaRegularityError(residue, value)
-    return value
+        raise ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
+                         f"{trace.abs_max:.3e} puts the error budget outside the double range")
+    return EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +364,10 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     """Eta/xi of a model through the selected engine.
 
     The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
-    enumerates up to ``cutoff`` (geometry-specific default) and reports its
-    achieved error bound.  It rejects a flux beyond half the radius of the
-    enumerated spectrum: the cutoff no longer resolves the shifted spectrum
-    there, and the value would be unconverged or a spurious pole.  The eta
-    function of a closed odd-dimensional manifold is regular at s = 0
-    (Atiyah-Patodi-Singer III), so a fitted ``t^(-1/2)`` residue means the
-    cutoff is too low: the value is returned with ``converged=False`` and
-    the residue in its bound, not raised as a pole.
+    enumerates up to ``cutoff`` (geometry-specific default), subtracts the
+    geometry's Weyl term ``rank weyl_coefficient t`` and reports its achieved
+    error bound.  It rejects a flux beyond half the radius of the enumerated
+    spectrum: the cutoff no longer resolves the shifted spectrum there.
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model))
@@ -519,10 +388,12 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
             f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds half "
             f"the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
     zero = np.abs(values) <= ZERO_TOL
-    try:
-        return eta_heat(spec[~zero], tol=tol, kernel_dim=int(mults[zero].sum()))
-    except EtaRegularityError as err:
-        return err.value
+    geo, rank = model.geometry, model.rank
+    return eta_heat(spec[~zero], weyl=rank * geo.weyl_coefficient * t,
+                    geodesic=geo.shortest_geodesic,
+                    remainder=lambda s: rank * (geo.heat_remainder(s, t)
+                                                + geo.heat_tail(s, t, n)), flux=t,
+                    tol=tol, kernel_dim=int(mults[zero].sum()))
 
 
 def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,

@@ -197,6 +197,53 @@ ZERO_TOL = 1e-9
 # stays at least 1e3 ZERO_TOL, so no level falls into the kernel threshold
 MAX_LENGTH = 1e6
 _EPS = float(np.finfo(float).eps)
+_SQRT_PI = float(np.sqrt(np.pi))
+
+
+# ---------------------------------------------------------------------------
+# small-time heat data
+# ---------------------------------------------------------------------------
+#
+# The odd heat trace of D + t at rank 1 is S(s) = weyl_coefficient t s^(-3/2)
+# + E(s), and per unit rank ``heat_remainder(T, t)`` bounds int_0^T s^(-1/2)
+# |E| ds, ``heat_tail(T, t, cutoff)`` what the modes past the cutoff add to
+# int_T^inf s^(-1/2) S ds (README, "Engine notes", derives both).  A Poisson
+# frequency omega's term integrates exactly, int_0^T s^(-1-j) exp(-omega^2/
+# (4s)) ds = (4/omega^2)^j Gamma(j, omega^2/(4T)), and ``_ray`` sums them.
+
+def _ray(z, a, q: int):
+    """Bound on ``sum_{m>=0} (a + m)^q exp(-z (a + m)^2)``, ``0 < a <= 1``, ``q <=
+    1``: ``(a + m)^2 - a^2 >= (2a + 1) m``, so the terms fall as ``Q^m``, ``Q =
+    exp(-(2a + 1) z)``, after ``(a + m)^q <= a^q`` (or, at q = 1, exactly)."""
+    one_minus_q = -np.expm1(-(2 * a + 1) * z)
+    head = np.exp(-z * a * a)
+    if q <= 0:
+        return a**q * head / one_minus_q
+    return head * (a / one_minus_q + (1 - one_minus_q) / one_minus_q**2)
+
+
+def _round_remainder(T: float, r: float, t: float, a: float) -> float:
+    """The terms of ``x^2 - 1/4`` over ``x in Z + 1/2`` at ``omega = +-2 pi r (a +
+    m)`` (``a = 1``: the sphere; ``1/2``: the lens's antipodal map), as bounded
+    in the return line, times ``r sqrt(pi) exp(-omega^2/(4T))`` each."""
+    w = 2.0 * np.pi * r
+    ray = {q: w**q * _ray(w * w / (4.0 * T), a, q) for q in range(-3, 2)}
+    return float(2.0 * r * _SQRT_PI * (
+        r * r * (ray[1] / (2.0 * T * T) + 7.0 * ray[-1] / T + 28.0 * ray[-3])
+        + r * r * abs(t) * (2.0 * ray[0] / T + 12.0 * ray[-2])
+        + 2.0 * abs(r * r * t * t - 0.25) * ray[-1]))
+
+
+def _tail_levels(T: float, r: float, t: float, cutoff: int, offset: float, mult) -> float:
+    """``sqrt(pi) sum_{k > cutoff} mult(k) erfc(sqrt(T) ((k + offset)/r - |t|))``
+    by ``erfc(x) <= min(1, exp(-x^2)/(x sqrt(pi)))``, to ``x = 27.5`` (past it
+    the terms add up to below 1e-300)."""
+    last = max(cutoff + 1, int(np.ceil(r * (27.5 / np.sqrt(T) + abs(t)) - offset))) + 1
+    k = np.arange(cutoff + 1, last + 1, dtype=float)
+    x = np.maximum(np.sqrt(T) * ((k + offset) / r - abs(t)), 0.0)
+    with np.errstate(divide="ignore"):
+        erfc = np.minimum(1.0, np.exp(-x * x) / (x * _SQRT_PI))
+    return float(_SQRT_PI * np.sum(mult(k) * erfc))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +260,8 @@ _EPS = float(np.finfo(float).eps)
 # with multiplicity ``sum mult_coeffs[i] j^i`` (the round geometries only:
 # the torus spectrum is no such family).
 # ``from_config(cfg)``: the geometry a config describes.
+# ``weyl_coefficient``, ``shortest_geodesic``, ``heat_remainder(T, t)`` and
+# ``heat_tail(T, t, cutoff)``: the small-time heat data above.
 
 class _Round:
     """Geometry with one length scale, ``radius``; ``shape`` holds its other
@@ -227,6 +276,14 @@ class _Round:
 
     def scaled(self, s: float):
         return replace(self, radius=self.radius * s)
+
+    @property
+    def weyl_coefficient(self) -> float:
+        return -self.volume / (2.0 * np.pi**1.5)
+
+    @property
+    def shortest_geodesic(self) -> float:
+        return 2.0 * np.pi * self.radius
 
     @classmethod
     def from_config(cls, cfg):
@@ -243,9 +300,22 @@ class Circle(_Round):
     config_name: ClassVar[str] = "circle"
     scalar_curvature: ClassVar[float] = 0.0
 
+    weyl_coefficient: ClassVar[float] = 0.0
+
     @property
     def volume(self) -> float:
         return 2.0 * np.pi * self.radius
+
+    def heat_remainder(self, T: float, t: float) -> float:
+        """``E = 2 pi^(3/2) r^2 s^(-3/2) sum_{k>=1} k sin(2 pi k (a + t r))
+        exp(-pi^2 k^2 r^2/s)``; term k integrates to at most ``(2/sqrt(pi))
+        exp(-pi^2 k^2 r^2/T)/k``."""
+        r = self.radius
+        return float(2.0 / _SQRT_PI * _ray(np.pi**2 * r * r / T, 1.0, -1))
+
+    def heat_tail(self, T: float, t: float, cutoff: int) -> float:
+        """The levels ``(n + a)/r``, ``|n| > cutoff``: ``|n + a| >= |n| - 1``."""
+        return _tail_levels(T, self.radius, t, cutoff, -1.0, lambda k: 2.0)
 
     def levels(self, a: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         n = np.arange(-cutoff, cutoff + 1)
@@ -272,6 +342,12 @@ class Sphere3(_Round):
     @property
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
+
+    def heat_remainder(self, T: float, t: float) -> float:
+        return _round_remainder(T, self.radius, t, 1.0)
+
+    def heat_tail(self, T: float, t: float, cutoff: int) -> float:
+        return _tail_levels(T, self.radius, t, cutoff, 1.5, lambda k: 2.0 * (k + 1) * (k + 2))
 
     def levels(self, twist: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(cutoff + 1)
@@ -307,6 +383,32 @@ class Torus3:
     @property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
+
+    @property
+    def weyl_coefficient(self) -> float:
+        return -self.volume / (2.0 * np.pi**1.5)
+
+    @property
+    def shortest_geodesic(self) -> float:
+        return float(min(self.lengths))
+
+    def heat_remainder(self, T: float, t: float) -> float:
+        """Each ``|gamma| = g >= l`` adds at most ``Vol |t| (1/(2T) + 4/g^2)
+        exp(-g^2/(4T))/pi^(3/2)``; the lattice sums ``exp(-g^2/(4T))`` to ``prod_j
+        (1 + 2 sum_{n>=1} exp(-n^2 L_j^2/(4T))) - 1``."""
+        ell = self.shortest_geodesic
+        lattice = np.expm1(np.sum(np.log1p(2.0 * _ray(np.asarray(self.lengths) ** 2 / (4 * T),
+                                                      1.0, 0))))
+        return float(self.volume * abs(t) * (0.5 / T + 4.0 / ell**2) * lattice / np.pi**1.5)
+
+    def heat_tail(self, T: float, t: float, cutoff: int) -> float:
+        """Shell ``k > cutoff`` of ``|w| max L`` in ``(k - 1/2, k + 1/2]`` has
+        ``|lambda| >= 2 pi (k - 1/2)/max L - |t|`` and at most ``Vol (4 pi/3) ((k
+        + 1/2)/max L + delta)^3`` modes, two eigenvalues each."""
+        lmax = max(self.lengths)
+        delta = 0.5 * float(np.sqrt(np.sum(1.0 / np.asarray(self.lengths) ** 2)))
+        return _tail_levels(T, lmax / (2.0 * np.pi), t, cutoff, -0.5, lambda k: 8.0 * np.pi / 3.0
+                            * self.volume * ((k + 0.5) / lmax + delta) ** 3)
 
     def scaled(self, s: float) -> "Torus3":
         return replace(self, lengths=tuple(x * s for x in self.lengths))
@@ -384,6 +486,33 @@ class Lens(_Round):
     @property
     def scalar_curvature(self) -> float:
         return 6.0 / self.radius**2
+
+    @property
+    def shortest_geodesic(self) -> float:
+        return 2.0 * np.pi * self.radius / self.p
+
+    def heat_remainder(self, T: float, t: float) -> float:
+        """The sphere's terms and, per deck element ``theta = 2 pi j/p != pi``, at
+        ``omega = 2 pi r |K - j/p|`` (twice the rays ``a = j/p``) at most ``r
+        sqrt(pi) (r (1/T + 6/omega^2) + 2|1/2 - r t|/omega) exp(-omega^2/(4T))/
+        |sin theta|``; all over p."""
+        r, p, w = self.radius, self.p, 2.0 * np.pi * self.radius
+        total = _round_remainder(T, r, t, 1.0)
+        if p % 2 == 0:  # the antipodal map
+            total += _round_remainder(T, r, t, 0.5)
+        a = np.array([j for j in range(1, p) if 2 * j != p], dtype=float) / p
+        ray = {q: w**q * _ray(w * w / (4.0 * T), a, q) for q in (0, -1, -2)}
+        total += 2.0 * r * _SQRT_PI * float(np.sum(
+            (r * (ray[0] / T + 6.0 * ray[-2]) + 2.0 * abs(0.5 - r * t) * ray[-1])
+            / np.abs(np.sin(2.0 * np.pi * a))))
+        return total / p
+
+    def heat_tail(self, T: float, t: float, cutoff: int) -> float:
+        """Level ``m`` has multiplicity at most ``(m + 2) min(m + 2, (m + 2)/q +
+        1)``, ``q = p/gcd(2, p)``, on either side."""
+        q = self.p // (2 if self.p % 2 == 0 else 1)
+        return _tail_levels(T, self.radius, t, cutoff, 1.5,
+                            lambda k: 2.0 * (k + 2) * np.minimum(k + 2, (k + 2) / q + 1))
 
     def levels(self, k_char: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(cutoff + 1)

@@ -616,7 +616,7 @@ def test_conformal_deviation_bound_includes_base(tmp_path):
 def test_unconverged_exit_code(tmp_path):
     cfg = write(tmp_path, "c.txt",
                 "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n"
-                "engine = heat_kernel\ncutoff = 12\ntol = 1e-13\n")
+                "engine = heat_kernel\ncutoff = 8\ntol = 1e-13\n")
     out = tmp_path / "out.jsonl"
     assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_UNCONVERGED
     records = read_records(out)
@@ -738,8 +738,8 @@ def test_flux_beyond_half_the_spectrum_heat_engine_is_a_config_error(
 
 
 def test_lens_heat_under_resolved_is_unconverged_not_a_pole(tmp_path, capsys):
-    # a fitted t^(-1/2) term on a model spectrum is a cutoff too low, not a
-    # pole: the value is reported unconverged (exit 3), honest to its bound
+    # a cutoff too low for this lens (t_floor above t_geo) is reported
+    # unconverged (exit 3), honest to its bound
     cfg = write(tmp_path, "c.txt",
                 "geometry = lens\nbundle = lens_character\nlens_p = 12\ncharacter = 0\n"
                 "radius = 1.2690035052537247\nflux = 1.5\nengine = heat\ncutoff = 40\n")
@@ -751,6 +751,19 @@ def test_lens_heat_under_resolved_is_unconverged_not_a_pole(tmp_path, capsys):
     hurwitz = eta_for_model(RunConfig.from_file(cfg).model(), "hurwitz").eta
     assert hurwitz == pytest.approx(1.6822553845860109, abs=1e-12)
     assert abs(eta.value - hurwitz) <= eta.error_bound
+
+
+def test_non_cubic_holonomy_torus_heat_converges_at_its_default_cutoff(tmp_path):
+    # t_geo = 0.7^2/240 = 2.0e-3 lies above the tail floor 1.1e-3 of N = 40;
+    # below the first crossing eta = -Vol t^3/(3 pi^2)
+    cfg = write(tmp_path, "c.txt",
+                "geometry = torus3\nlengths = 1.0,1.3,0.7\nbundle = torus_holonomy\n"
+                "holonomy = 0.3,0.1,0\nengine = heat\nflux = 0.1\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    eta = {r.quantity: r for r in read_records(out)}["eta"]
+    assert eta.converged
+    assert abs(eta.value - (-1.0 * 1.3 * 0.7 * 0.1**3 / (3 * math.pi**2))) <= eta.error_bound
 
 
 def test_torus_heat_default_cutoff_converges(tmp_path):

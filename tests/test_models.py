@@ -616,3 +616,94 @@ def test_volume_and_curvature():
     assert Torus3((2.0, 1.0, 1.0)).volume == pytest.approx(2.0)
     assert Sphere3(2.0).scalar_curvature == pytest.approx(1.5)
     assert Torus3().scalar_curvature == 0.0
+
+
+# --- small-time heat data -----------------------------------------------------
+
+# (model, cutoff): every geometry with a flux, at a cutoff whose spectrum is
+# complete where the checks below sum it; the lenses include p = 4, whose
+# deck group holds the antipodal map
+_HEAT_MODELS = [
+    pytest.param(SpectralModel(Circle(0.8), CircleHolonomy(0.3), 1.1), 400, id="circle"),
+    pytest.param(SpectralModel(Sphere3(1.3), TrivialBundle(2), -0.9), 200, id="sphere-rank2"),
+    pytest.param(SpectralModel(Sphere3(1.0), flux_shift=0.3), 200, id="sphere"),
+    pytest.param(SpectralModel(Lens(5, 1.1), LensCharacter(5, 2), 0.7), 200, id="lens-5-2"),
+    pytest.param(SpectralModel(Lens(4, 0.9), LensCharacter(4, 1), -1.6), 200, id="lens-4-1"),
+    pytest.param(SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.4),
+                 40, id="torus"),
+]
+
+
+def _odd_trace(model, cutoff, ts):
+    """``sum m lambda exp(-s lambda^2)`` and ``sum m |lambda| exp(-s lambda^2)``
+    of the enumerated spectrum in longdouble, one s at a time."""
+    spec = enumerate_spectrum(model, cutoff).astype(np.longdouble)
+    lam, mult = spec[:, 0], spec[:, 1]
+    out = []
+    for s in np.asarray(ts, dtype=np.longdouble):
+        terms = mult * lam * np.exp(-s * lam * lam)
+        out.append((np.sum(terms), np.sum(np.abs(terms))))
+    return np.array(out)
+
+
+def test_shortest_geodesics_and_weyl_coefficients():
+    assert Circle(0.8).shortest_geodesic == pytest.approx(1.6 * np.pi)
+    assert Circle(0.8).weyl_coefficient == 0.0
+    assert Sphere3(1.3).shortest_geodesic == pytest.approx(2.6 * np.pi)
+    assert Lens(5, 1.1).shortest_geodesic == pytest.approx(2 * np.pi * 1.1 / 5)
+    assert Torus3((1.0, 1.3, 0.7)).shortest_geodesic == 0.7
+    # c = -Vol/(2 pi^(3/2)) in dimension 3: -sqrt(pi) r^3 on the sphere
+    assert Sphere3(1.3).weyl_coefficient == pytest.approx(-np.sqrt(np.pi) * 1.3**3)
+    assert Lens(5, 1.1).weyl_coefficient == pytest.approx(-np.sqrt(np.pi) * 1.1**3 / 5)
+    assert Torus3((1.0, 1.3, 0.7)).weyl_coefficient == pytest.approx(-0.91 / (2 * np.pi**1.5))
+
+
+@pytest.mark.parametrize("model,cutoff", _HEAT_MODELS)
+def test_weyl_coefficient_matches_the_trace_at_the_geodesic_scale(model, cutoff):
+    # at s = l^2/240 the odd trace is rank weyl_coefficient t s^(-3/2) up to
+    # exp(-60) and the rounding of the eigenvalues and the sums; an error of
+    # one part in 1e6 in c would stand 1e5 times above that
+    geo, t = model.geometry, model.flux_shift
+    s = geo.shortest_geodesic**2 / 240
+    assert s * (enumerate_spectrum(model, cutoff)[:, 0] ** 2).max() > 60
+    (odd, gross), = _odd_trace(model, cutoff, [s])
+    c = model.rank * geo.weyl_coefficient * t
+    assert abs(float(odd) * s**1.5 - c) <= 1e-12 * float(gross) * s**1.5
+    assert geo.heat_remainder(s, t) < 1e-20
+
+
+@pytest.mark.parametrize("x", [3, 8])
+@pytest.mark.parametrize("model,cutoff", _HEAT_MODELS)
+def test_heat_remainder_covers_the_measured_rest(model, cutoff, x):
+    # int_0^T s^(-1/2) |S - c s^(-3/2)| ds, measured on 80 points of [T/10, T]
+    # in log s (below T/10 the rest is under exp(-9 x) of it), at T = l^2/(4x),
+    # where the rest is large enough to measure; per unit rank.  The bound
+    # drops the cancellations between the frequencies (on the lens, between
+    # the deck elements too: on lens 4, character 1, those nearest cancel)
+    geo, t = model.geometry, model.flux_shift
+    T = geo.shortest_geodesic**2 / (4 * x)
+    ss = np.geomspace(T / 10, T, 80)
+    c = model.rank * geo.weyl_coefficient * t
+    rest = np.abs(_odd_trace(model, cutoff, ss)[:, 0].astype(float) - c * ss**-1.5)
+    measured = np.trapezoid(rest * np.sqrt(ss), np.log(ss)) / model.rank
+    assert 0 < measured <= geo.heat_remainder(T, t)
+
+
+@pytest.mark.parametrize("model,low,high,T", [
+    (SpectralModel(Circle(0.55), CircleHolonomy(0.87), 4.7), 15, 400, 0.02),
+    (SpectralModel(Sphere3(1.7), flux_shift=-0.3), 10, 200, 0.05),
+    (SpectralModel(Lens(12, 1.26), LensCharacter(12, 6), 1.9), 20, 300, 0.01),
+    (SpectralModel(Lens(3, 1.45), LensCharacter(3, 0), -1.8), 30, 300, 0.02),
+    (SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.1), 12, 30,
+     0.005),
+], ids=["circle", "sphere", "lens-12-6", "lens-3-0", "torus"])
+def test_heat_tail_covers_the_modes_past_the_cutoff(model, low, high, T):
+    # what the modes past the cutoff add to int_T^inf s^(-1/2) S ds is at most
+    # sqrt(pi) m erfc(sqrt(T) |lambda|) each, summed here over the modes an
+    # enumeration at a far higher cutoff adds
+    enumerated = collections.Counter(dict(map(tuple, enumerate_spectrum(model, low))))
+    past = collections.Counter(dict(map(tuple, enumerate_spectrum(model, high)))) - enumerated
+    measured = sum(m * math.sqrt(math.pi) * math.erfc(math.sqrt(T) * abs(v))
+                   for v, m in past.items())
+    bound = model.geometry.heat_tail(T, model.flux_shift, low)
+    assert 0.01 * bound < measured <= bound
