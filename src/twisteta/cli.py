@@ -328,9 +328,10 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     settings = cfg.eta_settings()
     points = cfg.floats("sweep")
     # the unfluxed endpoint and its spectrum are shared by every point of the
-    # sweep; the spectrum grows only as far as a point that reached it needs
-    eta_zero = eta_for_model(base.with_flux(0.0), **settings)
+    # sweep: the flow's spectrum grows only as far as a point that reached it
+    # needs, and the heat engine's shell is enumerated once, here
     unfluxed = UnfluxedSpectrum(base)
+    eta_zero = eta_for_model(base.with_flux(0.0), **settings, unfluxed=unfluxed)
 
     def one(t: float) -> list[ResultRecord]:
         start = time.perf_counter()

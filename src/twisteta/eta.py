@@ -41,19 +41,24 @@ Traces accumulate in ``numpy.longdouble`` (alternating sums over growing
 multiplicities lose four digits in doubles), each t over its own window
 ``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W = sum |weight|``:
 a sum drops at most 1e-60, moving eta by under 1e-55.  (Longdouble
-``exp(-x)`` is exactly 0 from 11400 on.)  Each half of the integral, split
-at t = 1, runs on panels at most 3 wide in ``log t`` (at least 2), where a
-24-point and a 20-point Gauss-Legendre rule (longdouble nodes and weights)
-share one trace evaluation: G24 is the value and ``|G24 - G20|`` its error
-estimate.  The panels are doubled, up to 512, while the estimate exceeds
-``max(tol/16, 1e-16 (1 + |integral|))``.
+``exp(-x)`` is exactly 0 from 11400 on.)  A window longer than 256 terms is a
+slice summed by numpy; a call's shorter windows (at least 8 of them) are
+evaluated in one vectorized pass, in batches of at most 65,536 terms, and
+summed by ``np.add.reduceat`` behind a head term 0, which is numpy's own
+pairwise sum: every trace value has the bits of its window's ``sum()``, and
+the rounding term covers the sums as it did those.
+Each half of the integral, split at t = 1, runs on panels at most 3 wide in
+``log t`` (at least 2), where a 24-point and a 20-point Gauss-Legendre rule
+(longdouble nodes and weights) share one trace evaluation: G24 is the value
+and ``|G24 - G20|`` its error estimate.  The panels are doubled, up to 512,
+while the estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, inf, isfinite, log, pi, sqrt
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +73,9 @@ from .models import (
     enumerate_spectrum,
     progression_spectrum,
 )
+
+if TYPE_CHECKING:
+    from .specflow import UnfluxedSpectrum
 
 __all__ = [
     "EtaValue",
@@ -214,21 +222,59 @@ def _reach(weight: np.ndarray) -> float:
     return min(_UNDERFLOW, float(np.log(total) - np.log(_DROPPED))) if total > 0 else 0.0
 
 
+# a longer window is a slice: its numpy calls cost little beside its terms
+_SPLIT = 256
+# the short windows evaluated in one vectorized pass hold at most this many
+# terms (plus one window), so its temporaries stay a few MB
+_BATCH = 1 << 16
+# below this many short windows a call sums them as slices: the pass costs
+# about as much as that many slices
+_FEW = 8
+
+
 def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
                reach: float) -> np.ndarray:
-    """``sum_j weight_j exp(-t lam_j^2)`` for each t, one t at a time over the
-    sorted ``lam`` inside that t's own window ``t lam^2 <= reach``.  The
-    exponent keeps the rounding order ``(-t lam) lam``."""
+    """``sum_j weight_j exp(-t lam_j^2)`` for each t over the sorted ``lam``
+    inside that t's own window ``t lam^2 <= reach``; the exponent keeps the
+    rounding order ``(-t lam) lam``.  A window longer than ``_SPLIT`` is one
+    slice and numpy's ``sum()``, as are all windows of a call with fewer than
+    ``_FEW`` short ones.  Otherwise the short windows are laid end to end, in
+    batches of about ``_BATCH`` terms, each behind a head term 0; one flat
+    index and one ``exp`` give their terms, and ``np.add.reduceat`` sums each
+    window.  ``reduceat`` adds a window's first term to numpy's pairwise sum
+    of the rest, and ``sum()`` adds 0 to the pairwise sum of all terms: with
+    the head, each window's sum has the bits of its slice's ``sum()``."""
     r = np.sqrt(reach / ts.astype(float))
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
-    out = np.empty(ts.size, dtype=_LD)
-    for i, t in enumerate(ts):
+    sizes = hi - lo
+    out = np.zeros(ts.size, dtype=_LD)
+    short = (sizes > 0) & (sizes <= _SPLIT)
+    if np.count_nonzero(short) < _FEW:
+        short[:] = False
+    for i in np.flatnonzero(~short & (sizes > 0)):
         window = lam[lo[i]:hi[i]]
-        row = -t * window
+        row = -ts[i] * window
         row *= window
         np.exp(row, out=row)
         row *= weight[lo[i]:hi[i]]
         out[i] = row.sum()
+    short = np.flatnonzero(short)
+    if not short.size:
+        return out
+    # a new batch starts at the window that ends past the next multiple of _BATCH
+    ends = np.cumsum(sizes[short])
+    for rows in np.split(short, np.flatnonzero(np.diff((ends - 1) // _BATCH)) + 1):
+        n = sizes[rows] + 1  # the head and the window
+        heads = np.cumsum(n) - n
+        # a head reads the level before its window; its term is set to 0
+        at = np.arange(heads[-1] + n[-1]) + np.repeat(lo[rows] - 1 - heads, n)
+        window = lam[at]
+        x = -np.repeat(ts[rows], n) * window
+        x *= window
+        np.exp(x, out=x)
+        x *= weight[at]
+        x[heads] = 0
+        out[rows] = np.add.reduceat(x, heads)
     return out
 
 
@@ -360,7 +406,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
 # ---------------------------------------------------------------------------
 
 def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
-                  tol: float = 1e-8) -> EtaValue:
+                  tol: float = 1e-8, unfluxed: UnfluxedSpectrum | None = None) -> EtaValue:
     """Eta/xi of a model through the selected engine.
 
     The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
@@ -368,13 +414,17 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     geometry's Weyl term ``rank weyl_coefficient t`` and reports its achieved
     error bound.  It rejects a flux beyond half the radius of the enumerated
     spectrum: the cutoff no longer resolves the shifted spectrum there.
+    Given the model's ``specflow.UnfluxedSpectrum`` (at any flux), the heat
+    engine reads its spectrum off that one's zero-flux enumeration, shifted,
+    instead of enumerating: the same bits.
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model))
     if engine != "heat_kernel":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else model.geometry.default_cutoff
-    spec = enumerate_spectrum(model, n)
+    spec = (enumerate_spectrum(model, n) if unfluxed is None
+            else unfluxed.shifted(model.flux_shift, n))
     if not len(spec):
         # a long thin torus: no mode of the short edges fits the shell
         raise ValueError(f"no eigenvalue lies in the complete shell at cutoff {n}; "

@@ -594,9 +594,23 @@ def lens_weight_count(m, k: int, p: int):
 
 
 def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct eigenvalues, ascending, with their summed multiplicities."""
-    distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
-    return distinct, np.bincount(inverse, weights=mults).astype(np.int64)
+    """Distinct eigenvalues, ascending, with their summed multiplicities.
+
+    One sort: the values in ``np.unique``'s own order (the same ``argsort``,
+    so the same one of ``+-0.0`` leads its group and survives, and NaNs merge
+    into one), each group's multiplicities summed by ``np.add.reduceat``."""
+    values = np.asarray(values, dtype=float).ravel()
+    order = values.argsort()
+    aux = values[order]
+    if not aux.size:
+        return aux, np.zeros(0, dtype=np.int64)
+    first = np.empty(aux.size, dtype=bool)
+    first[0] = True
+    np.not_equal(aux[1:], aux[:-1], out=first[1:])
+    if np.isnan(aux[-1]):  # NaNs sort last
+        first[np.searchsorted(aux, aux[-1]) + 1:] = False
+    starts = np.flatnonzero(first)
+    return aux[starts], np.add.reduceat(np.asarray(mults)[order], starts).astype(np.int64)
 
 
 def _check_multiplicities(mults):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eta import EtaValue, eta_for_model
-from .models import ZERO_TOL, SpectralModel, enumerate_spectrum
+from .models import ZERO_TOL, SpectralModel, _merge, enumerate_spectrum
 
 __all__ = [
     "Crossing",
@@ -94,17 +94,28 @@ def sf_on_spectrum(spectrum: np.ndarray, t: float) -> SfResult:
 
 class UnfluxedSpectrum:
     """The zero-flux spectrum of a model, enumerated on demand and kept for
-    the next request: :meth:`past` grows it only when a reach lies beyond
-    it, so a sweep enumerates it once per new reach, never ahead of a point.
-    Its cutoff starts at 8 and doubles until both ends lie beyond the reach
-    (an empty spectrum, a shell too small for any mode of a long thin torus,
-    doubles too).  Cutoffs are shell complete, so every eigenvalue of a
-    larger cutoff is one of a smaller cutoff with the same bits and
-    multiplicity, or lies beyond that cutoff's ends."""
+    the next request, in two forms.
+
+    :meth:`past` serves the flow: it grows the spectrum only when a reach
+    lies beyond it, so a sweep enumerates it once per new reach, never ahead
+    of a point.  Its cutoff starts at 8 and doubles until both ends lie
+    beyond the reach (an empty spectrum, a shell too small for any mode of a
+    long thin torus, doubles too).  Cutoffs are shell complete, so every
+    eigenvalue of a larger cutoff is one of a smaller cutoff with the same
+    bits and multiplicity, or lies beyond that cutoff's ends.
+
+    :meth:`shifted` serves the heat engine: the spectrum at any flux ``t``
+    and the heat cutoff, read off one zero-flux enumeration at that cutoff.
+    ``x -> x + t`` is monotone, so the shifted levels merge into exactly the
+    groups, with the same integer multiplicities, that enumerating at ``t``
+    gives: bit for bit ``enumerate_spectrum(model.with_flux(t), cutoff)``.
+    A heat sweep thus enumerates its shell once, not once per point.
+    """
 
     def __init__(self, model: SpectralModel):
         self._base = model.with_flux(0.0)
         self._grown = None  # (cutoff, spectrum), set in one assignment
+        self._shell = None  # (cutoff, spectrum), set in one assignment
 
     def past(self, reach: float) -> np.ndarray:
         """The spectrum past ``reach`` on both sides: it holds every
@@ -116,6 +127,14 @@ class UnfluxedSpectrum:
             spec = enumerate_spectrum(self._base, n)
         self._grown = (n, spec)
         return spec
+
+    def shifted(self, t: float, cutoff: int) -> np.ndarray:
+        """``enumerate_spectrum(model.with_flux(t), cutoff)`` from the kept
+        zero-flux enumeration at ``cutoff`` (made on the first request)."""
+        if self._shell is None or self._shell[0] != cutoff:
+            self._shell = (cutoff, enumerate_spectrum(self._base, cutoff))
+        spec = self._shell[1]
+        return np.column_stack(_merge(spec[:, 0] + t, spec[:, 1]))
 
 
 def sf_for_flux(model: SpectralModel, t: float,
@@ -165,15 +184,17 @@ def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
 
     Both endpoint operators must be invertible.  ``eta_zero`` is the eta of
     the unfluxed operator ``model.with_flux(0)`` through the same engine,
-    cutoff and tol, and ``unfluxed`` its spectrum; a sweep over fluxes
+    cutoff and tol, and ``unfluxed`` its spectrum, which the flow counts on
+    and the heat engine reads both etas' spectra off; a sweep over fluxes
     evaluates the one once and grows the other as its points need, and
     passes both to every point.  Each is evaluated here when not given.
     """
     _require_3d(model)
     t = model.flux_shift
+    unfluxed = unfluxed or UnfluxedSpectrum(model)
     if eta_zero is None:
-        eta_zero = eta_for_model(model.with_flux(0.0), engine, cutoff, tol)
-    eta_flux = eta_for_model(model, engine, cutoff, tol)
+        eta_zero = eta_for_model(model.with_flux(0.0), engine, cutoff, tol, unfluxed)
+    eta_flux = eta_for_model(model, engine, cutoff, tol, unfluxed)
     if eta_zero.kernel_dim or eta_flux.kernel_dim:
         raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
     sf = sf_for_flux(model, t, unfluxed)

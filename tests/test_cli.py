@@ -22,7 +22,7 @@ from twisteta.cli import (
 )
 from twisteta import cli
 from twisteta.eta import eta_for_model, rho
-from twisteta.models import Circle, CircleHolonomy, SpectralModel, Sphere3
+from twisteta.models import Circle, CircleHolonomy, SpectralModel, Sphere3, Torus3
 
 
 def write(tmp_path, name, text):
@@ -188,6 +188,24 @@ def test_specflow_sweep_enumerates_its_spectrum_once_per_new_reach(tmp_path, mon
     cfg = write(tmp_path, "c.txt", "geometry = sphere3\nsweep = 0.4,12.3,-3.2,0.7\n")
     assert main(["specflow", "--config", cfg, "--out", str(tmp_path / "o.jsonl")]) == EXIT_OK
     assert seen == [8, 16]
+
+
+def test_heat_specflow_enumerates_the_torus_shell_once(tmp_path, monkeypatch):
+    # eta_zero and every point read one zero-flux enumeration at the heat
+    # cutoff 40, shifted; the flow's own spectrum is the one at cutoff 8
+    seen = []
+    levels = Torus3.levels
+
+    def recording(self, theta, cutoff):
+        seen.append(cutoff)
+        return levels(self, theta, cutoff)
+
+    monkeypatch.setattr(Torus3, "levels", recording)
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\nengine = heat\nsweep = 0.3,-0.6,0.9\n")
+    out = tmp_path / "o.jsonl"
+    assert main(["specflow", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert seen == [40, 8]
+    assert len(read_records(out)) == 12
 
 
 def test_specflow_threads_sharing_one_spectrum_write_the_sequential_records(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import sys
@@ -619,13 +620,137 @@ def test_trace_is_exactly_zero_where_every_term_underflows():
     assert trace.odd([t])[0] == 0.0
 
 
+def _per_row_sums(lam, weight, ts, reach):
+    """The trace sums one t at a time, each window a slice summed by numpy:
+    the reference for ``_heat_sums``."""
+    r = np.sqrt(reach / ts.astype(float))
+    lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
+    out = np.empty(ts.size, dtype=np.longdouble)
+    for i, t in enumerate(ts):
+        window = lam[lo[i]:hi[i]]
+        row = -t * window
+        row *= window
+        np.exp(row, out=row)
+        row *= weight[lo[i]:hi[i]]
+        out[i] = row.sum()
+    return out
+
+
+def _same_bits(a, b):
+    """Equal values with equal signs of zero (longdouble's padding bytes are
+    not part of the value)."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _heat_sums_cases():
+    """``(lam, weight, ts, reach)`` calls: windows empty and one at the
+    split length (the half-integer levels up to 300 put ``2 floor(r + 1/2)``
+    in ``[-r, r]``), rows in unsorted t order, one row, fewer short windows
+    than ``_FEW`` and exactly that many, terms that underflow to zeros of both
+    signs, and windows of 1 to 4 terms that all underflow to -0 (their sums
+    read +0)."""
+    ld = np.longdouble
+    rng = np.random.default_rng(7)
+    lam = (np.arange(-300, 300) + 0.5).astype(ld)
+    weight = lam * rng.integers(1, 9, lam.size)
+    split = eta_mod._SPLIT
+    at_split = np.array([140.0 / (split / 2) ** 2, 140.0 / ((split + 2) / 2) ** 2])
+    mixed = np.concatenate([at_split, [1e9, 1e-6], np.geomspace(1e-3, 1e3, 60)])
+    few = np.geomspace(0.05, 1.0, eta_mod._FEW)
+    ragged = np.sort(rng.uniform(-50.0, 50.0, 100)).astype(ld)
+    far = (np.arange(1000, 1010) + 0.5).astype(ld)
+    return [
+        (lam, weight, rng.permutation(mixed).astype(ld), 140.0),
+        (lam, weight, np.array([0.3], dtype=ld), 140.0),
+        (lam, weight, np.array([1e-6], dtype=ld), 140.0),
+        (lam, weight, np.array([1e9, 2e9], dtype=ld), 140.0),
+        (lam, weight, few[1:].astype(ld), 140.0),
+        (lam, weight, few.astype(ld), 140.0),
+        (ragged, ragged * rng.choice([-3, 1, 2], ragged.size),
+         rng.uniform(1.0, 11.0, 90).astype(ld), 11500.0),
+        (far, -far, (11500.0 / np.linspace(1001.0, 1003.9, 8) ** 2).astype(ld), 11500.0),
+    ]
+
+
+def test_heat_sums_equal_the_per_row_sums_bit_for_bit(monkeypatch):
+    cases = _heat_sums_cases()
+    lam, _, ts, reach = cases[0]
+    r = np.sqrt(reach / ts.astype(float))
+    sizes = np.searchsorted(lam, r, side="right") - np.searchsorted(lam, -r, side="left")
+    assert 0 in sizes and eta_mod._SPLIT in sizes and eta_mod._SPLIT + 2 in sizes
+    assert np.any(np.diff(ts) < 0)
+    lam, weight, ts, reach = cases[-2]
+    terms = weight * np.exp(-ts[:, None] * lam * lam)
+    zero = (ts[:, None] * lam * lam <= reach) & (terms == 0)
+    assert np.any(zero & np.signbit(terms)) and np.any(zero & ~np.signbit(terms))
+    lam, weight, ts, reach = cases[-1]
+    assert np.all(weight[:4] * np.exp(-ts[:, None] * lam[:4] ** 2) == 0)
+    for lam, weight, ts, reach in cases:
+        assert _same_bits(eta_mod._heat_sums(lam, weight, ts, reach),
+                          _per_row_sums(lam, weight, ts, reach))
+    # batches of about 100 terms: every pass holds a few windows
+    monkeypatch.setattr(eta_mod, "_BATCH", 100)
+    for lam, weight, ts, reach in cases:
+        assert _same_bits(eta_mod._heat_sums(lam, weight, ts, reach),
+                          _per_row_sums(lam, weight, ts, reach))
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak of the memory traced while it ran, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_heat_eta_memory_on_the_non_cubic_holonomy_torus():
+    # 115,144 levels at the default cutoff 40, nearly all inside the window
+    # of most of the 179 rows: one flat pass over every window traces 188 MB;
+    # as slices, the long windows leave the enumeration's 18 MB the peak
+    model = SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.1)
+    heat, peak = _traced_peak(lambda: eta_for_model(model, "heat_kernel"))
+    assert heat.converged
+    assert peak < 32 * 2**20
+
+
+def test_heat_sums_memory_is_capped_by_the_batch():
+    # 6,000 short windows of 96-104 terms: one pass over their 599,108 terms
+    # traces 33 MB of temporaries, batches of _BATCH terms 3.9 MB
+    ld = np.longdouble
+    lam = (np.arange(-60, 60) + 0.5).astype(ld)
+    ts = np.random.default_rng(3).uniform(140.0 / 52**2, 140.0 / 48**2, 6000).astype(ld)
+    sums, peak = _traced_peak(lambda: eta_mod._heat_sums(lam, lam, ts, 140.0))
+    assert _same_bits(sums, _per_row_sums(lam, lam, ts, 140.0))
+    assert peak < 16 * 2**20
+
+
+# Hypothesis mixes into its float and integer draws constants it reads from
+# the source of every loaded module outside the tests (twisteta, bench/,
+# tools/), so st.floats drew other examples in a run that had imported more of
+# them, derandomized or not.  Booleans never take such constants, and neither
+# do integers in (-100, 100): a float here is a point of a 2^-30 grid drawn
+# as 30 booleans, and the examples depend on this file alone.
+_BITS = 30
+
+
+def _grid(lo, hi):
+    """Floats in the open interval ``(lo, hi)``, midpoints of a 2^-30 grid."""
+    return st.lists(st.booleans(), min_size=_BITS, max_size=_BITS).map(
+        lambda bits: lo + (hi - lo) * (sum(b << i for i, b in enumerate(bits)) + 0.5) / 2**_BITS)
+
+
 @st.composite
 def _round_models(draw):
     kind = draw(st.sampled_from(["circle", "sphere", "lens"]))
-    radius = draw(st.floats(0.5, 2.0))
-    t = draw(st.floats(-3.0, 3.0, exclude_min=True, exclude_max=True))
+    radius = draw(_grid(0.5, 2.0))
+    t = draw(_grid(-3.0, 3.0))
     if kind == "circle":
-        a = draw(st.floats(0.0, 1.0, exclude_max=True))
+        a = draw(_grid(0.0, 1.0))
         return SpectralModel(Circle(radius), CircleHolonomy(a), t), 400
     if kind == "sphere":
         return SpectralModel(Sphere3(radius), flux_shift=t), 200
@@ -642,6 +767,42 @@ def test_heat_agrees_with_hurwitz_within_both_bounds(drawn):
     heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
     assert heat.kernel_dim == exact.kernel_dim
     assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+
+
+_DRAWS_SCRIPT = """
+import json, sys
+from hypothesis import given, settings, strategies as st
+from test_eta import _round_models
+
+def drawn(strategy):
+    seen = []
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(strategy)
+    def record(x):
+        seen.append(repr(x))
+    record()
+    return seen
+
+before = drawn(_round_models()), drawn(st.floats(0.5, 2.0))
+import literals
+after = drawn(_round_models()), drawn(st.floats(0.5, 2.0))
+print(json.dumps([len(before[0]), before[0] == after[0], before[1] != after[1]]))
+"""
+
+
+def test_round_model_draws_do_not_depend_on_the_loaded_modules(tmp_path):
+    # the draws of the test above, before and after a module full of float
+    # and integer literals is imported: the same; st.floats' draws change
+    import os
+    import subprocess
+
+    (tmp_path / "literals.py").write_text(
+        "VALUES = [0.61, 0.77, 1.3, 1.9, 1.25, -2.5, 2.25, 0.123, 150, 2000, 31337]\n")
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here), str(tmp_path), str(here.parent / "src")])
+    done = subprocess.run([sys.executable, "-c", _DRAWS_SCRIPT], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert json.loads(done.stdout.splitlines()[-1]) == [60, True, True]
 
 
 def _honesty_draws(count=80, seed=1):

@@ -262,6 +262,35 @@ def test_torus_shift_collision_case():
     assert len({v + t for v in x}) < len(x)
 
 
+def _unique_merge(values, mults):
+    """``_merge`` as it was: ``np.unique(return_inverse=True)`` and a
+    ``bincount`` of the multiplicities."""
+    distinct, inverse = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    return distinct, np.bincount(inverse, weights=mults).astype(np.int64)
+
+
+def test_merge_matches_the_unique_reference_bit_for_bit():
+    # 2,000 seeded draws from small pools, so values repeat, with both zeros
+    # (the one np.unique sorts first survives) and, every third draw, NaNs
+    # (merged into one); sizes from 0 (empty input) to 199, integer and float
+    # multiplicities
+    rng = np.random.default_rng(2000)
+    signed_zeros = 0
+    for i in range(2000):
+        n = int(rng.integers(0, 200))
+        pool = [*rng.standard_normal(int(rng.integers(1, 12))), 0.0, -0.0]
+        values = rng.choice(pool + [np.nan] * (i % 3 == 0), n)
+        mults = rng.integers(1, 9, n)
+        mults = mults if i % 2 else mults.astype(float)
+        got, want = _merge(values, mults), _unique_merge(values, mults)
+        assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+        assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+        signed_zeros += np.any(values == 0) and len(set(np.signbit(values[values == 0]))) == 2
+    assert signed_zeros > 100
+    empty = _merge(np.array([]), np.array([], dtype=np.int64))
+    assert empty[0].shape == empty[1].shape == (0,) and empty[1].dtype == np.int64
+
+
 def test_lens_weight_count_p1_is_full():
     for m in range(8):
         assert lens_weight_count(m, 0, 1) == m + 1

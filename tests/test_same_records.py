@@ -34,11 +34,20 @@ def test_a_difference_is_measured_against_the_smaller_bound():
               {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
     b = jsonl({"quantity": "eta", "value": 0.5 + 4e-13, "error_bound": 2e-10, "converged": True},
               {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
-    worst, flipped = same_records.difference(a, b)
+    worst, summed, flipped = same_records.difference(a, b)
     assert worst == pytest.approx(4e-3, rel=1e-3) and not flipped
-    assert same_records.difference(a, a) == (0.0, False)
+    assert summed == pytest.approx(4e-13 / 3e-10, rel=1e-3)
+    assert same_records.difference(a, a) == (0.0, 0.0, False)
     flip = b.replace('"converged": true}', '"converged": false}', 1)
-    assert same_records.difference(a, flip)[1]
+    assert same_records.difference(a, flip)[2]
+    # a bound that shrinks 1000-fold: a large move against the smaller bound,
+    # well inside the two bounds added
+    tight = jsonl({"quantity": "eta", "value": 0.5 + 5e-11, "error_bound": 1e-13,
+                   "converged": True},
+                  {"quantity": "sf", "value": 2, "error_bound": 0.0, "converged": True})
+    worst, summed, _ = same_records.difference(a, tight)
+    assert worst == pytest.approx(500.0) and summed == pytest.approx(5e-11 / 1.001e-10)
+    assert "max |dvalue|/(bound_base + bound_head) 0.5," in same_records._describe(0, a, 0, tight)
     # a changed quantity, or a missing record, is not a tolerated difference
     assert same_records.difference(a, b.replace('"sf"', '"xi"')) is None
     assert same_records.difference(a, a + a) is None
@@ -89,9 +98,11 @@ def test_summary_gives_the_largest_difference_and_bound_ratio_of_a_workload():
                   "method": "heat_kernel"})
     line = same_records.summary("sweeps", [(0, a, 0, a), (0, a, 0, b), (0, a, 0, c),
                                            (0, a, 3, heat)])
-    # |dvalue|/bound over a-b (0.2) and a-c (1.0); bound ratios 3 and 0.5;
-    # the operation whose records differ beyond value and bound is not measured
+    # |dvalue|/bound over a-b (0.2) and a-c (1.0), against the summed bounds
+    # 0.05 and 0.33; bound ratios 3 and 0.5; the operation whose records
+    # differ beyond value and bound is not measured
     assert line == ("sweeps: 1 of 4 operation(s) identical, max |dvalue|/error_bound 1, "
+                    "max |dvalue|/(bound_base + bound_head) 0.33, "
                     "max error_bound ratio 3, changed quantities eta")
     assert same_records.summary("lw", [(0, a, 0, a)]) == (
         "lw: 1 of 1 operation(s) identical, no measured difference, changed quantities none")

@@ -11,8 +11,10 @@ from twisteta.models import (
     Sphere3,
     Torus3,
     TorusFlux,
+    TorusHolonomy,
     TrivialBundle,
     build_torus_operator,
+    enumerate_spectrum,
 )
 from twisteta.specflow import (
     Crossing,
@@ -53,6 +55,25 @@ def test_sf_for_flux_at_zero_flux_is_the_general_count():
     assert res.endpoint_kernel_flags == (True, True)
     res = sf_for_flux(SpectralModel(Sphere3(1.0)), 0.0)
     assert res.flow == 0 and res.endpoint_kernel_flags == (False, False)
+
+
+@pytest.mark.parametrize("model,cutoff,t", [
+    (SpectralModel(Circle(0.7), CircleHolonomy(0.3)), 50, 1e16),
+    (SpectralModel(Sphere3(1.3), TrivialBundle(2)), 40, 1e16),
+    (SpectralModel(Lens(5, 0.9), LensCharacter(5, 2)), 40, 1e16),
+    (SpectralModel(Torus3((1.0, 1.0, 1.3)), TorusHolonomy((0.25, 0.25, 0.0))), 8, 2.5),
+], ids=["circle", "sphere-rank2", "lens", "torus"])
+def test_shifted_unfluxed_spectrum_is_the_enumeration_bit_for_bit(model, cutoff, t):
+    # at t levels collide: distinct torus |w| within an ulp of each other
+    # (test_models' collision case), and levels 1/r apart past 2^53
+    unfluxed = UnfluxedSpectrum(model.with_flux(0.4))
+    shell = enumerate_spectrum(model, cutoff)
+    assert len(enumerate_spectrum(model.with_flux(t), cutoff)) < len(shell)
+    for flux in (0.0, 0.37, -2.9, 1e12, t):
+        want = enumerate_spectrum(model.with_flux(flux), cutoff)
+        got = unfluxed.shifted(flux, cutoff)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sf_on_spectrum_concatenation_additivity():

@@ -12,15 +12,18 @@ identical when its exit code and its records match after ``wall_time`` is
 dropped from every record.  One line per operation says ``identical`` or
 ``different``; the exit status is 1 if any operation differs.  A line that
 says ``different`` also measures the difference: whether the exit code or a
-``converged`` flag changed, and the largest ``|delta value| / error_bound``
-over its records (the smaller of the two bounds), whether every ``value`` is
-bit-identical and the largest ratio of HEAD's ``error_bound`` to BASE's, or
-that the records differ in more than ``value``, ``error_bound`` and
-``converged``; it ends with the ``quantity`` names of the records that
-differ.  Each workload closes with a summary line: how many of its
-operations are identical, the largest ``|delta value| / error_bound`` and
-the largest ``error_bound`` ratio over its differing operations, and every
-quantity that changed in any of them.
+``converged`` flag changed, the largest ``|delta value| / error_bound`` over
+its records (the smaller of the two bounds) and the largest ``|delta value|
+/ (bound_base + bound_head)``, whether every ``value`` is bit-identical and
+the largest ratio of HEAD's ``error_bound`` to BASE's, or that the records
+differ in more than ``value``, ``error_bound`` and ``converged``; it ends
+with the ``quantity`` names of the records that differ.  Each workload
+closes with a summary line: how many of its operations are identical, the
+two largest ``|delta value|`` measures and the largest ``error_bound``
+ratio over its differing operations, and every quantity that changed in any
+of them.  Against the smaller bound, a change that only tightens bounds
+reads as a large move; a value within both bounds of the exact one moves by
+at most their sum, so the second measure stays at or below 1.
 """
 
 from __future__ import annotations
@@ -55,24 +58,26 @@ def same_records(a: str, b: str) -> bool:
     return canonical(a) == canonical(b)
 
 
-def difference(a: str, b: str) -> tuple[float, bool] | None:
-    """For two JSONL record texts: the largest ``|delta value| / error_bound``
-    over records paired in order, taking the smaller of the two bounds, and
-    whether any ``converged`` flag differs.  ``None`` when the texts differ
-    in more than ``value``, ``error_bound`` and ``converged``."""
+def difference(a: str, b: str) -> tuple[float, float, bool] | None:
+    """For two JSONL record texts, over records paired in order: the largest
+    ``|delta value|`` divided by the smaller of the two bounds and by their
+    sum, and whether any ``converged`` flag differs.  ``None`` when the texts
+    differ in more than ``value``, ``error_bound`` and ``converged``."""
     ra, rb = ([json.loads(line) for line in canonical(text)] for text in (a, b))
     if len(ra) != len(rb):
         return None
-    worst, flipped = 0.0, False
+    worst = summed = 0.0
+    flipped = False
     measured = {"value", "error_bound", "converged"}
     for x, y in zip(ra, rb):
         if any(x.get(k) != y.get(k) for k in (x.keys() | y.keys()) - measured):
             return None
         if x["value"] != y["value"]:
-            bound = min(x["error_bound"], y["error_bound"])
-            worst = max(worst, abs(x["value"] - y["value"]) / bound if bound > 0 else math.inf)
+            moved, bounds = abs(x["value"] - y["value"]), (x["error_bound"], y["error_bound"])
+            worst = max(worst, moved / min(bounds) if min(bounds) > 0 else math.inf)
+            summed = max(summed, moved / sum(bounds) if sum(bounds) > 0 else math.inf)
         flipped |= x["converged"] != y["converged"]
-    return worst, flipped
+    return worst, summed, flipped
 
 
 def bound_change(a: str, b: str) -> tuple[bool, float]:
@@ -103,9 +108,10 @@ def _describe(code_a, text_a: str, code_b, text_b: str) -> str:
     if measured is None:
         records = "records differ beyond value, error_bound and converged"
     else:
-        worst, flipped = measured
+        worst, summed, flipped = measured
         same_values, ratio = bound_change(text_a, text_b)
         records = (f"max |dvalue|/error_bound {worst:.2g}, "
+                   f"max |dvalue|/(bound_base + bound_head) {summed:.2g}, "
                    f"converged {'changed' if flipped else 'unchanged'}, "
                    f"values {'bit-identical' if same_values else 'changed'}, "
                    f"max error_bound ratio {ratio:.3g}")
@@ -118,9 +124,9 @@ def summary(workload: str, outcomes: list[tuple[int | None, str, int | None, str
     pairs of BASE and HEAD for each of its operations: how many are
     identical; over the differing ones whose records differ only in
     ``value``, ``error_bound`` and ``converged``, the largest ``|delta
-    value| / error_bound`` and the largest ``error_bound`` ratio; and every
-    quantity that changed."""
-    same, worst, ratios = 0, [], []
+    value|`` against the smaller bound and against the summed bounds, and the
+    largest ``error_bound`` ratio; and every quantity that changed."""
+    same, worst, summed, ratios = 0, [], [], []
     changed: set[str] = set()
     for code_a, text_a, code_b, text_b in outcomes:
         changed.update(changed_quantities(text_a, text_b))
@@ -128,9 +134,11 @@ def summary(workload: str, outcomes: list[tuple[int | None, str, int | None, str
             same += 1
         elif (measured := difference(text_a, text_b)) is not None:
             worst.append(measured[0])
+            summed.append(measured[1])
             ratios.append(bound_change(text_a, text_b)[1])
-    sizes = (f"max |dvalue|/error_bound {max(worst):.2g}, max error_bound ratio "
-             f"{max(ratios):.3g}" if worst else "no measured difference")
+    sizes = (f"max |dvalue|/error_bound {max(worst):.2g}, max |dvalue|/(bound_base + "
+             f"bound_head) {max(summed):.2g}, max error_bound ratio {max(ratios):.3g}"
+             if worst else "no measured difference")
     return (f"{workload}: {same} of {len(outcomes)} operation(s) identical, {sizes}, "
             f"changed quantities {', '.join(sorted(changed)) or 'none'}")
 
