@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .conformal import ConformalScale, transform_spectrum
-from .eta import eta_for_model, rho
+from .eta import eta_for_model, heat_cutoff, rho
 from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
 from .specflow import UnfluxedSpectrum, check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
@@ -90,12 +90,11 @@ _CONFIG_KEYS = {
     "tol": _tolerance,
     "sweep": str,
     "h_norm": float,
-    "workers": _positive_int,
     "format": _one_of("json", "csv"),
     "out": _output_path,
 }
 
-_SEMANTIC_KEYS = sorted(set(_CONFIG_KEYS) - {"out", "format", "workers"})
+_SEMANTIC_KEYS = sorted(set(_CONFIG_KEYS) - {"out", "format"})
 
 
 @dataclass
@@ -275,18 +274,6 @@ def _record_factory(cfg: RunConfig):
     return make
 
 
-def _sweep(points: Sequence, fn: Callable[..., list], workers: int) -> list:
-    """Evaluate sweep points on a worker pool, preserving sweep order."""
-    if workers <= 1:
-        chunks = [fn(p) for p in points]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(fn, points))
-    return [rec for chunk in chunks for rec in chunk]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -329,8 +316,10 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     points = cfg.floats("sweep")
     # the unfluxed endpoint and its spectrum are shared by every point of the
     # sweep: the flow's spectrum grows only as far as a point that reached it
-    # needs, and the heat engine's shell is enumerated once, here
+    # needs, and the heat engine's shell is enumerated once, at the largest |t|
     unfluxed = UnfluxedSpectrum(base)
+    if settings["engine"] == "heat_kernel" and settings["cutoff"] is None:
+        settings["cutoff"] = heat_cutoff(base.with_flux(max(points, key=abs)), settings["tol"])
     eta_zero = eta_for_model(base.with_flux(0.0), **settings, unfluxed=unfluxed)
 
     def one(t: float) -> list[ResultRecord]:
@@ -349,7 +338,7 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
                  "curvature_flux_local_term", t, wall, conv),
         ]
 
-    return _sweep(points, one, cfg.get("workers", 1))
+    return [rec for t in points for rec in one(t)]
 
 
 def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
@@ -405,8 +394,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
             raise ConfigError(f"bad value for 'sweep': u = {u!r}: {exc}") from None
     base = rho(model, **settings)
 
-    def one(point: tuple[ConformalScale, SpectralModel]) -> list[ResultRecord]:
-        scale, scaled_model = point
+    def one(scale: ConformalScale, scaled_model: SpectralModel) -> list[ResultRecord]:
         start = time.perf_counter()
         value = rho(scaled_model, **settings)
         wall = time.perf_counter() - start
@@ -420,7 +408,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  value.converged and base.converged),
         ]
 
-    return _sweep(scaled, one, cfg.get("workers", 1))
+    return [rec for point in scaled for rec in one(*point)]
 
 
 def cmd_selftest(cfg: RunConfig) -> int:
@@ -450,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", type=str, default=None, help="path to key = value config file")
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", type=str, default=None, help="json (default) or csv")
-    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--cutoff", type=int, default=None)
     return parser
@@ -460,8 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        cfg.override(out=args.out, format=args.format, workers=args.workers,
-                     tol=args.tol, cutoff=args.cutoff)
+        cfg.override(out=args.out, format=args.format, tol=args.tol, cutoff=args.cutoff)
         if args.command == "selftest":
             return cmd_selftest(cfg)
         records = _COMMANDS[args.command](cfg)

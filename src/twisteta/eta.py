@@ -40,13 +40,8 @@ at ``s = 0``:
 Traces accumulate in ``numpy.longdouble`` (alternating sums over growing
 multiplicities lose four digits in doubles), each t over its own window
 ``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W = sum |weight|``:
-a sum drops at most 1e-60, moving eta by under 1e-55.  (Longdouble
-``exp(-x)`` is exactly 0 from 11400 on.)  A window longer than 256 terms is a
-slice summed by numpy; a call's shorter windows (at least 8 of them) are
-evaluated in one vectorized pass, in batches of at most 65,536 terms, and
-summed by ``np.add.reduceat`` behind a head term 0, which is numpy's own
-pairwise sum: every trace value has the bits of its window's ``sum()``, and
-the rounding term covers the sums as it did those.
+a sum drops at most 1e-60, moving eta by under 1e-55.  :func:`_heat_sums`
+gives every window the bits of its slice's ``sum()``, short ones in one pass.
 Each half of the integral, split at t = 1, runs on panels at most 3 wide in
 ``log t`` (at least 2), where a 24-point and a 20-point Gauss-Legendre rule
 (longdouble nodes and weights) share one trace evaluation: G24 is the value
@@ -56,6 +51,7 @@ while the estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import ceil, inf, isfinite, log, pi, sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -64,6 +60,7 @@ import numpy as np
 
 from .models import (
     _EPS,
+    SHELL_BUDGET,
     ZERO_TOL,
     _check_multiplicities,
     _crossing,
@@ -83,6 +80,7 @@ __all__ = [
     "eta_hurwitz",
     "eta_heat",
     "eta_for_model",
+    "heat_cutoff",
     "rho",
 ]
 
@@ -364,6 +362,8 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     if not len(spec):
         raise ValueError("empty spectrum")
     _check_multiplicities(spec[:, 1])
+    if not np.all(np.isfinite(spec[:, 0])):
+        raise ValueError("eigenvalues must be finite")
     if np.any(np.abs(spec[:, 0]) <= ZERO_TOL):
         raise ValueError("spectrum contains kernel modes; strip them first")
     trace = _OddTrace(spec)
@@ -405,24 +405,38 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
 # model-level drivers
 # ---------------------------------------------------------------------------
 
+def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
+    """The heat engine's default cutoff: the smallest N with ``rank heat_tail(
+    t_geo, 2t, N) <= tol/16``, by bisection up to the last shell within
+    ``SHELL_BUDGET`` (if none fits, the flux is refused).  At twice the flux the
+    shell holds every level up to ``2|t|``, as :func:`eta_for_model`'s check asks."""
+    geo, t = model.geometry, model.flux_shift
+    t_geo = geo.shortest_geodesic**2 / (4.0 * _KAPPA)
+    n_max = (int(SHELL_BUDGET ** (1.0 / geo.index_dim)) - 3) // 2  # the budget's last shell
+    n = 1 + bisect_left(range(1, n_max + 1), True,
+                        key=lambda k: model.rank * geo.heat_tail(t_geo, 2.0 * t, k) <= tol / 16.0)
+    if n > n_max:
+        raise ValueError(f"eigenvalues are too large for the heat engine: flux {t:.6g} needs "
+                         f"cutoff {n} or more, for radius 2|t|: over {SHELL_BUDGET} levels")
+    return n
+
+
 def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
                   tol: float = 1e-8, unfluxed: UnfluxedSpectrum | None = None) -> EtaValue:
     """Eta/xi of a model through the selected engine.
 
     The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
-    enumerates up to ``cutoff`` (geometry-specific default), subtracts the
-    geometry's Weyl term ``rank weyl_coefficient t`` and reports its achieved
-    error bound.  It rejects a flux beyond half the radius of the enumerated
+    enumerates up to ``cutoff`` (by default :func:`heat_cutoff`), or reads the
+    same bits off the model's ``unfluxed.shifted``, subtracts the geometry's
+    Weyl term ``rank weyl_coefficient t`` and reports its achieved error
+    bound.  It rejects a flux beyond half the radius of the enumerated
     spectrum: the cutoff no longer resolves the shifted spectrum there.
-    Given the model's ``specflow.UnfluxedSpectrum`` (at any flux), the heat
-    engine reads its spectrum off that one's zero-flux enumeration, shifted,
-    instead of enumerating: the same bits.
     """
     if engine == "hurwitz":
         return eta_hurwitz(progression_spectrum(model))
     if engine != "heat_kernel":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
-    n = cutoff if cutoff is not None else model.geometry.default_cutoff
+    n = cutoff if cutoff is not None else heat_cutoff(model, tol)
     spec = (enumerate_spectrum(model, n) if unfluxed is None
             else unfluxed.shifted(model.flux_shift, n))
     if not len(spec):

@@ -41,11 +41,9 @@ an operator's block data: a constant 2x2 block per Fourier shift and, for
 the diagonal, per-axis symbol arrays.  The LW check works on symbols.
 ``_assemble_blocks`` writes a symbol's CSR arrays shift by shift for the
 public builders (``build_torus_operator``, ``torus_twisted_derivative``,
-``torus_multiplication_operator``): the source modes of a shift are a
-product of three index ranges, each nonzero entry of its constant block
-fills one strided run of rows, and the shifts go in ascending column order,
-so the matrix needs no sort.  It is the one user of ``scipy.sparse`` and
-imports it on its first call; no command calls it.
+``torus_multiplication_operator``) in column order, with no sort.  It is the
+one user of ``scipy.sparse`` and imports it on its first call; no command
+calls it.
 """
 
 from __future__ import annotations
@@ -196,6 +194,8 @@ ZERO_TOL = 1e-9
 # the largest radius or torus edge: the spectral unit, 1/radius or 1/max L,
 # stays at least 1e3 ZERO_TOL, so no level falls into the kernel threshold
 MAX_LENGTH = 1e6
+# the most levels of a derived heat cutoff's shell, and of a finite tail bound
+SHELL_BUDGET = 1 << 20
 _EPS = float(np.finfo(float).eps)
 _SQRT_PI = float(np.sqrt(np.pi))
 
@@ -238,8 +238,10 @@ def _tail_levels(T: float, r: float, t: float, cutoff: int, offset: float, mult)
     """``sqrt(pi) sum_{k > cutoff} mult(k) erfc(sqrt(T) ((k + offset)/r - |t|))``
     by ``erfc(x) <= min(1, exp(-x^2)/(x sqrt(pi)))``, to ``x = 27.5`` (past it
     the terms add up to below 1e-300)."""
-    last = max(cutoff + 1, int(np.ceil(r * (27.5 / np.sqrt(T) + abs(t)) - offset))) + 1
-    k = np.arange(cutoff + 1, last + 1, dtype=float)
+    last = np.ceil(r * (27.5 / np.sqrt(T) + abs(t)) - offset)
+    if last - cutoff > SHELL_BUDGET:  # a flux far past the cutoff
+        return inf
+    k = np.arange(cutoff + 1, max(cutoff + 1, int(last)) + 2, dtype=float)
     x = np.maximum(np.sqrt(T) * ((k + offset) / r - abs(t)), 0.0)
     with np.errstate(divide="ignore"):
         erfc = np.minimum(1.0, np.exp(-x * x) / (x * _SQRT_PI))
@@ -260,6 +262,7 @@ def _tail_levels(T: float, r: float, t: float, cutoff: int, offset: float, mult)
 # with multiplicity ``sum mult_coeffs[i] j^i`` (the round geometries only:
 # the torus spectrum is no such family).
 # ``from_config(cfg)``: the geometry a config describes.
+# ``index_dim``: ``levels`` builds at most ``(2 cutoff + 3)^index_dim`` levels.
 # ``weyl_coefficient``, ``shortest_geodesic``, ``heat_remainder(T, t)`` and
 # ``heat_tail(T, t, cutoff)``: the small-time heat data above.
 
@@ -268,6 +271,7 @@ class _Round:
     fields, in order (the lens order), and keys its family table."""
 
     shape: ClassVar[tuple] = ()
+    index_dim: ClassVar[int] = 1
 
     def __post_init__(self):
         if not 0 < self.radius <= MAX_LENGTH:  # NaN fails too
@@ -296,7 +300,6 @@ class Circle(_Round):
 
     dim: ClassVar[int] = 1
     bundles: ClassVar[tuple] = (CircleHolonomy, TrivialBundle)
-    default_cutoff: ClassVar[int] = 2000
     config_name: ClassVar[str] = "circle"
     scalar_curvature: ClassVar[float] = 0.0
 
@@ -332,7 +335,6 @@ class Sphere3(_Round):
 
     dim: ClassVar[int] = 3
     bundles: ClassVar[tuple] = (TrivialBundle,)
-    default_cutoff: ClassVar[int] = 400
     config_name: ClassVar[str] = "sphere3"
 
     @property
@@ -368,8 +370,7 @@ class Torus3:
 
     dim: ClassVar[int] = 3
     bundles: ClassVar[tuple] = (TorusHolonomy, TrivialBundle)
-    # N = 40 reaches the default tol 1e-8 on the unit torus (N = 12 does not)
-    default_cutoff: ClassVar[int] = 40
+    index_dim: ClassVar[int] = 3
     config_name: ClassVar[str] = "torus3"
     scalar_curvature: ClassVar[float] = 0.0
 
@@ -467,7 +468,6 @@ class Lens(_Round):
 
     dim: ClassVar[int] = 3
     bundles: ClassVar[tuple] = (LensCharacter, TrivialBundle)
-    default_cutoff: ClassVar[int] = 400
     config_name: ClassVar[str] = "lens"
 
     def __post_init__(self):

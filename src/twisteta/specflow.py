@@ -114,8 +114,8 @@ class UnfluxedSpectrum:
 
     def __init__(self, model: SpectralModel):
         self._base = model.with_flux(0.0)
-        self._grown = None  # (cutoff, spectrum), set in one assignment
-        self._shell = None  # (cutoff, spectrum), set in one assignment
+        self._grown = None  # (cutoff, spectrum)
+        self._shell = None  # (cutoff, spectrum)
 
     def past(self, reach: float) -> np.ndarray:
         """The spectrum past ``reach`` on both sides: it holds every

@@ -21,7 +21,7 @@ from twisteta.cli import (
     write_records,
 )
 from twisteta import cli
-from twisteta.eta import eta_for_model, rho
+from twisteta.eta import eta_for_model, heat_cutoff, rho
 from twisteta.models import Circle, CircleHolonomy, SpectralModel, Sphere3, Torus3
 
 
@@ -107,7 +107,7 @@ def test_invalid_pairing_rejected(tmp_path):
 def test_config_hash_semantics(tmp_path):
     base = RunConfig.from_file(write(tmp_path, "a.txt", CIRCLE_CFG))
     same_output = RunConfig.from_file(
-        write(tmp_path, "b.txt", CIRCLE_CFG + "format = csv\nworkers = 4\n"))
+        write(tmp_path, "b.txt", CIRCLE_CFG + "format = csv\n"))
     different = RunConfig.from_file(
         write(tmp_path, "c.txt", CIRCLE_CFG + "cutoff = 100\n"))
     assert base.config_hash() == same_output.config_hash()
@@ -191,8 +191,11 @@ def test_specflow_sweep_enumerates_its_spectrum_once_per_new_reach(tmp_path, mon
 
 
 def test_heat_specflow_enumerates_the_torus_shell_once(tmp_path, monkeypatch):
-    # eta_zero and every point read one zero-flux enumeration at the heat
-    # cutoff 40, shifted; the flow's own spectrum is the one at cutoff 8
+    # eta_zero and every point read one zero-flux enumeration at the derived
+    # cutoff of the largest |t|, shifted; the flow's own spectrum is the one
+    # at cutoff 8
+    n_rule = heat_cutoff(SpectralModel(Torus3(), flux_shift=0.9))
+    assert 8 < n_rule < 40
     seen = []
     levels = Torus3.levels
 
@@ -204,28 +207,8 @@ def test_heat_specflow_enumerates_the_torus_shell_once(tmp_path, monkeypatch):
     cfg = write(tmp_path, "c.txt", "geometry = torus3\nengine = heat\nsweep = 0.3,-0.6,0.9\n")
     out = tmp_path / "o.jsonl"
     assert main(["specflow", "--config", cfg, "--out", str(out)]) == EXIT_OK
-    assert seen == [40, 8]
+    assert seen == [n_rule, 8]
     assert len(read_records(out)) == 12
-
-
-def test_specflow_threads_sharing_one_spectrum_write_the_sequential_records(tmp_path):
-    # four threads grow the shared zero-flux spectrum in turn, switching every
-    # microsecond; a lost growth costs an enumeration, never a record
-    # |t| = 0.2 + 0.8 i (never a level 1.5 + k), large and small interleaved
-    fluxes = ",".join(f"{sign * (0.2 + 0.8 * ((7 * i) % 24)):.1f}" for i in range(24)
-                      for sign in (1, -1))
-    cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nsweep = {fluxes}\n")
-    outs = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
-    assert main(["specflow", "--config", cfg, "--out", str(outs[0])]) == EXIT_OK
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert main(["specflow", "--config", cfg, "--out", str(outs[1]),
-                     "--workers", "4"]) == EXIT_OK
-    finally:
-        sys.setswitchinterval(interval)
-    a, b = ([dataclasses.replace(r, wall_time=0.0) for r in read_records(out)] for out in outs)
-    assert len(a) == 4 * 48 and a == b
 
 
 def test_specflow_sweep_to_a_flux_past_the_doubles_is_refused(tmp_path, capsys):
@@ -255,31 +238,6 @@ def test_conformal_scales_of_a_lens_share_one_family_table_per_bundle(tmp_path):
     assert models._family_table.cache_info().currsize == info.maxsize
 
 
-def test_specflow_workers_preserve_order(tmp_path):
-    sweep = "0.1,0.2,0.3,0.4"
-    cfg1 = write(tmp_path, "c1.txt", f"geometry = sphere3\nsweep = {sweep}\n")
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["specflow", "--config", cfg1, "--out", str(out1)]) == EXIT_OK
-    assert main(["specflow", "--config", cfg1, "--out", str(out2),
-                 "--workers", "4"]) == EXIT_OK
-    a = [(r.param, r.quantity, r.value) for r in read_records(out1)]
-    b = [(r.param, r.quantity, r.value) for r in read_records(out2)]
-    assert a == b
-
-
-def test_heat_conformal_workers_match_sequential(tmp_path):
-    cfg = write(tmp_path, "c.txt",
-                "geometry = circle\nbundle = circle_holonomy\nholonomy = 0.3\nflux = 0.1\n"
-                "engine = heat\ncutoff = 40\nsweep = 0.5,1.0,2.0,3.0\n")
-    out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    assert main(["conformal", "--config", cfg, "--out", str(out1), "--workers", "1"]) == EXIT_OK
-    assert main(["conformal", "--config", cfg, "--out", str(out2), "--workers", "2"]) == EXIT_OK
-    a = [dataclasses.replace(r, wall_time=0.0) for r in read_records(out1)]
-    b = [dataclasses.replace(r, wall_time=0.0) for r in read_records(out2)]
-    assert len(a) == 8 and a == b
-    assert all(r.method == "heat_kernel" for r in a)
-
-
 def test_lw_command(tmp_path):
     cfg = write(tmp_path, "c.txt",
                 "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 6\n")
@@ -300,9 +258,9 @@ def run_fresh(args, cwd):
 
 
 def test_cli_import_loads_only_what_every_command_needs(tmp_path):
-    # scipy.sparse, the selftest criteria and the worker pool are imported by
-    # the one branch that uses them; in pytest they are already loaded, so
-    # only a cold interpreter shows it
+    # scipy.sparse and the selftest criteria are imported by the one branch
+    # that uses them, and no command imports a thread pool; in pytest they
+    # are already loaded, so only a cold interpreter shows it
     proc = run_fresh(["-c", "import sys, twisteta.cli; print(*sorted(sys.modules))"],
                      tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -445,12 +403,9 @@ def test_bad_setting_is_a_config_error_naming_it(tmp_path, capsys, command, text
     ("lw", "geometry = torus3\ncutoff = 3\nengine = bogus\n", "engine"),
     ("lw", "geometry = torus3\ncutoff = 0\n", "cutoff"),
     ("lw", "geometry = torus3\ncutoff = 3\nformat = xml\n", "format"),
-    ("conformal", "geometry = sphere3\nsweep = 0.5\nworkers = 0\n", "workers"),
-    ("specflow", "geometry = sphere3\nsweep = 0.5\nworkers = -3\n", "workers"),
 ], ids=["lw-cosine-nan", "lw-cosine-inf", "lw-cosine-harmonic-0", "lw-tol-nan",
         "psc-sweep-nan", "specflow-sweep-inf", "conformal-sweep-inf",
-        "lw-engine-bogus", "lw-cutoff-0", "lw-format-xml",
-        "conformal-workers-0", "specflow-workers-negative"])
+        "lw-engine-bogus", "lw-cutoff-0", "lw-format-xml"])
 def test_bad_value_is_refused_under_its_own_key(tmp_path, capsys, command, text, key):
     cfg = write(tmp_path, "c.txt", text)
     out = tmp_path / "out.jsonl"
@@ -481,7 +436,7 @@ def test_flux_with_flux_cosine_names_both_keys(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag,value", [
-    ("--workers", "0"), ("--workers", "-3"), ("--format", "xml"), ("--cutoff", "0"),
+    ("--format", "xml"), ("--cutoff", "0"),
 ])
 def test_bad_flag_is_refused_under_its_own_key(tmp_path, capsys, flag, value):
     cfg = write(tmp_path, "c.txt", "geometry = torus3\ncutoff = 3\n")
@@ -489,6 +444,20 @@ def test_bad_flag_is_refused_under_its_own_key(tmp_path, capsys, flag, value):
     assert main(["lw", "--config", cfg, "--out", str(out), flag, value]) == EXIT_CONFIG
     assert f"'{flag[2:]}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_workers_key_is_unknown(tmp_path, capsys):
+    cfg = write(tmp_path, "c.txt", CIRCLE_CFG + "workers = 2\n")
+    assert main(["specflow", "--config", cfg]) == EXIT_CONFIG
+    assert "unknown key 'workers'" in capsys.readouterr().err
+
+
+def test_workers_flag_is_unknown(tmp_path, capsys):
+    cfg = write(tmp_path, "c.txt", CIRCLE_CFG + "sweep = 0.1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["specflow", "--config", cfg, "--workers", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [[], ["bogus"], ["--config", "c.txt"]],
@@ -529,8 +498,7 @@ def test_conformal_scale_out_of_float_range_is_config_error(tmp_path, capsys, sw
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, capsys, workers):
+def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, capsys):
     from twisteta import cli
 
     calls = []
@@ -538,8 +506,7 @@ def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, ca
     monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
     cfg = write(tmp_path, "c.txt", "geometry = sphere3\nflux = 0.1\nsweep = 0.5,800\n")
     out = tmp_path / "conf.jsonl"
-    argv = ["conformal", "--config", cfg, "--out", str(out), "--workers", workers]
-    assert main(argv) == EXIT_CONFIG
+    assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "conformal factor" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
@@ -697,6 +664,37 @@ def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("model,flux", [
+    ("geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n", "1e20"),
+    ("geometry = sphere3\n", "1e8"),
+    ("geometry = torus3\n", "1e3"),
+], ids=["circle", "sphere3", "torus3"])
+def test_huge_flux_is_refused_by_the_shell_budget_before_enumerating(
+        tmp_path, capsys, monkeypatch, model, flux):
+    # the derived cutoff would pass the shell budget: refused before any
+    # level is enumerated, in well under a MB
+    import tracemalloc
+
+    from twisteta import eta as eta_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the budget must act before enumeration")
+
+    monkeypatch.setattr(eta_mod, "enumerate_spectrum", refuse)
+    cfg = write(tmp_path, "c.txt", model + f"engine = heat\nflux = {flux}\n")
+    tracemalloc.start()
+    try:
+        code = main(["eta", "--config", cfg])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert "eigenvalues are too large for the heat engine" in err
+    assert "over 1048576 levels" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("model", [
     "geometry = sphere3\n",
     "geometry = lens\nlens_p = 5\nbundle = lens_character\ncharacter = 2\nradius = 1.3\n",
@@ -751,7 +749,9 @@ def test_flux_beyond_half_the_spectrum_heat_engine_is_a_config_error(
     assert main(["eta", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "eigenvalues are too large for the heat engine" in err
-    assert "radius" in err and f"cutoff {cutoff or 2000}" in err
+    # without a cutoff none fits up to 524286, the last of the 2N + 3 <= 2^20
+    # levels of the shell budget
+    assert "radius" in err and f"cutoff {cutoff or 524287}" in err
     assert "Traceback" not in err
 
 

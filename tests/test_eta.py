@@ -16,6 +16,7 @@ from twisteta.eta import (
     eta_for_model,
     eta_heat,
     eta_hurwitz,
+    heat_cutoff,
     rho,
 )
 from twisteta import eta as eta_mod
@@ -709,11 +710,12 @@ def _traced_peak(fn):
 
 
 def test_heat_eta_memory_on_the_non_cubic_holonomy_torus():
-    # 115,144 levels at the default cutoff 40, nearly all inside the window
+    # 115,144 levels at the former default cutoff 40 (the derived one is
+    # about 25), nearly all inside the window
     # of most of the 179 rows: one flat pass over every window traces 188 MB;
     # as slices, the long windows leave the enumeration's 18 MB the peak
     model = SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.1)
-    heat, peak = _traced_peak(lambda: eta_for_model(model, "heat_kernel"))
+    heat, peak = _traced_peak(lambda: eta_for_model(model, "heat_kernel", cutoff=40))
     assert heat.converged
     assert peak < 32 * 2**20
 
@@ -879,6 +881,63 @@ def _exact_eta(model):
         return 2 * sf_for_flux(model, t).flow - model.geometry.volume * t**3 / (3 * np.pi**2), 0.0
     exact = eta_for_model(model, "hurwitz")
     return exact.eta, exact.error_bound
+
+
+def _default_cutoff_draws(per_geometry=10, seed=11):
+    """Models for the derived cutoff, ``per_geometry`` of each kind, all
+    with ``|t r| <= 2.9``: holonomy circles, spheres of rank 1-3, lens
+    characters (p in {2, 3, 5, 7, 12}) and non-cubic holonomy tori with
+    ``L_max/L_min <= 2``."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(per_geometry):
+        r = rng.uniform(0.5, 2.0)
+        draws.append(SpectralModel(Circle(r), CircleHolonomy(rng.uniform(0.0, 1.0)),
+                                   rng.uniform(-2.9, 2.9) / r))
+        r = rng.uniform(0.5, 2.0)
+        draws.append(SpectralModel(Sphere3(r), TrivialBundle(rng.randint(1, 3)),
+                                   rng.uniform(-2.9, 2.9) / r))
+        r, p = rng.uniform(0.5, 2.0), rng.choice([2, 3, 5, 7, 12])
+        draws.append(SpectralModel(Lens(p, r), LensCharacter(p, rng.randrange(p)),
+                                   rng.uniform(-2.9, 2.9) / r))
+        lengths = [1.0, rng.uniform(1.0, 2.0), rng.uniform(1.0, 2.0)]
+        rng.shuffle(lengths)
+        holonomy = TorusHolonomy(tuple(rng.uniform(0.0, 1.0) for _ in range(3)))
+        draws.append(SpectralModel(Torus3(tuple(lengths)), holonomy,
+                                   rng.uniform(-2.9, 2.9) / max(lengths)))
+    return draws
+
+
+def test_heat_converges_honestly_at_the_derived_cutoff():
+    # no cutoff given: every value converges at tol 1e-8 and lies within its
+    # bound of the exact one
+    failed = []
+    for model in _default_cutoff_draws():
+        heat = eta_for_model(model, "heat_kernel")
+        exact, exact_bound = _exact_eta(model)
+        if not heat.converged or abs(heat.eta - exact) > heat.error_bound + exact_bound:
+            failed.append((model, heat_cutoff(model), heat))
+    assert failed == []
+
+
+def test_derived_cutoff_is_the_smallest_whose_tail_fits():
+    # the tail at twice the flux fits tol/16 at N and not at N - 1, and the
+    # shell reaches past 2|t|, as the half-radius check asks
+    for model in _default_cutoff_draws(per_geometry=3, seed=5):
+        geo, t, n = model.geometry, model.flux_shift, heat_cutoff(model)
+        t_geo = geo.shortest_geodesic**2 / (4 * _KAPPA)
+        assert model.rank * geo.heat_tail(t_geo, 2 * t, n) <= 1e-8 / 16
+        assert model.rank * geo.heat_tail(t_geo, 2 * t, n - 1) > 1e-8 / 16
+        levels = enumerate_spectrum(model.with_flux(0.0), n)[:, 0]
+        assert min(levels[-1], -levels[0]) > 2 * abs(t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_heat_eta_refuses_non_finite_eigenvalues(bad):
+    # a NaN level once gave eta 0.818 marked converged with bound 1.8e-15
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        eta_heat([(bad, 1), (1.0, 1), (2.0, 1)], weyl=0.0, geodesic=6.28,
+                 remainder=lambda T: 0.0)
 
 
 def test_heat_bounds_are_honest_on_a_seeded_scan(monkeypatch):
