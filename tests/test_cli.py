@@ -498,13 +498,17 @@ def test_conformal_scale_out_of_float_range_is_config_error(tmp_path, capsys, sw
     assert not out.exists()
 
 
-def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, capsys):
+# bad_at is the 1-based position of the out-of-range scale in the sweep: the
+# scale is checked for every point before the first rho, wherever it sits.
+@pytest.mark.parametrize("bad_at", ["1", "2"])
+def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, capsys, bad_at):
     from twisteta import cli
 
     calls = []
     rho_fn = cli.rho
     monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
-    cfg = write(tmp_path, "c.txt", "geometry = sphere3\nflux = 0.1\nsweep = 0.5,800\n")
+    sweep = "800,0.5" if bad_at == "1" else "0.5,800"
+    cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nflux = 0.1\nsweep = {sweep}\n")
     out = tmp_path / "conf.jsonl"
     assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "conformal factor" in capsys.readouterr().err
