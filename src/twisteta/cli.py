@@ -5,8 +5,10 @@ Config files are plain ``key = value`` text ('#' comments, blank lines ok);
 keys mirror the run-configuration fields exactly and unknown keys are
 errors; each value is checked where it is parsed, so a bad one is a config
 error that names its key.  Command-line flags override config values.
-Results stream as JSON lines (full config echo per record) or CSV (header
-row, floats with 17 significant digits).
+Results stream as JSON lines or CSV (header row, floats with 17 significant
+digits).  Each JSON line is ``json.dumps(vars(record), sort_keys=True)`` byte
+for byte, full config echo included; the part that records of one config
+share is encoded once per output, the rest per record (``_json_lines``).
 
 Exit codes: 0 success, 2 config error, 3 unconverged computation,
 4 invariant violation (e.g. a kernel below the PSC threshold) or failed
@@ -21,6 +23,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Sequence
@@ -210,6 +213,11 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One output record.  The JSON encoder relies on the field types that
+    ``_record_factory`` pins: ``value``, ``error_bound`` and ``wall_time``
+    are ``float``, ``param`` is ``float`` or ``None``, ``converged`` is
+    ``bool`` and the strings are ``str``."""
+
     quantity: str
     value: float
     error_bound: float
@@ -222,9 +230,8 @@ class ResultRecord:
     converged: bool = True
 
     def to_json(self) -> str:
-        # vars, not dataclasses.asdict: asdict deep-copies every leaf, which
-        # takes over three times as long as the dump itself
-        return json.dumps(vars(self), sort_keys=True)
+        """``json.dumps(vars(self), sort_keys=True)``, byte for byte."""
+        return _json_lines((self,))[0]
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
@@ -243,9 +250,51 @@ def _fmt_csv_value(x) -> str:
     return str(x)
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _json_lines(records: Sequence[ResultRecord]) -> list[str]:
+    """``json.dumps(vars(r), sort_keys=True)`` of each record, byte for byte.
+
+    The keys up to ``converged`` (``config`` and ``config_hash``) are encoded
+    by the stdlib encoder once per distinct echo object and hash, since every
+    record of one command shares them; the scalar fields after them are
+    formatted by json's own rules: ``encode_basestring_ascii`` for strings,
+    ``float.__repr__`` for finite floats, ``NaN``/``Infinity``/``-Infinity``,
+    ``null``, ``true`` and ``false``."""
+    heads: dict[tuple[int, str], str] = {}
+    lines = []
+    for r in records:
+        # the records hold their echoes alive, so no id is reused in this call
+        key = (id(r.config), r.config_hash)
+        head = heads.get(key)
+        if head is None:
+            shared = json.dumps({"config": r.config, "config_hash": r.config_hash},
+                                sort_keys=True)
+            head = heads[key] = shared[:-1] + ', "converged": '
+        lines.append(
+            f'{head}{"true" if r.converged else "false"}, '
+            f'"error_bound": {_json_float(r.error_bound)}, '
+            f'"method": {encode_basestring_ascii(r.method)}, '
+            f'"param": {"null" if r.param is None else _json_float(r.param)}, '
+            f'"quantity": {encode_basestring_ascii(r.quantity)}, '
+            f'"value": {_json_float(r.value)}, '
+            f'"version": {encode_basestring_ascii(r.version)}, '
+            f'"wall_time": {_json_float(r.wall_time)}}}')
+    return lines
+
+
 def write_records(records: Sequence[ResultRecord], fmt: str, out: str | None):
+    """Write records as JSON lines (see ``_json_lines``: sorted keys, the
+    default separators, byte-stable apart from ``wall_time``) or as CSV, to
+    ``out`` or, when it is empty, to stdout."""
     if fmt == "json":
-        text = "\n".join(r.to_json() for r in records) + "\n"
+        text = "\n".join(_json_lines(records)) + "\n"
     else:  # csv: the format key admits no other value
         lines = [",".join(_CSV_COLUMNS)]
         for r in records:
@@ -268,8 +317,9 @@ def _record_factory(cfg: RunConfig):
              param: float | None, wall: float, converged: bool = True) -> ResultRecord:
         return ResultRecord(quantity=quantity, value=float(value),
                             error_bound=float(error_bound), method=method,
-                            param=param, wall_time=wall, version=__version__,
-                            config_hash=chash, config=echo, converged=converged)
+                            param=None if param is None else float(param),
+                            wall_time=float(wall), version=__version__,
+                            config_hash=chash, config=echo, converged=bool(converged))
 
     return make
 

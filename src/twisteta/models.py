@@ -596,14 +596,16 @@ def lens_weight_count(m, k: int, p: int):
 def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
     """Distinct eigenvalues, ascending, with their summed multiplicities.
 
-    One sort: the values in ``np.unique``'s own order (the same ``argsort``,
-    so the same one of ``+-0.0`` leads its group and survives, and NaNs merge
+    Strictly ascending values (no ties, no NaN, no ``+-0.0`` pair) are
+    already ``np.unique``'s output and are returned unsorted.  Otherwise one
+    sort: the values in ``np.unique``'s own order (the same ``argsort``, so
+    the same one of ``+-0.0`` leads its group and survives, and NaNs merge
     into one), each group's multiplicities summed by ``np.add.reduceat``."""
     values = np.asarray(values, dtype=float).ravel()
+    if np.all(values[1:] > values[:-1]):  # also empty and single values
+        return values, np.asarray(mults).astype(np.int64)
     order = values.argsort()
     aux = values[order]
-    if not aux.size:
-        return aux, np.zeros(0, dtype=np.int64)
     first = np.empty(aux.size, dtype=bool)
     first[0] = True
     np.not_equal(aux[1:], aux[:-1], out=first[1:])
@@ -616,7 +618,7 @@ def _merge(values, mults) -> tuple[np.ndarray, np.ndarray]:
 def _check_multiplicities(mults):
     """Raise ``ValueError`` unless every multiplicity is a positive integer."""
     m = np.asarray(mults, dtype=float)
-    if np.any(~(m >= 1) | (m != np.round(m))):
+    if np.any(~np.isfinite(m) | (m < 1) | (m != np.round(m))):
         raise ValueError("multiplicities must be positive integers")
 
 

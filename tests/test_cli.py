@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -58,14 +59,76 @@ def test_eta_command_circle(tmp_path):
     assert by_name["xi"].value == pytest.approx(0.25, abs=1e-12)
 
 
-def test_json_records_round_trip(tmp_path):
-    cfg = write(tmp_path, "c.txt", CIRCLE_CFG)
+_COMMAND_CONFIGS = {
+    "eta": CIRCLE_CFG,
+    "rho": "geometry = sphere3\nflux = 0.1\n",
+    "specflow": "geometry = sphere3\nsweep = 0.1,-0.5\n",
+    "psc": "geometry = sphere3\nsweep = 0.0,0.2,0.4\n",
+    "conformal": "geometry = lens\nlens_p = 3\nbundle = lens_character\ncharacter = 1\n"
+                 "flux = 0.2\nsweep = 0.3,-0.1\n",
+    "lw": "geometry = torus3\nflux_cosine = 0:1.0\ncutoff = 6\n",
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_CONFIGS)
+def test_json_records_round_trip(tmp_path, command):
+    cfg = write(tmp_path, "c.txt", _COMMAND_CONFIGS[command])
     out = tmp_path / "out.jsonl"
-    main(["eta", "--config", cfg, "--out", str(out)])
-    for line in out.read_text().splitlines():
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert len(lines) >= 3
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
         rec = ResultRecord.from_json(line)
-        assert rec.to_json() == json.dumps(json.loads(line), sort_keys=True)
+        assert rec.to_json() == line
         assert ResultRecord.from_json(rec.to_json()) == rec
+
+
+_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1,
+           1e16, 2.0]
+_TEXTS = ["", "eta", 'a "quoted" word', "back\\slash\\", "\x00\x01\t\n\r\x1f\x7f",
+          "ρ η ξ naïve", "\u2028\u2029", "\U0001d702 \ud800", "0.1.0"]
+
+
+def test_json_lines_are_the_stdlib_dump_byte_for_byte(tmp_path):
+    # seeded records over awkward floats, None params, both flags and echoes
+    # with quotes, backslashes, control and non-ASCII text; one write_records
+    # call mixes several configs, and one echo object under two hashes
+    rng = random.Random(29)
+
+    def number():
+        if rng.random() < 0.5:
+            return rng.choice(_FLOATS)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 307)
+
+    echoes = [{}, {"geometry": "circle", "sweep": "0.1,0.2,0.3", "tol": 1e-8, "cutoff": 40},
+              {"a\"b": "c\\d", "ctl": "\x01\n", "ρ": "η ✓", "nan": math.nan, "zero": -0.0,
+               "big": 1e300, "n": -7},
+              {"geometry": "circle", "sweep": "0.1,0.2,0.3", "tol": 1e-8, "cutoff": 40}]
+    records = [ResultRecord(quantity=rng.choice(_TEXTS), value=number(), error_bound=number(),
+                            method=rng.choice(_TEXTS),
+                            param=None if rng.random() < 0.3 else number(),
+                            wall_time=number(), version=rng.choice(_TEXTS),
+                            config_hash=rng.choice(["5f1b", "0000", rng.choice(_TEXTS)]),
+                            config=rng.choice(echoes), converged=rng.random() < 0.5)
+               for _ in range(600)]
+    want = [json.dumps(vars(r), sort_keys=True) for r in records]
+    assert {r.param is None for r in records} == {r.converged for r in records} == {True, False}
+    assert [r.to_json() for r in records] == want
+    out = tmp_path / "o.jsonl"
+    write_records(records, "json", str(out))
+    assert out.read_text() == "".join(line + "\n" for line in want)
+
+
+def test_records_pin_the_field_types_the_encoder_relies_on(tmp_path):
+    make = cli._record_factory(RunConfig.from_file(write(tmp_path, "c.txt", CIRCLE_CFG)))
+    rec = make("eta", np.float64(0.5), np.int64(0), "hurwitz", np.float64(0.25),
+               np.float64(1e-3), np.bool_(False))
+    assert [type(x) for x in (rec.value, rec.error_bound, rec.param, rec.wall_time)] \
+        == [float] * 4
+    assert type(rec.converged) is bool
+    assert rec.to_json() == json.dumps(vars(rec), sort_keys=True)
+    assert make("sf", 2, 0, "affine_exact", None, 0.5).param is None
 
 
 def test_deterministic_output_modulo_wall_time(tmp_path):

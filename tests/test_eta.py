@@ -528,6 +528,14 @@ def test_multiplicities_must_be_positive_integers(mult):
         eta_heat([(1.0, mult), (2.0, 1)], **_CIRCLE_DATA)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_heat_eta_refuses_non_finite_multiplicities(bad):
+    # an infinite multiplicity once gave eta -5.2e18 with a finite bound 456
+    with pytest.raises(ValueError, match="multiplicities must be positive integers"):
+        eta_heat([(1.0, bad), (-2.0, 1), (3.0, 1)], weyl=0.0, geodesic=6.28,
+                 remainder=lambda T: 0.0)
+
+
 @pytest.mark.parametrize("weyl,geodesic", [(float("nan"), 1.0), (0.0, 0.0),
                                            (0.0, float("inf"))])
 def test_heat_rejects_bad_small_time_data(weyl, geodesic):

@@ -289,6 +289,26 @@ def test_merge_matches_the_unique_reference_bit_for_bit():
     assert signed_zeros > 100
     empty = _merge(np.array([]), np.array([], dtype=np.int64))
     assert empty[0].shape == empty[1].shape == (0,) and empty[1].dtype == np.int64
+    # ascending draws: strictly ascending input is returned as it is, unsorted;
+    # one NaN, a leading -0.0 beside +0.0, or two adjacent equal values must
+    # take the sort
+    for i in range(600):
+        n = int(rng.integers(1, 200))
+        values = np.unique(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4))
+        mults = rng.integers(1, 9, values.size)
+        mults = mults if i % 2 else mults.astype(float)
+        spot = int(rng.integers(0, values.size))
+        spoilt = {
+            "nan": np.insert(values, spot, np.nan),
+            "zeros": np.concatenate([[-0.0, 0.0], values[values > 0]]),
+            "tie": np.insert(values, spot, values[spot]),
+        }
+        for case, draw in [("ascending", values), *spoilt.items()]:
+            m = np.resize(mults, draw.size)
+            got, want = _merge(draw, m), _unique_merge(draw, m)
+            assert got[0].dtype == want[0].dtype and got[0].tobytes() == want[0].tobytes()
+            assert got[1].dtype == want[1].dtype and np.array_equal(got[1], want[1])
+            assert np.shares_memory(got[0], draw) == (case == "ascending")
 
 
 def test_lens_weight_count_p1_is_full():

@@ -17,9 +17,25 @@ def jsonl(*records):
 def test_records_equal_apart_from_wall_time_are_the_same():
     a = jsonl({"quantity": "eta", "value": 0.1 + 0.2, "wall_time": 0.5},
               {"quantity": "sf", "value": 2, "wall_time": 0.1})
-    b = jsonl({"wall_time": 9.0, "value": 0.30000000000000004, "quantity": "eta"},
-              {"quantity": "sf", "value": 2, "wall_time": 0.2})
+    b = jsonl({"quantity": "eta", "value": 0.30000000000000004, "wall_time": 9.0},
+              {"quantity": "sf", "value": 2, "wall_time": -1.5e-05})
     assert same_records.same_records(a, b)
+    for wall in (float("nan"), float("inf"), -float("inf")):
+        assert same_records.same_records(a, a.replace("0.1}", json.dumps(wall) + "}"))
+
+
+def test_records_differing_only_in_spacing_or_key_order_are_not_the_same():
+    record = {"quantity": "eta", "value": 0.5, "wall_time": 0.1}
+    a = jsonl(record)
+    assert not same_records.same_records(a, json.dumps(record, separators=(",", ":")) + "\n")
+    assert not same_records.same_records(a, jsonl(dict(reversed(record.items()))))
+    assert not same_records.same_records(a, a.replace("0.5", "5e-1"))
+    # only the wall_time value is masked, not what follows it
+    first = jsonl({"wall_time": 0.1, "value": 0.5})
+    assert not same_records.same_records(first, first.replace("0.5", "0.6"))
+    # a quoted "wall_time" inside a string is text like any other
+    echo = jsonl({"config": {"note": '"wall_time": 1'}, **record})
+    assert not same_records.same_records(echo, echo.replace(r'\": 1', r'\": 2'))
 
 
 def test_records_differing_in_one_value_are_not_the_same():

@@ -8,10 +8,12 @@ script).  The operations are those of ``bench/workloads.py`` beside this
 script, so both sides run the same configs.  Each checkout runs every
 operation of each workload and seed once through ``twisteta.cli.main``, in its
 own subprocess with its own ``src/`` first on ``sys.path``.  An operation is
-identical when its exit code and its records match after ``wall_time`` is
-dropped from every record.  One line per operation says ``identical`` or
-``different``; the exit status is 1 if any operation differs.  A line that
-says ``different`` also measures the difference: whether the exit code or a
+identical when its exit code matches and its records text is the same byte
+for byte once every ``wall_time`` value is masked, so a change of spacing,
+key order or float formatting counts.  One line per operation says
+``identical`` or ``different``; the exit status is 1 if any operation
+differs.  A line that says ``different`` also measures the difference, on
+the records parsed and ``wall_time`` dropped: whether the exit code or a
 ``converged`` flag changed, the largest ``|delta value| / error_bound`` over
 its records (the smaller of the two bounds) and the largest ``|delta value|
 / (bound_base + bound_head)``, whether every ``value`` is bit-identical and
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,9 +56,13 @@ def canonical(text: str) -> list[str]:
     return out
 
 
+_WALL_TIME = re.compile(r'"wall_time": (?:NaN|-?Infinity|-?[0-9][0-9.eE+-]*)')
+
+
 def same_records(a: str, b: str) -> bool:
-    """Whether two JSONL record texts are equal apart from ``wall_time``."""
-    return canonical(a) == canonical(b)
+    """Whether two JSONL record texts are equal byte for byte apart from the
+    value of each ``wall_time`` key."""
+    return _WALL_TIME.sub('"wall_time": *', a) == _WALL_TIME.sub('"wall_time": *', b)
 
 
 def difference(a: str, b: str) -> tuple[float, float, bool] | None:
