@@ -464,7 +464,8 @@ def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None
         tol: float = 1e-8) -> RhoValue:
     """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``, the
     reference model being the same geometry and flux with the trivial line
-    bundle."""
+    bundle.  A model that is its own reference is evaluated once."""
+    partner = model.trivial_partner()
     xi_tw = eta_for_model(model, engine, cutoff, tol)
-    xi_tr = eta_for_model(model.trivial_partner(), engine, cutoff, tol)
+    xi_tr = xi_tw if partner == model else eta_for_model(partner, engine, cutoff, tol)
     return RhoValue(xi_twisted=xi_tw, xi_trivial=xi_tr, rank=model.rank)

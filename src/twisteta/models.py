@@ -37,10 +37,11 @@ are exact in float64), and ``|lambda| <= ZERO_TOL`` is a kernel mode.
 
 ``Torus3.lattice`` lays out the torus mode box and its shifted coordinates
 for both the spectrum and the Fourier-mode operator.  A ``TorusSymbol`` holds
-an operator's block data: a constant 2x2 block per Fourier shift and, for
-the diagonal, per-axis symbol arrays.  The LW check works on symbols.
-``_assemble_blocks`` writes a symbol's CSR arrays shift by shift for the
-public builders (``build_torus_operator``, ``torus_twisted_derivative``,
+an operator's block data: a constant 2x2 block per Fourier shift and the
+four entries of the diagonal block, each an array over only the box axes it
+depends on.  The LW check works on symbols.  ``_assemble_blocks`` broadcasts
+the entries to the box and writes a symbol's CSR arrays shift by shift for
+the public builders (``build_torus_operator``, ``torus_twisted_derivative``,
 ``torus_multiplication_operator``) in column order, with no sort.  It is the
 one user of ``scipy.sparse`` and imports it on its first call; no command
 calls it.
@@ -908,7 +909,9 @@ class TorusSymbol:
     diagonal block ``sum_j s_j(v_j) grad[j] + coupling[0]``, where ``s_j = 2 pi
     i x_j/L_j`` is ``d/dx_j`` on mode ``v`` (``axis_symbol[j, v_j + N]``, ``x``
     its shifted coordinates), and couples to ``v - u`` by the constant block
-    ``coupling[u]``, ``u != 0``, when that mode is in the box."""
+    ``coupling[u]``, ``u != 0``, when that mode is in the box.  The diagonal
+    is held by entry (``entries``): entry ``(a, b)`` varies only along the
+    axes ``j`` with ``grad[j][a, b] != 0``."""
 
     cutoff: int
     axis_symbol: np.ndarray  # (3, 2N+1)
@@ -927,18 +930,27 @@ class TorusSymbol:
         return np.asarray(self.coupling.get((0, 0, 0), np.zeros((2, 2))), dtype=complex)
 
     @cached_property
-    def diagonal(self) -> np.ndarray:
-        """The diagonal blocks on the box, shape ``(2N+1,) * 3 + (2, 2)`` up to
-        broadcasting: an axis the blocks do not depend on has length 1 (all
-        of them without ``grad``)."""
+    def entries(self) -> dict[tuple[int, int], np.ndarray]:
+        """Entry ``(a, b)`` of the diagonal blocks, shape ``(2N+1 or 1,) * 3``:
+        full along axis ``j`` only where ``grad[j][a, b] != 0``.  It is ``0 +
+        sum_j s_j grad[j][a, b]`` over those axes in the order of ``grad``,
+        joined with ``coupling[0][a, b]``; a term with a zero ``grad`` entry
+        would add a signed zero to a sum from ``+0``, which changes nothing."""
         zero = self.zero_block
-        if not self.grad:
-            return zero
         side = 2 * self.cutoff + 1
-        diag = sum(self.axis_symbol[j].reshape([side if k == j else 1 for k in range(3)] + [1, 1])
-                   * blk for j, blk in self.grad.items())
-        # the nonzero one of the two, or their sum where both are nonzero
-        return np.where(diag != 0, np.where(zero != 0, diag + zero, diag), zero)
+        out = {}
+        for a in range(2):
+            for b in range(2):
+                terms = [self.axis_symbol[j].reshape([side if k == j else 1 for k in range(3)])
+                         * blk[a, b] for j, blk in self.grad.items() if blk[a, b] != 0]
+                z = zero[a, b]
+                if not terms:
+                    out[a, b] = np.full((1, 1, 1), z)
+                    continue
+                diag = sum(terms)
+                # the nonzero one of the two, or their sum where both are nonzero
+                out[a, b] = np.where(diag != 0, diag + z if z != 0 else diag, z)
+        return out
 
     def assembled_shifts(self) -> list[tuple[int, int, int]]:
         """The shifts ``u != 0`` with a source mode in the box."""
@@ -947,16 +959,14 @@ class TorusSymbol:
 
     def hermitian_deviation(self) -> float:
         """``max |X - X^H|`` over the entries of the assembled matrix: each
-        diagonal block against its conjugate transpose, each assembled
-        ``coupling[u]`` against ``coupling[-u]^H``.  NaN propagates."""
-        def adjoint(blk):
-            return np.conj(np.swapaxes(blk, -1, -2))
-
-        diag = self.diagonal
-        devs = [np.abs(diag - adjoint(diag)).max()]
+        diagonal entry ``(a, b)`` against the conjugate of ``(b, a)``, each
+        assembled ``coupling[u]`` against ``coupling[-u]^H``.  NaN
+        propagates."""
+        entries = self.entries
+        devs = [np.abs(e - np.conj(entries[b, a])).max() for (a, b), e in entries.items()]
         for u in self.assembled_shifts():
             neg = self.coupling.get((-u[0], -u[1], -u[2]), np.zeros((2, 2)))
-            devs.append(np.abs(self.coupling[u] - adjoint(neg)).max())
+            devs.append(np.abs(self.coupling[u] - np.conj(neg.T)).max())
         return float(np.max(devs))
 
 
@@ -967,10 +977,10 @@ def _assemble_blocks(symbol: TorusSymbol):
     in ``v``, so shift ``u`` sends ``i`` to ``i - off`` for a fixed ``off``,
     and its source modes are the product of three 1-D index ranges.  Each
     nonzero entry ``c`` of its constant block at ``(a, b)`` becomes ``(2i + a,
-    2(i - off) + b, c)``; only the ``w``-dependent diagonal needs a data mask.
-    The shifts are written in descending ``off`` (the diagonal at 0), so the
-    columns of every row ascend and the matrix needs no sort.  Exact zeros
-    are skipped."""
+    2(i - off) + b, c)``; only the diagonal, the symbol's entries broadcast to
+    the box, needs a data mask.  The shifts are written in descending ``off``
+    (the diagonal at 0), so the columns of every row ascend and the matrix
+    needs no sort.  Exact zeros are skipped."""
     import scipy.sparse as sp  # deferred: no command needs scipy
 
     cutoff = symbol.cutoff
@@ -987,7 +997,10 @@ def _assemble_blocks(symbol: TorusSymbol):
 
     modes = on_box(np.broadcast_to(v, (3, side)))
     zero = symbol.zero_block
-    diag = np.broadcast_to(symbol.diagonal, box + (2, 2)).reshape(nm, 2, 2)
+    diag = np.empty(box + (2, 2), dtype=complex)
+    for (a, b), entry in symbol.entries.items():
+        diag[..., a, b] = entry
+    diag = diag.reshape(nm, 2, 2)
     diag_mask = (diag != 0) | (zero != 0)
     pieces = [(0, None, None)]  # (off, source ranges, block); None: the diagonal
     for u in symbol.assembled_shifts():
@@ -1034,15 +1047,16 @@ def _assemble_blocks(symbol: TorusSymbol):
 
 
 def _dirac_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int,
-                  bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
-    """The symbol of ``D + c(H)`` for ``H = f(x) vol``, checked Hermitian."""
+                  bundle: Bundle = TrivialBundle(1), form=None) -> TorusSymbol:
+    """The symbol of ``D + c(H)`` for ``H = f(x) vol``, checked Hermitian;
+    ``form`` is ``_unit_top_form()``, built here if not given."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     bundle.check(geometry)
     if bundle.rank != 1:
         raise ValueError("mode-block operator supports rank-1 bundles")
 
-    rep, vol = _unit_top_form()
+    rep, vol = _unit_top_form() if form is None else form
     c_vol = _clifford_terms(rep, vol)  # the identity
     coupling = {u: c * c_vol for u, c in flux.table().items()}
     grad = dict(enumerate(rep.gammas))  # D = sum_j c(e_j) d_j
@@ -1054,10 +1068,10 @@ def _dirac_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int,
 
 
 def _derivative_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int,
-                       bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
+                       bundle: Bundle = TrivialBundle(1), form=None) -> TorusSymbol:
     """The symbol of ``d/dx_j + c(iota_{e_j} H)`` (the flux contraction acts
-    as ``f(x) c(iota_{e_j} vol)``)."""
-    rep, vol = _unit_top_form()
+    as ``f(x) c(iota_{e_j} vol)``); ``form`` as for ``_dirac_symbol``."""
+    rep, vol = _unit_top_form() if form is None else form
     blk = _clifford_terms(rep, _contract(vol, axis))  # i sigma_j
     coupling = {u: c * blk for u, c in flux.table().items()}
     return TorusSymbol.on(geometry, bundle.twist, cutoff, {axis: np.eye(2, dtype=complex)},

@@ -13,15 +13,18 @@ floating-point noise.  The zeroth-order term is one operator ``f^2 (x) Z``:
 the Clifford block ``Z`` of the unit top form must be the closed form ``-2
 I`` exactly.
 
-The residual comes from the operators' symbols (``TorusSymbol``: a 2x2 block
-per Fourier shift, the diagonal one per mode), with no sparse matrix: each
-square is formed shift by shift on the interior modes, and so is the norm
-bound of the interior block.  The arithmetic is the sparse path's, term for
-term: products summed in the left factor's CSR column order, complex
-products without fused multiply-adds, the sums ``(D^2 + ((A_0^2 + A_1^2) +
-A_2^2)) - M``, and the row and column sums of the norm in the order scipy
-takes them.  So the residual is bit for bit that of the sparse products,
-which the tests keep as its reference.
+The residual comes from the operators' symbols (``TorusSymbol``: a constant
+2x2 block per Fourier shift and the diagonal block's four entries, each on
+the box axes it depends on), with no sparse matrix: each square, the
+residual and the norm bound are formed entry by entry on the interior modes
+and on the axes the entry varies along, so only the sums that join
+different axes reach the whole interior box.  The arithmetic is the sparse
+path's, term for term: products summed in the left factor's CSR column
+order, complex products without fused multiply-adds, the sums ``(D^2 +
+((A_0^2 + A_1^2) + A_2^2)) - M``, and the row and column sums of the norm
+in the order scipy takes them; terms that are exact zeros are not formed,
+as they add only signed zeros.  So the residual is bit for bit that of the
+sparse products, which the tests keep as its reference.
 
 The general constant-coefficient identity equates ``c(H)^2 +
 sum_j c(iota_{e_j} H)^2`` with contraction terms of order two and higher,
@@ -52,6 +55,7 @@ import numpy as np
 from .clifford import FluxForm, GammaRep, _clifford_terms, _contract, _wedge
 from .eta import RhoValue, rho
 from .models import (
+    SHELL_BUDGET,
     ZERO_TOL,
     SpectralModel,
     Torus3,
@@ -100,10 +104,11 @@ def _zeroth_order_block(rep: GammaRep, h_terms) -> np.ndarray:
     return block
 
 
-# Blocks of an operator on the interior rows, by shift ``w``: the real and
-# imaginary parts of ``X_w(v)``, spinor axes first, shape ``(2, 2, n, n, n)``
-# over the interior modes ``v`` up to broadcasting.
-Blocks = dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]
+# An operator on the interior rows by entry: ``(w, a, c)`` maps to the real
+# and imaginary parts of entry ``(a, c)`` of ``X_w(v)`` over the interior modes
+# ``v``, each of shape ``(n or 1,) * 3`` (or a scalar): an entry varies only
+# along the axes its terms depend on.  A missing entry is zero.
+Entries = dict[tuple[tuple[int, int, int], int, int], tuple[np.ndarray, np.ndarray]]
 
 
 def _offset(u, side: int) -> int:
@@ -111,94 +116,106 @@ def _offset(u, side: int) -> int:
     return (u[0] * side + u[1]) * side + u[2]
 
 
-def _parts(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of blocks ``(..., 2, 2)``, spinor axes first."""
-    blk = np.moveaxis(blk, (-2, -1), (0, 1)).reshape((2, 2) + (blk.shape[:-2] or (1, 1, 1)))
-    return np.ascontiguousarray(blk.real), np.ascontiguousarray(blk.imag)
+def _add(x, y):
+    """``x + y`` of two entries' parts, ``None`` being zero."""
+    if x is None:
+        return y
+    if y is None:
+        return x
+    return x[0] + y[0], x[1] + y[1]
 
 
-def _interior_square(symbol: TorusSymbol, margin: int) -> Blocks:
+def _interior_square(symbol: TorusSymbol, margin: int) -> Entries:
     """``X^2`` on the interior rows from the symbol of ``X``: ``(X^2)_w(v) =
     sum_u X_u(v) X_{w-u}(v - u)``, with ``v - u`` in the box for every
     interior ``v`` (``|u|_inf <= margin``).
 
-    Each sum runs in the order of the sparse product: the terms of the left
-    factor's CSR row, by descending offset of ``u`` and then spinor column
-    ``b``.  Each complex product is ``(xr yr - xi yi, xr yi + xi yr)`` with no
-    fused multiply-add.  Entries the CSR matrix does not store are exact
-    zeros here, so they add only signed zeros, which no norm sees."""
+    Each entry ``(w, a, c)`` is summed in the order of the sparse product:
+    the terms of the left factor's CSR row, by descending offset of ``u`` and
+    then spinor column ``b``.  Each complex product is ``(xr yr - xi yi, xr yi
+    + xi yr)`` with no fused multiply-add, formed only on the axes its two
+    factors depend on.  A product with an exact-zero constant factor, or with
+    a diagonal entry that is zero on every mode, is not formed: it would add
+    only signed zeros, which no norm sees."""
     side = 2 * symbol.cutoff + 1
-    consts = {u: _parts(blk) for u, blk in symbol.coupling.items() if any(u)}
+    # X_u by entry (a, b) for u != 0, exact zeros left out
+    consts = {u: {(a, b): (blk[a, b].real, blk[a, b].imag)
+                  for a in range(2) for b in range(2) if blk[a, b] != 0}
+              for u, blk in symbol.coupling.items() if any(u)}
     shifts = sorted({(0, 0, 0), *consts}, key=lambda u: -_offset(u, side))
-    dr, di = _parts(symbol.diagonal)
-    diagonal = {}  # the diagonal on the rows v - at of the interior modes v, by shift at
-    for at in shifts:
-        box = (slice(None),) * 2 + tuple(slice(margin - k, side - margin - k) if n > 1
-                                         else slice(None) for k, n in zip(at, dr.shape[2:]))
-        diagonal[at] = np.ascontiguousarray(dr[box]), np.ascontiguousarray(di[box])
+    diagonal = {ab: (np.ascontiguousarray(e.real), np.ascontiguousarray(e.imag))
+                for ab, e in symbol.entries.items() if e.any()}
+    # X_0 by entry on the rows v - at of the interior modes v, by shift at
+    on_rows = {at: {ab: tuple(x[tuple(slice(margin - k, side - margin - k) if m > 1
+                                      else slice(None) for k, m in zip(at, x.shape))]
+                              for x in parts)
+                    for ab, parts in diagonal.items()}
+               for at in shifts}
 
-    def rows(u, at):  # X_u on the rows v - at of the interior modes v
-        return consts[u] if any(u) else diagonal[at]
+    def rows(u, at):  # X_u by entry on the rows v - at of the interior modes v
+        return consts[u] if any(u) else on_rows[at]
 
-    out: Blocks = {}
+    out: Entries = {}
     for u in shifts:
-        lr, li = rows(u, (0, 0, 0))
+        left = rows(u, (0, 0, 0))
         for u2 in shifts:
-            rr, ri = rows(u2, u)
+            right = rows(u2, u)
             w = (u[0] + u2[0], u[1] + u2[1], u[2] + u2[2])
-            for b in range(2):
-                xr, xi = lr[:, b, None], li[:, b, None]
-                yr, yi = rr[None, b], ri[None, b]
-                re, im = xr * yr - xi * yi, xr * yi + xi * yr
-                if w in out:
-                    re, im = out[w][0] + re, out[w][1] + im
-                out[w] = re, im
+            for a, c, b in itertools.product(range(2), repeat=3):
+                x, y = left.get((a, b)), right.get((b, c))
+                if x is None or y is None:
+                    continue
+                (xr, xi), (yr, yi) = x, y
+                term = xr * yr - xi * yi, xr * yi + xi * yr
+                out[w, a, c] = _add(out.get((w, a, c)), term)
     return out
 
 
-def _plus(x: Blocks, y: Blocks) -> Blocks:
-    """``x + y`` by shift (the sparse sum, a missing shift being zero)."""
-    out = dict(x)
-    for w, (yr, yi) in y.items():
-        out[w] = (out[w][0] + yr, out[w][1] + yi) if w in out else (yr, yi)
-    return out
-
-
-def _interior_norm_bound(blocks: Blocks, cutoff: int, margin: int) -> float:
+def _interior_norm_bound(entries: Entries, cutoff: int, margin: int) -> float:
     """``sqrt(max row sum * max column sum)`` of ``|X|`` on the interior rows
     and columns, the norm bound of the CSR matrix ``X[keep][:, keep]``, bit
     for bit.
 
     Its stored entries are the nonzero ones, rows ascending and the columns
-    of a row ascending (shifts by descending offset, then spinor column); the
-    moduli are taken in that order.  The row sums are ``np.add.reduceat``
-    over them, as the sparse ``sum(axis=1)`` takes them, and the column sums
-    ``np.bincount`` in row order, as its ``sum(axis=0)`` adds them."""
+    of a row ascending (shifts by descending offset, then spinor column).
+    The moduli ``np.abs`` of the complex entries, taken on each entry's own
+    axes, are written group by group into one real ``(n^3, groups)`` array,
+    which holds them in that order.  The row sums are ``np.add.reduceat``
+    over the nonzero ones, as the sparse ``sum(axis=1)`` takes them, and the
+    column sums ``np.bincount`` in row order, as its ``sum(axis=0)`` adds
+    them."""
     side = 2 * cutoff + 1
     n = side - 2 * margin
     # the entries (a, w, c) of a mode's two rows in storage order, all-zero ones left out
-    groups = [(a, w, c) for a in range(2) for w in sorted(blocks, key=lambda w: -_offset(w, side))
-              for c in range(2) if blocks[w][0][a, c].any() or blocks[w][1][a, c].any()]
+    shifts = sorted({w for w, _, _ in entries}, key=lambda w: -_offset(w, side))
+    groups = [(a, w, c) for a in range(2) for w in shifts for c in range(2)
+              if (w, a, c) in entries and (np.any(entries[w, a, c][0])
+                                           or np.any(entries[w, a, c][1]))]
     if not groups:
         return 0.0
-    by_entry = np.empty((len(groups), n, n, n), dtype=complex)
+    moduli = np.empty((n, n, n, len(groups)))
     for g, (a, w, c) in enumerate(groups):
-        by_entry[g].real, by_entry[g].imag = blocks[w][0][a, c], blocks[w][1][a, c]
+        re, im = entries[w, a, c]
+        z = np.empty(np.shape(re), dtype=complex)
+        z.real, z.imag = re, im
+        column = moduli[..., g]
+        column[...] = np.abs(z)
         for axis, x in enumerate(w):  # rows whose column mode v - w leaves the interior
             if x:
                 cut = [slice(None)] * 3
                 cut[axis] = slice(0, x) if x > 0 else slice(n + x, n)
-                by_entry[g][tuple(cut)] = 0
-    vals = np.ascontiguousarray(by_entry.reshape(len(groups), n**3).T).ravel()
-    pos = np.flatnonzero(vals)
-    if not pos.size:
+                column[tuple(cut)] = 0
+    moduli = moduli.reshape(n**3, len(groups))
+    stored = moduli != 0
+    if not stored.any():
         return 0.0
-    entries = np.abs(vals[pos])
-    mode, g = np.divmod(pos, len(groups))
+    entry = moduli[stored]
     a, off, c = (np.array(x) for x in zip(*((a, _offset(w, n), c) for a, w, c in groups)))
-    row = 2 * mode + a[g]
-    row_sum = np.add.reduceat(entries, np.flatnonzero(np.diff(row, prepend=-1)))
-    col_sum = np.bincount(2 * (mode - off[g]) + c[g], weights=entries)
+    twice_mode = 2 * np.arange(n**3)[:, None]
+    row = (twice_mode + a)[stored]
+    starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+    row_sum = np.add.reduceat(entry, starts)
+    col_sum = np.bincount((twice_mode + (c - 2 * off))[stored], weights=entry)
     return float(np.sqrt(float(row_sum.max()) * float(col_sum.max())))
 
 
@@ -209,27 +226,40 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     The Clifford block ``Z = c(vol)^2 + sum_j c(iota_j vol)^2`` must equal the
     closed form ``-2 I`` exactly (else :class:`TheoremViolationError`), so the
     one residual against ``f^2 (x) Z`` checks the degree-3 closed form and the
-    general identity at once.  A flux too large for double precision makes
-    the residual overflow; that is a ``ValueError`` naming the flux.
+    general identity at once.  A mode box ``(2 cutoff + 1)^3`` larger than
+    ``SHELL_BUDGET`` is refused before any array is built, and a flux too
+    large for double precision makes the residual overflow; each is a
+    ``ValueError``, naming the cutoff or the flux.
     """
+    if (2 * cutoff + 1) ** 3 > SHELL_BUDGET:
+        raise ValueError(f"cutoff {cutoff} puts {(2 * cutoff + 1) ** 3} modes in the box, "
+                         f"more than the budget of {SHELL_BUDGET}")
     b = flux.bandwidth
     if cutoff < 2 * max(b, 1):
         raise ValueError("cutoff smaller than twice the flux bandwidth: no interior modes")
-    zero_block = _zeroth_order_block(*_unit_top_form())
+    form = _unit_top_form()
+    zero_block = _zeroth_order_block(*form)
     if not np.array_equal(zero_block, -2.0 * np.eye(2)):
         raise TheoremViolationError(f"zeroth-order block {zero_block.tolist()} is not the "
                                     "closed form -2 I: check Clifford conventions")
     margin = max(b, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        d_sq = _interior_square(_dirac_symbol(geometry, flux, cutoff, bundle), margin)
-        a_sq = None  # sum_j A_j^2 = -Delta_H
-        for axis in range(3):
-            term = _interior_square(_derivative_symbol(geometry, flux, cutoff, axis, bundle),
-                                    margin)
-            a_sq = term if a_sq is None else _plus(a_sq, term)
-        # - M, its constant blocks negated: x - m is x + (-m) exactly
-        minus_m = {u: _parts(-(c * zero_block)) for u, c in flux.convolved().items()}
-        residual = _interior_norm_bound(_plus(_plus(d_sq, a_sq), minus_m), cutoff, margin)
+        d_sq = _interior_square(_dirac_symbol(geometry, flux, cutoff, bundle, form), margin)
+        # A_j^2, whose sum is -Delta_H
+        a0, a1, a2 = (_interior_square(_derivative_symbol(geometry, flux, cutoff, axis,
+                                                          bundle, form), margin)
+                      for axis in range(3))
+        # - M, its constant blocks negated (x - m is x + (-m) exactly), exact zeros left out
+        minus_m = {}
+        for u, coeff in flux.convolved().items():
+            blk = -(coeff * zero_block)
+            minus_m.update({(u, a, c): (blk[a, c].real, blk[a, c].imag)
+                            for a in range(2) for c in range(2) if blk[a, c] != 0})
+        # (D^2 + ((A_0^2 + A_1^2) + A_2^2)) - M, entry by entry
+        residual = _interior_norm_bound(
+            {key: _add(_add(d_sq.get(key), _add(_add(a0.get(key), a1.get(key)), a2.get(key))),
+                       minus_m.get(key))
+             for key in {*d_sq, *a0, *a1, *a2, *minus_m}}, cutoff, margin)
     if not isfinite(residual):
         raise ValueError(f"the LW residual of flux {flux.table()} is {residual}: "
                          "the flux overflows double precision")

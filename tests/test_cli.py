@@ -373,6 +373,22 @@ def test_lw_residual_that_overflows_is_refused(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_lw_cutoff_past_the_mode_budget_is_refused_before_any_array(tmp_path, monkeypatch,
+                                                                      capsys):
+    # at cutoff 120 the box holds 241^3 modes, whose stacked symbol took
+    # gigabytes; the budget refuses it before the symbol is built
+    def build(*args, **kwargs):
+        raise AssertionError("the Dirac symbol was built")
+
+    monkeypatch.setattr("twisteta.weitzenbock._dirac_symbol", build)
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\ncutoff = 120\nflux = 0.5\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["lw", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cutoff 120" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_lw_requires_torus(tmp_path):
     cfg = write(tmp_path, "c.txt", "geometry = sphere3\n")
     assert main(["lw", "--config", cfg]) == EXIT_CONFIG

@@ -1003,6 +1003,28 @@ def test_rho_of_a_trivial_bundle_subtracts_rank_copies(rank, t, flow):
     assert value.rho == 0.0
 
 
+@pytest.mark.parametrize("engine", ["hurwitz", "heat_kernel"])
+@pytest.mark.parametrize("model,evaluations", [
+    (SpectralModel(Sphere3(1.0), flux_shift=0.3), 1),
+    (SpectralModel(Circle(1.0), TrivialBundle(1), 0.2), 1),
+    (SpectralModel(Sphere3(1.0), TrivialBundle(2), 0.3), 2),
+    (SpectralModel(Lens(3), LensCharacter(3, 1), 0.2), 2),
+], ids=["sphere-line", "circle-line", "sphere-rank-2", "lens-character"])
+def test_rho_evaluates_a_model_that_is_its_own_reference_once(monkeypatch, engine, model,
+                                                              evaluations):
+    calls = []
+
+    def counting(m, *args, **kwargs):
+        calls.append(m)
+        return eta_for_model(m, *args, **kwargs)
+
+    monkeypatch.setattr(eta_mod, "eta_for_model", counting)
+    value = rho(model, engine=engine, cutoff=40)
+    assert calls == [model, model.trivial_partner()][:evaluations]
+    if evaluations == 1:
+        assert value.xi_trivial is value.xi_twisted and value.rho == 0.0
+
+
 def test_rho_circle_quarter():
     value = rho(SpectralModel(Circle(1.0), CircleHolonomy(0.25)))
     assert value.rho == pytest.approx(-0.25, abs=1e-12)

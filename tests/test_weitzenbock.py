@@ -118,7 +118,12 @@ ANISOTROPIC = (Torus3((1.0, 1.3, 0.7), (0.5, 0.0, 0.5)), TorusHolonomy((0.2, 0.3
     (Torus3((1.1, 0.9, 1.2), (0.0, 0.0, 0.0)), TrivialBundle(),
      _complex_flux(0.4 - 0.3j, -0.2 + 0.5j, 0.3), 5),
     (*ANISOTROPIC, TorusFlux.cosine(0, 0.8, 3), 6),
-], ids=["constant", "cosine-1", "cosine-2", "complex-spin-000", "cosine-3"])
+    # the benchmark's sizes
+    (*ANISOTROPIC, TorusFlux.constant(-0.83), 8),
+    (*ANISOTROPIC, TorusFlux.cosine(0, 1.1, 2), 10),
+    (*ANISOTROPIC, TorusFlux.cosine(2, -0.45, 1), 12),
+], ids=["constant", "cosine-1", "cosine-2", "complex-spin-000", "cosine-3",
+        "constant-8", "cosine-2-10", "cosine-1-12"])
 def test_lw_deg3_interior_rows_match_all_rows_bit_for_bit(geo, bundle, flux, cutoff):
     rpt = lw_check_deg3(geo, flux, cutoff, bundle)
     closed_form, clifford, modes = _lw_on_all_rows(geo, flux, cutoff, bundle)
@@ -143,7 +148,7 @@ def test_lw_deg3_matches_all_rows_on_seeded_tori():
         else:
             flux = _complex_flux(complex(*rng.normal(size=2)), complex(*rng.normal(size=2)),
                                  rng.normal())
-        cutoff = 2 * max(flux.bandwidth, 1) + int(rng.integers(0, 2))
+        cutoff = 2 * max(flux.bandwidth, 1) + int(rng.integers(0, 5))
         rpt = lw_check_deg3(geo, flux, cutoff, bundle)
         closed_form, clifford, modes = _lw_on_all_rows(geo, flux, cutoff, bundle)
         assert rpt.residual == closed_form == clifford, (case, geo, bundle, flux)
@@ -181,6 +186,22 @@ def test_lw_deg3_zeroth_order_block_must_be_minus_two(monkeypatch):
                         lambda rep, h_terms: -1.9 * np.eye(2, dtype=complex))
     with pytest.raises(TheoremViolationError, match="-2 I"):
         lw_check_deg3(Torus3(), TorusFlux.cosine(0, 1.0), cutoff=3)
+
+
+def test_lw_deg3_mode_budget(monkeypatch):
+    # 101^3 modes fit SHELL_BUDGET = 2^20 and 103^3 do not; the symbol
+    # builder stands in for the check past the guard
+    class Built(Exception):
+        pass
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr("twisteta.weitzenbock._dirac_symbol", build)
+    with pytest.raises(Built):
+        lw_check_deg3(Torus3(), TorusFlux.constant(0.5), 50)
+    with pytest.raises(ValueError, match="cutoff 51"):
+        lw_check_deg3(Torus3(), TorusFlux.constant(0.5), 51)
 
 
 def test_lw_deg3_bandwidth_guard():
