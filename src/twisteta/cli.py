@@ -493,8 +493,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: a parser holds reference cycles, which only the
+# cyclic garbage collector frees, and parsing leaves it unchanged
+_PARSER = build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
         cfg.override(out=args.out, format=args.format, tol=args.tol, cutoff=args.cutoff)

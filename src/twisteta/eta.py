@@ -35,13 +35,20 @@ at ``s = 0``:
   steps up while the remainder falls, as it does while the modes past a low
   cutoff outweigh the rest: there the value is unconverged, not wrong.  The
   bound adds the quadrature estimate, the remainder and the rounding (of the
-  sums, of c against the integral's bulk ``c/t_min``, of the levels).
+  sums, of c against the integral's bulk ``c/t_min``, of the levels, of the
+  float64 exponentials).
 
-Traces accumulate in ``numpy.longdouble`` (alternating sums over growing
-multiplicities lose four digits in doubles), each t over its own window
-``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W = sum |weight|``:
-a sum drops at most 1e-60, moving eta by under 1e-55.  :func:`_heat_sums`
-gives every window the bits of its slice's ``sum()``, short ones in one pass.
+A trace term ``weight exp(-t lambda^2)`` takes its exponent ``(-t lambda)
+lambda``, at t rounded to double, and that ``exp`` in float64 (a longdouble
+``exp`` costs about 55 times as much); the exp widened times the longdouble
+weight, and the sums, are ``numpy.longdouble`` (alternating sums over
+growing multiplicities lose four digits in doubles).  Each term's relative
+error is then at most ``(6 + 4 t lambda^2) u64``, ``u64 = 2^-53``, which
+the bound integrates in closed form (:func:`eta_heat`).  Each t sums over
+its own window ``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W =
+sum |weight|``: a sum drops at most 1e-60, moving eta by under 1e-55.
+:func:`_heat_sums` gives every window the bits of its slice's ``sum()``,
+short ones in one pass.
 Each half of the integral, split at t = 1, runs on panels at most 3 wide in
 ``log t`` (at least 2), where a 24-point and a 20-point Gauss-Legendre rule
 (longdouble nodes and weights) share one trace evaluation: G24 is the value
@@ -205,8 +212,8 @@ _GL20_X, _GL20_W = _gauss_legendre_ld(20)
 _PAIR_X = np.concatenate([_GL_X, _GL20_X])
 
 
-# exp(-x) is exactly 0 in longdouble for x >= 11400 (for x > 746 where
-# longdouble is double), so a term with t lambda^2 beyond this is an exact zero
+# exp(-x) is exactly 0 in float64, which the terms take, for x > 746 (and in
+# longdouble for x >= 11400), so a term with t lambda^2 beyond this is an exact zero
 _UNDERFLOW = 11500.0
 # a trace drops the terms with exp(-t lambda^2) <= _DROPPED / sum |weight|
 _DROPPED = 1e-60
@@ -232,17 +239,20 @@ _FEW = 8
 
 def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
                reach: float) -> np.ndarray:
-    """``sum_j weight_j exp(-t lam_j^2)`` for each t over the sorted ``lam``
-    inside that t's own window ``t lam^2 <= reach``; the exponent keeps the
-    rounding order ``(-t lam) lam``.  A window longer than ``_SPLIT`` is one
-    slice and numpy's ``sum()``, as are all windows of a call with fewer than
-    ``_FEW`` short ones.  Otherwise the short windows are laid end to end, in
-    batches of about ``_BATCH`` terms, each behind a head term 0; one flat
-    index and one ``exp`` give their terms, and ``np.add.reduceat`` sums each
-    window.  ``reduceat`` adds a window's first term to numpy's pairwise sum
-    of the rest, and ``sum()`` adds 0 to the pairwise sum of all terms: with
-    the head, each window's sum has the bits of its slice's ``sum()``."""
-    r = np.sqrt(reach / ts.astype(float))
+    """``sum_j weight_j exp(-t lam_j^2)`` for each t over the sorted float64
+    ``lam`` inside that t's own window ``t lam^2 <= reach``.  The exponent
+    ``(-t lam) lam``, at t rounded to double, and its ``exp`` are float64;
+    the terms, that exp widened times the longdouble ``weight``, and their
+    sums are longdouble.  A window longer than ``_SPLIT`` is one slice and
+    numpy's ``sum()``, as are all windows of a call with fewer than ``_FEW``
+    short ones.  Otherwise the short windows are laid end to end, in batches
+    of about ``_BATCH`` terms, each behind a head term 0; one flat index and
+    one ``exp`` give their terms, and ``np.add.reduceat`` sums each window.
+    ``reduceat`` adds a window's first term to numpy's pairwise sum of the
+    rest, and ``sum()`` adds 0 to the pairwise sum of all terms: with the
+    head, each window's sum has the bits of its slice's ``sum()``."""
+    ts = ts.astype(float, copy=False)
+    r = np.sqrt(reach / ts)
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
     sizes = hi - lo
     out = np.zeros(ts.size, dtype=_LD)
@@ -254,8 +264,7 @@ def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
         row = -ts[i] * window
         row *= window
         np.exp(row, out=row)
-        row *= weight[lo[i]:hi[i]]
-        out[i] = row.sum()
+        out[i] = (row * weight[lo[i]:hi[i]]).sum()
     short = np.flatnonzero(short)
     if not short.size:
         return out
@@ -270,9 +279,9 @@ def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
         x = -np.repeat(ts[rows], n) * window
         x *= window
         np.exp(x, out=x)
-        x *= weight[at]
-        x[heads] = 0
-        out[rows] = np.add.reduceat(x, heads)
+        terms = x * weight[at]
+        terms[heads] = 0
+        out[rows] = np.add.reduceat(terms, heads)
     return out
 
 
@@ -280,8 +289,10 @@ class _OddTrace:
     """``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble after exact
     cancellation of symmetric pairs, built from an ``(n, 2)`` array of
     ``[value, multiplicity]`` rows in any order (equal values are merged;
-    ``values`` and ``mults`` keep them all).  ``odd`` sums each t over its
-    window of the sorted ``lam``, between ``searchsorted(lam, -+sqrt(reach/t))``."""
+    ``values`` and ``mults`` keep them all).  The levels ``lam`` and
+    ``values`` are the given doubles, the multiplicities and weights
+    longdouble.  ``odd`` sums each t over its window of the sorted ``lam``,
+    between ``searchsorted(lam, -+sqrt(reach/t))``."""
 
     def __init__(self, spectrum: np.ndarray):
         values, mults = _merge(spectrum[:, 0], spectrum[:, 1])
@@ -290,16 +301,16 @@ class _OddTrace:
         pos = values > 0
         net = mults[pos] - np.where(has_mirror, mults[mirror], 0)[pos]
         unpaired = (values < 0) & ~has_mirror
-        self.lam = np.concatenate([values[unpaired], values[pos][net != 0]]).astype(_LD)
+        self.lam = np.concatenate([values[unpaired], values[pos][net != 0]])
         self.mult = np.concatenate([mults[unpaired], net[net != 0]]).astype(_LD)
         self.min_abs = float(np.min(np.abs(self.lam))) if self.lam.size else np.inf
-        self.values, self.mults = values.astype(_LD), mults.astype(_LD)
+        self.values, self.mults = values, mults.astype(_LD)
         self.abs_max = float(max(-values[0], values[-1])) if values.size else 0.0
         self._odd_weight = self.mult * self.lam
         self._odd_reach = _reach(self._odd_weight)
 
     def odd(self, ts) -> np.ndarray:
-        return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=_LD),
+        return _heat_sums(self.lam, self._odd_weight, np.asarray(ts, dtype=float),
                           self._odd_reach)
 
 
@@ -339,6 +350,34 @@ def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tup
 # t_geo = l^2/(4 KAPPA), where the remainder is exp(-KAPPA) times a polynomial
 _KAPPA = 60.0
 
+# a trace term's relative error from its float64 exponential is at most
+# (_C1 + _C2 t lambda^2) u64, u64 = eps/2: _C1 for np.exp within 3 ulps (the
+# tests check it; 0.69 is the most seen on x86-64 with AVX-512), an ulp being
+# at most 2 u64 of a normal value; _C2 for t rounded to double and the two
+# products, 3.0001 u64, with room
+_C1, _C2 = 6.0, 4.0
+# below float64's normal range (2^-1022) exp's error is absolute: under twice
+# that per unit weight, whatever the computed value (0 past exp(-745))
+_SUBNORMAL = 2.0**-1021
+
+
+def _exp_rounding(trace: _OddTrace, t_min: float, t_max: float) -> float:
+    """What the float64 exponentials of the trace can move eta by, quadrature
+    over ``[t_min, t_max]``: ``(u64/sqrt(pi)) sum_j |m_j| [(_C1 + _C2/2)
+    Gamma(1/2, y_j) + _C2 sqrt(y_j) exp(-y_j)]`` at ``y_j = t_min lambda_j^2``
+    over the trace rows, ``Gamma(1/2, y) <= min(sqrt(pi), exp(-y)/sqrt(y))``,
+    plus ``2 sqrt(t_max) _SUBNORMAL sum |m lambda|/sqrt(pi)`` for the terms
+    below the normal range (see :func:`eta_heat`)."""
+    y = t_min * trace.lam * trace.lam
+    decay = np.exp(-y)
+    with np.errstate(divide="ignore"):  # y = 0, where the min is sqrt(pi)
+        gamma = np.minimum(sqrt(pi), decay / np.sqrt(y))
+    mult = np.abs(trace.mult).astype(float)
+    terms = mult * ((_C1 + _C2 / 2) * gamma + _C2 * np.sqrt(y) * decay)
+    relative = _EPS / 2 * float(np.sum(terms))
+    subnormal = 2.0 * sqrt(t_max) * _SUBNORMAL * float(np.sum(mult * np.abs(trace.lam)))
+    return (relative + subnormal) / sqrt(pi)
+
 
 def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
              geodesic: float, remainder: Callable[[float], float], flux: float = 0.0,
@@ -354,6 +393,25 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     past the cutoff add to ``int_T^inf s^(-1/2) S ds``, and each value must lie
     within ``6 eps (|lambda| + |flux|)`` of its exact eigenvalue: a model's
     small-time heat data.  A bound above ``tol`` is returned unconverged.
+
+    The bound's exponent-rounding term (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, ch. 3) covers the float64 exponentials.  A
+    term takes t rounded to double and two products, three roundings that
+    move the exponent ``-y = -t lambda^2`` by at most ``gamma_3 y <= 3.0001
+    u64 y`` (``y <= 745`` wherever exp's value is normal), and np.exp within
+    3 ulps, ``6 u64``; widening the result to longdouble is exact.  So each
+    term's relative error is at most ``(_C1 + _C2 y) u64`` with ``_C1 = 6``
+    and ``_C2 = 4``.  Against ``s^(-1/2)`` from ``t_min`` on, ``exp(-s
+    lambda^2)`` integrates to ``Gamma(1/2, y)/|lambda|`` and ``s lambda^2
+    exp(-s lambda^2)`` to ``Gamma(3/2, y)/|lambda| = (Gamma(1/2, y)/2 +
+    sqrt(y) exp(-y))/|lambda|`` at ``y = t_min lambda^2``, so eta moves by
+    at most ``(u64/sqrt(pi)) sum_j |m_j| [(_C1 + _C2/2) Gamma(1/2, y_j) + _C2
+    sqrt(y_j) exp(-y_j)]`` over the trace rows, with ``Gamma(1/2, y) <=
+    min(sqrt(pi), exp(-y)/sqrt(y))``.  The quadrature's positive weights
+    integrate these bumps as they do the trace's, within the room left in
+    ``_C2``.  A term below float64's normal range (``y > 708``, inside a
+    window only when ``W > e^570``) errs by under ``2^-1021`` per unit
+    weight, which adds ``2 sqrt(t_max) 2^-1021 sum |m lambda|/sqrt(pi)``.
     """
     if not (isfinite(weyl) and 0.0 < geodesic < inf):
         raise ValueError(f"the Weyl term must be finite and the geodesic positive, "
@@ -388,12 +446,14 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     small_t = (rest + 2.0 * kernel_dim * ZERO_TOL * sqrt(t_min)) / sqrt(pi)
     # rounding: of the sums; of c (a few double roundings) against the bulk
     # c/t_min; of each eigenvalue, which moves the integral by its error times
-    # [2 sqrt(s) exp(-s lambda^2)] between t_min and t_max
+    # [2 sqrt(s) exp(-s lambda^2)] between t_min and t_max; of the float64
+    # exponentials
     ends = np.array([t_min, t_max], dtype=_LD)
-    weight = trace.mults * (np.abs(trace.values) + abs(flux))
+    weight = trace.mults * (np.abs(trace.values) + _LD(abs(flux)))
     moved = _heat_sums(trace.values, weight, ends, _reach(weight))
     rounding = (1e-15 * (1 + abs(eta)) + 4.0 * _EPS * abs(weyl) / t_min
-                + 12.0 * _EPS * float(np.sum(np.sqrt(ends) * moved)) / sqrt(pi))
+                + 12.0 * _EPS * float(np.sum(np.sqrt(ends) * moved)) / sqrt(pi)
+                + _exp_rounding(trace, t_min, t_max))
     error = float(quad_err + small_t + rounding)
     if not np.isfinite(error):
         raise ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "

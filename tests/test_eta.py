@@ -329,14 +329,28 @@ def _small_time(model, cutoff):
 
 def _gross(trace):
     """``sum m |lambda| exp(-t lambda^2)`` over the whole spectrum of a trace,
-    unwindowed, for a vector of t: the scale of the rounding of its sums."""
+    unwindowed, for a vector of t, each exponential taken as the engine takes
+    it: the scale of the rounding of its sums."""
     lam, weight = trace.values, trace.mults * np.abs(trace.values)
 
     def gross(ts):
         return np.array([np.sum(weight * np.exp(-t * lam * lam))
-                         for t in np.asarray(ts, dtype=np.longdouble)])
+                         for t in np.asarray(ts, dtype=float)])
 
     return gross
+
+
+def _exponent_error(trace):
+    """``sum |m lambda| (6 + 4 t lambda^2) u64 exp(-t lambda^2)`` over the
+    trace rows, for a vector of t: the most its float64 exponentials move
+    ``S(t)`` (see ``test_quadrature_estimate_bounds_the_two_panel_error``)."""
+    lam, weight = trace.lam, np.abs(trace.mult * trace.lam)
+
+    def error(ts):
+        return np.array([np.sum(weight * (6 + 4 * t * lam * lam) * np.exp(-t * lam * lam))
+                         for t in np.asarray(ts, dtype=np.longdouble)]) * 2.0**-53
+
+    return error
 
 
 def test_gauss_legendre_rule_matches_mpmath():
@@ -417,8 +431,13 @@ def _record_integrals(monkeypatch) -> list:
 def test_quadrature_estimate_bounds_the_two_panel_error(monkeypatch, model, cutoff):
     # on each half of eta_heat's split, |G24 - G20| on its first panels bounds
     # the distance of that G24 from the one on 8 times the panels, up to the
-    # rounding of the sums, 8 eps times the integral of t^(-1/2) times the
-    # gross trace
+    # rounding of both.  Each term exp(fl(fl(-t lambda) lambda)) takes t
+    # rounded to double and two products, three roundings that move the
+    # exponent by at most 3.0001 u64 t lambda^2, and np.exp within 3 ulps,
+    # 6 u64: a relative error of at most (6 + 4 t lambda^2) u64 (u64 = 2^-53).
+    # The longdouble products by the weights and the sums add at most 8 eps of
+    # the gross trace.  Integrated against t^(-1/2), the first counts once for
+    # G24 and once for the reference; the second covers both
     calls = _record_integrals(monkeypatch)
     heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
     halves = calls[:2] if len(calls) > 1 and calls[1][1] == 1.0 else calls[:1]
@@ -427,7 +446,9 @@ def test_quadrature_estimate_bounds_the_two_panel_error(monkeypatch, model, cuto
         g24, _ = _integrate_log(trace, lo, hi, panels)
         reference, _ = _integrate_log(trace, lo, hi, 8 * panels)
         gross, _ = _integrate_log(SimpleNamespace(odd=_gross(trace)), lo, hi, panels)
-        assert abs(float(g24 - reference)) <= quad_err + 8 * eps * float(gross)
+        exponents, _ = _integrate_log(SimpleNamespace(odd=_exponent_error(trace)), lo, hi, panels)
+        assert (abs(float(g24 - reference))
+                <= quad_err + 8 * eps * float(gross) + 2 * float(exponents))
     if not isinstance(model.geometry, Torus3):
         exact = eta_for_model(model, "hurwitz")
         assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
@@ -577,9 +598,11 @@ def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff, rows):
     assert sum(ts.size for _, _, ts, _ in engine_sums) == rows
 
     def full(lam, weight, ts):
-        # the full sum and the rounding of its terms plus the at most 1e-60
-        # that each window drops
-        terms = [weight * np.exp(-t * lam * lam) for t in ts]
+        # the full sum of the terms as the engine takes them (the exponent and
+        # its exp in float64, at t rounded to double), and the rounding of
+        # their sum plus the at most 1e-60 that each window drops
+        assert lam.dtype == np.float64 and weight.dtype == ld
+        terms = [weight * np.exp(-t * lam * lam) for t in ts.astype(float)]
         return (np.array([np.sum(x) for x in terms]),
                 4 * np.finfo(ld).eps * np.array([np.sum(np.abs(x)) for x in terms]) + 1e-60)
 
@@ -630,18 +653,18 @@ def test_trace_is_exactly_zero_where_every_term_underflows():
 
 
 def _per_row_sums(lam, weight, ts, reach):
-    """The trace sums one t at a time, each window a slice summed by numpy:
-    the reference for ``_heat_sums``."""
-    r = np.sqrt(reach / ts.astype(float))
+    """The trace sums one t at a time, each window a slice summed by numpy,
+    the exponent ``(-t lam) lam`` and its exp in float64 at t rounded to
+    double, the terms and sums in longdouble: the reference for
+    ``_heat_sums``."""
+    assert lam.dtype == np.float64 and weight.dtype == np.longdouble
+    ts = ts.astype(float)
+    r = np.sqrt(reach / ts)
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
     out = np.empty(ts.size, dtype=np.longdouble)
     for i, t in enumerate(ts):
         window = lam[lo[i]:hi[i]]
-        row = -t * window
-        row *= window
-        np.exp(row, out=row)
-        row *= weight[lo[i]:hi[i]]
-        out[i] = row.sum()
+        out[i] = (np.exp(-t * window * window) * weight[lo[i]:hi[i]]).sum()
     return out
 
 
@@ -660,14 +683,14 @@ def _heat_sums_cases():
     read +0)."""
     ld = np.longdouble
     rng = np.random.default_rng(7)
-    lam = (np.arange(-300, 300) + 0.5).astype(ld)
-    weight = lam * rng.integers(1, 9, lam.size)
+    lam = np.arange(-300, 300) + 0.5
+    weight = lam.astype(ld) * rng.integers(1, 9, lam.size)
     split = eta_mod._SPLIT
     at_split = np.array([140.0 / (split / 2) ** 2, 140.0 / ((split + 2) / 2) ** 2])
     mixed = np.concatenate([at_split, [1e9, 1e-6], np.geomspace(1e-3, 1e3, 60)])
     few = np.geomspace(0.05, 1.0, eta_mod._FEW)
-    ragged = np.sort(rng.uniform(-50.0, 50.0, 100)).astype(ld)
-    far = (np.arange(1000, 1010) + 0.5).astype(ld)
+    ragged = np.sort(rng.uniform(-50.0, 50.0, 100))
+    far = np.arange(1000, 1010) + 0.5
     return [
         (lam, weight, rng.permutation(mixed).astype(ld), 140.0),
         (lam, weight, np.array([0.3], dtype=ld), 140.0),
@@ -675,9 +698,10 @@ def _heat_sums_cases():
         (lam, weight, np.array([1e9, 2e9], dtype=ld), 140.0),
         (lam, weight, few[1:].astype(ld), 140.0),
         (lam, weight, few.astype(ld), 140.0),
-        (ragged, ragged * rng.choice([-3, 1, 2], ragged.size),
+        (ragged, ragged.astype(ld) * rng.choice([-3, 1, 2], ragged.size),
          rng.uniform(1.0, 11.0, 90).astype(ld), 11500.0),
-        (far, -far, (11500.0 / np.linspace(1001.0, 1003.9, 8) ** 2).astype(ld), 11500.0),
+        (far, -far.astype(ld), (11500.0 / np.linspace(1001.0, 1003.9, 8) ** 2).astype(ld),
+         11500.0),
     ]
 
 
@@ -689,11 +713,12 @@ def test_heat_sums_equal_the_per_row_sums_bit_for_bit(monkeypatch):
     assert 0 in sizes and eta_mod._SPLIT in sizes and eta_mod._SPLIT + 2 in sizes
     assert np.any(np.diff(ts) < 0)
     lam, weight, ts, reach = cases[-2]
+    ts = ts.astype(float)
     terms = weight * np.exp(-ts[:, None] * lam * lam)
     zero = (ts[:, None] * lam * lam <= reach) & (terms == 0)
     assert np.any(zero & np.signbit(terms)) and np.any(zero & ~np.signbit(terms))
     lam, weight, ts, reach = cases[-1]
-    assert np.all(weight[:4] * np.exp(-ts[:, None] * lam[:4] ** 2) == 0)
+    assert np.all(weight[:4] * np.exp(-ts.astype(float)[:, None] * lam[:4] ** 2) == 0)
     for lam, weight, ts, reach in cases:
         assert _same_bits(eta_mod._heat_sums(lam, weight, ts, reach),
                           _per_row_sums(lam, weight, ts, reach))
@@ -717,25 +742,34 @@ def _traced_peak(fn):
     return result, peak
 
 
+# the torus a user meets: edges 1, 1.3, 0.7, holonomy (0.3, 0.1, 0), flux 0.1
+_USER_TORUS = SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.1)
+
+
 def test_heat_eta_memory_on_the_non_cubic_holonomy_torus():
     # 115,144 levels at the former default cutoff 40 (the derived one is
-    # about 25), nearly all inside the window
+    # 25), nearly all inside the window
     # of most of the 179 rows: one flat pass over every window traces 188 MB;
-    # as slices, the long windows leave the enumeration's 18 MB the peak
-    model = SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), 0.1)
-    heat, peak = _traced_peak(lambda: eta_for_model(model, "heat_kernel", cutoff=40))
-    assert heat.converged
-    assert peak < 32 * 2**20
+    # as slices, the long windows leave the enumeration's 18 MB the peak.  At
+    # both cutoffs eta converges within its bound of 2 sf - Vol t^3/(3 pi^2)
+    exact, _ = _exact_eta(_USER_TORUS)
+    for cutoff in (40, None):
+        heat, peak = _traced_peak(
+            lambda: eta_for_model(_USER_TORUS, "heat_kernel", cutoff=cutoff))
+        assert heat.converged
+        assert abs(heat.eta - exact) <= heat.error_bound
+        assert peak < 32 * 2**20
 
 
 def test_heat_sums_memory_is_capped_by_the_batch():
     # 6,000 short windows of 96-104 terms: one pass over their 599,108 terms
-    # traces 33 MB of temporaries, batches of _BATCH terms 3.9 MB
+    # traces 24 MB of temporaries, batches of _BATCH terms 4.1 MB
     ld = np.longdouble
-    lam = (np.arange(-60, 60) + 0.5).astype(ld)
+    lam = np.arange(-60, 60) + 0.5
+    weight = lam.astype(ld)
     ts = np.random.default_rng(3).uniform(140.0 / 52**2, 140.0 / 48**2, 6000).astype(ld)
-    sums, peak = _traced_peak(lambda: eta_mod._heat_sums(lam, lam, ts, 140.0))
-    assert _same_bits(sums, _per_row_sums(lam, lam, ts, 140.0))
+    sums, peak = _traced_peak(lambda: eta_mod._heat_sums(lam, weight, ts, 140.0))
+    assert _same_bits(sums, _per_row_sums(lam, weight, ts, 140.0))
     assert peak < 16 * 2**20
 
 
@@ -965,10 +999,16 @@ def test_heat_bounds_are_honest_on_a_seeded_scan(monkeypatch):
     assert outside == []
 
 
-@pytest.mark.parametrize("p,k,radius,t,cutoff", [
-    (7, 0, 1.4020459598729607, 0.9383711119643134, 10),
-    (12, 6, 1.2615758757669742, 1.8857948915664013, 20),
-], ids=["lens-7-0", "lens-12-6"])
+# (p, k, radius, t, cutoff) of two lens characters cut far below the
+# geodesic scale
+_SPARSE_LENSES = {
+    "lens-7-0": (7, 0, 1.4020459598729607, 0.9383711119643134, 10),
+    "lens-12-6": (12, 6, 1.2615758757669742, 1.8857948915664013, 20),
+}
+
+
+@pytest.mark.parametrize("p,k,radius,t,cutoff", list(_SPARSE_LENSES.values()),
+                         ids=list(_SPARSE_LENSES))
 def test_unconverged_heat_bound_covers_a_sparse_lens_spectrum(monkeypatch, p, k, radius, t,
                                                               cutoff):
     # the cutoff is far below the geodesic scale: the modes past it move the
@@ -981,6 +1021,55 @@ def test_unconverged_heat_bound_covers_a_sparse_lens_spectrum(monkeypatch, p, k,
     assert calls[0][1] > 10 * model.geometry.shortest_geodesic**2 / (4 * _KAPPA)
     assert not heat.converged
     assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+
+
+def _longdouble_exponent_sums(lam, weight, ts, reach):
+    """The trace sums over the engine's windows with each exponent ``-t
+    lambda^2`` and its exp in longdouble, at the longdouble t: the reference
+    for the float64 exponentials."""
+    r = np.sqrt(reach / ts.astype(float))
+    lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
+    lam = lam.astype(np.longdouble)
+    return np.array([np.sum(weight[a:b] * np.exp(-t * lam[a:b] * lam[a:b]))
+                     for t, a, b in zip(ts, lo, hi)], dtype=np.longdouble)
+
+
+def test_exponent_rounding_term_covers_the_float64_exponentials(monkeypatch):
+    # eta_heat's exponent-rounding term alone covers the distance of its eta
+    # from the same quadrature on a trace whose exponentials are longdouble:
+    # seeded draws on the four geometries, the user's torus at its derived
+    # cutoff, and the two sparse lenses
+    draws = _honesty_draws(count=24, seed=5) + _floor_draws(count=8, seed=5)
+    draws.append((_USER_TORUS, None))
+    draws += [(SpectralModel(Lens(p, radius), LensCharacter(p, k), t), cutoff)
+              for p, k, radius, t, cutoff in _SPARSE_LENSES.values()]
+    calls = _record_integrals(monkeypatch)
+    uncovered = []
+    for model, cutoff in draws:
+        calls.clear()
+        heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+        steps = [call[1:4] for call in calls]
+        term = eta_mod._exp_rounding(calls[0][0], calls[0][1], calls[-1][2])
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_OddTrace, "odd", lambda trace, ts: _longdouble_exponent_sums(
+                trace.lam, trace._odd_weight, np.asarray(ts, dtype=np.longdouble),
+                trace._odd_reach))
+            reference = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+        assert [call[1:4] for call in calls] == steps  # the same t_max and panels
+        if abs(heat.eta - reference.eta) > term:
+            uncovered.append((model, cutoff, heat.eta - reference.eta, term))
+    assert uncovered == []
+
+
+def test_float64_exp_is_within_three_ulps():
+    # the exp error that the exponent-rounding term assumes, 3 ulps, on
+    # exponents across float64's normal range of exp and near 0
+    x = -np.concatenate([np.random.default_rng(2).uniform(0.0, 708.0, 200_000),
+                         np.geomspace(1e-300, 708.0, 20_000)])
+    value = np.exp(x)
+    exact = np.exp(x.astype(np.longdouble))
+    assert np.all(np.abs(value - exact) <= 3 * np.spacing(value))
 
 
 # --- rho ---------------------------------------------------------------------
