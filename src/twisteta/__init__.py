@@ -30,8 +30,6 @@ from .models import (
     CircleHolonomy,
     Lens,
     LensCharacter,
-    ModeBlockOperator,
-    Progression,
     ProgressionSpectrum,
     SpectralModel,
     Sphere3,
@@ -39,7 +37,6 @@ from .models import (
     TorusFlux,
     TorusHolonomy,
     TrivialBundle,
-    build_torus_operator,
     enumerate_spectrum,
     progression_spectrum,
 )

@@ -229,14 +229,6 @@ class ResultRecord:
     config: dict
     converged: bool = True
 
-    def to_json(self) -> str:
-        """``json.dumps(vars(self), sort_keys=True)``, byte for byte."""
-        return _json_lines((self,))[0]
-
-    @classmethod
-    def from_json(cls, line: str) -> "ResultRecord":
-        return cls(**json.loads(line))
-
 
 _CSV_COLUMNS = ("param", "quantity", "value", "error_bound", "method",
                 "wall_time", "converged", "version", "config_hash")

@@ -41,10 +41,11 @@ an operator's block data: a constant 2x2 block per Fourier shift and the
 four entries of the diagonal block, each an array over only the box axes it
 depends on.  The LW check works on symbols.  ``_assemble_blocks`` broadcasts
 the entries to the box and writes a symbol's CSR arrays shift by shift for
-the public builders (``build_torus_operator``, ``torus_twisted_derivative``,
-``torus_multiplication_operator``) in column order, with no sort.  It is the
-one user of ``scipy.sparse`` and imports it on its first call; no command
-calls it.
+the sparse builders (``build_torus_operator``, ``torus_twisted_derivative``,
+``torus_multiplication_operator``) in column order, with no sort.  The
+builders are not API: they are the tests' reference for the LW check, and no
+command calls them.  They are the one user of ``scipy.sparse``, which they
+import on their first call, so scipy is a test dependency only.
 """
 
 from __future__ import annotations
@@ -76,12 +77,9 @@ __all__ = [
     "SpectralModel",
     "ZERO_TOL",
     "enumerate_spectrum",
-    "Progression",
     "ProgressionSpectrum",
     "progression_spectrum",
     "TorusFlux",
-    "ModeBlockOperator",
-    "build_torus_operator",
     "lens_weight_count",
 ]
 
@@ -627,38 +625,21 @@ def enumerate_spectrum(model: SpectralModel, cutoff: int) -> np.ndarray:
     """Distinct eigenvalues with exact multiplicities: an ``(n, 2)`` float64
     array of ``[value, multiplicity]`` rows, values strictly ascending.  The
     flux shifts the geometry's levels, and the rank scales their
-    multiplicities, here."""
+    multiplicities, here: a rank that puts a multiplicity above 2^53, where
+    float64 stops holding every integer, is refused."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     values, mults = model.geometry.levels(model.bundle.twist, cutoff)
-    return np.column_stack(_merge(values + model.flux_shift, model.rank * mults))
+    values, mults = _merge(values + model.flux_shift, mults)
+    if mults.size and model.rank * int(mults.max()) > 2**53:
+        raise ValueError(f"rank {model.rank} puts a multiplicity above 2^53 at cutoff "
+                         f"{cutoff}, where float64 rows are no longer exact")
+    return np.column_stack((values, model.rank * mults))
 
 
 # ---------------------------------------------------------------------------
 # arithmetic-progression form of the exact spectra (Hurwitz engine input)
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Progression:
-    """Eigenvalue family ``sign * (offset + step * k)``, k >= 0, with a
-    polynomial multiplicity ``m(k) = sum mult_coeffs[i] k^i``, checked to be
-    a non-negative integer at ``k = 0 .. deg + 1``.  The offset may be < 0."""
-
-    sign: int
-    offset: float
-    step: float
-    mult_coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-        _check_step(self.offset, self.step)
-        _check_integer_valued(tuple(self.mult_coeffs))
-
-    def crossing(self) -> tuple[int, int]:
-        """``(n, K)`` of :func:`_crossing`."""
-        return _crossing(self.offset, self.step, self.mult_coeffs)
-
 
 def _check_step(offset: float, step: float) -> None:
     # a step above 2 ZERO_TOL leaves at most one index in the kernel
@@ -775,17 +756,11 @@ class ProgressionSpectrum:
     flux: float = 0.0
     rank: int = 1
 
-    @classmethod
-    def of(cls, families: Sequence[Progression], rank: int = 1) -> "ProgressionSpectrum":
-        """The spectrum of explicit families, at radius 1 and flux 0."""
-        return cls(tuple(_row(f.sign, f.sign * f.offset, f.step, f.mult_coeffs)
-                         for f in families), rank=rank)
-
     def rows(self) -> list[FamilyRow]:
         """The table's rows at this radius and flux, ``(sign, offset, step,
         mult_coeffs, polys)`` with the family's own offset and step, each
-        pair checked as :class:`Progression` checks it, all before the first
-        row is returned."""
+        pair checked to have a finite step above ``2 ZERO_TOL`` and a finite
+        ``offset/step``, all before the first row is returned."""
         r, t = self.radius, self.flux
         rows = []
         for sign, v0, step, coeffs, polys in self.table:
@@ -793,10 +768,6 @@ class ProgressionSpectrum:
             _check_step(offset, step)
             rows.append((sign, offset, step, coeffs, polys))
         return rows
-
-    @property
-    def families(self) -> tuple[Progression, ...]:
-        return tuple(Progression(*row[:4]) for row in self.rows())
 
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:

@@ -66,7 +66,7 @@ from .models import (
     _dirac_symbol,
     _unit_top_form,
 )
-from .specflow import UnfluxedSpectrum, sf_on_spectrum
+from .specflow import UnfluxedSpectrum, sf_for_flux
 
 __all__ = [
     "LwReport",
@@ -340,12 +340,14 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     if grid[-1] >= u0:
         raise ValueError(f"u grid must stay strictly below u0 = {u0}")
 
-    # the base holds the levels x + 0.0, so the spectrum at flux t is base + t
-    # exactly (merging equal values moves no minimum), and it holds the value
-    # nearest to -u h_norm on both sides for every u on the grid and every
-    # value the flux path to the last u crosses
-    spectrum = UnfluxedSpectrum(model).past(grid[-1] * h_norm + 1.0)
-    base = spectrum[:, 0]
+    # the flow to the last u grows the unfluxed spectrum past every value its
+    # path crosses, so the kept base holds the value nearest to -u h_norm on
+    # both sides for every u on the grid; it holds the levels x + 0.0, so the
+    # spectrum at flux t is base + t exactly (merging equal values moves no
+    # minimum)
+    unfluxed = UnfluxedSpectrum(model)
+    flow = sf_for_flux(model, grid[-1] * h_norm, unfluxed).flow
+    base = unfluxed.past(grid[-1] * h_norm)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
     min_abs, rhos = [], []
@@ -359,7 +361,6 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
             )
         rhos.append(rho(model.with_flux(u * h_norm), engine=engine, cutoff=cutoff, tol=tol))
 
-    flow = sf_on_spectrum(spectrum, grid[-1] * h_norm).flow
     if flow != 0:
         raise TheoremViolationError(
             f"nonzero spectral flow {flow} below u0: contradicts kernel vanishing"

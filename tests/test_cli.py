@@ -42,7 +42,7 @@ engine = hurwitz
 
 
 def read_records(path):
-    return [ResultRecord.from_json(line)
+    return [ResultRecord(**json.loads(line))
             for line in path.read_text().splitlines() if line.strip()]
 
 
@@ -103,9 +103,8 @@ def test_json_records_round_trip(tmp_path, command):
     assert len(lines) >= 3
     for line in lines:
         assert line == json.dumps(json.loads(line), sort_keys=True)
-        rec = ResultRecord.from_json(line)
-        assert rec.to_json() == line
-        assert ResultRecord.from_json(rec.to_json()) == rec
+        rec = ResultRecord(**json.loads(line))
+        assert cli._json_lines((rec,)) == [line]
 
 
 _FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308, 0.1,
@@ -138,7 +137,7 @@ def test_json_lines_are_the_stdlib_dump_byte_for_byte(tmp_path):
                for _ in range(600)]
     want = [json.dumps(vars(r), sort_keys=True) for r in records]
     assert {r.param is None for r in records} == {r.converged for r in records} == {True, False}
-    assert [r.to_json() for r in records] == want
+    assert [line for r in records for line in cli._json_lines((r,))] == want
     out = tmp_path / "o.jsonl"
     write_records(records, "json", str(out))
     assert out.read_text() == "".join(line + "\n" for line in want)
@@ -151,7 +150,7 @@ def test_records_pin_the_field_types_the_encoder_relies_on(tmp_path):
     assert [type(x) for x in (rec.value, rec.error_bound, rec.param, rec.wall_time)] \
         == [float] * 4
     assert type(rec.converged) is bool
-    assert rec.to_json() == json.dumps(vars(rec), sort_keys=True)
+    assert cli._json_lines((rec,)) == [json.dumps(vars(rec), sort_keys=True)]
     assert make("sf", 2, 0, "affine_exact", None, 0.5).param is None
 
 
@@ -345,8 +344,9 @@ def run_fresh(args, cwd):
 
 
 def test_cli_import_loads_only_what_every_command_needs(tmp_path):
-    # scipy.sparse and the selftest criteria are imported by the one branch
-    # that uses them, and no command imports a thread pool; in pytest they
+    # no command imports scipy, which only the tests' sparse reference
+    # operators use; the selftest criteria are imported by the one branch
+    # that runs them, and no command imports a thread pool.  In pytest they
     # are already loaded, so only a cold interpreter shows it
     proc = run_fresh(["-c", "import sys, twisteta.cli; print(*sorted(sys.modules))"],
                      tmp_path)
@@ -357,6 +357,68 @@ def test_cli_import_loads_only_what_every_command_needs(tmp_path):
                 if m.split(".")[0] == "scipy" or m == "twisteta.selftest"
                 or m == "concurrent.futures" or m.startswith("concurrent.futures.")]
     assert deferred == []
+
+
+_NO_SCIPY = """\
+import importlib, importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    importlib.import_module("scipy.sparse")
+    raise SystemExit("scipy was not blocked")
+except ModuleNotFoundError:
+    pass
+import twisteta
+from twisteta.cli import main
+
+codes = [main(json.loads(argv)) for argv in sys.argv[1:]]
+print(json.dumps(codes))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: under a finder that refuses scipy,
+    # every command exits, and writes, as it does here with scipy loaded
+    cfgs = {name: write(tmp_path, f"{name}.txt", text) for name, text in _COMMAND_CONFIGS.items()}
+    argv = lambda name, out: [name, "--config", cfgs[name], "--out", str(tmp_path / out)]
+    blocked = [argv(name, f"{name}.blocked") for name in cfgs] + [["selftest"]]
+    proc = run_fresh(["-c", _NO_SCIPY, *map(json.dumps, blocked)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    expected = [main(argv(name, f"{name}.jsonl")) for name in cfgs] + [main(["selftest"])]
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected == [EXIT_OK] * 7
+    strip = lambda out: [dataclasses.replace(r, wall_time=0.0) for r in read_records(out)]
+    for name in cfgs:
+        assert strip(tmp_path / f"{name}.blocked") == strip(tmp_path / f"{name}.jsonl"), name
+
+
+@pytest.mark.parametrize("command,text", [
+    ("eta", "geometry = circle\nengine = heat\nrank = 10000000000000000000\n"),
+    ("psc", "geometry = sphere3\nrank = 10000000000000000000\nsweep = 0,0.2\n"),
+    # 2^62 + 1 times the sphere's multiplicities wraps in int64
+    ("eta", "geometry = sphere3\nengine = heat\nrank = 4611686018427387905\n"),
+], ids=["circle-heat", "sphere-psc", "sphere-heat-int64"])
+def test_rank_past_exact_float64_multiplicities_is_refused(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, "c.txt", text)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "rank" in err and "2^53" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_hurwitz_eta_at_a_huge_rank_enumerates_nothing(tmp_path):
+    cfg = write(tmp_path, "c.txt", "geometry = circle\nrank = 10000000000000000000\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    by_name = {r.quantity: r for r in read_records(out)}
+    assert by_name["kernel_dim"].value == 1e19 and by_name["eta"].value == 0.0
 
 
 def test_lw_command_in_a_fresh_interpreter(tmp_path):

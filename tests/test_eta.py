@@ -35,7 +35,6 @@ from twisteta.models import (
     CircleHolonomy,
     Lens,
     LensCharacter,
-    Progression,
     ProgressionSpectrum,
     SpectralModel,
     Sphere3,
@@ -50,9 +49,15 @@ from twisteta.specflow import sf_for_flux
 
 # --- Hurwitz zeta building block --------------------------------------------
 
+def _spectrum(*families):
+    """The spectrum of families ``(sign, offset, step, mult_coeffs)``, each
+    ``sign (offset + step k)`` for k >= 0, at radius 1 and flux 0."""
+    return ProgressionSpectrum(tuple(models_mod._row(s, s * o, st, c) for s, o, st, c in families))
+
+
 def _family_eta(coeffs, q):
     """Eta of one family ``k + q``, ``q > 0``: the polynomial ``F_m(q)``."""
-    return eta_hurwitz(ProgressionSpectrum.of((Progression(1, q, 1.0, coeffs),)))
+    return eta_hurwitz(_spectrum((1, q, 1.0, coeffs)))
 
 
 def test_hurwitz_zeta_at_zero():
@@ -259,36 +264,34 @@ def test_hurwitz_refuses_a_kernel_test_it_cannot_resolve(tau):
     with pytest.raises(ValueError, match="flux puts offset"):
         eta_for_model(model, "hurwitz")
     with pytest.raises(ValueError, match="flux puts offset"):
-        [fam.crossing() for fam in progression_spectrum(model).families]
+        [models_mod._crossing(*row[1:4]) for row in progression_spectrum(model).rows()]
 
 
 def test_eta_scale_invariance():
     # at t = 4.1 the lowest levels have crossed zero
     for t in (0.2, 4.1):
         ps = progression_spectrum(SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=t))
-        scaled = ProgressionSpectrum.of(
-            tuple(Progression(f.sign, 7.0 * f.offset, 7.0 * f.step, f.mult_coeffs)
-                  for f in ps.families))
+        scaled = _spectrum(*((sign, 7.0 * offset, 7.0 * step, coeffs)
+                             for sign, offset, step, coeffs, _ in ps.rows()))
         assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
 
 
 def test_eta_hurwitz_antisymmetry():
     for t in (0.0, 2.45):
         ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3), t))
-        flipped = ProgressionSpectrum.of(
-            tuple(Progression(-f.sign, f.offset, f.step, f.mult_coeffs) for f in ps.families))
+        flipped = _spectrum(*((-sign, offset, step, coeffs)
+                              for sign, offset, step, coeffs, _ in ps.rows()))
         assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
 
 
 def test_eta_hurwitz_input_validation():
     for offset in (float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            Progression(sign=1, offset=offset, step=1.0, mult_coeffs=(1.0,))
-    with pytest.raises(ValueError):
-        Progression(sign=1, offset=1.0, step=0.0, mult_coeffs=(1.0,))
-    with pytest.raises(ValueError):
-        eta_hurwitz(ProgressionSpectrum.of(
-            (Progression(sign=1, offset=1.0, step=1.0, mult_coeffs=(0.5,)),)))
+        with pytest.raises(ValueError, match="offset/step finite"):
+            eta_hurwitz(_spectrum((1, offset, 1.0, (1.0,))))
+    with pytest.raises(ValueError, match="step must be finite"):
+        eta_hurwitz(_spectrum((1, 1.0, 0.0, (1.0,))))
+    with pytest.raises(ValueError, match="not integer-valued"):
+        eta_hurwitz(_spectrum((1, 1.0, 1.0, (0.5,))))
 
 
 def _shifted(coeffs, by=1):
@@ -306,9 +309,8 @@ def test_eta_hurwitz_fold_identity(coeffs):
     for sign in (1, -1):
         for step in (1.0, 0.7):
             for offset in (-7.3, -2.1, -0.4, 0.0, 0.6, 3.25):
-                family = ProgressionSpectrum.of((Progression(sign, offset, step, coeffs),))
-                later = ProgressionSpectrum.of(
-                    (Progression(sign, offset + step, step, _shifted(coeffs)),))
+                family = _spectrum((sign, offset, step, coeffs))
+                later = _spectrum((sign, offset + step, step, _shifted(coeffs)))
                 a, b = eta_hurwitz(family), eta_hurwitz(later)
                 v0 = sign * offset
                 assert abs(a.eta - (b.eta + np.sign(v0) * m0)) <= a.error_bound + b.error_bound

@@ -12,7 +12,6 @@ from twisteta.models import (
     CircleHolonomy,
     Lens,
     LensCharacter,
-    Progression,
     SpectralModel,
     Sphere3,
     Torus3,
@@ -22,9 +21,11 @@ from twisteta.models import (
     TrivialBundle,
     ZERO_TOL,
     _assemble_blocks,
+    _crossing,
     _derivative_symbol,
     _merge,
     _poly_at,
+    _row,
     build_torus_operator,
     enumerate_spectrum,
     lens_weight_count,
@@ -239,6 +240,20 @@ def test_non_finite_inputs_rejected(bad):
         SpectralModel(Sphere3(1.0)).with_flux(bad)
 
 
+@pytest.mark.parametrize("geometry", [Circle(1.0), Sphere3(1.0), Torus3()],
+                         ids=["circle", "sphere", "torus"])
+def test_rank_past_exact_float64_multiplicities_is_refused(geometry):
+    # rank times the largest multiplicity, after the torus merges the lattice
+    # vectors of one norm, is compared in Python ints against 2^53, the last
+    # integer before float64 skips one
+    top = int(enumerate_spectrum(SpectralModel(geometry), 3)[:, 1].max())
+    rank = 2**53 // top
+    spec = enumerate_spectrum(SpectralModel(geometry, TrivialBundle(rank)), 3)
+    assert spec[:, 1].max() == rank * top
+    with pytest.raises(ValueError, match=f"rank {rank + 1} .* 2\\^53"):
+        enumerate_spectrum(SpectralModel(geometry, TrivialBundle(rank + 1)), 3)
+
+
 def test_kernel_dimension_examples():
     # |lambda| <= ZERO_TOL is the one kernel rule, in both spectrum forms
     for model, expected in [
@@ -250,8 +265,8 @@ def test_kernel_dimension_examples():
         values, mults = enumerate_spectrum(model, 4).T
         assert mults[np.abs(values) <= ZERO_TOL].sum() == expected
         if not isinstance(model.geometry, Torus3):
-            families = progression_spectrum(model).families
-            assert sum(fam.crossing()[1] for fam in families) == expected
+            rows = progression_spectrum(model).rows()
+            assert sum(_crossing(*row[1:4])[1] for row in rows) == expected
 
 
 # --- lens spaces -----------------------------------------------------------
@@ -372,11 +387,11 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
     # each family starts at its flux-shifted offset, on either side of zero,
     # and holds its kernel modes, which the rebuild leaves out
     rebuilt: dict[float, int] = {}
-    for fam in progression_spectrum(model).families:
+    for sign, offset, step, coeffs, _ in progression_spectrum(model).rows():
         k = 0
-        while fam.offset + fam.step * k <= (cutoff - 4) / getattr(model.geometry, "radius", 1.0):
-            v = fam.sign * (fam.offset + fam.step * k)
-            mult = round(_poly_at(fam.mult_coeffs, k))
+        while offset + step * k <= (cutoff - 4) / getattr(model.geometry, "radius", 1.0):
+            v = sign * (offset + step * k)
+            mult = round(_poly_at(coeffs, k))
             if mult and abs(v) > ZERO_TOL:
                 rebuilt[round(v, 9)] = rebuilt.get(round(v, 9), 0) + mult
             k += 1
@@ -391,9 +406,9 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
 def test_progressions_kernel_split():
     # (n, K) per family: the negative sphere branch has its first level at 0
     ps = progression_spectrum(SpectralModel(Sphere3(1.0), flux_shift=1.5))
-    assert [fam.crossing() for fam in ps.families] == [(0, 0), (0, 2)]
+    assert [_crossing(*row[1:4]) for row in ps.rows()] == [(0, 0), (0, 2)]
     ps = progression_spectrum(SpectralModel(Circle(1.0)))
-    assert sum(fam.crossing()[1] for fam in ps.families) == 1
+    assert sum(_crossing(*row[1:4])[1] for row in ps.rows()) == 1
 
 
 @pytest.mark.parametrize("model", [
@@ -411,10 +426,9 @@ def test_family_table_gives_the_families_of_the_branches_at_the_radius(model):
     expected = []
     for v0, step, coeffs in model.geometry.branches(model.bundle.twist):
         sign = 1 if step > 0 else -1
-        expected.append(Progression(sign, sign * (v0 + t), abs(step),
-                                    tuple(float(c) for c in coeffs)))
+        expected.append((sign, sign * (v0 + t), abs(step), tuple(float(c) for c in coeffs)))
     spectrum = progression_spectrum(model)
-    assert spectrum.families == tuple(expected)
+    assert [row[:4] for row in spectrum.rows()] == expected
     assert spectrum.rank == model.rank
     assert progression_spectrum(model.with_flux(0.0)).table is spectrum.table
 
@@ -432,7 +446,7 @@ def test_progression_refuses_a_bad_multiplicity_every_time(coeffs, message):
     # the check is memoized on the coefficients, and a failure is never stored
     for _ in range(2):
         with pytest.raises(ValueError, match=message):
-            Progression(1, 1.0, 1.0, coeffs)
+            _row(1, 1.0, 1.0, coeffs)
 
 
 def _lens_branches_in_full(p, r, k_char):
