@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .conformal import ConformalScale, transform_spectrum
-from .eta import eta_for_model, heat_cutoff, rho
+from .eta import eta_for_model, heat_cutoff, hurwitz_sweep, rho, rho_sweep
 from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
 from .specflow import UnfluxedSpectrum, check_flux_response
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
@@ -320,6 +320,19 @@ def _record_factory(cfg: RunConfig):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _hurwitz_pass(sweep: Callable, models: list[SpectralModel], settings: dict,
+                  points: int) -> tuple[list, float]:
+    """Under the Hurwitz engine, each model's outcome from one ``sweep`` pass
+    (``hurwitz_sweep`` or ``rho_sweep``) and the even share of its seconds
+    that each of the sweep's ``points`` adds to its own; under the heat
+    engine, which evaluates each point alone, ``None`` for each and 0.0."""
+    if settings["engine"] != "hurwitz":
+        return [None] * len(models), 0.0
+    start = time.perf_counter()
+    outcomes = sweep(models)
+    return outcomes, (time.perf_counter() - start) / points
+
+
 def cmd_eta(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
@@ -362,13 +375,16 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     unfluxed = UnfluxedSpectrum(base)
     if settings["engine"] == "heat_kernel" and settings["cutoff"] is None:
         settings["cutoff"] = heat_cutoff(base.with_flux(max(points, key=abs)), settings["tol"])
-    eta_zero = eta_for_model(base.with_flux(0.0), **settings, unfluxed=unfluxed)
+    (eta_zero, *etas), share = _hurwitz_pass(
+        hurwitz_sweep, [base.with_flux(t) for t in (0.0, *points)], settings, len(points))
+    if eta_zero is None:
+        eta_zero = eta_for_model(base.with_flux(0.0), **settings, unfluxed=unfluxed)
 
-    def one(t: float) -> list[ResultRecord]:
+    def one(t: float, eta_flux) -> list[ResultRecord]:
         start = time.perf_counter()
         rpt = check_flux_response(base.with_flux(t), **settings, eta_zero=eta_zero,
-                                  unfluxed=unfluxed)
-        wall = time.perf_counter() - start
+                                  unfluxed=unfluxed, eta_flux=eta_flux)
+        wall = share + time.perf_counter() - start
         conv = rpt.eta_flux.converged and rpt.eta_zero.converged
         return [
             make("eta", rpt.eta_flux.eta, rpt.eta_flux.error_bound,
@@ -380,7 +396,7 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
                  "curvature_flux_local_term", t, wall, conv),
         ]
 
-    return [rec for t in points for rec in one(t)]
+    return [rec for point in zip(points, etas) for rec in one(*point)]
 
 
 def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
@@ -434,12 +450,14 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
             scaled.append((scale, transform_spectrum(model, scale)))
         except ValueError as exc:
             raise ConfigError(f"bad value for 'sweep': u = {u!r}: {exc}") from None
-    base = rho(model, **settings)
+    (base_etas, *etas), share = _hurwitz_pass(
+        rho_sweep, [model, *(scaled_model for _, scaled_model in scaled)], settings, len(scaled))
+    base = rho(model, **settings, etas=base_etas)
 
-    def one(scale: ConformalScale, scaled_model: SpectralModel) -> list[ResultRecord]:
+    def one(scale: ConformalScale, scaled_model: SpectralModel, etas) -> list[ResultRecord]:
         start = time.perf_counter()
-        value = rho(scaled_model, **settings)
-        wall = time.perf_counter() - start
+        value = rho(scaled_model, **settings, etas=etas)
+        wall = share + time.perf_counter() - start
         method = value.xi_twisted.method
         u = scale.u
         # |rho_u - rho_0| is off by at most b_u + b_0
@@ -450,7 +468,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  value.converged and base.converged),
         ]
 
-    return [rec for point in scaled for rec in one(*point)]
+    return [rec for point, pair in zip(scaled, etas) for rec in one(*point, pair)]
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

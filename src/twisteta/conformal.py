@@ -24,7 +24,7 @@ from math import exp, inf
 from typing import Sequence
 
 from .clifford import FluxForm
-from .eta import rho
+from .eta import rho, rho_sweep
 from .models import SpectralModel
 
 __all__ = [
@@ -70,11 +70,11 @@ def transform_spectrum(model: SpectralModel, scale: ConformalScale) -> SpectralM
 
 def check_rho_conformal(model: SpectralModel, scales: Sequence[float]) -> float:
     """Max over the scale grid of ``|rho(transformed) - rho(original)|``,
-    each rho from the exact Hurwitz engine."""
-    base = rho(model).rho
+    each rho from the exact Hurwitz engine, all in one pass per family table
+    (``eta.rho_sweep``)."""
+    models = [model, *(transform_spectrum(model, ConformalScale(float(u))) for u in scales)]
+    base, *values = (rho(m, etas=etas).rho for m, etas in zip(models, rho_sweep(models)))
     worst = 0.0
-    for u in scales:
-        scaled = transform_spectrum(model, ConformalScale(float(u)))
-        value = rho(scaled).rho
+    for value in values:
         worst = max(worst, abs(value - base))
     return worst

@@ -17,9 +17,12 @@ at ``s = 0``:
   exact by Faulhaber.  Both polynomials, rounded to floats and to integer
   numerators once, sit in the family table of the model's geometry class,
   lens order and twist (``models.progression_spectrum``), which every radius
-  and flux share.  A call reads each family's offset and step off that table
-  and runs only Horner's rule, whose running error sum gives the bound, the
-  crossing count and the fold.
+  and flux share.  A call reads the table at every point of a sweep at once,
+  one numpy pass over ``(points, rows)``: each family's offset and step,
+  Horner's rule, whose running error sum gives the bound, and the crossing
+  test.  Only a family with a crossing or a kernel runs in Python, for the
+  count and the fold in exact integers.  :func:`hurwitz_sweep` groups a
+  sweep's models by table and rank, one call per group.
 
 * :func:`eta_heat`: Mellin quadrature of the odd heat trace ``S(s) = sum m
   lambda exp(-s lambda^2)``, ``eta = int_0^inf s^(-1/2) S ds/sqrt(pi)``.  On
@@ -60,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from math import ceil, inf, isfinite, log, pi, sqrt
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -72,6 +76,7 @@ from .models import (
     _check_multiplicities,
     _crossing,
     _merge,
+    FamilyRow,
     ProgressionSpectrum,
     SpectralModel,
     enumerate_spectrum,
@@ -88,7 +93,9 @@ __all__ = [
     "eta_heat",
     "eta_for_model",
     "heat_cutoff",
+    "hurwitz_sweep",
     "rho",
+    "rho_sweep",
 ]
 
 _LD = np.longdouble
@@ -136,11 +143,37 @@ class RhoValue:
 # exact Hurwitz engine
 # ---------------------------------------------------------------------------
 
-def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
-    """Exact eta invariant of a progression spectrum: per row of
-    :meth:`ProgressionSpectrum.rows`, ``sign (F_m(q) - 2 S_m(n) - K)`` at
-    ``q = offset/step``, ``(n, K)`` from ``models._crossing``; a value or
-    bound past the double range raises ``ValueError``.
+_TOO_LARGE = "the flux is too large: the Hurwitz eta is not finite in doubles"
+
+
+@lru_cache(maxsize=256)
+def _table_arrays(table: tuple[FamilyRow, ...]) -> tuple[np.ndarray, ...]:
+    """A family table's signs, ``v0`` and steps, and its ``F_m`` Horner
+    coefficients by columns, each row's padded ahead with zeros to the
+    longest: from 0.0, Horner's rule keeps a pad's value and ``mu`` at +0.0,
+    where a row's own first coefficient starts.  Read-only."""
+    width = max(len(row[4][0]) for row in table)
+    arrays = (np.array([row[0] for row in table], dtype=float),
+              np.array([row[1] for row in table]), np.array([row[2] for row in table]),
+              np.array([(0.0,) * (width - len(row[4][0])) + row[4][0] for row in table]).T.copy())
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def eta_hurwitz(spectra: Sequence[ProgressionSpectrum]) -> list[EtaValue | ValueError]:
+    """Exact eta invariants of progression spectra that share one family
+    table and rank, one per spectrum, each a point ``(radius, flux)``: per
+    row of the table read there, at ``offset = sign (v0/radius + flux)``,
+    ``step/radius`` and ``q = offset/step``, ``sign (F_m(q) - 2 S_m(n) -
+    K)``, ``(n, K)`` from ``models._crossing``.
+
+    Each point's outcome is its :class:`EtaValue` or the ``ValueError``
+    that refuses it, the first of: a step not finite and above ``2
+    ZERO_TOL``, or an ``offset/step`` not finite, on any row; then, row by
+    row, a kernel test that cannot be resolved, or a fold past the double
+    range; then a value or bound past the double range; then a kernel
+    dimension ``rank K`` that a double does not hold exactly.
 
     The bound, with ``u = eps/2``, Horner's partial results ``y_j`` and their
     running sum ``mu = sum_j |q|^j |y_j|`` (Higham, *Accuracy and Stability
@@ -152,35 +185,124 @@ def eta_hurwitz(spectrum: ProgressionSpectrum) -> EtaValue:
     families, the last twice.  That is at most ``5u (sum mu + folds + sum
     |partial sums|)``; ``6u = 3 eps`` times the same sum also covers the
     higher-order terms and the rounding of the bound itself.
+
+    All points run in one numpy pass over ``(points, rows)`` arrays, and the
+    point axis changes no float operation: each entry takes its row's
+    operations at its point, Horner's rule column by column, and the
+    partial sums and the bound are ``np.cumsum`` along the rows, which adds
+    in row order as a loop over the rows does.  So a point has the bits it
+    has alone.  Only the entries with a crossing, a kernel or a threshold
+    too close to call run in Python: ``_crossing``, whose kernel count is an
+    exact ``Fraction`` sum, and the integer Faulhaber fold.
     """
-    total = bound = 0.0
-    kernel = 0
-    rows = spectrum.rows()
-    try:
-        for sign, offset, step, coeffs, (f_coeffs, s_coeffs, denom) in rows:
-            q = offset / step
-            abs_q = abs(q)
-            value = mu = 0.0
-            for a in f_coeffs:
-                value = value * q + a
-                mu = mu * abs_q + abs(value)
-            n, k = _crossing(offset, step, coeffs)
-            fold = k
-            if n:  # S_m(0) = 0
-                s = 0
-                for a in s_coeffs:
-                    s = s * n + a
-                fold += 2 * ((2 * s + denom) // (2 * denom))  # S_m(n), the nearest integer
-            total += sign * (value - fold)
-            bound += mu + fold + abs(total)
-            kernel += k
-    except OverflowError:  # a count past the double range
-        total = inf
-    error = 3.0 * _EPS * bound
-    if not isfinite(total + error):
-        raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
-    rank = spectrum.rank
-    return EtaValue(rank * total, rank * kernel, "hurwitz", float(rank * error))
+    if not spectra:
+        return []
+    table, rank = spectra[0].table, spectra[0].rank
+    if any(s.table != table or s.rank != rank for s in spectra):
+        raise ValueError("the spectra of one Hurwitz pass must share a family table and rank")
+    sign, v0, step0, f_columns = _table_arrays(table)
+    radius = np.array([[s.radius] for s in spectra])
+    flux = np.array([[s.flux] for s in spectra])
+    failed: list[ValueError | None] = [None] * len(spectra)
+    kernel = [0] * len(spectra)
+    with np.errstate(all="ignore"):  # an overflow or a 0/0 leaves its point refused
+        offset = sign * (v0 / radius + flux)
+        step = step0 / radius
+        q = offset / step
+        ok = (2 * ZERO_TOL < step) & (step < inf) & np.isfinite(q)
+        for p in [] if ok.all() else np.flatnonzero(~ok.all(axis=1)).tolist():
+            i = int(np.argmin(ok[p]))  # the first row that fails
+            failed[p] = ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
+                                   f"offset/step finite, got {float(offset[p, i])!r}/"
+                                   f"{float(step[p, i])!r}")
+        abs_q = np.abs(q)
+        value = mu = np.zeros_like(q)
+        for a in f_columns:
+            value = value * q + a
+            mu = mu * abs_q + np.abs(value)
+        # at offset >= 0 _crossing's index is 0 and its value the offset: it
+        # gives (0, 0) and raises nothing unless that is within the kernel
+        # threshold, give or take its rounding (computed as _crossing does)
+        abs_offset = np.abs(offset)
+        resolve = (offset < 0) | (abs_offset - ZERO_TOL <= _EPS * (abs_offset + step))
+        fold = np.zeros_like(q)
+        for p, i in zip(*(index.tolist() for index in np.nonzero(resolve))):
+            if failed[p] is not None:  # refused at a row before this one
+                continue
+            _, _, _, coeffs, (_, s_coeffs, denom) = table[i]
+            try:
+                n, k = _crossing(float(offset[p, i]), float(step[p, i]), coeffs)
+                row_fold = k
+                if n:  # S_m(0) = 0
+                    s = 0
+                    for a in s_coeffs:
+                        s = s * n + a
+                    row_fold += 2 * ((2 * s + denom) // (2 * denom))  # S_m(n), the nearest integer
+                fold[p, i] = float(row_fold)
+            except ValueError as exc:
+                failed[p] = exc
+                continue
+            except OverflowError:  # a count past the double range
+                failed[p] = ValueError(_TOO_LARGE)
+                continue
+            kernel[p] += k
+        terms = sign * (value - fold)
+        terms[:, 0] += 0.0  # a sum from 0.0: -0.0 + 0.0 is 0.0
+        partial = np.cumsum(terms, axis=1)
+        bound = np.cumsum(mu + fold + np.abs(partial), axis=1)[:, -1]
+    out: list[EtaValue | ValueError] = []
+    for p, (total, bound_p) in enumerate(zip(partial[:, -1].tolist(), bound.tolist())):
+        error = 3.0 * _EPS * bound_p
+        dim = rank * kernel[p]
+        if failed[p] is None and not isfinite(total + error):
+            failed[p] = ValueError(_TOO_LARGE)
+        elif failed[p] is None and dim > 2**53 and float(dim) != dim:
+            failed[p] = ValueError(f"rank {rank} puts the kernel dimension above 2^53, "
+                                   "where a double no longer holds it exactly")
+        out.append(failed[p] if failed[p] is not None
+                   else EtaValue(rank * total, dim, "hurwitz", rank * error))
+    return out
+
+
+def _value(outcome):
+    """A sweep point's value, or the ``ValueError`` it stands for raised."""
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
+
+
+def hurwitz_sweep(models: Sequence[SpectralModel]) -> list[EtaValue | ValueError]:
+    """``eta_for_model(model, "hurwitz")`` of each model, or the
+    ``ValueError`` it raises, from one :func:`eta_hurwitz` pass per family
+    table and rank (a sweep's points share both)."""
+    out: list[EtaValue | ValueError | None] = []
+    groups: dict[tuple[int, int], list[tuple[int, ProgressionSpectrum]]] = {}
+    for i, model in enumerate(models):
+        try:
+            spectrum = progression_spectrum(model)
+        except ValueError as exc:  # a torus
+            out.append(exc)
+            continue
+        out.append(None)
+        # a spectrum holds its table, so no id is reused in this call
+        groups.setdefault((id(spectrum.table), spectrum.rank), []).append((i, spectrum))
+    for members in groups.values():
+        for (i, _), value in zip(members, eta_hurwitz([spectrum for _, spectrum in members])):
+            out[i] = value
+    return out
+
+
+def rho_sweep(models: Sequence[SpectralModel]
+              ) -> list[tuple[EtaValue | ValueError, EtaValue | ValueError | None]]:
+    """The ``etas`` that :func:`rho` takes for each model, the Hurwitz eta
+    outcomes of the model and of its trivial partner (``None`` where that is
+    the model), from one :func:`hurwitz_sweep` over both."""
+    partners = [model.trivial_partner() for model in models]
+    etas = hurwitz_sweep([*models, *(p for m, p in zip(models, partners) if p != m)])
+    trivial = iter(etas[len(models):])
+    # a model that is its own partner takes its twisted eta for both
+    return [(eta, next(trivial) if p != m else None)
+            for m, p, eta in zip(models, partners, etas)]
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +615,7 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
     spectrum: the cutoff no longer resolves the shifted spectrum there.
     """
     if engine == "hurwitz":
-        return eta_hurwitz(progression_spectrum(model))
+        return _value(eta_hurwitz([progression_spectrum(model)])[0])
     if engine != "heat_kernel":
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
     n = cutoff if cutoff is not None else heat_cutoff(model, tol)
@@ -521,11 +643,19 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
 
 
 def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
-        tol: float = 1e-8) -> RhoValue:
+        tol: float = 1e-8, etas: tuple | None = None) -> RhoValue:
     """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``, the
     reference model being the same geometry and flux with the trivial line
-    bundle.  A model that is its own reference is evaluated once."""
+    bundle.  A model that is its own reference is evaluated once.  A Hurwitz
+    sweep passes ``etas``, the model's pair from :func:`rho_sweep`: each is
+    taken in place of its evaluation, and one that is the ``ValueError`` that
+    refused it is raised where it would be evaluated."""
     partner = model.trivial_partner()
-    xi_tw = eta_for_model(model, engine, cutoff, tol)
-    xi_tr = xi_tw if partner == model else eta_for_model(partner, engine, cutoff, tol)
+    twisted, trivial = etas or (None, None)
+    xi_tw = eta_for_model(model, engine, cutoff, tol) if twisted is None else _value(twisted)
+    if partner == model:
+        xi_tr = xi_tw
+    else:
+        xi_tr = (eta_for_model(partner, engine, cutoff, tol) if trivial is None
+                 else _value(trivial))
     return RhoValue(xi_twisted=xi_tw, xi_trivial=xi_tr, rank=model.rank)

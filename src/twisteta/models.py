@@ -24,9 +24,10 @@ multiplicity polynomial, checked to be a non-negative integer at ``k = 0 ..
 deg + 1``, and the two exact polynomials the Hurwitz engine evaluates) sits
 in a family table, built once per geometry class, lens order and twist and
 kept in a bounded cache: every scale of a conformal sweep and every flux of
-a specflow sweep reads one table.  A call only divides by the radius and
-adds the flux, the float operations ``branches`` would do at that radius;
-the checks that depend on them run per call.
+a specflow sweep reads one table.  The Hurwitz engine only divides by the
+radius and adds the flux, the float operations ``branches`` would do at that
+radius, for every point of a sweep at once; the checks that depend on them
+run per point.
 
 Cutoff semantics are shell complete per geometry: circle |n| <= cutoff,
 sphere/lens level index k <= cutoff, torus all modes inside the largest
@@ -641,13 +642,6 @@ def enumerate_spectrum(model: SpectralModel, cutoff: int) -> np.ndarray:
 # arithmetic-progression form of the exact spectra (Hurwitz engine input)
 # ---------------------------------------------------------------------------
 
-def _check_step(offset: float, step: float) -> None:
-    # a step above 2 ZERO_TOL leaves at most one index in the kernel
-    if not (2 * ZERO_TOL < step < inf and isfinite(offset / step)):
-        raise ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
-                         f"offset/step finite, got {offset!r}/{step!r}")
-
-
 def _crossing(offset: float, step: float, mult_coeffs: Sequence[float]) -> tuple[int, int]:
     """``(n, K)`` of the family ``offset + step k``: the n indices with
     ``offset + step k < -ZERO_TOL``, and ``K = m(n)`` (exact) if index n, the
@@ -756,19 +750,6 @@ class ProgressionSpectrum:
     flux: float = 0.0
     rank: int = 1
 
-    def rows(self) -> list[FamilyRow]:
-        """The table's rows at this radius and flux, ``(sign, offset, step,
-        mult_coeffs, polys)`` with the family's own offset and step, each
-        pair checked to have a finite step above ``2 ZERO_TOL`` and a finite
-        ``offset/step``, all before the first row is returned."""
-        r, t = self.radius, self.flux
-        rows = []
-        for sign, v0, step, coeffs, polys in self.table:
-            offset, step = sign * (v0 / r + t), step / r
-            _check_step(offset, step)
-            rows.append((sign, offset, step, coeffs, polys))
-        return rows
-
 
 def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     """Exact progression decomposition; circle, sphere and lens models only.
@@ -776,8 +757,9 @@ def progression_spectrum(model: SpectralModel) -> ProgressionSpectrum:
     Returns the family table of the model's geometry class, lens order and
     twist, from a bounded cache whose key leaves out the radius, with the
     model's radius, flux and rank: no family is built or validated here.
-    :meth:`ProgressionSpectrum.rows` reads the table at that radius and flux
-    and checks each family's offset and step.  Torus norms ``2 pi |v + delta
+    :func:`eta.eta_hurwitz` reads the table at that radius and flux and
+    checks each family's offset and step (a step above ``2 ZERO_TOL`` leaves
+    at most one index in the kernel).  Torus norms ``2 pi |v + delta
     + theta|`` are not arithmetic progressions, so torus models must use the
     heat engine.
     """

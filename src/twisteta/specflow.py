@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eta import EtaValue, eta_for_model
+from .eta import EtaValue, _value, eta_for_model
 from .models import ZERO_TOL, SpectralModel, _merge, enumerate_spectrum
 
 __all__ = [
@@ -176,8 +176,9 @@ class FluxResponseReport:
 
 def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
                         cutoff: int | None = None, tol: float = 1e-8,
-                        eta_zero: EtaValue | None = None,
-                        unfluxed: UnfluxedSpectrum | None = None) -> FluxResponseReport:
+                        eta_zero: EtaValue | ValueError | None = None,
+                        unfluxed: UnfluxedSpectrum | None = None,
+                        eta_flux: EtaValue | ValueError | None = None) -> FluxResponseReport:
     """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for the bare term
     ``t Vol/(2 pi^2)`` and the calibrated :func:`reduced_local_term`, from one
     measurement of the eta difference and the spectral flow.
@@ -187,14 +188,18 @@ def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
     cutoff and tol, and ``unfluxed`` its spectrum, which the flow counts on
     and the heat engine reads both etas' spectra off; a sweep over fluxes
     evaluates the one once and grows the other as its points need, and
-    passes both to every point.  Each is evaluated here when not given.
+    passes both to every point.  ``eta_flux`` is the eta of ``model``: a
+    Hurwitz sweep evaluates every point's at once (``eta.hurwitz_sweep``).
+    Each eta is evaluated here when not given, and one given as the
+    ``ValueError`` that refused it is raised where it would be evaluated.
     """
     _require_3d(model)
     t = model.flux_shift
     unfluxed = unfluxed or UnfluxedSpectrum(model)
-    if eta_zero is None:
-        eta_zero = eta_for_model(model.with_flux(0.0), engine, cutoff, tol, unfluxed)
-    eta_flux = eta_for_model(model, engine, cutoff, tol, unfluxed)
+    eta_zero = (eta_for_model(model.with_flux(0.0), engine, cutoff, tol, unfluxed)
+                if eta_zero is None else _value(eta_zero))
+    eta_flux = (eta_for_model(model, engine, cutoff, tol, unfluxed)
+                if eta_flux is None else _value(eta_flux))
     if eta_zero.kernel_dim or eta_flux.kernel_dim:
         raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
     sf = sf_for_flux(model, t, unfluxed)

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import FluxForm, GammaRep, _clifford_terms, _contract, _wedge
-from .eta import RhoValue, rho
+from .eta import RhoValue, rho, rho_sweep
 from .models import (
     SHELL_BUDGET,
     ZERO_TOL,
@@ -350,8 +350,12 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     base = unfluxed.past(grid[-1] * h_norm)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
+    # the Hurwitz engine takes every rho of the grid in one pass per family
+    # table; a point's error is raised in its turn, as the heat engine's is
+    models = [model.with_flux(u * h_norm) for u in grid]
+    pairs = rho_sweep(models) if engine == "hurwitz" else [None] * len(grid)
     min_abs, rhos = [], []
-    for u in grid:
+    for u, fluxed, etas in zip(grid, models, pairs):
         low = float(np.abs(base + u * h_norm).min())
         min_abs.append(low)
         if low <= ZERO_TOL:
@@ -359,7 +363,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                 f"kernel detected at u={u} below u0={u0}: the curvature "
                 "bound excludes this; check flux sign conventions"
             )
-        rhos.append(rho(model.with_flux(u * h_norm), engine=engine, cutoff=cutoff, tol=tol))
+        rhos.append(rho(fluxed, engine=engine, cutoff=cutoff, tol=tol, etas=etas))
 
     if flow != 0:
         raise TheoremViolationError(

@@ -306,6 +306,51 @@ def test_specflow_sweep_to_a_flux_past_the_doubles_is_refused(tmp_path, capsys):
         "the kernel threshold 1e-09\n")
 
 
+@pytest.mark.parametrize("command,text,message", [
+    # the kernel at 3/2 comes before the eta that refuses 1e300
+    ("specflow", "geometry = sphere3\nsweep = 0.5,1.5,1e300\n",
+     "endpoint operator has a kernel: identity hypothesis violated"),
+    # the base rho fails before the scale's, at flux 1e300 e^-0.5
+    ("conformal", "geometry = sphere3\nflux = 1e300\nsweep = 0.5\n",
+     "the flux puts offset -1e+300 too far from zero to resolve the kernel threshold 1e-09"),
+    ("specflow", "geometry = circle\nsweep = 0.5,1e300\n",
+     "flux-response checks need a 3-dimensional model"),
+], ids=["specflow-kernel-first", "conformal-base-first", "specflow-circle"])
+def test_a_sweep_fails_at_its_first_failing_point(tmp_path, capsys, command, text, message):
+    cfg = write(tmp_path, "c.txt", text)
+    out = tmp_path / "out.jsonl"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweep,code,message", [
+    ("0.0,1.5,2.6", EXIT_VIOLATION, "invariant violation: kernel detected at u=1.5 "),
+    ("0.0,2.6,2.7", EXIT_CONFIG, "config error: an eta error\n"),
+], ids=["kernel-first", "eta-first"])
+def test_psc_fails_at_its_first_failing_grid_point(tmp_path, monkeypatch, capsys, sweep, code,
+                                                   message):
+    # an inflated curvature puts u0 = 2.74 past the kernel at u = 3/2; an eta
+    # error is injected where a family's offset is below -1, as it is at u =
+    # 2.6 (the negative branch, 1.5 - 2.6) and past it
+    from twisteta import eta as eta_mod
+
+    crossing = eta_mod._crossing
+
+    def failing(offset, step, coeffs):
+        if offset < -1.0:
+            raise ValueError("an eta error")
+        return crossing(offset, step, coeffs)
+
+    monkeypatch.setattr(Sphere3, "scalar_curvature", 60.0)
+    monkeypatch.setattr(eta_mod, "_crossing", failing)
+    cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nsweep = {sweep}\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["psc", "--config", cfg, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def test_conformal_scales_of_a_lens_share_one_family_table_per_bundle(tmp_path):
     from twisteta import models
 
@@ -403,7 +448,9 @@ def test_every_command_runs_without_scipy(tmp_path):
     ("psc", "geometry = sphere3\nrank = 10000000000000000000\nsweep = 0,0.2\n"),
     # 2^62 + 1 times the sphere's multiplicities wraps in int64
     ("eta", "geometry = sphere3\nengine = heat\nrank = 4611686018427387905\n"),
-], ids=["circle-heat", "sphere-psc", "sphere-heat-int64"])
+    # the Hurwitz kernel count 2^53 + 1 of the circle's one zero mode
+    ("eta", "geometry = circle\nrank = 9007199254740993\n"),
+], ids=["circle-heat", "sphere-psc", "sphere-heat-int64", "circle-hurwitz-kernel"])
 def test_rank_past_exact_float64_multiplicities_is_refused(tmp_path, capsys, command, text):
     cfg = write(tmp_path, "c.txt", text)
     out = tmp_path / "out.jsonl"

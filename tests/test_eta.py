@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from twisteta.eta import (
     _UNDERFLOW,
+    EtaValue,
     eta_for_model,
     eta_heat,
     eta_hurwitz,
@@ -41,6 +43,7 @@ from twisteta.models import (
     Torus3,
     TorusHolonomy,
     TrivialBundle,
+    ZERO_TOL,
     enumerate_spectrum,
     progression_spectrum,
 )
@@ -55,9 +58,70 @@ def _spectrum(*families):
     return ProgressionSpectrum(tuple(models_mod._row(s, s * o, st, c) for s, o, st, c in families))
 
 
+def _rows(spectrum):
+    """The spectrum's family table read at its radius and flux, ``(sign,
+    offset, step, mult_coeffs, polys)`` per family, each pair checked to have
+    a finite step above ``2 ZERO_TOL`` and a finite ``offset/step``, all
+    before the first row is returned."""
+    r, t = spectrum.radius, spectrum.flux
+    rows = []
+    for sign, v0, step, coeffs, polys in spectrum.table:
+        offset, step = sign * (v0 / r + t), step / r
+        if not (2 * ZERO_TOL < step < math.inf and math.isfinite(offset / step)):
+            raise ValueError(f"step must be finite and above {2 * ZERO_TOL:g}, and "
+                             f"offset/step finite, got {offset!r}/{step!r}")
+        rows.append((sign, offset, step, coeffs, polys))
+    return rows
+
+
+def _eta_hurwitz_reference(spectrum):
+    """The Hurwitz eta of one spectrum by a Python loop over its rows, which
+    ``eta_hurwitz``'s numpy pass must match bit for bit: per row, Horner's
+    rule with its running error sum ``mu``, ``_crossing`` and the exact
+    Faulhaber fold, the running total and bound; an ``OverflowError`` is a
+    count past the double range."""
+    total = bound = 0.0
+    kernel = 0
+    rows = _rows(spectrum)
+    try:
+        for sign, offset, step, coeffs, (f_coeffs, s_coeffs, denom) in rows:
+            q = offset / step
+            abs_q = abs(q)
+            value = mu = 0.0
+            for a in f_coeffs:
+                value = value * q + a
+                mu = mu * abs_q + abs(value)
+            n, k = models_mod._crossing(offset, step, coeffs)
+            fold = k
+            if n:  # S_m(0) = 0
+                s = 0
+                for a in s_coeffs:
+                    s = s * n + a
+                fold += 2 * ((2 * s + denom) // (2 * denom))  # S_m(n), the nearest integer
+            total += sign * (value - fold)
+            bound += mu + fold + abs(total)
+            kernel += k
+    except OverflowError:
+        total = math.inf
+    error = 3.0 * eta_mod._EPS * bound
+    if not math.isfinite(total + error):
+        raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
+    rank = spectrum.rank
+    if rank * kernel != float(rank * kernel):
+        raise ValueError(f"rank {rank} puts the kernel dimension above 2^53, "
+                         "where a double no longer holds it exactly")
+    return EtaValue(rank * total, rank * kernel, "hurwitz", float(rank * error))
+
+
+def _eta(spectrum):
+    """``eta_hurwitz`` of one spectrum, a batch of one: its value, or its
+    error raised."""
+    return eta_mod._value(eta_hurwitz([spectrum])[0])
+
+
 def _family_eta(coeffs, q):
     """Eta of one family ``k + q``, ``q > 0``: the polynomial ``F_m(q)``."""
-    return eta_hurwitz(_spectrum((1, q, 1.0, coeffs)))
+    return _eta(_spectrum((1, q, 1.0, coeffs)))
 
 
 def test_hurwitz_zeta_at_zero():
@@ -181,7 +245,7 @@ def test_hurwitz_matches_mpmath_zeta_oracle():
             bundle = TrivialBundle(1) if p == 1 else LensCharacter(p, k)
             for tau in ((-1) ** k * 1e-3, taus[(p + k) % len(taus)]):
                 model = SpectralModel(geometry, bundle, flux_shift=tau / radius)
-                exact = eta_hurwitz(progression_spectrum(model)).eta
+                exact = _eta(progression_spectrum(model)).eta
                 assert exact == pytest.approx(oracles.level_eta_direct(p, k, tau), abs=1e-12)
 
 
@@ -264,7 +328,7 @@ def test_hurwitz_refuses_a_kernel_test_it_cannot_resolve(tau):
     with pytest.raises(ValueError, match="flux puts offset"):
         eta_for_model(model, "hurwitz")
     with pytest.raises(ValueError, match="flux puts offset"):
-        [models_mod._crossing(*row[1:4]) for row in progression_spectrum(model).rows()]
+        [models_mod._crossing(*row[1:4]) for row in _rows(progression_spectrum(model))]
 
 
 def test_eta_scale_invariance():
@@ -272,26 +336,107 @@ def test_eta_scale_invariance():
     for t in (0.2, 4.1):
         ps = progression_spectrum(SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=t))
         scaled = _spectrum(*((sign, 7.0 * offset, 7.0 * step, coeffs)
-                             for sign, offset, step, coeffs, _ in ps.rows()))
-        assert eta_hurwitz(scaled).eta == pytest.approx(eta_hurwitz(ps).eta, abs=1e-10)
+                             for sign, offset, step, coeffs, _ in _rows(ps)))
+        assert _eta(scaled).eta == pytest.approx(_eta(ps).eta, abs=1e-10)
 
 
 def test_eta_hurwitz_antisymmetry():
     for t in (0.0, 2.45):
         ps = progression_spectrum(SpectralModel(Circle(1.0), CircleHolonomy(0.3), t))
         flipped = _spectrum(*((-sign, offset, step, coeffs)
-                              for sign, offset, step, coeffs, _ in ps.rows()))
-        assert eta_hurwitz(flipped).eta == pytest.approx(-eta_hurwitz(ps).eta, abs=1e-13)
+                              for sign, offset, step, coeffs, _ in _rows(ps)))
+        assert _eta(flipped).eta == pytest.approx(-_eta(ps).eta, abs=1e-13)
+
+
+def _bit_identity_batches(seed=11):
+    """Batches ``(table, rank, points)`` for the numpy pass against the
+    reference: every circle, sphere and lens character table (p <= 12) and
+    three hand-made ones, 8 points a batch, fluxes across crossings, on
+    kernel points, near the threshold that cannot be resolved (``|offset|``
+    about 4.5e6) and at 1e300."""
+    rng = random.Random(seed)
+    models = [SpectralModel(Circle(1.0))] + [
+        SpectralModel(Circle(1.0), CircleHolonomy(a)) for a in (0.25, 0.5, 0.8)]
+    models += [SpectralModel(Sphere3(1.0))] + [
+        SpectralModel(Lens(p), LensCharacter(p, k)) for p in range(2, 13) for k in range(p)]
+    tables = [progression_spectrum(model).table for model in models] + [
+        # positive families only: past 1e102 F(q) leaves the doubles
+        _spectrum((1, 0.5, 1.0, (1.0, 1.0, 1.0))).table,
+        # a step 3e-9 falls under 2 ZERO_TOL at radius 1.5 and up
+        _spectrum((1, 0.5, 1.0, (2.0, 3.0, 1.0)), (1, 0.3, 3e-9, (1.0,)),
+                  (-1, 0.25, 1.0, (1.0, 1.0))).table,
+        _spectrum((1, 0.5, 1.0, (1.0,)), (1, 1.0, 0.0, (1.0,))).table,  # a zero step
+    ]
+
+    def flux(table, r):
+        sign, v0, step, _, _ = rng.choice(table)
+        kind = rng.randrange(5)
+        if kind == 0:
+            return rng.uniform(-9.0, 9.0)
+        if kind == 1:  # on the k-th value of a family: a kernel
+            return -(v0 + sign * step * rng.randrange(12)) / r
+        if kind == 2:  # near the k-th value, k where |offset| is about 4.5e6
+            k = round(4.5e6 * r / step) if step else 0
+            return -(v0 + sign * step * k) / r + rng.choice((0.0, 1.0, -1.0, 2.0)) * 1e-9
+        return rng.choice((1e300, -1e300, 1e200, -1e10 - 0.3))
+
+    batches = []
+    for table in tables:
+        for _ in range(3):
+            points = []
+            for _ in range(8):
+                r = rng.choice((1.0, rng.uniform(0.5, 3.0)))
+                points.append((r, flux(table, r)))
+            batches.append((table, rng.randint(1, 3), points))
+    # the kernel count 2^53 + 1 is no double, 10^19 is; F(1/2) = 0 for m = 1,
+    # so the one family -(k + 1/2) sums to -0.0, which a sum from 0.0 is not
+    circle = tables[0]
+    batches += [(circle, 2**53 + 1, [(1.0, 0.0), (1.0, 0.3)]), (circle, 10**19, [(1.0, 0.0)]),
+                (_spectrum((-1, 0.5, 1.0, (1.0,))).table, 1, [(1.0, 0.0), (2.0, 0.0)])]
+    return batches
+
+
+def _outcome_bits(outcome):
+    """An eta value's fields bit for bit (``repr`` tells -0.0 from 0.0), or an
+    error's type and message."""
+    return repr(outcome) if isinstance(outcome, EtaValue) else (type(outcome), str(outcome))
+
+
+def test_eta_hurwitz_pass_matches_the_per_row_loop_bit_for_bit():
+    # every point of a batch has the bits of the reference loop run on it
+    # alone, or its error; the pass runs under error::RuntimeWarning
+    seen = collections.Counter()
+    draws = 0
+    for table, rank, points in _bit_identity_batches():
+        spectra = [ProgressionSpectrum(table, r, t, rank) for r, t in points]
+        kinds = set()
+        for spectrum, outcome in zip(spectra, eta_hurwitz(spectra)):
+            try:
+                expected = _eta_hurwitz_reference(spectrum)
+            except ValueError as exc:
+                expected = exc
+                kinds.add(next(k for k in ("step", "offset", "too large", "2^53")
+                               if k in str(exc)))
+            else:
+                kinds.add("kernel" if expected.kernel_dim else "value")
+            assert _outcome_bits(outcome) == _outcome_bits(expected), spectrum
+            draws += 1
+        seen.update(kinds)
+        seen["two errors"] += len(kinds - {"kernel", "value"}) >= 2
+    assert draws >= 2000
+    # the premises, counted in batches: values with and without a kernel,
+    # each error, and points of one batch that fail in different ways
+    assert len(seen) == 7 and min(seen.values()) >= 1, seen
 
 
 def test_eta_hurwitz_input_validation():
     for offset in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="offset/step finite"):
-            eta_hurwitz(_spectrum((1, offset, 1.0, (1.0,))))
+            _eta(_spectrum((1, offset, 1.0, (1.0,))))
     with pytest.raises(ValueError, match="step must be finite"):
-        eta_hurwitz(_spectrum((1, 1.0, 0.0, (1.0,))))
+        _eta(_spectrum((1, 1.0, 0.0, (1.0,))))
     with pytest.raises(ValueError, match="not integer-valued"):
-        eta_hurwitz(_spectrum((1, 1.0, 1.0, (0.5,))))
+        _eta(_spectrum((1, 1.0, 1.0, (0.5,))))
 
 
 def _shifted(coeffs, by=1):
@@ -311,7 +456,7 @@ def test_eta_hurwitz_fold_identity(coeffs):
             for offset in (-7.3, -2.1, -0.4, 0.0, 0.6, 3.25):
                 family = _spectrum((sign, offset, step, coeffs))
                 later = _spectrum((sign, offset + step, step, _shifted(coeffs)))
-                a, b = eta_hurwitz(family), eta_hurwitz(later)
+                a, b = _eta(family), _eta(later)
                 v0 = sign * offset
                 assert abs(a.eta - (b.eta + np.sign(v0) * m0)) <= a.error_bound + b.error_bound
                 assert a.kernel_dim == b.kernel_dim + (m0 if offset == 0 else 0)

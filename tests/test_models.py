@@ -64,6 +64,15 @@ def test_flux_shift_covariance():
     assert np.array_equal(s1[:, 1], s0[:, 1])
 
 
+def _rows(model):
+    """The model's family table read at its radius and flux, ``(sign,
+    offset, step, mult_coeffs)`` per family, each ``sign (offset + step
+    k)``: the float operations of ``eta_hurwitz``."""
+    ps = progression_spectrum(model)
+    return [(sign, sign * (v0 / ps.radius + ps.flux), step / ps.radius, coeffs)
+            for sign, v0, step, coeffs, _ in ps.table]
+
+
 def _reference_levels(model, cutoff):
     """Per-mode loop form of the levels: the reference for the array form."""
     geo, t, rank = model.geometry, model.flux_shift, model.rank
@@ -265,8 +274,7 @@ def test_kernel_dimension_examples():
         values, mults = enumerate_spectrum(model, 4).T
         assert mults[np.abs(values) <= ZERO_TOL].sum() == expected
         if not isinstance(model.geometry, Torus3):
-            rows = progression_spectrum(model).rows()
-            assert sum(_crossing(*row[1:4])[1] for row in rows) == expected
+            assert sum(_crossing(*row[1:4])[1] for row in _rows(model)) == expected
 
 
 # --- lens spaces -----------------------------------------------------------
@@ -387,7 +395,7 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
     # each family starts at its flux-shifted offset, on either side of zero,
     # and holds its kernel modes, which the rebuild leaves out
     rebuilt: dict[float, int] = {}
-    for sign, offset, step, coeffs, _ in progression_spectrum(model).rows():
+    for sign, offset, step, coeffs in _rows(model):
         k = 0
         while offset + step * k <= (cutoff - 4) / getattr(model.geometry, "radius", 1.0):
             v = sign * (offset + step * k)
@@ -405,10 +413,9 @@ def test_progressions_rebuild_enumerated_spectrum(model, cutoff=100):
 
 def test_progressions_kernel_split():
     # (n, K) per family: the negative sphere branch has its first level at 0
-    ps = progression_spectrum(SpectralModel(Sphere3(1.0), flux_shift=1.5))
-    assert [_crossing(*row[1:4]) for row in ps.rows()] == [(0, 0), (0, 2)]
-    ps = progression_spectrum(SpectralModel(Circle(1.0)))
-    assert sum(_crossing(*row[1:4])[1] for row in ps.rows()) == 1
+    rows = _rows(SpectralModel(Sphere3(1.0), flux_shift=1.5))
+    assert [_crossing(*row[1:4]) for row in rows] == [(0, 0), (0, 2)]
+    assert sum(_crossing(*row[1:4])[1] for row in _rows(SpectralModel(Circle(1.0)))) == 1
 
 
 @pytest.mark.parametrize("model", [
@@ -428,7 +435,7 @@ def test_family_table_gives_the_families_of_the_branches_at_the_radius(model):
         sign = 1 if step > 0 else -1
         expected.append((sign, sign * (v0 + t), abs(step), tuple(float(c) for c in coeffs)))
     spectrum = progression_spectrum(model)
-    assert [row[:4] for row in spectrum.rows()] == expected
+    assert _rows(model) == expected
     assert spectrum.rank == model.rank
     assert progression_spectrum(model.with_flux(0.0)).table is spectrum.table
 
