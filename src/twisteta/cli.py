@@ -30,9 +30,9 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .conformal import ConformalScale, transform_spectrum
-from .eta import eta_for_model, heat_cutoff, hurwitz_sweep, rho, rho_sweep
+from .eta import _value, eta_for_model, rho, rho_sweep
 from .models import BUNDLES, GEOMETRIES, SpectralModel, Torus3, TorusFlux
-from .specflow import UnfluxedSpectrum, check_flux_response
+from .specflow import flux_response_sweep
 from .weitzenbock import TheoremViolationError, lw_check_deg3, psc_stability_sweep
 
 __all__ = ["RunConfig", "ResultRecord", "ConfigError", "main"]
@@ -195,8 +195,8 @@ class RunConfig:
 
     def eta_settings(self) -> dict:
         """The ``engine``, ``cutoff`` and ``tol`` of every eta evaluation, as
-        keyword arguments of ``eta_for_model`` and ``rho`` (each is checked
-        where it is parsed; ``heat`` is spelled ``heat_kernel`` here)."""
+        keyword arguments of ``eta.eta_sweep`` and all that builds on it (each
+        is checked where it is parsed; ``heat`` is spelled ``heat_kernel``)."""
         eng = self.get("engine", "hurwitz")
         return {"engine": "heat_kernel" if eng == "heat" else eng, "cutoff": self.get("cutoff"),
                 "tol": self.get("tol", 1e-8)}
@@ -320,19 +320,6 @@ def _record_factory(cfg: RunConfig):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _hurwitz_pass(sweep: Callable, models: list[SpectralModel], settings: dict,
-                  points: int) -> tuple[list, float]:
-    """Under the Hurwitz engine, each model's outcome from one ``sweep`` pass
-    (``hurwitz_sweep`` or ``rho_sweep``) and the even share of its seconds
-    that each of the sweep's ``points`` adds to its own; under the heat
-    engine, which evaluates each point alone, ``None`` for each and 0.0."""
-    if settings["engine"] != "hurwitz":
-        return [None] * len(models), 0.0
-    start = time.perf_counter()
-    outcomes = sweep(models)
-    return outcomes, (time.perf_counter() - start) / points
-
-
 def cmd_eta(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     model = cfg.model()
@@ -367,23 +354,15 @@ def cmd_rho(cfg: RunConfig) -> list[ResultRecord]:
 def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     base = cfg.model()
-    settings = cfg.eta_settings()
     points = cfg.floats("sweep")
-    # the unfluxed endpoint and its spectrum are shared by every point of the
-    # sweep: the flow's spectrum grows only as far as a point that reached it
-    # needs, and the heat engine's shell is enumerated once, at the largest |t|
-    unfluxed = UnfluxedSpectrum(base)
-    if settings["engine"] == "heat_kernel" and settings["cutoff"] is None:
-        settings["cutoff"] = heat_cutoff(base.with_flux(max(points, key=abs)), settings["tol"])
-    (eta_zero, *etas), share = _hurwitz_pass(
-        hurwitz_sweep, [base.with_flux(t) for t in (0.0, *points)], settings, len(points))
-    if eta_zero is None:
-        eta_zero = eta_for_model(base.with_flux(0.0), **settings, unfluxed=unfluxed)
+    # one eta pass for the sweep: a point's wall_time is its even share plus its own
+    start = time.perf_counter()
+    reports = flux_response_sweep(base, points, **cfg.eta_settings())
+    share = (time.perf_counter() - start) / len(points)
 
-    def one(t: float, eta_flux) -> list[ResultRecord]:
+    def one(t: float) -> list[ResultRecord]:
         start = time.perf_counter()
-        rpt = check_flux_response(base.with_flux(t), **settings, eta_zero=eta_zero,
-                                  unfluxed=unfluxed, eta_flux=eta_flux)
+        rpt = next(reports)
         wall = share + time.perf_counter() - start
         conv = rpt.eta_flux.converged and rpt.eta_zero.converged
         return [
@@ -396,7 +375,7 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
                  "curvature_flux_local_term", t, wall, conv),
         ]
 
-    return [rec for point in zip(points, etas) for rec in one(*point)]
+    return [rec for t in points for rec in one(t)]
 
 
 def cmd_lw(cfg: RunConfig) -> list[ResultRecord]:
@@ -450,13 +429,15 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
             scaled.append((scale, transform_spectrum(model, scale)))
         except ValueError as exc:
             raise ConfigError(f"bad value for 'sweep': u = {u!r}: {exc}") from None
-    (base_etas, *etas), share = _hurwitz_pass(
-        rho_sweep, [model, *(scaled_model for _, scaled_model in scaled)], settings, len(scaled))
-    base = rho(model, **settings, etas=base_etas)
+    # one rho pass for the sweep: a point's wall_time is its even share plus its own
+    start = time.perf_counter()
+    base, *values = rho_sweep([model, *(scaled_model for _, scaled_model in scaled)], **settings)
+    share = (time.perf_counter() - start) / len(scaled)
+    base = _value(base)
 
-    def one(scale: ConformalScale, scaled_model: SpectralModel, etas) -> list[ResultRecord]:
+    def one(scale: ConformalScale, value) -> list[ResultRecord]:
         start = time.perf_counter()
-        value = rho(scaled_model, **settings, etas=etas)
+        value = _value(value)
         wall = share + time.perf_counter() - start
         method = value.xi_twisted.method
         u = scale.u
@@ -468,7 +449,7 @@ def cmd_conformal(cfg: RunConfig) -> list[ResultRecord]:
                  value.converged and base.converged),
         ]
 
-    return [rec for point, pair in zip(scaled, etas) for rec in one(*point, pair)]
+    return [rec for (scale, _), value in zip(scaled, values) for rec in one(scale, value)]
 
 
 def cmd_selftest(cfg: RunConfig) -> int:

@@ -24,7 +24,7 @@ from math import exp, inf
 from typing import Sequence
 
 from .clifford import FluxForm
-from .eta import rho, rho_sweep
+from .eta import _value, rho_sweep
 from .models import SpectralModel
 
 __all__ = [
@@ -73,7 +73,7 @@ def check_rho_conformal(model: SpectralModel, scales: Sequence[float]) -> float:
     each rho from the exact Hurwitz engine, all in one pass per family table
     (``eta.rho_sweep``)."""
     models = [model, *(transform_spectrum(model, ConformalScale(float(u))) for u in scales)]
-    base, *values = (rho(m, etas=etas).rho for m, etas in zip(models, rho_sweep(models)))
+    base, *values = (_value(value).rho for value in rho_sweep(models))
     worst = 0.0
     for value in values:
         worst = max(worst, abs(value - base))

@@ -21,7 +21,7 @@ at ``s = 0``:
   one numpy pass over ``(points, rows)``: each family's offset and step,
   Horner's rule, whose running error sum gives the bound, and the crossing
   test.  Only a family with a crossing or a kernel runs in Python, for the
-  count and the fold in exact integers.  :func:`hurwitz_sweep` groups a
+  count and the fold in exact integers.  :func:`eta_sweep` groups a
   sweep's models by table and rank, one call per group.
 
 * :func:`eta_heat`: Mellin quadrature of the odd heat trace ``S(s) = sum m
@@ -57,6 +57,10 @@ Each half of the integral, split at t = 1, runs on panels at most 3 wide in
 (longdouble nodes and weights) share one trace evaluation: G24 is the value
 and ``|G24 - G20|`` its error estimate.  The panels are doubled, up to 512,
 while the estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))``.
+
+:func:`eta_sweep`, the one place that picks the engine, evaluates a sweep's
+models in one pass and keeps each point's ``ValueError`` as its outcome, for
+the caller to raise in that point's turn.
 """
 
 from __future__ import annotations
@@ -65,7 +69,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, inf, isfinite, log, pi, sqrt
-from typing import TYPE_CHECKING, Callable, Sequence
+from sys import float_info
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,17 +88,14 @@ from .models import (
     progression_spectrum,
 )
 
-if TYPE_CHECKING:
-    from .specflow import UnfluxedSpectrum
-
 __all__ = [
     "EtaValue",
     "RhoValue",
     "eta_hurwitz",
     "eta_heat",
     "eta_for_model",
+    "eta_sweep",
     "heat_cutoff",
-    "hurwitz_sweep",
     "rho",
     "rho_sweep",
 ]
@@ -172,8 +174,9 @@ def eta_hurwitz(spectra: Sequence[ProgressionSpectrum]) -> list[EtaValue | Value
     that refuses it, the first of: a step not finite and above ``2
     ZERO_TOL``, or an ``offset/step`` not finite, on any row; then, row by
     row, a kernel test that cannot be resolved, or a fold past the double
-    range; then a value or bound past the double range; then a kernel
-    dimension ``rank K`` that a double does not hold exactly.
+    range; then a value or bound past the double range; then a rank that
+    puts them there; then a kernel dimension ``rank K`` that a double does
+    not hold exactly.
 
     The bound, with ``u = eps/2``, Horner's partial results ``y_j`` and their
     running sum ``mu = sum_j |q|^j |y_j|`` (Higham, *Accuracy and Stability
@@ -256,7 +259,11 @@ def eta_hurwitz(spectra: Sequence[ProgressionSpectrum]) -> list[EtaValue | Value
         dim = rank * kernel[p]
         if failed[p] is None and not isfinite(total + error):
             failed[p] = ValueError(_TOO_LARGE)
-        elif failed[p] is None and dim > 2**53 and float(dim) != dim:
+        elif failed[p] is None and not (rank <= float_info.max
+                                        and isfinite(rank * (abs(total) + error))):
+            failed[p] = ValueError(f"rank {rank} puts eta outside the double range")
+        elif failed[p] is None and dim > 2**53 and not (dim <= float_info.max
+                                                        and float(dim) == dim):
             failed[p] = ValueError(f"rank {rank} puts the kernel dimension above 2^53, "
                                    "where a double no longer holds it exactly")
         out.append(failed[p] if failed[p] is not None
@@ -269,40 +276,6 @@ def _value(outcome):
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
-
-
-def hurwitz_sweep(models: Sequence[SpectralModel]) -> list[EtaValue | ValueError]:
-    """``eta_for_model(model, "hurwitz")`` of each model, or the
-    ``ValueError`` it raises, from one :func:`eta_hurwitz` pass per family
-    table and rank (a sweep's points share both)."""
-    out: list[EtaValue | ValueError | None] = []
-    groups: dict[tuple[int, int], list[tuple[int, ProgressionSpectrum]]] = {}
-    for i, model in enumerate(models):
-        try:
-            spectrum = progression_spectrum(model)
-        except ValueError as exc:  # a torus
-            out.append(exc)
-            continue
-        out.append(None)
-        # a spectrum holds its table, so no id is reused in this call
-        groups.setdefault((id(spectrum.table), spectrum.rank), []).append((i, spectrum))
-    for members in groups.values():
-        for (i, _), value in zip(members, eta_hurwitz([spectrum for _, spectrum in members])):
-            out[i] = value
-    return out
-
-
-def rho_sweep(models: Sequence[SpectralModel]
-              ) -> list[tuple[EtaValue | ValueError, EtaValue | ValueError | None]]:
-    """The ``etas`` that :func:`rho` takes for each model, the Hurwitz eta
-    outcomes of the model and of its trivial partner (``None`` where that is
-    the model), from one :func:`hurwitz_sweep` over both."""
-    partners = [model.trivial_partner() for model in models]
-    etas = hurwitz_sweep([*models, *(p for m, p in zip(models, partners) if p != m)])
-    trivial = iter(etas[len(models):])
-    # a model that is its own partner takes its twisted eta for both
-    return [(eta, next(trivial) if p != m else None)
-            for m, p, eta in zip(models, partners, etas)]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +564,7 @@ def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     """The heat engine's default cutoff: the smallest N with ``rank heat_tail(
     t_geo, 2t, N) <= tol/16``, by bisection up to the last shell within
     ``SHELL_BUDGET`` (if none fits, the flux is refused).  At twice the flux the
-    shell holds every level up to ``2|t|``, as :func:`eta_for_model`'s check asks."""
+    shell holds every level up to ``2|t|``, as :func:`eta_sweep`'s check asks."""
     geo, t = model.geometry, model.flux_shift
     t_geo = geo.shortest_geodesic**2 / (4.0 * _KAPPA)
     n_max = (int(SHELL_BUDGET ** (1.0 / geo.index_dim)) - 3) // 2  # the budget's last shell
@@ -603,24 +576,16 @@ def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     return n
 
 
-def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
-                  tol: float = 1e-8, unfluxed: UnfluxedSpectrum | None = None) -> EtaValue:
-    """Eta/xi of a model through the selected engine.
+def _shifted(shell: np.ndarray, t: float) -> np.ndarray:
+    """The enumeration at flux ``t`` from ``shell``, the one at flux 0 and the
+    same cutoff, bit for bit: ``x -> x + t`` is monotone, so the shifted
+    levels merge into the same groups with the same multiplicities."""
+    return np.column_stack(_merge(shell[:, 0] + t, shell[:, 1]))
 
-    The Hurwitz engine is exact and ignores ``cutoff``; the heat engine
-    enumerates up to ``cutoff`` (by default :func:`heat_cutoff`), or reads the
-    same bits off the model's ``unfluxed.shifted``, subtracts the geometry's
-    Weyl term ``rank weyl_coefficient t`` and reports its achieved error
-    bound.  It rejects a flux beyond half the radius of the enumerated
-    spectrum: the cutoff no longer resolves the shifted spectrum there.
-    """
-    if engine == "hurwitz":
-        return _value(eta_hurwitz([progression_spectrum(model)])[0])
-    if engine != "heat_kernel":
-        raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
-    n = cutoff if cutoff is not None else heat_cutoff(model, tol)
-    spec = (enumerate_spectrum(model, n) if unfluxed is None
-            else unfluxed.shifted(model.flux_shift, n))
+
+def _eta_heat_model(model: SpectralModel, shell: np.ndarray, n: int, tol: float) -> EtaValue:
+    """The heat eta of ``model`` at cutoff ``n`` (see :func:`eta_sweep`)."""
+    spec = _shifted(shell, model.flux_shift)
     if not len(spec):
         # a long thin torus: no mode of the short edges fits the shell
         raise ValueError(f"no eigenvalue lies in the complete shell at cutoff {n}; "
@@ -642,20 +607,79 @@ def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | N
                     tol=tol, kernel_dim=int(mults[zero].sum()))
 
 
+def eta_sweep(models: Sequence[SpectralModel], engine: str = "hurwitz",
+              cutoff: int | None = None, tol: float = 1e-8) -> list[EtaValue | ValueError]:
+    """Eta/xi of each model through the selected engine, or the
+    ``ValueError`` that refuses it.
+
+    The Hurwitz engine is exact and ignores ``cutoff``: one
+    :func:`eta_hurwitz` pass per family table and rank (a sweep's points
+    share both).  The heat engine enumerates up to ``cutoff`` (by default
+    :func:`heat_cutoff` of each model), subtracts the geometry's Weyl term
+    ``rank weyl_coefficient t`` and reports its achieved error bound.  It
+    reads each spectrum off the enumeration of the unfluxed model at that
+    cutoff (:func:`_shifted`), kept while the next model shares both, and
+    rejects a flux beyond half the radius of the enumerated spectrum: the
+    cutoff no longer resolves the shifted spectrum there.
+    """
+    out: list[EtaValue | ValueError | None] = []
+    if engine == "hurwitz":
+        groups: dict[tuple[int, int], list[tuple[int, ProgressionSpectrum]]] = {}
+        for i, model in enumerate(models):
+            try:
+                spectrum = progression_spectrum(model)
+            except ValueError as exc:  # a torus
+                out.append(exc)
+                continue
+            out.append(None)
+            # a spectrum holds its table, so no id is reused in this call
+            groups.setdefault((id(spectrum.table), spectrum.rank), []).append((i, spectrum))
+        for members in groups.values():
+            for (i, _), value in zip(members, eta_hurwitz([spectrum for _, spectrum in members])):
+                out[i] = value
+        return out
+    if engine != "heat_kernel":
+        raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
+    shell = None  # (unfluxed model, cutoff, enumeration)
+    for model in models:
+        try:
+            base = model.with_flux(0.0)
+            n = cutoff if cutoff is not None else heat_cutoff(model, tol)
+            if shell is None or shell[:2] != (base, n):
+                shell = (base, n, enumerate_spectrum(base, n))
+            out.append(_eta_heat_model(model, shell[2], n, tol))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+def eta_for_model(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
+                  tol: float = 1e-8) -> EtaValue:
+    """Eta/xi of one model: :func:`eta_sweep` of it alone, its error raised."""
+    return _value(eta_sweep([model], engine, cutoff, tol)[0])
+
+
+def rho_sweep(models: Sequence[SpectralModel], engine: str = "hurwitz",
+              cutoff: int | None = None, tol: float = 1e-8) -> list[RhoValue | ValueError]:
+    """The rho invariant of each model, or the ``ValueError`` that refuses it
+    (its twisted eta's, else its trivial partner's), from one
+    :func:`eta_sweep` over the models and their trivial partners.  A model
+    that is its own partner is evaluated once."""
+    partners = [model.trivial_partner() for model in models]
+    etas = eta_sweep([*models, *(p for m, p in zip(models, partners) if p != m)],
+                     engine, cutoff, tol)
+    trivial = iter(etas[len(models):])
+    out: list[RhoValue | ValueError] = []
+    for model, partner, twisted in zip(models, partners, etas):
+        pair = (twisted, next(trivial) if partner != model else twisted)
+        errors = [eta for eta in pair if isinstance(eta, ValueError)]
+        out.append(errors[0] if errors else RhoValue(*pair, rank=model.rank))
+    return out
+
+
 def rho(model: SpectralModel, engine: str = "hurwitz", cutoff: int | None = None,
-        tol: float = 1e-8, etas: tuple | None = None) -> RhoValue:
+        tol: float = 1e-8) -> RhoValue:
     """Rho invariant: ``xi(twisted) - rank * xi(trivial line bundle)``, the
     reference model being the same geometry and flux with the trivial line
-    bundle.  A model that is its own reference is evaluated once.  A Hurwitz
-    sweep passes ``etas``, the model's pair from :func:`rho_sweep`: each is
-    taken in place of its evaluation, and one that is the ``ValueError`` that
-    refused it is raised where it would be evaluated."""
-    partner = model.trivial_partner()
-    twisted, trivial = etas or (None, None)
-    xi_tw = eta_for_model(model, engine, cutoff, tol) if twisted is None else _value(twisted)
-    if partner == model:
-        xi_tr = xi_tw
-    else:
-        xi_tr = (eta_for_model(partner, engine, cutoff, tol) if trivial is None
-                 else _value(trivial))
-    return RhoValue(xi_twisted=xi_tw, xi_trivial=xi_tr, rank=model.rank)
+    bundle: :func:`rho_sweep` of it alone, its error raised."""
+    return _value(rho_sweep([model], engine, cutoff, tol)[0])

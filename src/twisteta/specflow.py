@@ -9,8 +9,9 @@ which acts as ``t`` times the identity, so every eigenvalue moves with slope
 crossings count +1 and zeros are treated as nonnegative throughout, so the
 flow equals ``N_neg(start) - N_neg(end)``.
 
-:func:`check_flux_response` measures ``eta(D_H) - eta(D) - 2 sf`` once on a
-3-dimensional model and reports its residual against two local terms:
+:func:`flux_response_sweep` measures ``eta(D_H) - eta(D) - 2 sf`` at each
+flux of a sweep on a 3-dimensional model, and :func:`check_flux_response` at
+one, and reports its residual against two local terms:
 
 * ``bare``: the volume-normalized constant ``h / (2 pi^2)`` with
   ``h = t Vol``.  Exact computation refutes this normalization on curved
@@ -29,11 +30,12 @@ flow equals ``N_neg(start) - N_neg(end)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .eta import EtaValue, _value, eta_for_model
-from .models import ZERO_TOL, SpectralModel, _merge, enumerate_spectrum
+from .eta import EtaValue, _value, eta_sweep, heat_cutoff
+from .models import ZERO_TOL, SpectralModel, enumerate_spectrum
 
 __all__ = [
     "Crossing",
@@ -43,6 +45,7 @@ __all__ = [
     "UnfluxedSpectrum",
     "FluxResponseReport",
     "check_flux_response",
+    "flux_response_sweep",
     "reduced_local_term",
 ]
 
@@ -93,29 +96,21 @@ def sf_on_spectrum(spectrum: np.ndarray, t: float) -> SfResult:
 # ---------------------------------------------------------------------------
 
 class UnfluxedSpectrum:
-    """The zero-flux spectrum of a model, enumerated on demand and kept for
-    the next request, in two forms.
+    """The zero-flux spectrum of a model that the flow counts on, enumerated
+    on demand and kept for the next request.
 
-    :meth:`past` serves the flow: it grows the spectrum only when a reach
-    lies beyond it, so a sweep enumerates it once per new reach, never ahead
-    of a point.  Its cutoff starts at 8 and doubles until both ends lie
-    beyond the reach (an empty spectrum, a shell too small for any mode of a
-    long thin torus, doubles too).  Cutoffs are shell complete, so every
-    eigenvalue of a larger cutoff is one of a smaller cutoff with the same
-    bits and multiplicity, or lies beyond that cutoff's ends.
-
-    :meth:`shifted` serves the heat engine: the spectrum at any flux ``t``
-    and the heat cutoff, read off one zero-flux enumeration at that cutoff.
-    ``x -> x + t`` is monotone, so the shifted levels merge into exactly the
-    groups, with the same integer multiplicities, that enumerating at ``t``
-    gives: bit for bit ``enumerate_spectrum(model.with_flux(t), cutoff)``.
-    A heat sweep thus enumerates its shell once, not once per point.
+    :meth:`past` grows the spectrum only when a reach lies beyond it, so a
+    sweep enumerates it once per new reach, never ahead of a point.  Its
+    cutoff starts at 8 and doubles until both ends lie beyond the reach (an
+    empty spectrum, a shell too small for any mode of a long thin torus,
+    doubles too).  Cutoffs are shell complete, so every eigenvalue of a
+    larger cutoff is one of a smaller cutoff with the same bits and
+    multiplicity, or lies beyond that cutoff's ends.
     """
 
     def __init__(self, model: SpectralModel):
         self._base = model.with_flux(0.0)
         self._grown = None  # (cutoff, spectrum)
-        self._shell = None  # (cutoff, spectrum)
 
     def past(self, reach: float) -> np.ndarray:
         """The spectrum past ``reach`` on both sides: it holds every
@@ -127,14 +122,6 @@ class UnfluxedSpectrum:
             spec = enumerate_spectrum(self._base, n)
         self._grown = (n, spec)
         return spec
-
-    def shifted(self, t: float, cutoff: int) -> np.ndarray:
-        """``enumerate_spectrum(model.with_flux(t), cutoff)`` from the kept
-        zero-flux enumeration at ``cutoff`` (made on the first request)."""
-        if self._shell is None or self._shell[0] != cutoff:
-            self._shell = (cutoff, enumerate_spectrum(self._base, cutoff))
-        spec = self._shell[1]
-        return np.column_stack(_merge(spec[:, 0] + t, spec[:, 1]))
 
 
 def sf_for_flux(model: SpectralModel, t: float,
@@ -174,39 +161,47 @@ class FluxResponseReport:
     error_budget: float
 
 
-def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
-                        cutoff: int | None = None, tol: float = 1e-8,
-                        eta_zero: EtaValue | ValueError | None = None,
-                        unfluxed: UnfluxedSpectrum | None = None,
-                        eta_flux: EtaValue | ValueError | None = None) -> FluxResponseReport:
-    """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for the bare term
-    ``t Vol/(2 pi^2)`` and the calibrated :func:`reduced_local_term`, from one
-    measurement of the eta difference and the spectral flow.
+def flux_response_sweep(model: SpectralModel, fluxes: Sequence[float],
+                        engine: str = "hurwitz", cutoff: int | None = None,
+                        tol: float = 1e-8) -> Iterator[FluxResponseReport]:
+    """The :func:`check_flux_response` report of ``model`` at each flux of
+    ``fluxes``, in order.
 
-    Both endpoint operators must be invertible.  ``eta_zero`` is the eta of
-    the unfluxed operator ``model.with_flux(0)`` through the same engine,
-    cutoff and tol, and ``unfluxed`` its spectrum, which the flow counts on
-    and the heat engine reads both etas' spectra off; a sweep over fluxes
-    evaluates the one once and grows the other as its points need, and
-    passes both to every point.  ``eta_flux`` is the eta of ``model``: a
-    Hurwitz sweep evaluates every point's at once (``eta.hurwitz_sweep``).
-    Each eta is evaluated here when not given, and one given as the
-    ``ValueError`` that refused it is raised where it would be evaluated.
+    This call evaluates the unfluxed eta and every point's in one
+    :func:`eta.eta_sweep` pass, under the heat engine by default at the
+    cutoff of the largest ``|t|``, which serves every smaller one.  The
+    iterator makes each report in its turn: the etas, raised if refused, the
+    kernel check and the flow, counted on one zero-flux spectrum grown only
+    as far as a point needs.  So a sweep stops at its first failing point
+    and enumerates nothing for the points past it.
     """
     _require_3d(model)
-    t = model.flux_shift
-    unfluxed = unfluxed or UnfluxedSpectrum(model)
-    eta_zero = (eta_for_model(model.with_flux(0.0), engine, cutoff, tol, unfluxed)
-                if eta_zero is None else _value(eta_zero))
-    eta_flux = (eta_for_model(model, engine, cutoff, tol, unfluxed)
-                if eta_flux is None else _value(eta_flux))
-    if eta_zero.kernel_dim or eta_flux.kernel_dim:
-        raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
-    sf = sf_for_flux(model, t, unfluxed)
-    terms = {"bare": t * model.geometry.volume / (2.0 * np.pi**2),
-             "calibrated": reduced_local_term(model, t)}
-    residuals = {name: abs(eta_flux.eta - eta_zero.eta - 2.0 * sf.flow - term)
-                 for name, term in terms.items()}
-    return FluxResponseReport(eta_flux=eta_flux, eta_zero=eta_zero, sf=sf,
-                              residuals=residuals,
-                              error_budget=eta_flux.error_bound + eta_zero.error_bound)
+    if engine == "heat_kernel" and cutoff is None:
+        cutoff = heat_cutoff(model.with_flux(max(fluxes, key=abs)), tol)
+    eta_zero, *etas = eta_sweep([model.with_flux(t) for t in (0.0, *fluxes)], engine, cutoff, tol)
+    unfluxed = UnfluxedSpectrum(model)
+
+    def reports() -> Iterator[FluxResponseReport]:
+        for t, eta_flux in zip(fluxes, etas):
+            zero, fluxed = _value(eta_zero), _value(eta_flux)
+            if zero.kernel_dim or fluxed.kernel_dim:
+                raise ValueError("endpoint operator has a kernel: identity hypothesis violated")
+            sf = sf_for_flux(model, t, unfluxed)
+            terms = {"bare": t * model.geometry.volume / (2.0 * np.pi**2),
+                     "calibrated": reduced_local_term(model, t)}
+            residuals = {name: abs(fluxed.eta - zero.eta - 2.0 * sf.flow - term)
+                         for name, term in terms.items()}
+            yield FluxResponseReport(eta_flux=fluxed, eta_zero=zero, sf=sf, residuals=residuals,
+                                     error_budget=fluxed.error_bound + zero.error_bound)
+
+    return reports()
+
+
+def check_flux_response(model: SpectralModel, engine: str = "hurwitz",
+                        cutoff: int | None = None, tol: float = 1e-8) -> FluxResponseReport:
+    """Residuals of ``eta(D_H) - eta(D) - 2 sf - term`` for the bare term
+    ``t Vol/(2 pi^2)`` and the calibrated :func:`reduced_local_term`, from one
+    measurement of the eta difference and the spectral flow: the one point of
+    :func:`flux_response_sweep` at the model's own flux.  Both endpoint
+    operators must be invertible."""
+    return next(flux_response_sweep(model, [model.flux_shift], engine, cutoff, tol))

@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .clifford import FluxForm, GammaRep, _clifford_terms, _contract, _wedge
-from .eta import RhoValue, rho, rho_sweep
+from .eta import RhoValue, _value, rho_sweep
 from .models import (
     SHELL_BUDGET,
     ZERO_TOL,
@@ -350,12 +350,10 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     base = unfluxed.past(grid[-1] * h_norm)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
-    # the Hurwitz engine takes every rho of the grid in one pass per family
-    # table; a point's error is raised in its turn, as the heat engine's is
-    models = [model.with_flux(u * h_norm) for u in grid]
-    pairs = rho_sweep(models) if engine == "hurwitz" else [None] * len(grid)
+    # one rho pass for the grid; a point's error is raised after its kernel check
+    values = rho_sweep([model.with_flux(u * h_norm) for u in grid], engine, cutoff, tol)
     min_abs, rhos = [], []
-    for u, fluxed, etas in zip(grid, models, pairs):
+    for u, value in zip(grid, values):
         low = float(np.abs(base + u * h_norm).min())
         min_abs.append(low)
         if low <= ZERO_TOL:
@@ -363,7 +361,7 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
                 f"kernel detected at u={u} below u0={u0}: the curvature "
                 "bound excludes this; check flux sign conventions"
             )
-        rhos.append(rho(fluxed, engine=engine, cutoff=cutoff, tol=tol, etas=etas))
+        rhos.append(_value(value))
 
     if flow != 0:
         raise TheoremViolationError(

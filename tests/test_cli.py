@@ -315,7 +315,15 @@ def test_specflow_sweep_to_a_flux_past_the_doubles_is_refused(tmp_path, capsys):
      "the flux puts offset -1e+300 too far from zero to resolve the kernel threshold 1e-09"),
     ("specflow", "geometry = circle\nsweep = 0.5,1e300\n",
      "flux-response checks need a 3-dimensional model"),
-], ids=["specflow-kernel-first", "conformal-base-first", "specflow-circle"])
+    # the heat engine evaluates every point before the walk, and keeps the
+    # order: the point at 11 is refused; the kernel at 3/2 comes first
+    ("specflow", "geometry = sphere3\nengine = heat\ncutoff = 20\nsweep = 0.5,11.0\n",
+     "eigenvalues are too large for the heat engine: flux 11 exceeds half the radius 21.5 "
+     "of the spectrum enumerated at cutoff 20"),
+    ("specflow", "geometry = sphere3\nengine = heat\ncutoff = 20\nsweep = 0.5,1.5,11.0\n",
+     "endpoint operator has a kernel: identity hypothesis violated"),
+], ids=["specflow-kernel-first", "conformal-base-first", "specflow-circle", "heat-radius",
+        "heat-kernel-first"])
 def test_a_sweep_fails_at_its_first_failing_point(tmp_path, capsys, command, text, message):
     cfg = write(tmp_path, "c.txt", text)
     out = tmp_path / "out.jsonl"
@@ -443,20 +451,26 @@ def test_every_command_runs_without_scipy(tmp_path):
         assert strip(tmp_path / f"{name}.blocked") == strip(tmp_path / f"{name}.jsonl"), name
 
 
-@pytest.mark.parametrize("command,text", [
-    ("eta", "geometry = circle\nengine = heat\nrank = 10000000000000000000\n"),
-    ("psc", "geometry = sphere3\nrank = 10000000000000000000\nsweep = 0,0.2\n"),
+@pytest.mark.parametrize("command,text,reason", [
+    ("eta", "geometry = circle\nengine = heat\nrank = 10000000000000000000\n", "2^53"),
+    ("psc", "geometry = sphere3\nrank = 10000000000000000000\nsweep = 0,0.2\n", "2^53"),
     # 2^62 + 1 times the sphere's multiplicities wraps in int64
-    ("eta", "geometry = sphere3\nengine = heat\nrank = 4611686018427387905\n"),
+    ("eta", "geometry = sphere3\nengine = heat\nrank = 4611686018427387905\n", "2^53"),
     # the Hurwitz kernel count 2^53 + 1 of the circle's one zero mode
-    ("eta", "geometry = circle\nrank = 9007199254740993\n"),
-], ids=["circle-heat", "sphere-psc", "sphere-heat-int64", "circle-hurwitz-kernel"])
-def test_rank_past_exact_float64_multiplicities_is_refused(tmp_path, capsys, command, text):
+    ("eta", "geometry = circle\nrank = 9007199254740993\n", "2^53"),
+    # rank times the Hurwitz eta: no double holds 10^400, nor 10^308 times
+    # the kernel 2 at flux 3/2
+    ("eta", f"geometry = sphere3\nflux = 0.3\nrank = {10**400}\n", "double range"),
+    ("eta", f"geometry = sphere3\nflux = 1.5\nrank = {10**308}\n", "2^53"),
+], ids=["circle-heat", "sphere-psc", "sphere-heat-int64", "circle-hurwitz-kernel",
+        "sphere-hurwitz-past-doubles", "sphere-hurwitz-kernel-past-doubles"])
+def test_rank_past_exact_float64_multiplicities_is_refused(tmp_path, capsys, command, text,
+                                                           reason):
     cfg = write(tmp_path, "c.txt", text)
     out = tmp_path / "out.jsonl"
     assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "rank" in err and "2^53" in err and "Traceback" not in err
+    assert "rank" in err and reason in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -717,8 +731,8 @@ def test_conformal_bad_scale_is_refused_before_any_rho(tmp_path, monkeypatch, ca
     from twisteta import cli
 
     calls = []
-    rho_fn = cli.rho
-    monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
+    rho_sweep = cli.rho_sweep
+    monkeypatch.setattr(cli, "rho_sweep", lambda *a, **k: calls.append(1) or rho_sweep(*a, **k))
     sweep = "800,0.5" if bad_at == "1" else "0.5,800"
     cfg = write(tmp_path, "c.txt", f"geometry = sphere3\nflux = 0.1\nsweep = {sweep}\n")
     out = tmp_path / "conf.jsonl"
@@ -739,8 +753,8 @@ def test_conformal_scale_past_the_kernel_threshold_is_config_error(tmp_path, mon
     from twisteta import cli
 
     calls = []
-    rho_fn = cli.rho
-    monkeypatch.setattr(cli, "rho", lambda *a, **k: calls.append(1) or rho_fn(*a, **k))
+    rho_sweep = cli.rho_sweep
+    monkeypatch.setattr(cli, "rho_sweep", lambda *a, **k: calls.append(1) or rho_sweep(*a, **k))
     cfg = write(tmp_path, "c.txt", LENS_3_1 + "flux = 0.1\nsweep = 22\n")
     out = tmp_path / "conf.jsonl"
     assert main(["conformal", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG

@@ -79,7 +79,7 @@ def _eta_hurwitz_reference(spectrum):
     ``eta_hurwitz``'s numpy pass must match bit for bit: per row, Horner's
     rule with its running error sum ``mu``, ``_crossing`` and the exact
     Faulhaber fold, the running total and bound; an ``OverflowError`` is a
-    count past the double range."""
+    count past the double range, and a rank past it refuses every value."""
     total = bound = 0.0
     kernel = 0
     rows = _rows(spectrum)
@@ -107,7 +107,9 @@ def _eta_hurwitz_reference(spectrum):
     if not math.isfinite(total + error):
         raise ValueError("the flux is too large: the Hurwitz eta is not finite in doubles")
     rank = spectrum.rank
-    if rank * kernel != float(rank * kernel):
+    if rank > sys.float_info.max or not math.isfinite(rank * (abs(total) + error)):
+        raise ValueError(f"rank {rank} puts eta outside the double range")
+    if rank * kernel > sys.float_info.max or rank * kernel != float(rank * kernel):
         raise ValueError(f"rank {rank} puts the kernel dimension above 2^53, "
                          "where a double no longer holds it exactly")
     return EtaValue(rank * total, rank * kernel, "hurwitz", float(rank * error))
@@ -388,10 +390,14 @@ def _bit_identity_batches(seed=11):
                 r = rng.choice((1.0, rng.uniform(0.5, 3.0)))
                 points.append((r, flux(table, r)))
             batches.append((table, rng.randint(1, 3), points))
-    # the kernel count 2^53 + 1 is no double, 10^19 is; F(1/2) = 0 for m = 1,
+    # the kernel count 2^53 + 1 is no double, 10^19 is; no double holds 10^400,
+    # nor 10^308 times the unit sphere's eta -6.308 at flux 3.3 or its kernel
+    # 2 at 1.5, but 10^308 times its eta 0.132 at 0.3; F(1/2) = 0 for m = 1,
     # so the one family -(k + 1/2) sums to -0.0, which a sum from 0.0 is not
-    circle = tables[0]
+    circle, sphere = tables[0], tables[4]
     batches += [(circle, 2**53 + 1, [(1.0, 0.0), (1.0, 0.3)]), (circle, 10**19, [(1.0, 0.0)]),
+                (circle, 10**400, [(1.0, 0.3), (1.0, 0.0)]),
+                (sphere, 10**308, [(1.0, 3.3), (1.0, 0.3), (1.0, 1.5)]),
                 (_spectrum((-1, 0.5, 1.0, (1.0,))).table, 1, [(1.0, 0.0), (2.0, 0.0)])]
     return batches
 
@@ -415,8 +421,8 @@ def test_eta_hurwitz_pass_matches_the_per_row_loop_bit_for_bit():
                 expected = _eta_hurwitz_reference(spectrum)
             except ValueError as exc:
                 expected = exc
-                kinds.add(next(k for k in ("step", "offset", "too large", "2^53")
-                               if k in str(exc)))
+                kinds.add(next(k for k in ("step", "offset", "too large", "double range",
+                                           "2^53") if k in str(exc)))
             else:
                 kinds.add("kernel" if expected.kernel_dim else "value")
             assert _outcome_bits(outcome) == _outcome_bits(expected), spectrum
@@ -426,7 +432,7 @@ def test_eta_hurwitz_pass_matches_the_per_row_loop_bit_for_bit():
     assert draws >= 2000
     # the premises, counted in batches: values with and without a kernel,
     # each error, and points of one batch that fail in different ways
-    assert len(seen) == 7 and min(seen.values()) >= 1, seen
+    assert len(seen) == 8 and min(seen.values()) >= 1, seen
 
 
 def test_eta_hurwitz_input_validation():
@@ -1109,6 +1115,27 @@ def test_heat_converges_honestly_at_the_derived_cutoff():
     assert failed == []
 
 
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Circle(0.7), CircleHolonomy(0.3)), 60),
+    (SpectralModel(Circle(1.0)), 60),
+    (SpectralModel(Sphere3(1.3), TrivialBundle(2)), 30),
+    (SpectralModel(Lens(5, 0.9), LensCharacter(5, 2)), 30),
+    (SpectralModel(Torus3((1.0, 1.0, 1.3)), TorusHolonomy((0.25, 0.25, 0.0))), 8),
+], ids=["circle", "circle-kernel", "sphere-rank2", "lens", "torus"])
+def test_heat_sweep_is_eta_heat_on_the_enumeration_bit_for_bit(model, cutoff):
+    # the sweep reads every point's spectrum off one zero-flux shell; the
+    # reference enumerates each point's own
+    fluxes = (0.0, 0.37, -1.3, 2.6)
+    swept = eta_mod.eta_sweep([model.with_flux(t) for t in fluxes], "heat_kernel", cutoff)
+    for t, value in zip(fluxes, swept):
+        point = model.with_flux(t)
+        spec = enumerate_spectrum(point, cutoff)
+        zero = np.abs(spec[:, 0]) <= ZERO_TOL
+        want = eta_heat(spec[~zero], **_small_time(point, cutoff), tol=1e-8,
+                        kernel_dim=int(spec[zero, 1].sum()))
+        assert repr(value) == repr(want), t
+
+
 def test_derived_cutoff_is_the_smallest_whose_tail_fits():
     # the tail at twice the flux fits tol/16 at N and not at N - 1, and the
     # shell reaches past 2|t|, as the half-radius check asks
@@ -1249,12 +1276,13 @@ def test_rho_of_a_trivial_bundle_subtracts_rank_copies(rank, t, flow):
 def test_rho_evaluates_a_model_that_is_its_own_reference_once(monkeypatch, engine, model,
                                                               evaluations):
     calls = []
+    eta_sweep = eta_mod.eta_sweep
 
-    def counting(m, *args, **kwargs):
-        calls.append(m)
-        return eta_for_model(m, *args, **kwargs)
+    def counting(models, *args, **kwargs):
+        calls.extend(models)
+        return eta_sweep(models, *args, **kwargs)
 
-    monkeypatch.setattr(eta_mod, "eta_for_model", counting)
+    monkeypatch.setattr(eta_mod, "eta_sweep", counting)
     value = rho(model, engine=engine, cutoff=40)
     assert calls == [model, model.trivial_partner()][:evaluations]
     if evaluations == 1:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twisteta import eta as eta_mod
 from twisteta.eta import eta_for_model, rho
 from twisteta.models import (
     Circle,
@@ -20,6 +21,7 @@ from twisteta.specflow import (
     Crossing,
     UnfluxedSpectrum,
     check_flux_response,
+    flux_response_sweep,
     reduced_local_term,
     sf_for_flux,
     sf_on_spectrum,
@@ -66,12 +68,12 @@ def test_sf_for_flux_at_zero_flux_is_the_general_count():
 def test_shifted_unfluxed_spectrum_is_the_enumeration_bit_for_bit(model, cutoff, t):
     # at t levels collide: distinct torus |w| within an ulp of each other
     # (test_models' collision case), and levels 1/r apart past 2^53
-    unfluxed = UnfluxedSpectrum(model.with_flux(0.4))
+    # (the heat branch of eta.eta_sweep reads every spectrum off this shell)
     shell = enumerate_spectrum(model, cutoff)
     assert len(enumerate_spectrum(model.with_flux(t), cutoff)) < len(shell)
     for flux in (0.0, 0.37, -2.9, 1e12, t):
         want = enumerate_spectrum(model.with_flux(flux), cutoff)
-        got = unfluxed.shifted(flux, cutoff)
+        got = eta_mod._shifted(shell, flux)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -194,18 +196,23 @@ def test_check_flux_response_calibrated_crossing_bookkeeping():
 
 
 def test_check_flux_response_shared_zero_flux_eta():
-    # a sweep passes the unfluxed eta in once; every residual must be the one
-    # measured with the endpoint evaluated in place
-    model = SpectralModel(Lens(3), LensCharacter(3, 1), flux_shift=0.8)
-    eta_zero = eta_for_model(model.with_flux(0.0), "hurwitz")
-    shared = check_flux_response(model, eta_zero=eta_zero)
-    alone = check_flux_response(model)
-    assert shared.residuals == alone.residuals
-    assert shared.error_budget == alone.error_budget
-    kernel = eta_for_model(SpectralModel(Circle(1.0), flux_shift=0.0), "hurwitz")
-    assert kernel.kernel_dim == 1
+    # a sweep evaluates the unfluxed eta once, with every point's; each report
+    # must be the one measured with that point alone
+    fluxes = (0.8, -2.9, 0.3, 6.3, 1.7)
+    for engine, cutoff in (("hurwitz", None), ("heat_kernel", 60)):
+        model = SpectralModel(Lens(3), LensCharacter(3, 1))
+        swept = list(flux_response_sweep(model, fluxes, engine, cutoff))
+        alone = [check_flux_response(model.with_flux(t), engine, cutoff) for t in fluxes]
+        assert swept == alone
+        assert len({id(rpt.eta_zero) for rpt in swept}) == 1
+    # a kernel at the base refuses the first point; one at a point, that point
+    torus = SpectralModel(Torus3(spin=(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="endpoint operator has a kernel"):
-        check_flux_response(SpectralModel(Sphere3(1.0), flux_shift=0.3), eta_zero=kernel)
+        next(flux_response_sweep(torus, [0.3], "heat_kernel", 8))
+    reports = flux_response_sweep(SpectralModel(Sphere3(1.0)), [0.5, 1.5, 2.0])
+    assert next(reports).sf.flow == 0
+    with pytest.raises(ValueError, match="endpoint operator has a kernel"):
+        next(reports)
 
 
 # --- top-degree rho ------------------------------------------------------------

@@ -28,6 +28,7 @@ tracing.install(tracer)
 runs = {
     "specflow": "geometry = sphere3\\nengine = hurwitz\\nsweep = 0.5,2.0\\n",
     "psc": "geometry = sphere3\\nsweep = 0.0,0.4\\n",
+    "rho": "geometry = lens\\nlens_p = 3\\nbundle = lens_character\\ncharacter = 1\\n",
     "lw": "geometry = torus3\\nflux_cosine = 0:1.0\\ncutoff = 2\\n",
     "eta": "geometry = circle\\nbundle = circle_holonomy\\nholonomy = 0.25\\n"
            "engine = heat\\ncutoff = 40\\n",
