@@ -21,8 +21,7 @@ at ``s = 0``:
   one numpy pass over ``(points, rows)``: each family's offset and step,
   Horner's rule, whose running error sum gives the bound, and the crossing
   test.  Only a family with a crossing or a kernel runs in Python, for the
-  count and the fold in exact integers.  :func:`eta_sweep` groups a
-  sweep's models by table and rank, one call per group.
+  count and the fold in exact integers.
 
 * :func:`eta_heat`: Mellin quadrature of the odd heat trace ``S(s) = sum m
   lambda exp(-s lambda^2)``, ``eta = int_0^inf s^(-1/2) S ds/sqrt(pi)``.  On
@@ -58,9 +57,10 @@ Each half of the integral, split at t = 1, runs on panels at most 3 wide in
 and ``|G24 - G20|`` its error estimate.  The panels are doubled, up to 512,
 while the estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))``.
 
-:func:`eta_sweep`, the one place that picks the engine, evaluates a sweep's
-models in one pass and keeps each point's ``ValueError`` as its outcome, for
-the caller to raise in that point's turn.
+:func:`eta_sweep`, the one place that picks the engine and what a sweep's
+points share, evaluates them in passes (a Hurwitz call per family table and
+rank, a heat pass per unfluxed model) and keeps each point's ``ValueError``
+as its outcome, for the caller to raise in that point's turn.
 """
 
 from __future__ import annotations
@@ -487,7 +487,8 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     ``remainder(T)`` must bound ``int_0^T s^(-1/2) |E| ds`` plus what the modes
     past the cutoff add to ``int_T^inf s^(-1/2) S ds``, and each value must lie
     within ``6 eps (|lambda| + |flux|)`` of its exact eigenvalue: a model's
-    small-time heat data.  A bound above ``tol`` is returned unconverged.
+    small-time heat data.  A bound above ``tol`` is returned unconverged; a
+    remainder, level or bound past the double range refuses the spectrum.
 
     The bound's exponent-rounding term (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, ch. 3) covers the float64 exponentials.  A
@@ -523,16 +524,21 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     if not trace.lam.size:
         return EtaValue(0.0, kernel_dim, "heat_kernel", 0.0)
 
+    too_large = ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
+                           f"{trace.abs_max:.3e} puts the error budget outside the double range")
     # up from t_geo while the remainder (the modes past the cutoff) falls
     t_min = geodesic * geodesic / (4.0 * _KAPPA)
-    rest = remainder(t_min)
-    while rest > 0 and t_min < 1e8 and (step := remainder(2**0.25 * t_min)) < rest:
-        t_min, rest = 2**0.25 * t_min, step
-
-    t_max = max(8.0, 80.0 / trace.min_abs**2, 2.0 * t_min)
-    while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
-        t_max *= 2.0
-    integral, quad_err = _quadrature(trace, t_min, t_max, tol)
+    try:  # a remainder or a level past the double range (radius 1e-110 on a lens)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            rest = remainder(t_min)
+            while rest > 0 and t_min < 1e8 and (step := remainder(2**0.25 * t_min)) < rest:
+                t_min, rest = 2**0.25 * t_min, step
+            t_max = max(8.0, 80.0 / trace.min_abs**2, 2.0 * t_min)
+            while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
+                t_max *= 2.0
+            integral, quad_err = _quadrature(trace, t_min, t_max, tol)
+    except ArithmeticError:  # numpy's FloatingPointError, or Python's overflow or 0 division
+        raise too_large from None
     # int_0^t_min s^(-1/2) c s^(-3/2) ds continues to -c/t_min
     eta = float((integral - _LD(weyl) / _LD(t_min)) / _SQRT_PI)
 
@@ -551,8 +557,7 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
                 + _exp_rounding(trace, t_min, t_max))
     error = float(quad_err + small_t + rounding)
     if not np.isfinite(error):
-        raise ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
-                         f"{trace.abs_max:.3e} puts the error budget outside the double range")
+        raise too_large
     return EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol)
 
 
@@ -564,12 +569,19 @@ def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     """The heat engine's default cutoff: the smallest N with ``rank heat_tail(
     t_geo, 2t, N) <= tol/16``, by bisection up to the last shell within
     ``SHELL_BUDGET`` (if none fits, the flux is refused).  At twice the flux the
-    shell holds every level up to ``2|t|``, as :func:`eta_sweep`'s check asks."""
+    shell holds every level up to ``2|t|``, as :func:`eta_sweep`'s check asks.
+    N never falls as ``|t|`` grows and is even in t: a heat pass takes it once,
+    at its largest ``|t|``.  A tail past the double range refuses the model."""
     geo, t = model.geometry, model.flux_shift
     t_geo = geo.shortest_geodesic**2 / (4.0 * _KAPPA)
     n_max = (int(SHELL_BUDGET ** (1.0 / geo.index_dim)) - 3) // 2  # the budget's last shell
-    n = 1 + bisect_left(range(1, n_max + 1), True,
-                        key=lambda k: model.rank * geo.heat_tail(t_geo, 2.0 * t, k) <= tol / 16.0)
+    try:  # t_geo underflows to 0 at a radius near 1e-160
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            n = 1 + bisect_left(range(1, n_max + 1), True, key=lambda k: model.rank
+                                * geo.heat_tail(t_geo, 2.0 * t, k) <= tol / 16.0)
+    except ArithmeticError:
+        raise ValueError(f"eigenvalues are too large for the heat engine: t_geo = {t_geo:.3e} "
+                         "puts the error budget outside the double range") from None
     if n > n_max:
         raise ValueError(f"eigenvalues are too large for the heat engine: flux {t:.6g} needs "
                          f"cutoff {n} or more, for radius 2|t|: over {SHELL_BUDGET} levels")
@@ -583,73 +595,73 @@ def _shifted(shell: np.ndarray, t: float) -> np.ndarray:
     return np.column_stack(_merge(shell[:, 0] + t, shell[:, 1]))
 
 
-def _eta_heat_model(model: SpectralModel, shell: np.ndarray, n: int, tol: float) -> EtaValue:
-    """The heat eta of ``model`` at cutoff ``n`` (see :func:`eta_sweep`)."""
-    spec = _shifted(shell, model.flux_shift)
-    if not len(spec):
-        # a long thin torus: no mode of the short edges fits the shell
-        raise ValueError(f"no eigenvalue lies in the complete shell at cutoff {n}; "
-                         "raise the cutoff")
-    values, mults = spec[:, 0], spec[:, 1]
-    # the values are sorted; a flux that swamps the spectrum shrinks the radius
-    t = model.flux_shift
-    radius = max(values[-1] - t, t - values[0])
-    if abs(t) > radius / 2:
-        raise ValueError(
-            f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds half "
-            f"the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
-    zero = np.abs(values) <= ZERO_TOL
-    geo, rank = model.geometry, model.rank
-    return eta_heat(spec[~zero], weyl=rank * geo.weyl_coefficient * t,
-                    geodesic=geo.shortest_geodesic,
-                    remainder=lambda s: rank * (geo.heat_remainder(s, t)
-                                                + geo.heat_tail(s, t, n)), flux=t,
-                    tol=tol, kernel_dim=int(mults[zero].sum()))
+def _heat_pass(models: Sequence[SpectralModel], cutoff: int | None,
+               tol: float) -> list[EtaValue | ValueError]:
+    """The heat etas of models that share an unfluxed model (see :func:`eta_sweep`)."""
+    try:
+        n = cutoff if cutoff is not None else heat_cutoff(
+            max(models, key=lambda model: abs(model.flux_shift)), tol)
+        shell = enumerate_spectrum(models[0].with_flux(0.0), n)
+    except ValueError as exc:  # the pass's cutoff or shell refuses every model
+        return [exc] * len(models)
+    out: list[EtaValue | ValueError] = []
+    for model in models:
+        geo, rank, t = model.geometry, model.rank, model.flux_shift
+        try:
+            spec = _shifted(shell, t)
+            if not len(spec):  # a long thin torus: no mode of the short edges fits the shell
+                raise ValueError(f"no eigenvalue lies in the complete shell at cutoff {n}; "
+                                 "raise the cutoff")
+            values, mults = spec[:, 0], spec[:, 1]
+            # the values are sorted; a flux that swamps the spectrum shrinks the radius
+            radius = max(values[-1] - t, t - values[0])
+            if abs(t) > radius / 2:
+                raise ValueError(
+                    f"eigenvalues are too large for the heat engine: flux {t:.6g} exceeds "
+                    f"half the radius {radius:.6g} of the spectrum enumerated at cutoff {n}")
+            zero = np.abs(values) <= ZERO_TOL
+            out.append(eta_heat(spec[~zero], weyl=rank * geo.weyl_coefficient * t,
+                                geodesic=geo.shortest_geodesic,
+                                remainder=lambda s: rank * (geo.heat_remainder(s, t)
+                                                            + geo.heat_tail(s, t, n)),
+                                flux=t, tol=tol, kernel_dim=int(mults[zero].sum())))
+        except ValueError as exc:
+            out.append(exc)
+    return out
 
 
 def eta_sweep(models: Sequence[SpectralModel], engine: str = "hurwitz",
               cutoff: int | None = None, tol: float = 1e-8) -> list[EtaValue | ValueError]:
     """Eta/xi of each model through the selected engine, or the
-    ``ValueError`` that refuses it.
+    ``ValueError`` that refuses it, in one pass per group of models.
 
     The Hurwitz engine is exact and ignores ``cutoff``: one
-    :func:`eta_hurwitz` pass per family table and rank (a sweep's points
-    share both).  The heat engine enumerates up to ``cutoff`` (by default
-    :func:`heat_cutoff` of each model), subtracts the geometry's Weyl term
-    ``rank weyl_coefficient t`` and reports its achieved error bound.  It
-    reads each spectrum off the enumeration of the unfluxed model at that
-    cutoff (:func:`_shifted`), kept while the next model shares both, and
-    rejects a flux beyond half the radius of the enumerated spectrum: the
-    cutoff no longer resolves the shifted spectrum there.
+    :func:`eta_hurwitz` call per family table and rank.  The heat engine
+    runs one pass per unfluxed model, at ``cutoff`` or else at the
+    :func:`heat_cutoff` of the pass's largest ``|t|``, which serves every
+    smaller one; refused, that refuses the pass.  A pass reads its spectra
+    off one enumeration of the unfluxed model (:func:`_shifted`).  Each
+    subtracts the Weyl term ``rank weyl_coefficient t``, reports its error
+    bound, and is refused at a flux beyond half the radius of the spectrum
+    enumerated, which the cutoff no longer resolves.
     """
-    out: list[EtaValue | ValueError | None] = []
-    if engine == "hurwitz":
-        groups: dict[tuple[int, int], list[tuple[int, ProgressionSpectrum]]] = {}
-        for i, model in enumerate(models):
-            try:
-                spectrum = progression_spectrum(model)
-            except ValueError as exc:  # a torus
-                out.append(exc)
-                continue
-            out.append(None)
-            # a spectrum holds its table, so no id is reused in this call
-            groups.setdefault((id(spectrum.table), spectrum.rank), []).append((i, spectrum))
-        for members in groups.values():
-            for (i, _), value in zip(members, eta_hurwitz([spectrum for _, spectrum in members])):
-                out[i] = value
-        return out
-    if engine != "heat_kernel":
+    if engine == "hurwitz":  # a spectrum holds its table, so no id is reused in this call
+        to_item, key, evaluate = progression_spectrum, lambda s: (id(s.table), s.rank), eta_hurwitz
+    elif engine == "heat_kernel":
+        to_item, key = (lambda m: m), (lambda m: m.with_flux(0.0))
+        evaluate = lambda ms: _heat_pass(ms, cutoff, tol)
+    else:
         raise ValueError(f"unknown engine {engine!r}; use 'hurwitz' or 'heat_kernel'")
-    shell = None  # (unfluxed model, cutoff, enumeration)
-    for model in models:
+    out: list[EtaValue | ValueError | None] = [None] * len(models)
+    passes: dict[object, list[tuple[int, object]]] = {}
+    for i, model in enumerate(models):
         try:
-            base = model.with_flux(0.0)
-            n = cutoff if cutoff is not None else heat_cutoff(model, tol)
-            if shell is None or shell[:2] != (base, n):
-                shell = (base, n, enumerate_spectrum(base, n))
-            out.append(_eta_heat_model(model, shell[2], n, tol))
-        except ValueError as exc:
-            out.append(exc)
+            passes.setdefault(key(item := to_item(model)), []).append((i, item))
+        except ValueError as exc:  # a torus, for the Hurwitz engine
+            out[i] = exc
+    for members in passes.values():
+        for (i, _), value in zip(members, evaluate([item for _, item in members])):
+            out[i] = value
     return out
 
 

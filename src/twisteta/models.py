@@ -849,9 +849,10 @@ class ModeBlockOperator:
         return np.flatnonzero(np.repeat(interior, 2))
 
 
+@lru_cache(maxsize=1)
 def _unit_top_form():
     """``build_gamma_rep(3)`` and the terms of the unit top form ``vol``, the
-    Clifford data of every torus operator, built per call, not at import."""
+    Clifford data of every torus operator, built on first use and shared."""
     return build_gamma_rep(3), FluxForm.top(3, 1.0).complex_terms()
 
 
@@ -1000,16 +1001,15 @@ def _assemble_blocks(symbol: TorusSymbol):
 
 
 def _dirac_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int,
-                  bundle: Bundle = TrivialBundle(1), form=None) -> TorusSymbol:
-    """The symbol of ``D + c(H)`` for ``H = f(x) vol``, checked Hermitian;
-    ``form`` is ``_unit_top_form()``, built here if not given."""
+                  bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
+    """The symbol of ``D + c(H)`` for ``H = f(x) vol``, checked Hermitian."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     bundle.check(geometry)
     if bundle.rank != 1:
         raise ValueError("mode-block operator supports rank-1 bundles")
 
-    rep, vol = _unit_top_form() if form is None else form
+    rep, vol = _unit_top_form()
     c_vol = _clifford_terms(rep, vol)  # the identity
     coupling = {u: c * c_vol for u, c in flux.table().items()}
     grad = dict(enumerate(rep.gammas))  # D = sum_j c(e_j) d_j
@@ -1021,10 +1021,10 @@ def _dirac_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int,
 
 
 def _derivative_symbol(geometry: Torus3, flux: TorusFlux, cutoff: int, axis: int,
-                       bundle: Bundle = TrivialBundle(1), form=None) -> TorusSymbol:
+                       bundle: Bundle = TrivialBundle(1)) -> TorusSymbol:
     """The symbol of ``d/dx_j + c(iota_{e_j} H)`` (the flux contraction acts
-    as ``f(x) c(iota_{e_j} vol)``); ``form`` as for ``_dirac_symbol``."""
-    rep, vol = _unit_top_form() if form is None else form
+    as ``f(x) c(iota_{e_j} vol)``)."""
+    rep, vol = _unit_top_form()
     blk = _clifford_terms(rep, _contract(vol, axis))  # i sigma_j
     coupling = {u: c * blk for u, c in flux.table().items()}
     return TorusSymbol.on(geometry, bundle.twist, cutoff, {axis: np.eye(2, dtype=complex)},

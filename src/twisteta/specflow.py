@@ -10,8 +10,10 @@ crossings count +1 and zeros are treated as nonnegative throughout, so the
 flow equals ``N_neg(start) - N_neg(end)``.
 
 :func:`flux_response_sweep` measures ``eta(D_H) - eta(D) - 2 sf`` at each
-flux of a sweep on a 3-dimensional model, and :func:`check_flux_response` at
-one, and reports its residual against two local terms:
+flux of a sweep on a 3-dimensional model, its etas from one
+:func:`eta.eta_sweep` call (which alone decides the heat cutoff and
+enumeration the points share), and :func:`check_flux_response` at one, and
+reports its residual against two local terms:
 
 * ``bare``: the volume-normalized constant ``h / (2 pi^2)`` with
   ``h = t Vol``.  Exact computation refutes this normalization on curved
@@ -34,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .eta import EtaValue, _value, eta_sweep, heat_cutoff
+from .eta import EtaValue, _value, eta_sweep
 from .models import ZERO_TOL, SpectralModel, enumerate_spectrum
 
 __all__ = [
@@ -168,16 +170,14 @@ def flux_response_sweep(model: SpectralModel, fluxes: Sequence[float],
     ``fluxes``, in order.
 
     This call evaluates the unfluxed eta and every point's in one
-    :func:`eta.eta_sweep` pass, under the heat engine by default at the
-    cutoff of the largest ``|t|``, which serves every smaller one.  The
+    :func:`eta.eta_sweep` call: one pass, which under the heat engine reads
+    them all off one zero-flux enumeration at one cutoff.  The
     iterator makes each report in its turn: the etas, raised if refused, the
     kernel check and the flow, counted on one zero-flux spectrum grown only
     as far as a point needs.  So a sweep stops at its first failing point
     and enumerates nothing for the points past it.
     """
     _require_3d(model)
-    if engine == "heat_kernel" and cutoff is None:
-        cutoff = heat_cutoff(model.with_flux(max(fluxes, key=abs)), tol)
     eta_zero, *etas = eta_sweep([model.with_flux(t) for t in (0.0, *fluxes)], engine, cutoff, tol)
     unfluxed = UnfluxedSpectrum(model)
 

@@ -237,18 +237,16 @@ def lw_check_deg3(geometry: Torus3, flux: TorusFlux, cutoff: int,
     b = flux.bandwidth
     if cutoff < 2 * max(b, 1):
         raise ValueError("cutoff smaller than twice the flux bandwidth: no interior modes")
-    form = _unit_top_form()
-    zero_block = _zeroth_order_block(*form)
+    zero_block = _zeroth_order_block(*_unit_top_form())
     if not np.array_equal(zero_block, -2.0 * np.eye(2)):
         raise TheoremViolationError(f"zeroth-order block {zero_block.tolist()} is not the "
                                     "closed form -2 I: check Clifford conventions")
     margin = max(b, 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        d_sq = _interior_square(_dirac_symbol(geometry, flux, cutoff, bundle, form), margin)
+        d_sq = _interior_square(_dirac_symbol(geometry, flux, cutoff, bundle), margin)
         # A_j^2, whose sum is -Delta_H
-        a0, a1, a2 = (_interior_square(_derivative_symbol(geometry, flux, cutoff, axis,
-                                                          bundle, form), margin)
-                      for axis in range(3))
+        a0, a1, a2 = (_interior_square(_derivative_symbol(geometry, flux, cutoff, axis, bundle),
+                                       margin) for axis in range(3))
         # - M, its constant blocks negated (x - m is x + (-m) exactly), exact zeros left out
         minus_m = {}
         for u, coeff in flux.convolved().items():

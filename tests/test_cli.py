@@ -894,6 +894,29 @@ def test_huge_flux_heat_engine_is_a_config_error(tmp_path, capsys, flux):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,text", [
+    ("eta", "geometry = lens\nlens_p = 3\nradius = 1e-110\nflux = 0.3\n"),
+    # e^-287.1616 rescales the unit sphere to a radius near 1.6e-125
+    ("conformal", "geometry = sphere3\nflux = 0.002298\nsweep = -287.1616\n"),
+    # no cutoff: the derived one's time t_geo = (2 pi r)^2/240 underflows to 0
+    ("rho", "geometry = sphere3\nradius = 1e-200\nflux = 0.3\n"),
+], ids=["eta-lens", "conformal-sphere3", "rho-sphere3-derived-cutoff"])
+def test_heat_radius_past_the_double_range_is_a_config_error(tmp_path, capsys, command, text):
+    # the remainder's (2 pi r)^-3 overflowed: exit 1 with a traceback, and the
+    # derived cutoff divided by zero; the Hurwitz engine still evaluates the
+    # same conformal points
+    out = tmp_path / "out.jsonl"
+    cfg = write(tmp_path, "c.txt", text + "engine = heat\n")
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: eigenvalues are too large for the heat engine: ")
+    assert err.endswith(" puts the error budget outside the double range\n")
+    assert not out.exists()
+    if command == "conformal":
+        cfg = write(tmp_path, "c.txt", text + "engine = hurwitz\n")
+        assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("model,flux", [
     ("geometry = circle\nbundle = circle_holonomy\nholonomy = 0.25\n", "1e20"),
     ("geometry = sphere3\n", "1e8"),

@@ -1128,12 +1128,79 @@ def test_heat_sweep_is_eta_heat_on_the_enumeration_bit_for_bit(model, cutoff):
     fluxes = (0.0, 0.37, -1.3, 2.6)
     swept = eta_mod.eta_sweep([model.with_flux(t) for t in fluxes], "heat_kernel", cutoff)
     for t, value in zip(fluxes, swept):
-        point = model.with_flux(t)
-        spec = enumerate_spectrum(point, cutoff)
-        zero = np.abs(spec[:, 0]) <= ZERO_TOL
-        want = eta_heat(spec[~zero], **_small_time(point, cutoff), tol=1e-8,
-                        kernel_dim=int(spec[zero, 1].sum()))
-        assert repr(value) == repr(want), t
+        assert repr(value) == repr(_heat_on_its_enumeration(model.with_flux(t), cutoff)), t
+
+
+def _heat_on_its_enumeration(model, cutoff):
+    """``eta_heat`` on ``enumerate_spectrum(model, cutoff)``, the kernel split off."""
+    spec = enumerate_spectrum(model, cutoff)
+    zero = np.abs(spec[:, 0]) <= ZERO_TOL
+    return eta_heat(spec[~zero], **_small_time(model, cutoff), tol=1e-8,
+                    kernel_dim=int(spec[zero, 1].sum()))
+
+
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Circle(0.7), CircleHolonomy(0.3), 0.37), 60),
+    (SpectralModel(Sphere3(1.3), TrivialBundle(2), -1.3), None),
+    (SpectralModel(Lens(5, 0.9), LensCharacter(5, 2), 0.37), None),
+    (SpectralModel(Torus3((1.0, 1.0, 1.3)), TorusHolonomy((0.25, 0.25, 0.0)), 0.9), 8),
+], ids=["circle", "sphere-rank2", "lens", "torus"])
+def test_a_lone_heat_model_has_the_bits_of_its_own_enumeration(model, cutoff):
+    # a pass of one model, as eta_for_model and either eta of rho make, has
+    # the bits of eta_heat on its own enumeration, at the given or the
+    # derived cutoff
+    partner = model.trivial_partner()
+    want = _heat_on_its_enumeration(model, cutoff or heat_cutoff(model))
+    assert repr(eta_for_model(model, "heat_kernel", cutoff)) == repr(want)
+    value = rho(model, "heat_kernel", cutoff)
+    assert repr(value.xi_twisted) == repr(want)
+    assert repr(value.xi_trivial) == repr(
+        _heat_on_its_enumeration(partner, cutoff or heat_cutoff(partner)))
+
+
+def _premise_draws(count, seed):
+    """Models on the circle, the sphere, lens orders p <= 12 and holonomy
+    tori, radii and edges in [0.5, 2]: twisted at rank 1, trivial at ranks
+    1-3."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind, rank, r = rng.choice("CSLT"), rng.randint(1, 3), rng.uniform(0.5, 2.0)
+        if kind == "C":
+            yield SpectralModel(Circle(r), TrivialBundle(rank) if rank > 1
+                                else CircleHolonomy(rng.uniform(0.0, 1.0)))
+        elif kind == "S":
+            yield SpectralModel(Sphere3(r), TrivialBundle(rank))
+        elif kind == "L":
+            p = rng.randint(2, 12)
+            yield SpectralModel(Lens(p, r), TrivialBundle(rank) if rank > 1
+                                else LensCharacter(p, rng.randrange(p)))
+        else:
+            lengths = tuple(rng.uniform(0.5, 2.0) for _ in range(3))
+            yield SpectralModel(Torus3(lengths), TrivialBundle(rank) if rank > 1
+                                else TorusHolonomy(tuple(rng.uniform(0.0, 1.0) for _ in range(3))))
+
+
+def test_heat_cutoff_never_decreases_with_the_flux_and_is_even_in_it():
+    # the premise of a heat pass's one cutoff: taken at the pass's largest
+    # |t| it serves every smaller |t|, and a refused |t| refuses every larger
+    def derived(model):
+        try:
+            return heat_cutoff(model)
+        except ValueError as exc:
+            assert "eigenvalues are too large for the heat engine" in str(exc)
+            return math.inf
+
+    refused_past_a_cutoff = 0
+    for model in _premise_draws(120, seed=35):
+        rng = random.Random(repr(model))
+        cutoffs = []
+        for t in sorted(rng.uniform(0.0, 40.0) for _ in range(5)):
+            n = derived(model.with_flux(t))
+            assert derived(model.with_flux(-t)) == n, (model, t)
+            cutoffs.append(n)
+        assert cutoffs == sorted(cutoffs), model
+        refused_past_a_cutoff += cutoffs[0] < math.inf and cutoffs[-1] == math.inf
+    assert refused_past_a_cutoff > 0
 
 
 def test_derived_cutoff_is_the_smallest_whose_tail_fits():

@@ -307,6 +307,38 @@ def test_psc_sweep_lens_rho_constant():
         assert rpt.rhos[0].rho == pytest.approx(-1.0 / 3.0 if k else 0.0, abs=1e-12)
 
 
+def test_heat_psc_derives_one_cutoff_and_one_shell_per_bundle(monkeypatch):
+    # without a cutoff each bundle's eta pass takes heat_cutoff once, at its
+    # largest |t|, and enumerates once; the kernel scan enumerates its own
+    # spectrum at cutoff 8.  Per point, the rule gives 63 and 64 on this grid.
+    from twisteta import eta as eta_mod
+
+    derived, seen = [], []
+    heat_cutoff, levels = eta_mod.heat_cutoff, Lens.levels
+
+    def recording_cutoff(model, tol=1e-8):
+        derived.append((model.bundle, abs(model.flux_shift)))
+        return heat_cutoff(model, tol)
+
+    def recording_levels(self, twist, cutoff):
+        seen.append(cutoff)
+        return levels(self, twist, cutoff)
+
+    monkeypatch.setattr(eta_mod, "heat_cutoff", recording_cutoff)
+    monkeypatch.setattr(Lens, "levels", recording_levels)
+    model = SpectralModel(Lens(5), LensCharacter(5, 2))
+    grid = [psc_threshold(6.0, 1.0) * i / 14 for i in range(14)]
+    heat = psc_stability_sweep(model, grid, engine="heat_kernel")
+    n = [heat_cutoff(model.with_flux(u)) for u in (grid[0], grid[-1])]
+    assert n == [63, 64]
+    assert derived == [(LensCharacter(5, 2), grid[-1]), (TrivialBundle(1), grid[-1])]
+    assert seen == [8, 64, 64]
+    exact = psc_stability_sweep(model, grid).rhos
+    for value, want in zip(heat.rhos, exact):
+        assert value.converged
+        assert abs(value.rho - want.rho) <= value.error_bound + want.error_bound
+
+
 def test_psc_sweep_grid_validation():
     model = SpectralModel(Sphere3(1.0))
     with pytest.raises(ValueError):
