@@ -307,11 +307,10 @@ def _record_factory(cfg: RunConfig):
 
     def make(quantity: str, value: float, error_bound: float, method: str,
              param: float | None, wall: float, converged: bool = True) -> ResultRecord:
-        return ResultRecord(quantity=quantity, value=float(value),
-                            error_bound=float(error_bound), method=method,
-                            param=None if param is None else float(param),
-                            wall_time=float(wall), version=__version__,
-                            config_hash=chash, config=echo, converged=bool(converged))
+        # by position, in ResultRecord's field order
+        return ResultRecord(quantity, float(value), float(error_bound), method,
+                            None if param is None else float(param), float(wall),
+                            __version__, chash, echo, bool(converged))
 
     return make
 
@@ -355,7 +354,8 @@ def cmd_specflow(cfg: RunConfig) -> list[ResultRecord]:
     make = _record_factory(cfg)
     base = cfg.model()
     points = cfg.floats("sweep")
-    # one eta pass for the sweep: a point's wall_time is its even share plus its own
+    # one eta pass and one flow count for the sweep: a point's wall_time is its
+    # even share of both plus its own (the residuals)
     start = time.perf_counter()
     reports = flux_response_sweep(base, points, **cfg.eta_settings())
     share = (time.perf_counter() - start) / len(points)

@@ -521,8 +521,6 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     if np.any(np.abs(spec[:, 0]) <= ZERO_TOL):
         raise ValueError("spectrum contains kernel modes; strip them first")
     trace = _OddTrace(spec)
-    if not trace.lam.size:
-        return EtaValue(0.0, kernel_dim, "heat_kernel", 0.0)
 
     too_large = ValueError(f"eigenvalues are too large for the heat engine: |lambda| = "
                            f"{trace.abs_max:.3e} puts the error budget outside the double range")

@@ -570,7 +570,7 @@ class SpectralModel:
         return self.bundle.rank
 
     def with_flux(self, t: float) -> "SpectralModel":
-        return replace(self, flux_shift=float(t))
+        return SpectralModel(self.geometry, self.bundle, float(t))
 
     def trivial_partner(self) -> "SpectralModel":
         """Same geometry and flux with the trivial line bundle (the reference

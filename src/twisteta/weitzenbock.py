@@ -348,12 +348,12 @@ def psc_stability_sweep(model: SpectralModel, u_grid: Sequence[float],
     base = unfluxed.past(grid[-1] * h_norm)[:, 0]
     first_kernel = np.abs(base).min() / h_norm
 
-    # one rho pass for the grid; a point's error is raised after its kernel check
+    # one rho pass and one min |lambda| broadcast for the grid; a point's error
+    # is raised after its kernel check
     values = rho_sweep([model.with_flux(u * h_norm) for u in grid], engine, cutoff, tol)
-    min_abs, rhos = [], []
-    for u, value in zip(grid, values):
-        low = float(np.abs(base + u * h_norm).min())
-        min_abs.append(low)
+    min_abs = np.abs(base + np.array(grid)[:, None] * h_norm).min(axis=1).tolist()
+    rhos = []
+    for u, low, value in zip(grid, min_abs, values):
         if low <= ZERO_TOL:
             raise TheoremViolationError(
                 f"kernel detected at u={u} below u0={u0}: the curvature "

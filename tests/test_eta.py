@@ -652,10 +652,29 @@ def test_heat_bound_covers_a_level_near_zero():
 
 
 def test_heat_symmetric_spectrum_cancels_exactly():
+    # the odd trace is empty, but the bound still holds the Weyl term's, the
+    # small-time remainder's and the eigenvalues' rounding: it covers the
+    # unit sphere's exact eta 0 without claiming exactness
     items = [(v, 2) for v in (-3.5, -1.5, 1.5, 3.5)]
     value = eta_heat(items, **_small_time(SpectralModel(Sphere3(1.0)), 2))
+    exact = eta_for_model(SpectralModel(Sphere3(1.0)), "hurwitz")
     assert value.eta == 0.0
-    assert value.error_bound == 0.0
+    assert value.error_bound > 0.0
+    assert abs(value.eta - exact.eta) <= value.error_bound + exact.error_bound
+
+
+@pytest.mark.parametrize("r", [1e-30, 1e-20, 1e-16, 1e-12])
+def test_heat_bound_covers_a_spectrum_that_rounds_symmetric(r):
+    # at radius r <= 1e-16 every lambda + 0.3 rounds to a symmetric spectrum,
+    # so the odd trace cancels exactly; the exact eta, r t/2 - (2/3)(r t)^3 by
+    # the calibrated flux-response identity (eta(0) = 0, no flow), is not 0
+    t = 0.3
+    model = SpectralModel(Sphere3(r), flux_shift=t)
+    heat, exact = eta_for_model(model, "heat_kernel"), eta_for_model(model, "hurwitz")
+    closed = r * t / 2 - 2 * (r * t) ** 3 / 3
+    assert heat.converged and 0.0 < heat.error_bound <= 1e-13
+    assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
+    assert abs(heat.eta - closed) <= heat.error_bound
 
 
 def test_heat_circle_matches_closed_form():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -13,18 +15,21 @@ from twisteta.models import (
     Torus3,
     TorusFlux,
     TorusHolonomy,
+    ZERO_TOL,
     TrivialBundle,
     build_torus_operator,
     enumerate_spectrum,
 )
 from twisteta.specflow import (
     Crossing,
+    SfResult,
     UnfluxedSpectrum,
     check_flux_response,
     flux_response_sweep,
     reduced_local_term,
     sf_for_flux,
     sf_on_spectrum,
+    sf_sweep,
 )
 from twisteta.weitzenbock import psc_stability_sweep
 
@@ -76,6 +81,73 @@ def test_shifted_unfluxed_spectrum_is_the_enumeration_bit_for_bit(model, cutoff,
         got = eta_mod._shifted(shell, flux)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def _sf_row_by_row(spectrum: np.ndarray, t: float) -> SfResult:
+    """The flow counted with one mask over the rows per flux: the reference
+    for :func:`sf_sweep`'s cumulative counts."""
+    slope = 1.0 if t > 0 else -1.0
+    u_max = abs(t)
+    lam = spectrum[:, 0]
+    u = -lam / slope
+    hit = (0.0 < u) & (u <= u_max)
+    crossings: dict[float, int] = {}
+    for u_star, mult in zip(u[hit].tolist(), spectrum[hit, 1].tolist()):
+        crossings[u_star] = crossings.get(u_star, 0) + int(mult)
+    direction = int(slope)
+    return SfResult(
+        flow=direction * sum(crossings.values()),
+        crossings=tuple(Crossing(u=u_star, multiplicity=mult, direction=direction)
+                        for u_star, mult in sorted(crossings.items())),
+        endpoint_kernel_flags=(bool(np.any(np.abs(lam) <= ZERO_TOL)),
+                               bool(np.any(np.abs(lam + slope * u_max) <= ZERO_TOL))))
+
+
+def _probe_fluxes(rng: random.Random, levels: list[float]) -> list[float]:
+    """Fluxes of both signs: drawn, exactly on a level's crossing (either
+    sign), ZERO_TOL off one (and an ulp inside and outside that), and +-0.0."""
+    out = [0.0, -0.0, rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)]
+    for x in rng.sample(levels, min(3, len(levels))):
+        out += [-x, x]
+        for off in (ZERO_TOL, -ZERO_TOL):
+            near = -x + off
+            out += [near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)]
+    rng.shuffle(out)
+    return out
+
+
+def _reference_cases():
+    rng = random.Random(20)
+    models = [SpectralModel(Sphere3(r)) for r in (1.0, 0.7, 1.3)]
+    models += [SpectralModel(Lens(p, rng.uniform(0.8, 1.25)), LensCharacter(p, k))
+               for p in range(2, 13) for k in range(p)]
+    models += [SpectralModel(Torus3((1.0, rng.uniform(0.8, 1.3), 1.1)),
+                             TorusHolonomy(tuple(rng.uniform(0.0, 0.99) for _ in range(3))))
+               for _ in range(6)]
+    for model in models:
+        spec = UnfluxedSpectrum(model).past(6.0)
+        levels = [x for x in spec[:, 0].tolist() if abs(x) <= 5.0]
+        yield spec, _probe_fluxes(rng, levels)
+    # hand-made rows: unsorted, repeated values, +-0.0 and values at +-ZERO_TOL;
+    # fluxes past the double range too
+    pool = [-2.5, -1.0, -ZERO_TOL, -0.0, 0.0, ZERO_TOL, 0.75, 1.0, 3.25, 1e-12]
+    for _ in range(40):
+        values = [rng.choice(pool) for _ in range(rng.randrange(1, 12))]
+        spec = np.array([[x, rng.randrange(1, 6)] for x in values], dtype=float)
+        yield spec, [*_probe_fluxes(rng, [x for x in values if x]), np.inf, -np.inf, np.nan]
+
+
+def test_sf_sweep_is_the_row_by_row_count_bit_for_bit():
+    cases = 0
+    for spec, fluxes in _reference_cases():
+        want = [_sf_row_by_row(spec, t) for t in fluxes]
+        got = sf_sweep(spec, fluxes)
+        # repr tells -0.0 from 0.0 and numpy scalars from Python ones
+        assert got == want and repr(got) == repr(want)
+        assert [sf_on_spectrum(spec, t) for t in fluxes] == want
+        cases += len(fluxes)
+    assert cases >= 1000
+    assert sf_sweep(np.array([[-1.0, 2.0]]), []) == []
 
 
 def test_sf_on_spectrum_concatenation_additivity():
@@ -286,6 +358,36 @@ def test_unfluxed_spectrum_cutoff_starts_at_eight(monkeypatch):
     norms = 2.0 * np.pi * np.sqrt(x[:, None, None] ** 2 + x[None, :, None] ** 2
                                   + x[None, None, :] ** 2)
     assert flow == np.count_nonzero(norms < t) == 3648
+
+
+def test_specflow_counts_the_flow_once_past_the_points_it_reports(monkeypatch, tmp_path):
+    # a specflow sweep counts the flow of the points its walk reports, those
+    # before a refused eta (1e300) or an endpoint kernel (1.5 on the unit
+    # sphere), in one pass on the spectrum grown past the farthest of them
+    from twisteta import cli, specflow
+
+    seen, counted = [], []
+    enumerate_spectrum, count = specflow.enumerate_spectrum, specflow.sf_sweep
+
+    def enumerating(model, cutoff):
+        seen.append(cutoff)
+        return enumerate_spectrum(model, cutoff)
+
+    def counting(spectrum, fluxes):
+        counted.append(list(fluxes))
+        return count(spectrum, fluxes)
+
+    monkeypatch.setattr(specflow, "enumerate_spectrum", enumerating)
+    monkeypatch.setattr(specflow, "sf_sweep", counting)
+    config, out = tmp_path / "specflow.cfg", tmp_path / "out.jsonl"
+    for sweep, code, flows in (("0.5,1e300", 2, [0.5]), ("0.5,1.5,40.0", 2, [0.5]),
+                               ("0.5,2.0", 0, [0.5, 2.0])):
+        seen.clear()
+        counted.clear()
+        config.write_text(f"geometry = sphere3\nsweep = {sweep}\n")
+        assert cli.main(["specflow", "--config", str(config), "--out", str(out)]) == code
+        assert seen == [8]  # what 0.5 and 2.0 need: cutoff 8 reaches +-9.5
+        assert counted == [flows]
 
 
 def test_psc_sweep_enumerates_once(monkeypatch):
