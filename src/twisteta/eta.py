@@ -430,7 +430,10 @@ _PANEL_WIDTH = 3.0
 
 def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tuple[_LD, float]:
     """``int t^(-1/2) S(t) dt`` over ``[t_min, t_max]`` and its error estimate,
-    the halves' ``|G24 - G20|`` added (see the module docstring)."""
+    the halves' ``|G24 - G20|`` added (see the module docstring).  An empty
+    trace is 0 with estimate 0, what its panels of zeros would sum to."""
+    if not trace.lam.size:
+        return _LD(0), 0.0
     halves = [(t_min, 1.0), (1.0, t_max)] if t_max > 1.0 > t_min else [(t_min, t_max)]
     panels = [max(2, ceil(log(hi / lo) / _PANEL_WIDTH)) for lo, hi in halves]
     while True:
@@ -563,6 +566,12 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
 # model-level drivers
 # ---------------------------------------------------------------------------
 
+def _last_shell(geo) -> int:
+    """The largest cutoff N whose shell, at most ``(2N + 3)^index_dim``
+    levels, fits ``SHELL_BUDGET``."""
+    return (int(SHELL_BUDGET ** (1.0 / geo.index_dim)) - 3) // 2
+
+
 def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     """The heat engine's default cutoff: the smallest N with ``rank heat_tail(
     t_geo, 2t, N) <= tol/16``, by bisection up to the last shell within
@@ -572,7 +581,7 @@ def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     at its largest ``|t|``.  A tail past the double range refuses the model."""
     geo, t = model.geometry, model.flux_shift
     t_geo = geo.shortest_geodesic**2 / (4.0 * _KAPPA)
-    n_max = (int(SHELL_BUDGET ** (1.0 / geo.index_dim)) - 3) // 2  # the budget's last shell
+    n_max = _last_shell(geo)
     try:  # t_geo underflows to 0 at a radius near 1e-160
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             n = 1 + bisect_left(range(1, n_max + 1), True, key=lambda k: model.rank
@@ -599,6 +608,9 @@ def _heat_pass(models: Sequence[SpectralModel], cutoff: int | None,
     try:
         n = cutoff if cutoff is not None else heat_cutoff(
             max(models, key=lambda model: abs(model.flux_shift)), tol)
+        if n > (n_max := _last_shell(models[0].geometry)):  # a given cutoff: a derived one fits
+            raise ValueError(f"cutoff {n} is past {n_max}, the last shell within the budget "
+                             f"of {SHELL_BUDGET} levels")
         shell = enumerate_spectrum(models[0].with_flux(0.0), n)
     except ValueError as exc:  # the pass's cutoff or shell refuses every model
         return [exc] * len(models)
@@ -637,7 +649,8 @@ def eta_sweep(models: Sequence[SpectralModel], engine: str = "hurwitz",
     :func:`eta_hurwitz` call per family table and rank.  The heat engine
     runs one pass per unfluxed model, at ``cutoff`` or else at the
     :func:`heat_cutoff` of the pass's largest ``|t|``, which serves every
-    smaller one; refused, that refuses the pass.  A pass reads its spectra
+    smaller one; refused, that refuses the pass, as does a ``cutoff`` past
+    the last shell within ``SHELL_BUDGET``.  A pass reads its spectra
     off one enumeration of the unfluxed model (:func:`_shifted`).  Each
     subtracts the Weyl term ``rank weyl_coefficient t``, reports its error
     bound, and is refused at a flux beyond half the radius of the spectrum

@@ -194,7 +194,8 @@ ZERO_TOL = 1e-9
 # the largest radius or torus edge: the spectral unit, 1/radius or 1/max L,
 # stays at least 1e3 ZERO_TOL, so no level falls into the kernel threshold
 MAX_LENGTH = 1e6
-# the most levels of a derived heat cutoff's shell, and of a finite tail bound
+# the most levels of a heat pass's shell, its cutoff given or derived, and of a
+# finite tail bound
 SHELL_BUDGET = 1 << 20
 _EPS = float(np.finfo(float).eps)
 _SQRT_PI = float(np.sqrt(np.pi))
@@ -432,21 +433,37 @@ class Torus3:
         ``max(L)/L_j``) so the mode set is identical under a uniform
         rescaling of all edge lengths.
 
-        The box is summed per axis value, not per mode: each axis's squared
-        coordinates ``y_j^2`` are merged first (without holonomy ``v + 1/2``
-        and ``-v - 1/2`` square to the same float), the distinct triples are
-        summed in the order ``(y_0^2 + y_1^2) + y_2^2`` with the product of
-        their counts, and equal ``|w|`` are merged last.  Every float is the
-        one the whole box would give, so the levels are the same bits.
+        Only the sums that can lie in the shell are formed, each with the
+        float the whole box would give it, so the levels are the same bits.
+        Each axis's squared coordinates ``y_j^2`` are merged first (without
+        holonomy ``v + 1/2`` and ``-v - 1/2`` square to the same float), then
+        the partial sums ``p = y_0^2 + y_1^2`` with the products of their
+        counts: equal partial sums are the same double, so the totals ``p +
+        y_2^2``, in the box's order ``(y_0^2 + y_1^2) + y_2^2``, do not
+        change, and the counts stay exact integer sums of products.  Per
+        ``p`` the modes kept are a prefix of the ascending ``y_2^2``, since
+        ``fl(p + y)`` and ``sqrt`` are monotone.  One ``searchsorted`` against
+        ``B = (cutoff + 1/2)^2 (1 + 1e-9)`` finds a prefix that holds it: a
+        kept mode has ``p <= fl(p + y)``, which ``sqrt`` rounds to at most
+        ``cutoff + 1/2`` only within a few ulps of ``(cutoff + 1/2)^2`` (a
+        partial sum an ulp above it can be kept), and the slack is far wider
+        than those ulps and the rounding of ``B - p``.  So a ``p`` past
+        ``B`` keeps nothing, and is dropped before the merge.  The box's own
+        test ``sqrt(p + y) <= cutoff + 1/2`` then trims the prefixes, and
+        equal ``|w|`` are merged last.
         """
         lmax = max(self.lengths)
         _, x = self.lattice(theta, cutoff + 1)
         y2, mult = zip(*(np.unique((xj * (lmax / l)) ** 2, return_counts=True)
                          for xj, l in zip(x, self.lengths)))
-        scaled_w = np.sqrt((y2[0][:, None, None] + y2[1][None, :, None]
-                            + y2[2][None, None, :]).ravel())
-        count = (mult[0][:, None, None] * mult[1][None, :, None]
-                 * mult[2][None, None, :]).ravel()
+        bound = (cutoff + 0.5) ** 2 * (1.0 + 1e-9)
+        partial = (y2[0][:, None] + y2[1][None, :]).ravel()
+        near = partial <= bound
+        partial, pairs = _merge(partial[near], (mult[0][:, None] * mult[1][None, :]).ravel()[near])
+        width = np.searchsorted(y2[2], bound - partial, side="right")
+        col = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        scaled_w = np.sqrt(np.repeat(partial, width) + y2[2][col])
+        count = np.repeat(pairs, width) * mult[2][col]
         inside = scaled_w <= cutoff + 0.5
         # equal |w| are merged here: x -> x + t is monotone, and _merge absorbs
         # the values the flux shift makes collide (and w = 0, where the pair

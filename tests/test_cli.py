@@ -536,6 +536,24 @@ def test_lw_cutoff_past_the_mode_budget_is_refused_before_any_array(tmp_path, mo
     assert not out.exists()
 
 
+def test_heat_cutoff_past_the_shell_budget_is_refused_before_any_array(tmp_path, monkeypatch,
+                                                                       capsys):
+    # at cutoff 200 this torus has 13.6M levels, whose odd trace ran out of
+    # memory; the budget refuses the cutoff before the spectrum is enumerated
+    def enumerate_spectrum(*args, **kwargs):
+        raise AssertionError("the spectrum was enumerated")
+
+    monkeypatch.setattr("twisteta.eta.enumerate_spectrum", enumerate_spectrum)
+    cfg = write(tmp_path, "c.txt", "geometry = torus3\nlengths = 1.0,1.3,0.7\n"
+                "bundle = torus_holonomy\nholonomy = 0.3,0.1,0\nengine = heat\n"
+                "flux = 0.1\ncutoff = 200\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["eta", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "cutoff 200" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_lw_requires_torus(tmp_path):
     cfg = write(tmp_path, "c.txt", "geometry = sphere3\n")
     assert main(["lw", "--config", cfg]) == EXIT_CONFIG

@@ -677,6 +677,61 @@ def test_heat_bound_covers_a_spectrum_that_rounds_symmetric(r):
     assert abs(heat.eta - closed) <= heat.error_bound
 
 
+def _panel_quadrature(trace, t_min, t_max, tol):
+    """``_quadrature`` over its panels whatever the trace: the reference for
+    its empty-trace return."""
+    halves = [(t_min, 1.0), (1.0, t_max)] if t_max > 1.0 > t_min else [(t_min, t_max)]
+    panels = [max(2, math.ceil(math.log(hi / lo) / eta_mod._PANEL_WIDTH)) for lo, hi in halves]
+    while True:
+        parts = [eta_mod._integrate_log(trace, lo, hi, n) for (lo, hi), n in zip(halves, panels)]
+        integral = sum(val for val, _ in parts)
+        quad_err = sum(err for _, err in parts)
+        if max(panels) >= 512 or quad_err <= max(tol / 16.0, 1e-16 * (1 + abs(float(integral)))):
+            return integral, quad_err
+        panels = [2 * n for n in panels]
+
+
+@pytest.mark.parametrize("model,cutoff", [
+    (SpectralModel(Torus3((1.1247,) * 3)), 40),
+    (SpectralModel(Sphere3(1e-16), flux_shift=0.3), None),
+], ids=["cubic-torus", "sphere-that-rounds-symmetric"])
+def test_heat_empty_trace_is_the_panels_sum_without_panels(monkeypatch, model, cutoff):
+    # both odd traces cancel exactly: the quadrature is (0, 0) with no panel
+    # integrated, and the value keeps every bit of the panels' path
+    real, calls = eta_mod._integrate_log, []
+    monkeypatch.setattr(eta_mod, "_integrate_log", lambda *args: calls.append(args) or real(*args))
+    value = eta_for_model(model, "heat_kernel", cutoff)
+    assert not calls
+    monkeypatch.setattr(eta_mod, "_quadrature", _panel_quadrature)
+    reference = eta_for_model(model, "heat_kernel", cutoff)
+    assert calls
+    assert value == reference and repr(value) == repr(reference)
+    assert value.error_bound > 0.0
+
+
+@pytest.mark.parametrize("model,last", [
+    (SpectralModel(Torus3((1.0, 1.3, 0.7)), TorusHolonomy((0.3, 0.1, 0.0)), flux_shift=0.1), 49),
+    (SpectralModel(Circle(1.0), CircleHolonomy(0.25), flux_shift=0.1), 524286),
+], ids=["torus", "circle"])
+def test_heat_given_cutoff_past_the_shell_budget_is_refused(monkeypatch, model, last):
+    # a given cutoff obeys the derived one's budget: the last shell within it
+    # is enumerated, the next is refused before any array is built
+    asked = []
+
+    def enumerate_spectrum(model, cutoff):
+        asked.append(cutoff)
+        raise ValueError("enumerated")
+
+    monkeypatch.setattr(eta_mod, "enumerate_spectrum", enumerate_spectrum)
+    dim = model.geometry.index_dim
+    assert (2 * last + 3) ** dim <= models_mod.SHELL_BUDGET < (2 * last + 5) ** dim
+    with pytest.raises(ValueError, match="enumerated"):
+        eta_for_model(model, "heat_kernel", last)
+    with pytest.raises(ValueError, match=f"cutoff {last + 1} is past {last},"):
+        eta_for_model(model, "heat_kernel", last + 1)
+    assert asked == [last]
+
+
 def test_heat_circle_matches_closed_form():
     from twisteta.models import enumerate_spectrum
 

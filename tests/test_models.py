@@ -151,7 +151,7 @@ def test_array_merge_matches_dict_merge(model, cutoff):
 
 def _full_box_levels(geometry, theta, cutoff):
     """The torus levels summed over every mode of the box, one float per
-    mode: the reference for the per-axis merge of ``Torus3.levels``."""
+    mode: the reference for ``Torus3.levels``."""
     lmax = max(geometry.lengths)
     _, x = geometry.lattice(theta, cutoff + 1)
     y2 = (x * np.array([[lmax / l] for l in geometry.lengths])) ** 2
@@ -162,16 +162,45 @@ def _full_box_levels(geometry, theta, cutoff):
     return np.concatenate([x, -x]), np.concatenate([count, count])
 
 
+def _assert_same_levels(geometry, theta, cutoff):
+    values, counts = geometry.levels(theta, cutoff)
+    ref_values, ref_counts = _full_box_levels(geometry, theta, cutoff)
+    assert np.array_equal(values, ref_values), (geometry, theta, cutoff)
+    assert np.array_equal(counts, ref_counts) and counts.dtype == ref_counts.dtype, (
+        geometry, theta, cutoff)
+
+
 @pytest.mark.parametrize("geometry,theta,cutoff", [
     (Torus3((1.1247,) * 3), (0.0, 0.0, 0.0), 40),
     (Torus3(spin=(0.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 20),
     (Torus3((1.0, 1.3, 0.7)), (0.3, 0.1, 0.0), 20),
-], ids=["cubic", "zero-spin", "noncubic-holonomy"])
+    # four modes (+-14, +-7, 0) whose partial sum y_0^2 + y_1^2 is one ulp
+    # above 17.5^2, yet whose |w| rounds to 17.5, the shell's edge: without
+    # the bound's relative slack the prefix search drops them
+    (Torus3((2.1, 1.4, 2.0), spin=(0.0, 0.0, 0.0)), (0.0, 0.0, 0.0), 17),
+], ids=["cubic", "zero-spin", "noncubic-holonomy", "edge-mode-past-the-unslackened-bound"])
 def test_torus_levels_equal_the_full_box_bit_for_bit(geometry, theta, cutoff):
-    values, counts = geometry.levels(theta, cutoff)
-    ref_values, ref_counts = _full_box_levels(geometry, theta, cutoff)
-    assert np.array_equal(values, ref_values)
-    assert np.array_equal(counts, ref_counts) and counts.dtype == ref_counts.dtype
+    _assert_same_levels(geometry, theta, cutoff)
+
+
+def test_torus_levels_equal_the_full_box_on_seeded_tori():
+    # cubic and non-cubic edges of 1-8 decimals, every spin structure (a
+    # periodic axis puts modes on the shell's edge |w| = N + 1/2), holonomies
+    # 0, 1/2 and long decimals, thin tori with an empty shell, cutoffs 1-49
+    rng = np.random.default_rng(20261021)
+    spins = list(itertools.product((0.0, 0.5), repeat=3))
+    for i in range(320):
+        digits = int(rng.integers(1, 9))
+        if i % 3 == 0:
+            lengths = (round(float(rng.uniform(0.3, 3.0)), digits),) * 3
+        else:
+            lengths = tuple(round(float(x), digits) for x in rng.uniform(0.3, 3.0, 3))
+        if i % 16 == 15:  # a thin torus: the short edges have no mode in a low shell
+            lengths = (60.0, *lengths[1:])
+        theta = [(0.0, 0.0, 0.0), tuple(rng.choice([0.0, 0.5], 3)),
+                 tuple(float(x) for x in rng.uniform(-1.0, 1.0, 3))][i % 3]
+        cutoff = int(rng.integers(1, 50)) if i % 16 != 15 else int(rng.integers(1, 8))
+        _assert_same_levels(Torus3(lengths, spins[i % 8]), theta, cutoff)
 
 
 @pytest.mark.parametrize("model", [
