@@ -36,26 +36,28 @@ at ``s = 0``:
   a polynomial (below 1e-22 for lens orders p <= 50 at ``|t r| <= 3``), and
   steps up while the remainder falls, as it does while the modes past a low
   cutoff outweigh the rest: there the value is unconverged, not wrong.  The
-  bound adds the quadrature estimate, the remainder and the rounding (of the
-  sums, of c against the integral's bulk ``c/t_min``, of the levels, of the
-  float64 exponentials).
+  bound adds the quadrature estimate, the remainder and the rounding (of c
+  against the integral's bulk ``c/t_min``, of the levels, and of every
+  float64 operation of the pass).
 
-A trace term ``weight exp(-t lambda^2)`` takes its exponent ``(-t lambda)
-lambda``, at t rounded to double, and that ``exp`` in float64 (a longdouble
-``exp`` costs about 55 times as much); the exp widened times the longdouble
-weight, and the sums, are ``numpy.longdouble`` (alternating sums over
-growing multiplicities lose four digits in doubles).  Each term's relative
-error is then at most ``(6 + 4 t lambda^2) u64``, ``u64 = 2^-53``, which
-the bound integrates in closed form (:func:`eta_heat`).  Each t sums over
-its own window ``t lambda^2 <= reach = min(11500, ln W + 60 ln 10)``, ``W =
-sum |weight|``: a sum drops at most 1e-60, moving eta by under 1e-55.
-:func:`_heat_sums` gives every window the bits of its slice's ``sum()``,
-short ones in one pass.
+The heat engine is float64 throughout: a trace term ``weight exp(-t
+lambda^2)`` takes its exponent ``(-t lambda) lambda``, its ``exp``, the
+product by ``weight = m lambda`` and the window's sum in doubles, as do the
+nodes, the rules and the quadrature sums.  Every rounding of a trace value
+is relative to ``sum |m lambda| exp(-t lambda^2)``, at most ``(A + B t
+lambda^2) u64`` of it, ``u64 = 2^-53``, with A and B derived from the
+operations (the window's summation depth, ``ln(t/t_min)``), which the bound
+integrates in closed form over the trace rows (:func:`eta_heat`).  Each t
+sums over its own window ``t lambda^2 <= reach = min(11500, ln W + 60 ln
+10)``, ``W = sum |weight|``: a sum drops at most 1e-60, moving eta by under
+1e-55.  :func:`_heat_sums` gives every window the bits of its slice's
+``sum()``, short ones in one pass.
 Each half of the integral, split at t = 1, runs on panels at most 3 wide in
 ``log t`` (at least 2), where a 24-point and a 20-point Gauss-Legendre rule
-(longdouble nodes and weights) share one trace evaluation: G24 is the value
-and ``|G24 - G20|`` its error estimate.  The panels are doubled, up to 512,
-while the estimate exceeds ``max(tol/16, 1e-16 (1 + |integral|))``.
+(nodes and weights correctly rounded) share one trace evaluation: G24 is the
+value and ``|G24 - G20|`` its error estimate.  The panels are doubled, up to
+512, while the estimate exceeds both ``tol/16`` and the bound's rounding
+term, which the pass derives before the quadrature.
 
 :func:`eta_sweep`, the one place that picks the engine and what a sweep's
 points share, evaluates them in passes (a Hurwitz call per family table and
@@ -68,7 +70,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, inf, isfinite, log, pi, sqrt
+from math import ceil, fsum, inf, isfinite, log, pi, sqrt
 from sys import float_info
 from typing import Callable, Sequence
 
@@ -99,10 +101,6 @@ __all__ = [
     "rho",
     "rho_sweep",
 ]
-
-_LD = np.longdouble
-_SQRT_PI = _LD("1.7724538509055160272981674833411451828")
-
 
 @dataclass(frozen=True)
 class EtaValue:
@@ -282,33 +280,39 @@ def _value(outcome):
 # heat-kernel engine
 # ---------------------------------------------------------------------------
 
-def _gauss_legendre_ld(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] accurate in longdouble:
-    Newton steps on the three-term recurrence from the float64 ``leggauss``
-    nodes, weights ``2 / ((1 - x^2) P_n'(x)^2)``."""
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [0, 1] correctly rounded to
+    double: nodes ``(1 + x)/2`` and weights ``1/((1 - x^2) P_n'(x)^2)`` at
+    the roots x of ``P_n``.  A Newton step on the three-term recurrence
+    from numpy's ``leggauss`` roots (within an ulp, so the step leaves
+    about 1e-31), in integers scaled by 2^120 (a floor per operation),
+    then one int true division each, which Python rounds correctly: each
+    node and weight is within ``u64`` of its own value."""
+    one = 1 << 120
 
-    def legendre(x):
-        p0, p1 = np.ones_like(x), x
+    def legendre(x):  # P_n(x) and P_n'(x), both scaled by one
+        p0, p1 = one, x
         for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, n * (x * p1 - p0) / (x * x - 1)
+            p0, p1 = p1, ((2 * k - 1) * x * p1 // one - (k - 1) * p0) // k
+        return p1, n * (x * p1 // one - p0) * one // (x * x // one - one)
 
-    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
-    for _ in range(3):
+    def point(x):
         p, dp = legendre(x)
-        x = x - p / dp
-    _, dp = legendre(x)
-    return x, 2 / ((1 - x * x) * dp * dp)
+        x -= p * one // dp
+        dp = legendre(x)[1]
+        return (one + x) / (2 * one), one**4 / ((one * one - x * x) * dp * dp)
+
+    roots = np.polynomial.legendre.leggauss(n)[0].tolist()
+    return tuple(np.array(column) for column in zip(*(point(round(x * one)) for x in roots)))
 
 
-_GL_X, _GL_W = _gauss_legendre_ld(24)
-_GL20_X, _GL20_W = _gauss_legendre_ld(20)
-# the nodes of both rules on [-1, 1]: one trace evaluation per panel
+(_GL_X, _GL_W), (_GL20_X, _GL20_W) = _gauss_legendre(24), _gauss_legendre(20)
+# the nodes of both rules on [0, 1]: one trace evaluation per panel
 _PAIR_X = np.concatenate([_GL_X, _GL20_X])
 
 
-# exp(-x) is exactly 0 in float64, which the terms take, for x > 746 (and in
-# longdouble for x >= 11400), so a term with t lambda^2 beyond this is an exact zero
+# exp(-x) is exactly 0 in float64 for x > 746, so a term with t lambda^2
+# beyond this is an exact zero
 _UNDERFLOW = 11500.0
 # a trace drops the terms with exp(-t lambda^2) <= _DROPPED / sum |weight|
 _DROPPED = 1e-60
@@ -334,23 +338,23 @@ _FEW = 8
 
 def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
                reach: float) -> np.ndarray:
-    """``sum_j weight_j exp(-t lam_j^2)`` for each t over the sorted float64
-    ``lam`` inside that t's own window ``t lam^2 <= reach``.  The exponent
-    ``(-t lam) lam``, at t rounded to double, and its ``exp`` are float64;
-    the terms, that exp widened times the longdouble ``weight``, and their
-    sums are longdouble.  A window longer than ``_SPLIT`` is one slice and
-    numpy's ``sum()``, as are all windows of a call with fewer than ``_FEW``
-    short ones.  Otherwise the short windows are laid end to end, in batches
-    of about ``_BATCH`` terms, each behind a head term 0; one flat index and
-    one ``exp`` give their terms, and ``np.add.reduceat`` sums each window.
-    ``reduceat`` adds a window's first term to numpy's pairwise sum of the
-    rest, and ``sum()`` adds 0 to the pairwise sum of all terms: with the
-    head, each window's sum has the bits of its slice's ``sum()``."""
+    """``sum_j weight_j exp(-t lam_j^2)`` for each t over the sorted ``lam``
+    inside that t's own window ``t lam^2 <= reach``, all in float64: the
+    exponent ``(-t lam) lam``, its ``exp``, the terms and their sums.  A
+    window longer than ``_SPLIT`` is one slice and numpy's ``sum()``, as are
+    all windows of a call with fewer than ``_FEW`` short ones.  Otherwise
+    the short windows are laid end to end, in batches of about ``_BATCH``
+    terms, each behind a head term 0; one flat index and one ``exp`` give
+    their terms, and ``np.add.reduceat`` sums each window.  ``reduceat``
+    adds a window's first term to numpy's pairwise sum of the rest, and
+    ``sum()`` adds 0 to the pairwise sum of all terms: with the head, each
+    window's sum has the bits of its slice's ``sum()`` (:func:`_sum_depth`
+    bounds its rounding)."""
     ts = ts.astype(float, copy=False)
     r = np.sqrt(reach / ts)
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
     sizes = hi - lo
-    out = np.zeros(ts.size, dtype=_LD)
+    out = np.zeros(ts.size)
     short = (sizes > 0) & (sizes <= _SPLIT)
     if np.count_nonzero(short) < _FEW:
         short[:] = False
@@ -380,14 +384,28 @@ def _heat_sums(lam: np.ndarray, weight: np.ndarray, ts: np.ndarray,
     return out
 
 
+def _sum_depth(n: int) -> int:
+    """The most additions one term meets in numpy's sum of at most n terms,
+    as :func:`_heat_sums` forms it, so that the sum errs by at most
+    ``gamma_depth sum |terms|`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 4.2).  Up to 128 terms numpy sums
+    with 8 accumulators: at most ``n//8 - 1`` additions, 3 joining them and
+    7 for the rest; below 8 terms one loop.  Above 128 it halves, one
+    addition per halving: the larger half holds at most ``n//2 + 8``, so
+    ``16 + (n - 16)/2^k`` after k halvings, at most 128 once ``112 2^k >= n
+    - 16``.  Plus 1 for the head term of ``reduceat`` (or ``sum()``'s
+    initial 0)."""
+    return 1 + (n if n < 8 else min(n, 128) // 8 + 9) + (max(n - 17, 0) // 112).bit_length()
+
+
 class _OddTrace:
-    """``S(t) = sum m lambda exp(-t lambda^2)`` in longdouble after exact
+    """``S(t) = sum m lambda exp(-t lambda^2)`` in float64 after exact
     cancellation of symmetric pairs, built from an ``(n, 2)`` array of
     ``[value, multiplicity]`` rows in any order (equal values are merged;
-    ``values`` and ``mults`` keep them all).  The levels ``lam`` and
-    ``values`` are the given doubles, the multiplicities and weights
-    longdouble.  ``odd`` sums each t over its window of the sorted ``lam``,
-    between ``searchsorted(lam, -+sqrt(reach/t))``."""
+    ``values`` and ``mults`` keep them all).  The levels, multiplicities
+    (exact integers) and weights ``m lambda`` are doubles.  ``odd`` sums
+    each t over its window of the sorted ``lam``, between
+    ``searchsorted(lam, -+sqrt(reach/t))``."""
 
     def __init__(self, spectrum: np.ndarray):
         values, mults = _merge(spectrum[:, 0], spectrum[:, 1])
@@ -397,9 +415,9 @@ class _OddTrace:
         net = mults[pos] - np.where(has_mirror, mults[mirror], 0)[pos]
         unpaired = (values < 0) & ~has_mirror
         self.lam = np.concatenate([values[unpaired], values[pos][net != 0]])
-        self.mult = np.concatenate([mults[unpaired], net[net != 0]]).astype(_LD)
+        self.mult = np.concatenate([mults[unpaired], net[net != 0]]).astype(float)
         self.min_abs = float(np.min(np.abs(self.lam))) if self.lam.size else np.inf
-        self.values, self.mults = values, mults.astype(_LD)
+        self.values, self.mults = values, mults.astype(float)
         self.abs_max = float(max(-values[0], values[-1])) if values.size else 0.0
         self._odd_weight = self.mult * self.lam
         self._odd_reach = _reach(self._odd_weight)
@@ -409,16 +427,19 @@ class _OddTrace:
                           self._odd_reach)
 
 
-def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> tuple[_LD, float]:
-    """``int_t0^t1 t^(-1/2) S(t) dt`` over ``panels`` equal panels in ``log t``
-    by the 24-point rule, and ``|G24 - G20|`` against the 20-point rule on
-    the same panels as its error estimate."""
-    edges = np.linspace(np.log(_LD(t0)), np.log(_LD(t1)), panels + 1)
-    half = (edges[1:] - edges[:-1]) / 2
-    xs = ((edges[1:] + edges[:-1]) / 2)[:, None] + half[:, None] * _PAIR_X
-    vals = half[:, None] * np.exp(xs / 2) * trace.odd(np.exp(xs).ravel()).reshape(xs.shape)
-    g24, g20 = np.sum(vals[:, :_GL_X.size] @ _GL_W), np.sum(vals[:, _GL_X.size:] @ _GL20_W)
-    return g24, abs(float(g24 - g20))
+def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> tuple[float, float]:
+    """``int_t0^t1 t^(-1/2) S(t) dt`` over ``panels`` equal panels in ``x =
+    ln(t/t0)`` by the 24-point rule, and ``|G24 - G20|`` against the
+    20-point rule on the same panels as its error estimate.  A panel ``[a,
+    b]`` takes the nodes ``a + (b - a) z`` of the rules on [0, 1] and the
+    values ``(b - a) exp(x/2) S(t0 exp(x))``; each rule's products are summed
+    by ``math.fsum``, correctly rounded, and scaled by ``sqrt(t0)``."""
+    edges = np.linspace(0.0, log(t1 / t0), panels + 1)
+    width = np.diff(edges)[:, None]
+    xs = edges[:-1, None] + width * _PAIR_X
+    vals = width * np.exp(xs / 2) * trace.odd((t0 * np.exp(xs)).ravel()).reshape(xs.shape)
+    g24, g20 = fsum((vals[:, :_GL_X.size] * _GL_W).flat), fsum((vals[:, _GL_X.size:] * _GL20_W).flat)
+    return sqrt(t0) * g24, sqrt(t0) * abs(g24 - g20)
 
 
 # One eigenvalue's term s^(1/2) lambda exp(-s lambda^2) is, in u = ln s, the
@@ -428,19 +449,22 @@ def _integrate_log(trace: _OddTrace, t0: float, t1: float, panels: int) -> tuple
 _PANEL_WIDTH = 3.0
 
 
-def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tuple[_LD, float]:
+def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float,
+                rounding: float) -> tuple[float, float]:
     """``int t^(-1/2) S(t) dt`` over ``[t_min, t_max]`` and its error estimate,
-    the halves' ``|G24 - G20|`` added (see the module docstring).  An empty
-    trace is 0 with estimate 0, what its panels of zeros would sum to."""
+    the halves' ``|G24 - G20|`` added, the panels doubled while it exceeds
+    ``tol/16`` and the ``rounding`` already in the bound (see the module
+    docstring).  An empty trace is 0 with estimate 0, what its panels of
+    zeros would sum to."""
     if not trace.lam.size:
-        return _LD(0), 0.0
+        return 0.0, 0.0
     halves = [(t_min, 1.0), (1.0, t_max)] if t_max > 1.0 > t_min else [(t_min, t_max)]
     panels = [max(2, ceil(log(hi / lo) / _PANEL_WIDTH)) for lo, hi in halves]
     while True:
         parts = [_integrate_log(trace, lo, hi, n) for (lo, hi), n in zip(halves, panels)]
         integral = sum(val for val, _ in parts)
         quad_err = sum(err for _, err in parts)
-        if max(panels) >= 512 or quad_err <= max(tol / 16.0, 1e-16 * (1 + abs(float(integral)))):
+        if max(panels) >= 512 or quad_err <= max(tol / 16.0, rounding):
             return integral, quad_err
         panels = [2 * n for n in panels]
 
@@ -448,33 +472,33 @@ def _quadrature(trace: _OddTrace, t_min: float, t_max: float, tol: float) -> tup
 # t_geo = l^2/(4 KAPPA), where the remainder is exp(-KAPPA) times a polynomial
 _KAPPA = 60.0
 
-# a trace term's relative error from its float64 exponential is at most
-# (_C1 + _C2 t lambda^2) u64, u64 = eps/2: _C1 for np.exp within 3 ulps (the
-# tests check it; 0.69 is the most seen on x86-64 with AVX-512), an ulp being
-# at most 2 u64 of a normal value; _C2 for t rounded to double and the two
-# products, 3.0001 u64, with room
-_C1, _C2 = 6.0, 4.0
 # below float64's normal range (2^-1022) exp's error is absolute: under twice
 # that per unit weight, whatever the computed value (0 past exp(-745))
 _SUBNORMAL = 2.0**-1021
 
 
-def _exp_rounding(trace: _OddTrace, t_min: float, t_max: float) -> float:
-    """What the float64 exponentials of the trace can move eta by, quadrature
-    over ``[t_min, t_max]``: ``(u64/sqrt(pi)) sum_j |m_j| [(_C1 + _C2/2)
-    Gamma(1/2, y_j) + _C2 sqrt(y_j) exp(-y_j)]`` at ``y_j = t_min lambda_j^2``
-    over the trace rows, ``Gamma(1/2, y) <= min(sqrt(pi), exp(-y)/sqrt(y))``,
-    plus ``2 sqrt(t_max) _SUBNORMAL sum |m lambda|/sqrt(pi)`` for the terms
-    below the normal range (see :func:`eta_heat`)."""
-    y = t_min * trace.lam * trace.lam
+def _rounding(trace: _OddTrace, t_min: float, t_max: float, flux: float) -> float:
+    """What rounding can move eta by, quadrature over ``[t_min, t_max]``, in
+    one pass over the levels (see :func:`eta_heat`): over the trace rows,
+    ``(u64/sqrt(pi)) sum_j |m_j| [(A_j + B_j/2) Gamma(1/2, y_j) + B_j
+    sqrt(y_j) exp(-y_j)]`` at ``y_j = t_min lambda_j^2``, with ``Gamma(1/2,
+    y) <= min(sqrt(pi), exp(-y)/sqrt(y))``, plus ``2 sqrt(t_max) _SUBNORMAL
+    sum |m lambda|/sqrt(pi)`` for the terms below the normal range; over
+    every level, ``12 eps sum m (|lambda| + |flux|) (sqrt(t_min) exp(-t_min
+    lambda^2) + sqrt(t_max) exp(-t_max lambda^2))/sqrt(pi)`` for the levels'
+    own rounding."""
+    lam, mult, values = trace.lam, np.abs(trace.mult), trace.values
+    y = t_min * lam * lam
     decay = np.exp(-y)
-    with np.errstate(divide="ignore"):  # y = 0, where the min is sqrt(pi)
+    with np.errstate(divide="ignore"):  # y = 0: Gamma(1/2, y) is sqrt(pi), L_j the span
         gamma = np.minimum(sqrt(pi), decay / np.sqrt(y))
-    mult = np.abs(trace.mult).astype(float)
-    terms = mult * ((_C1 + _C2 / 2) * gamma + _C2 * np.sqrt(y) * decay)
-    relative = _EPS / 2 * float(np.sum(terms))
-    subnormal = 2.0 * sqrt(t_max) * _SUBNORMAL * float(np.sum(mult * np.abs(trace.lam)))
-    return (relative + subnormal) / sqrt(pi)
+        span = np.clip(log(709.0) - np.log(y), 0.0, log(t_max / t_min))  # normal up to 709
+    rows = ((_sum_depth(lam.size) + 32.0 + span / 2) * gamma
+            + (3.0 * span + 21.0) * (gamma / 2 + np.sqrt(y) * decay))
+    subnormal = 2.0 * sqrt(t_max) * _SUBNORMAL * float(np.sum(mult * np.abs(lam)))
+    moved = 12.0 * _EPS * float(np.sum(trace.mults * (np.abs(values) + abs(flux)) * sum(
+        sqrt(t) * np.exp(-t * values * values) for t in (t_min, t_max))))
+    return (_EPS / 2 * float(np.sum(mult * rows)) + subnormal + moved) / sqrt(pi)
 
 
 def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
@@ -493,24 +517,52 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
     small-time heat data.  A bound above ``tol`` is returned unconverged; a
     remainder, level or bound past the double range refuses the spectrum.
 
-    The bound's exponent-rounding term (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 3) covers the float64 exponentials.  A
-    term takes t rounded to double and two products, three roundings that
-    move the exponent ``-y = -t lambda^2`` by at most ``gamma_3 y <= 3.0001
-    u64 y`` (``y <= 745`` wherever exp's value is normal), and np.exp within
-    3 ulps, ``6 u64``; widening the result to longdouble is exact.  So each
-    term's relative error is at most ``(_C1 + _C2 y) u64`` with ``_C1 = 6``
-    and ``_C2 = 4``.  Against ``s^(-1/2)`` from ``t_min`` on, ``exp(-s
-    lambda^2)`` integrates to ``Gamma(1/2, y)/|lambda|`` and ``s lambda^2
-    exp(-s lambda^2)`` to ``Gamma(3/2, y)/|lambda| = (Gamma(1/2, y)/2 +
-    sqrt(y) exp(-y))/|lambda|`` at ``y = t_min lambda^2``, so eta moves by
-    at most ``(u64/sqrt(pi)) sum_j |m_j| [(_C1 + _C2/2) Gamma(1/2, y_j) + _C2
-    sqrt(y_j) exp(-y_j)]`` over the trace rows, with ``Gamma(1/2, y) <=
-    min(sqrt(pi), exp(-y)/sqrt(y))``.  The quadrature's positive weights
-    integrate these bumps as they do the trace's, within the room left in
-    ``_C2``.  A term below float64's normal range (``y > 708``, inside a
-    window only when ``W > e^570``) errs by under ``2^-1021`` per unit
-    weight, which adds ``2 sqrt(t_max) 2^-1021 sum |m lambda|/sqrt(pi)``.
+    Everything is float64, and the bound's rounding term is derived from the
+    operations the pass performs (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 3-4), to first order in ``u64 =
+    2^-53``.  Each rounding of a trace value at a node t is relative to
+    ``sum |m lambda| exp(-t lambda^2)``, or to ``y = t lambda^2`` times it.
+    Per unit of a term ``|m lambda| exp(-t lambda^2)`` at the exact node:
+
+    * the weight ``m lambda`` (1), np.exp within 3 ulps of a normal value
+      (6), the product by it (1), and the window's sum, ``depth`` =
+      :func:`_sum_depth` of the trace's row count (the longest window);
+    * per unit y: the exponent's two products (2) and the node.  A half
+      ``[t0, t1]`` of ``[t_min, t_max]`` runs on panels ``[a, b]`` in ``x =
+      ln(t/t0)``: the rounded width ``b - a`` (1), the node ``z`` (1) and
+      their product (1), at most 3 wide, plus the sum ``a + (b - a) z``
+      (``x`` itself), put x within ``(x + 9) u64`` and ``t = t0 exp(x)``
+      within ``(x + 16) u64``: ``x + 18`` in all;
+    * the factor ``(b - a) exp(x/2)``: ``(x + 9)/2 + 6`` for the exp, 1 for
+      the width, 2 for the products; the rule's weight (1, correctly
+      rounded), the product by it (1), ``math.fsum`` (1), the product by
+      ``sqrt(t0)`` (2) and the sum of the halves (1); the subtraction of
+      ``c/t_min`` and the division by ``sqrt(pi)`` (3 of ``|integral|``,
+      at most the integrated gross trace).
+
+    A term is normal only while ``t lambda^2 <= 709``, so for row j the
+    node's ``x <= ln(t/t_min)`` counts only up to ``L_j = min(ln(t_max/
+    t_min), ln(709/y_j))`` at ``y_j = t_min lambda_j^2`` (0 if negative);
+    past it the term is covered below.  Against ``s^(-1/2)`` from ``t_min``
+    on, ``exp(-s lambda^2)`` integrates to ``Gamma(1/2, y)/|lambda|`` and
+    ``s lambda^2 exp(-s lambda^2)`` to ``Gamma(3/2, y)/|lambda| =
+    (Gamma(1/2, y)/2 + sqrt(y) exp(-y))/|lambda|``; the rule's positive
+    weights integrate these bumps as they do the trace's.  ``x = 0`` is
+    ``t0`` exactly, and each half's far end ``ln(t1/t0)``, within ``(2
+    ln(t1/t0) + 1) u64`` (the quotient and an ulp of the log), moves the
+    integral by at most that times ``sqrt(t1) sum |m lambda| exp(-t1
+    lambda^2) <= sum |m| Gamma(3/2, y)``: ``2 L_j + 2`` for both ends.  So
+    row j carries ``|m_j| [A_j Gamma(1/2, y_j) + B_j Gamma(3/2, y_j)]
+    u64/sqrt(pi)``, ``A_j = depth + 32 + L_j/2``, ``B_j = 3 L_j + 21``, each
+    with at least one unit of room for the higher orders
+    (:func:`_rounding`).  A term below float64's normal range (``y > 708``,
+    inside a window only when ``W > e^570``) errs by under ``2^-1021`` per
+    unit weight, which adds ``2 sqrt(t_max) 2^-1021 sum |m lambda|/
+    sqrt(pi)``.  The same pass adds the levels' own rounding, and ``4 eps
+    |c|/t_min`` covers the roundings of ``c``, ``c/t_min``, and their share
+    of the subtraction and the division.  The term depends on the rows,
+    ``t_min`` and ``t_max`` alone, so the panels stop doubling once ``|G24 -
+    G20|`` is below it.
     """
     if not (isfinite(weyl) and 0.0 < geodesic < inf):
         raise ValueError(f"the Weyl term must be finite and the geodesic positive, "
@@ -537,26 +589,18 @@ def eta_heat(spectrum: np.ndarray | Sequence[tuple[float, int]], *, weyl: float,
             t_max = max(8.0, 80.0 / trace.min_abs**2, 2.0 * t_min)
             while float(trace.odd([t_max])[0]) * np.sqrt(t_max) > tol / 16.0 and t_max < 1e8:
                 t_max *= 2.0
-            integral, quad_err = _quadrature(trace, t_min, t_max, tol)
+            # rounding: of c (a few double roundings) against the bulk c/t_min,
+            # and the one pass over the levels
+            rounding = 4.0 * _EPS * abs(weyl) / t_min + _rounding(trace, t_min, t_max, flux)
+            integral, quad_err = _quadrature(trace, t_min, t_max, tol, rounding)
     except ArithmeticError:  # numpy's FloatingPointError, or Python's overflow or 0 division
         raise too_large from None
     # int_0^t_min s^(-1/2) c s^(-3/2) ds continues to -c/t_min
-    eta = float((integral - _LD(weyl) / _LD(t_min)) / _SQRT_PI)
+    eta = float((integral - weyl / t_min) / sqrt(pi))
 
     # the kernel modes split off are |lambda| <= ZERO_TOL away from the trace
     # the Weyl term describes: at most 2 ZERO_TOL sqrt(t_min) each below t_min
-    small_t = (rest + 2.0 * kernel_dim * ZERO_TOL * sqrt(t_min)) / sqrt(pi)
-    # rounding: of the sums; of c (a few double roundings) against the bulk
-    # c/t_min; of each eigenvalue, which moves the integral by its error times
-    # [2 sqrt(s) exp(-s lambda^2)] between t_min and t_max; of the float64
-    # exponentials
-    ends = np.array([t_min, t_max], dtype=_LD)
-    weight = trace.mults * (np.abs(trace.values) + _LD(abs(flux)))
-    moved = _heat_sums(trace.values, weight, ends, _reach(weight))
-    rounding = (1e-15 * (1 + abs(eta)) + 4.0 * _EPS * abs(weyl) / t_min
-                + 12.0 * _EPS * float(np.sum(np.sqrt(ends) * moved)) / sqrt(pi)
-                + _exp_rounding(trace, t_min, t_max))
-    error = float(quad_err + small_t + rounding)
+    error = float(quad_err + rounding + (rest + 2 * kernel_dim * ZERO_TOL * sqrt(t_min)) / sqrt(pi))
     if not np.isfinite(error):
         raise too_large
     return EtaValue(eta, kernel_dim, "heat_kernel", error, error <= tol)
@@ -578,8 +622,11 @@ def heat_cutoff(model: SpectralModel, tol: float = 1e-8) -> int:
     ``SHELL_BUDGET`` (if none fits, the flux is refused).  At twice the flux the
     shell holds every level up to ``2|t|``, as :func:`eta_sweep`'s check asks.
     N never falls as ``|t|`` grows and is even in t: a heat pass takes it once,
-    at its largest ``|t|``.  A tail past the double range refuses the model."""
+    at its largest ``|t|``.  A tail past the double range refuses the model,
+    as does a rank past it, by name."""
     geo, t = model.geometry, model.flux_shift
+    if not model.rank <= float_info.max:  # rank * tail converts the rank to a double
+        raise ValueError(f"rank {model.rank} puts the heat tail outside the double range")
     t_geo = geo.shortest_geodesic**2 / (4.0 * _KAPPA)
     n_max = _last_shell(geo)
     try:  # t_geo underflows to 0 at a radius near 1e-160

@@ -258,7 +258,8 @@ def _tail_levels(T: float, r: float, t: float, cutoff: int, offset: float, mult)
 # nothing else: the flux shift ``+t`` and the bundle rank are applied once, by
 # ``enumerate_spectrum`` and ``progression_spectrum``.
 # ``levels(twist, cutoff)``: eigenvalue and multiplicity arrays of the
-# shell-complete spectrum, not yet merged into distinct values.
+# shell-complete spectrum, ascending, not yet merged into distinct values
+# (so ``enumerate_spectrum``'s merge sorts nothing unless the flux makes a tie).
 # ``branches(twist)``: ``(v0, step, mult_coeffs)`` families ``v0 + step j``
 # with multiplicity ``sum mult_coeffs[i] j^i`` (the round geometries only:
 # the torus spectrum is no such family).
@@ -355,8 +356,8 @@ class Sphere3(_Round):
     def levels(self, twist: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         k = np.arange(cutoff + 1)
         mult = (k + 1) * (k + 2)
-        return (np.concatenate([(1.5 + k) / self.radius, -(1.5 + k) / self.radius]),
-                np.concatenate([mult, mult]))
+        return (np.concatenate([-(1.5 + k[::-1]) / self.radius, (1.5 + k) / self.radius]),
+                np.concatenate([mult[::-1], mult]))
 
     def branches(self, twist: int):
         r = self.radius
@@ -470,7 +471,7 @@ class Torus3:
         # +-2 pi |w| meets)
         scaled_w, count = _merge(scaled_w[inside], count[inside])
         x = 2.0 * np.pi * (scaled_w / lmax)
-        return np.concatenate([x, -x]), np.concatenate([count, count])
+        return np.concatenate([-x[::-1], x]), np.concatenate([count[::-1], count])
 
     @classmethod
     def from_config(cls, cfg) -> "Torus3":
@@ -534,10 +535,10 @@ class Lens(_Round):
     def levels(self, k_char: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(cutoff + 1)
         level = (1.5 + m) / self.radius
-        # per level m the + eigenvalue, then the - one; empty ones dropped
-        values = np.stack([level, -level], axis=1)
-        mults = np.stack([(m + 2) * lens_weight_count(m, k_char, self.p),
-                          (m + 1) * lens_weight_count(m + 1, k_char, self.p)], axis=1)
+        # the - eigenvalues from the top level down, then the + ones; empty ones dropped
+        values = np.concatenate([-level[::-1], level])
+        mults = np.concatenate([((m + 1) * lens_weight_count(m + 1, k_char, self.p))[::-1],
+                                (m + 2) * lens_weight_count(m, k_char, self.p)])
         keep = mults != 0
         return values[keep], mults[keep]
 

@@ -462,8 +462,12 @@ def test_every_command_runs_without_scipy(tmp_path):
     # the kernel 2 at flux 3/2
     ("eta", f"geometry = sphere3\nflux = 0.3\nrank = {10**400}\n", "double range"),
     ("eta", f"geometry = sphere3\nflux = 1.5\nrank = {10**308}\n", "2^53"),
+    # the derived heat cutoff's rank times the tail: no double holds 10^400
+    ("eta", f"geometry = sphere3\nengine = heat\nflux = 0.3\nrank = {10**400}\n",
+     "double range"),
 ], ids=["circle-heat", "sphere-psc", "sphere-heat-int64", "circle-hurwitz-kernel",
-        "sphere-hurwitz-past-doubles", "sphere-hurwitz-kernel-past-doubles"])
+        "sphere-hurwitz-past-doubles", "sphere-hurwitz-kernel-past-doubles",
+        "sphere-heat-derived-cutoff-past-doubles"])
 def test_rank_past_exact_float64_multiplicities_is_refused(tmp_path, capsys, command, text,
                                                            reason):
     cfg = write(tmp_path, "c.txt", text)

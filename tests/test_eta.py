@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import math
 import random
@@ -493,46 +494,44 @@ def _gross(trace):
     return gross
 
 
-def _exponent_error(trace):
-    """``sum |m lambda| (6 + 4 t lambda^2) u64 exp(-t lambda^2)`` over the
-    trace rows, for a vector of t: the most its float64 exponentials move
-    ``S(t)`` (see ``test_quadrature_estimate_bounds_the_two_panel_error``)."""
-    lam, weight = trace.lam, np.abs(trace.mult * trace.lam)
-
-    def error(ts):
-        return np.array([np.sum(weight * (6 + 4 * t * lam * lam) * np.exp(-t * lam * lam))
-                         for t in np.asarray(ts, dtype=np.longdouble)]) * 2.0**-53
-
-    return error
-
-
 def test_gauss_legendre_rule_matches_mpmath():
     import mpmath
     from mpmath.calculus.quadrature import GaussLegendre
 
     ctx = mpmath.mp.clone()
-    ctx.dps = 30
-    # degree 4 of mpmath's rule is the 3 * 2^3 = 24 point rule on [-1, 1]
-    nodes = sorted(GaussLegendre(ctx).calc_nodes(4, ctx.prec))
-    assert len(nodes) == _GL_X.size == _GL_W.size == 24
-    assert _GL_X.dtype == _GL_W.dtype == np.longdouble
-    eps = ctx.mpf(float(np.finfo(np.longdouble).eps))
-    # str of a longdouble round-trips, and 30 digits carry it to within 1e-30
-    for x, w, (x_ref, w_ref) in zip(_GL_X, _GL_W, nodes):
-        assert abs(ctx.mpf(str(x)) - x_ref) <= 4 * eps
-        assert abs(ctx.mpf(str(w)) - w_ref) <= 4 * eps
+    ctx.dps = 40
+    # degree 4 of mpmath's rule is the 3 * 2^3 = 24 point rule on [-1, 1]; the
+    # 20-point rule's nodes are the roots of P_20 near the engine's.  Both
+    # rules are float64 on [0, 1], nodes (1 + x)/2 and weights w/2, each
+    # within u64 of its value: the rounding the bound carries for them
+    rules = {24: sorted(GaussLegendre(ctx).calc_nodes(4, ctx.prec))}
+    roots = [ctx.findroot(lambda x: ctx.legendre(20, x), 2 * ctx.mpf(float(z)) - 1)
+             for z in _GL20_X]
+    rules[20] = [(x, 2 / ((1 - x * x) * ctx.diff(lambda y: ctx.legendre(20, y), x) ** 2))
+                 for x in roots]
+    u = ctx.mpf(2) ** -53
+    for (z, w), n in [((_GL_X, _GL_W), 24), ((_GL20_X, _GL20_W), 20)]:
+        assert len(rules[n]) == z.size == w.size == n
+        assert z.dtype == w.dtype == np.float64
+        for z_k, w_k, (x_ref, w_ref) in zip(z, w, rules[n]):
+            assert abs(ctx.mpf(float(z_k)) - (1 + x_ref) / 2) <= u * (1 + x_ref) / 2
+            assert abs(ctx.mpf(float(w_k)) - w_ref / 2) <= u * w_ref / 2
 
 
 @pytest.mark.parametrize("x,w,n", [(_GL20_X, _GL20_W, 20), (_GL_X, _GL_W, 24)],
                          ids=["20-point", "24-point"])
 def test_gauss_legendre_rules_integrate_even_moments_exactly(x, w, n):
-    # an n-point rule is exact to degree 2n - 1: sum w x^2k = 2/(2k + 1)
+    # an n-point rule on [0, 1] is exact to degree 2n - 1: sum w z^j = 1/(j +
+    # 1), even and odd j.  With every node and weight within u64 of its
+    # value, the rounded rule's moment, summed exactly, is within ((1 +
+    # u64)^(j + 1) - 1)/(j + 1) of it
     assert x.size == w.size == n
-    assert x.dtype == w.dtype == np.longdouble
-    eps = np.finfo(np.longdouble).eps
-    for k in range(n):
-        exact = np.longdouble(2) / (2 * k + 1)
-        assert abs(np.sum(w * x ** (2 * k)) - exact) <= 8 * eps
+    assert x.dtype == w.dtype == np.float64
+    u = Fraction(1, 2**53)
+    nodes, weights = [Fraction(z) for z in x.tolist()], [Fraction(v) for v in w.tolist()]
+    for j in range(2 * n):
+        moment = sum(v * z**j for z, v in zip(nodes, weights))
+        assert abs(moment - Fraction(1, j + 1)) <= ((1 + u) ** (j + 1) - 1) / (j + 1)
 
 
 def _seeded_heat_models():
@@ -584,41 +583,48 @@ def _record_integrals(monkeypatch) -> list:
 def test_quadrature_estimate_bounds_the_two_panel_error(monkeypatch, model, cutoff):
     # on each half of eta_heat's split, |G24 - G20| on its first panels bounds
     # the distance of that G24 from the one on 8 times the panels, up to the
-    # rounding of both.  Each term exp(fl(fl(-t lambda) lambda)) takes t
-    # rounded to double and two products, three roundings that move the
-    # exponent by at most 3.0001 u64 t lambda^2, and np.exp within 3 ulps,
-    # 6 u64: a relative error of at most (6 + 4 t lambda^2) u64 (u64 = 2^-53).
-    # The longdouble products by the weights and the sums add at most 8 eps of
-    # the gross trace.  Integrated against t^(-1/2), the first counts once for
-    # G24 and once for the reference; the second covers both
+    # rounding of G24, G20 and the reference.  The derivation of eta_heat's
+    # rounding term holds for one half [lo, hi] as for [t_min, t_max], and
+    # on any number of panels (math.fsum has no depth): each of the three
+    # is within _rounding(trace, lo, hi), which also counts the levels'
+    # own rounding, not needed here
     calls = _record_integrals(monkeypatch)
     heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
     halves = calls[:2] if len(calls) > 1 and calls[1][1] == 1.0 else calls[:1]
-    eps = float(np.finfo(np.longdouble).eps)
     for trace, lo, hi, panels, quad_err in halves:
         g24, _ = _integrate_log(trace, lo, hi, panels)
         reference, _ = _integrate_log(trace, lo, hi, 8 * panels)
-        gross, _ = _integrate_log(SimpleNamespace(odd=_gross(trace)), lo, hi, panels)
-        exponents, _ = _integrate_log(SimpleNamespace(odd=_exponent_error(trace)), lo, hi, panels)
-        assert (abs(float(g24 - reference))
-                <= quad_err + 8 * eps * float(gross) + 2 * float(exponents))
+        rounding = eta_mod._rounding(trace, lo, hi, 0.0)
+        assert abs(g24 - reference) <= quad_err + 3 * rounding
     if not isinstance(model.geometry, Torus3):
         exact = eta_for_model(model, "hurwitz")
         assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 
 def test_quadrature_doubles_the_panels_when_the_pair_disagrees(monkeypatch):
-    # the halves start on 2 and 3 panels (the upper one, [1, 80/0.1^2], is 9.0
-    # wide in log t); at tol 1e-13 their |G24 - G20| (about 3.2e-14, on the
-    # upper half) fails tol/16, so both are integrated again on twice the
-    # panels, where it passes
+    # the halves of [0.16, 80/0.1^2] start on 2 and 3 panels (the upper one
+    # is 9.0 wide in log t); at tol 1e-13 their |G24 - G20| (about 4e-14)
+    # is below the rounding term R = 5.6e-12 already in the bound, and no
+    # panel is doubled.  On panels up to 4.5 wide the upper half starts on 2,
+    # where it reads 6.8e-10, past both tol/16 and R, so both halves are
+    # integrated again on twice the panels, where it reads 1.2e-14
     model = SpectralModel(Sphere3(1.0), flux_shift=8.6)
-    calls = _record_integrals(monkeypatch)
-    heat = eta_for_model(model, "heat_kernel", cutoff=400, tol=1e-13)
-    assert [call[3] for call in calls] == [2, 3, 4, 6]
-    assert sum(call[4] for call in calls[:2]) > 1e-13 / 16
-    assert sum(call[4] for call in calls[2:]) <= 1e-13 / 16
     exact = eta_for_model(model, "hurwitz")
+    floors, quadrature = [], eta_mod._quadrature
+    monkeypatch.setattr(eta_mod, "_quadrature",
+                        lambda *args: floors.append(args[-1]) or quadrature(*args))
+    calls = _record_integrals(monkeypatch)
+    eta_for_model(model, "heat_kernel", cutoff=400, tol=1e-13)
+    assert [call[3] for call in calls] == [2, 3]
+    assert 1e-13 / 16 < sum(call[4] for call in calls) <= floors[-1]
+    monkeypatch.setattr(eta_mod, "_PANEL_WIDTH", 4.5)
+    calls.clear()
+    heat = eta_for_model(model, "heat_kernel", cutoff=400, tol=1e-10)
+    floor = max(1e-10 / 16, floors[-1])
+    assert [call[3] for call in calls] == [2, 2, 4, 4]
+    assert sum(call[4] for call in calls[:2]) > floor
+    assert sum(call[4] for call in calls[2:]) <= floor
+    assert heat.converged
     assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 
@@ -627,17 +633,17 @@ def test_quadrature_doubles_the_panels_when_the_pair_disagrees(monkeypatch):
     (SpectralModel(Sphere3(0.8422), flux_shift=0.155296), 400, 4),
 ], ids=["circle", "sphere"])
 def test_heat_eta_evaluates_its_trace_rows(monkeypatch, model, cutoff, panels):
-    # 1 t_max row, (24 + 20) quadrature nodes on each panel, and the rows at
-    # t_min and t_max of the eigenvalue-rounding term: 223 and 179 rows.  The
-    # circle's upper half, [1, 80/0.43^2], is 6.1 wide in log t, so it starts
-    # on 3 panels; every other half on 2
+    # 1 t_max row and (24 + 20) quadrature nodes on each panel: 221 and 177
+    # rows (the eigenvalue-rounding term is a closed form, no trace row).
+    # The circle's upper half, [1, 80/0.43^2], is 6.1 wide in log t, so it
+    # starts on 3 panels; every other half on 2
     rows = []
     heat_sums = eta_mod._heat_sums
     monkeypatch.setattr(eta_mod, "_heat_sums",
                         lambda lam, weight, ts, reach:
                         rows.append(ts.size) or heat_sums(lam, weight, ts, reach))
     assert eta_for_model(model, "heat_kernel", cutoff=cutoff).converged
-    assert sum(rows) == 1 + 44 * panels + 2
+    assert sum(rows) == 1 + 44 * panels
 
 
 def test_heat_bound_covers_a_level_near_zero():
@@ -677,7 +683,7 @@ def test_heat_bound_covers_a_spectrum_that_rounds_symmetric(r):
     assert abs(heat.eta - closed) <= heat.error_bound
 
 
-def _panel_quadrature(trace, t_min, t_max, tol):
+def _panel_quadrature(trace, t_min, t_max, tol, rounding):
     """``_quadrature`` over its panels whatever the trace: the reference for
     its empty-trace return."""
     halves = [(t_min, 1.0), (1.0, t_max)] if t_max > 1.0 > t_min else [(t_min, t_max)]
@@ -686,7 +692,7 @@ def _panel_quadrature(trace, t_min, t_max, tol):
         parts = [eta_mod._integrate_log(trace, lo, hi, n) for (lo, hi), n in zip(halves, panels)]
         integral = sum(val for val, _ in parts)
         quad_err = sum(err for _, err in parts)
-        if max(panels) >= 512 or quad_err <= max(tol / 16.0, 1e-16 * (1 + abs(float(integral)))):
+        if max(panels) >= 512 or quad_err <= max(tol / 16.0, rounding):
             return integral, quad_err
         panels = [2 * n for n in panels]
 
@@ -802,15 +808,14 @@ def test_heat_unconverged_flagged():
 
 
 @pytest.mark.parametrize("model,cutoff,rows", [
-    (SpectralModel(Circle(1.0), CircleHolonomy(0.3), flux_shift=0.37), 2000, 223),
-    (SpectralModel(Sphere3(0.9), flux_shift=1.3), 400, 223),
-    (SpectralModel(Torus3((1.0, 1.1, 0.95)), flux_shift=0.2), 12, 179),
+    (SpectralModel(Circle(1.0), CircleHolonomy(0.3), flux_shift=0.37), 2000, 221),
+    (SpectralModel(Sphere3(0.9), flux_shift=1.3), 400, 221),
+    (SpectralModel(Torus3((1.0, 1.1, 0.95)), flux_shift=0.2), 12, 177),
 ], ids=["circle", "sphere", "torus"])
 def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff, rows):
-    # every windowed sum eta_heat takes (its t_max, quadrature and rounding
-    # rows) equals the full sum over its eigenvalues, and the odd trace does
-    # on a geometric sweep of t too
-    ld = np.longdouble
+    # every windowed sum eta_heat takes (its t_max and quadrature rows)
+    # equals the full sum over its eigenvalues, and the odd trace does on a
+    # geometric sweep of t too
     engine_sums = []
     heat_sums = eta_mod._heat_sums
 
@@ -825,13 +830,17 @@ def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff, rows):
     assert sum(ts.size for _, _, ts, _ in engine_sums) == rows
 
     def full(lam, weight, ts):
-        # the full sum of the terms as the engine takes them (the exponent and
-        # its exp in float64, at t rounded to double), and the rounding of
-        # their sum plus the at most 1e-60 that each window drops
-        assert lam.dtype == np.float64 and weight.dtype == ld
+        # the full sum, correctly rounded, of the terms as the engine takes
+        # them (the exponent, its exp and the product by the weight in
+        # float64), and the slack: a window's sum errs by gamma_depth <=
+        # (depth + 1) u64 of its |terms| (eta._sum_depth), the reference by
+        # u64, one more u64 for the rounding of the slack, plus the at most
+        # 1e-60 that each window drops
+        assert lam.dtype == weight.dtype == np.float64
         terms = [weight * np.exp(-t * lam * lam) for t in ts.astype(float)]
-        return (np.array([np.sum(x) for x in terms]),
-                4 * np.finfo(ld).eps * np.array([np.sum(np.abs(x)) for x in terms]) + 1e-60)
+        depth = eta_mod._sum_depth(lam.size)
+        return (np.array([math.fsum(x) for x in terms]),
+                (depth + 3) * 2.0**-53 * np.array([np.sum(np.abs(x)) for x in terms]) + 1e-60)
 
     for lam, weight, ts, out in engine_sums:
         exact, slack = full(lam, weight, ts)
@@ -839,11 +848,11 @@ def test_windowed_trace_matches_full_sum(monkeypatch, model, cutoff, rows):
     trace = _OddTrace(enumerate_spectrum(model, cutoff))
     t_geo = model.geometry.shortest_geodesic**2 / (4 * _KAPPA)
     t_max = 80.0 / trace.min_abs**2
-    ts = np.concatenate([np.geomspace(t_geo / 8, t_max, 20).astype(ld),
+    ts = np.concatenate([np.geomspace(t_geo / 8, t_max, 20),
                          *(ts for lam, _, ts, _ in engine_sums
                            if lam.shape == trace.lam.shape and np.all(lam == trace.lam))])
     exact, _ = full(trace.lam, trace.mult * trace.lam, ts)
-    slack = 4 * np.finfo(ld).eps * _gross(trace)(ts) + 1e-60
+    slack = (eta_mod._sum_depth(trace.lam.size) + 3) * 2.0**-53 * _gross(trace)(ts) + 1e-60
     assert np.all(np.abs(trace.odd(ts) - exact) <= slack)
     one_by_one = np.array([trace.odd([t])[0] for t in ts])
     assert np.all(np.abs(one_by_one - exact) <= slack)
@@ -870,25 +879,45 @@ def test_heat_eta_sums_only_the_terms_that_can_matter(monkeypatch):
     assert abs(heat.eta - exact.eta) <= heat.error_bound + exact.error_bound
 
 
+def test_sum_depth_bounds_numpy_pairwise_order():
+    # numpy sums n < 8 terms in one loop, up to 128 with 8 accumulators (n//8
+    # - 1 additions each, 3 joining them, one per remaining term), and above
+    # that halves at a multiple of 8, one addition joining the halves; the
+    # head term of reduceat adds one.  _sum_depth(n) bounds the most
+    # additions a term meets in any sum of at most n terms, and exceeds the
+    # exact count by at most 3
+    @functools.lru_cache(maxsize=None)
+    def depth(n):
+        if n < 8:
+            return n
+        if n <= 128:
+            return n // 8 + 2 + n % 8
+        half = n // 2 - n // 2 % 8
+        return 1 + max(depth(half), depth(n - half))
+
+    most = 0
+    for n in range(1, 40_000):
+        most = max(most, 1 + depth(n))
+        assert most <= eta_mod._sum_depth(n) <= most + 3
+
+
 def test_trace_is_exactly_zero_where_every_term_underflows():
-    assert np.exp(-np.longdouble(_UNDERFLOW)) == 0.0
+    assert np.exp(-_UNDERFLOW) == 0.0
     trace = _OddTrace(enumerate_spectrum(SpectralModel(Sphere3(1.0), flux_shift=0.3), 50))
     t = 1.01 * _UNDERFLOW / trace.min_abs**2
     lam, mult = trace.lam, trace.mult
-    assert np.sum(mult * lam * np.exp(-np.longdouble(t) * lam * lam)) == 0.0
+    assert np.sum(mult * lam * np.exp(-t * lam * lam)) == 0.0
     assert trace.odd([t])[0] == 0.0
 
 
 def _per_row_sums(lam, weight, ts, reach):
     """The trace sums one t at a time, each window a slice summed by numpy,
-    the exponent ``(-t lam) lam`` and its exp in float64 at t rounded to
-    double, the terms and sums in longdouble: the reference for
-    ``_heat_sums``."""
-    assert lam.dtype == np.float64 and weight.dtype == np.longdouble
-    ts = ts.astype(float)
+    the exponent ``(-t lam) lam``, its exp, the terms and sums in float64:
+    the reference for ``_heat_sums``."""
+    assert lam.dtype == weight.dtype == ts.dtype == np.float64
     r = np.sqrt(reach / ts)
     lo, hi = np.searchsorted(lam, -r, side="left"), np.searchsorted(lam, r, side="right")
-    out = np.empty(ts.size, dtype=np.longdouble)
+    out = np.empty(ts.size)
     for i, t in enumerate(ts):
         window = lam[lo[i]:hi[i]]
         out[i] = (np.exp(-t * window * window) * weight[lo[i]:hi[i]]).sum()
@@ -896,8 +925,7 @@ def _per_row_sums(lam, weight, ts, reach):
 
 
 def _same_bits(a, b):
-    """Equal values with equal signs of zero (longdouble's padding bytes are
-    not part of the value)."""
+    """Equal float64 values with equal signs of zero."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
@@ -908,10 +936,9 @@ def _heat_sums_cases():
     than ``_FEW`` and exactly that many, terms that underflow to zeros of both
     signs, and windows of 1 to 4 terms that all underflow to -0 (their sums
     read +0)."""
-    ld = np.longdouble
     rng = np.random.default_rng(7)
     lam = np.arange(-300, 300) + 0.5
-    weight = lam.astype(ld) * rng.integers(1, 9, lam.size)
+    weight = lam * rng.integers(1, 9, lam.size)
     split = eta_mod._SPLIT
     at_split = np.array([140.0 / (split / 2) ** 2, 140.0 / ((split + 2) / 2) ** 2])
     mixed = np.concatenate([at_split, [1e9, 1e-6], np.geomspace(1e-3, 1e3, 60)])
@@ -919,33 +946,31 @@ def _heat_sums_cases():
     ragged = np.sort(rng.uniform(-50.0, 50.0, 100))
     far = np.arange(1000, 1010) + 0.5
     return [
-        (lam, weight, rng.permutation(mixed).astype(ld), 140.0),
-        (lam, weight, np.array([0.3], dtype=ld), 140.0),
-        (lam, weight, np.array([1e-6], dtype=ld), 140.0),
-        (lam, weight, np.array([1e9, 2e9], dtype=ld), 140.0),
-        (lam, weight, few[1:].astype(ld), 140.0),
-        (lam, weight, few.astype(ld), 140.0),
-        (ragged, ragged.astype(ld) * rng.choice([-3, 1, 2], ragged.size),
-         rng.uniform(1.0, 11.0, 90).astype(ld), 11500.0),
-        (far, -far.astype(ld), (11500.0 / np.linspace(1001.0, 1003.9, 8) ** 2).astype(ld),
+        (lam, weight, rng.permutation(mixed), 140.0),
+        (lam, weight, np.array([0.3]), 140.0),
+        (lam, weight, np.array([1e-6]), 140.0),
+        (lam, weight, np.array([1e9, 2e9]), 140.0),
+        (lam, weight, few[1:], 140.0),
+        (lam, weight, few, 140.0),
+        (ragged, ragged * rng.choice([-3, 1, 2], ragged.size), rng.uniform(1.0, 11.0, 90),
          11500.0),
+        (far, -far, 11500.0 / np.linspace(1001.0, 1003.9, 8) ** 2, 11500.0),
     ]
 
 
 def test_heat_sums_equal_the_per_row_sums_bit_for_bit(monkeypatch):
     cases = _heat_sums_cases()
     lam, _, ts, reach = cases[0]
-    r = np.sqrt(reach / ts.astype(float))
+    r = np.sqrt(reach / ts)
     sizes = np.searchsorted(lam, r, side="right") - np.searchsorted(lam, -r, side="left")
     assert 0 in sizes and eta_mod._SPLIT in sizes and eta_mod._SPLIT + 2 in sizes
     assert np.any(np.diff(ts) < 0)
     lam, weight, ts, reach = cases[-2]
-    ts = ts.astype(float)
     terms = weight * np.exp(-ts[:, None] * lam * lam)
     zero = (ts[:, None] * lam * lam <= reach) & (terms == 0)
     assert np.any(zero & np.signbit(terms)) and np.any(zero & ~np.signbit(terms))
     lam, weight, ts, reach = cases[-1]
-    assert np.all(weight[:4] * np.exp(-ts.astype(float)[:, None] * lam[:4] ** 2) == 0)
+    assert np.all(weight[:4] * np.exp(-ts[:, None] * lam[:4] ** 2) == 0)
     for lam, weight, ts, reach in cases:
         assert _same_bits(eta_mod._heat_sums(lam, weight, ts, reach),
                           _per_row_sums(lam, weight, ts, reach))
@@ -990,14 +1015,14 @@ def test_heat_eta_memory_on_the_non_cubic_holonomy_torus():
 
 def test_heat_sums_memory_is_capped_by_the_batch():
     # 6,000 short windows of 96-104 terms: one pass over their 599,108 terms
-    # traces 24 MB of temporaries, batches of _BATCH terms 4.1 MB
-    ld = np.longdouble
+    # traces 19 MB of float64 and int64 temporaries, batches of _BATCH terms
+    # (about six arrays of 2^16 entries) 3.4 MB
     lam = np.arange(-60, 60) + 0.5
-    weight = lam.astype(ld)
-    ts = np.random.default_rng(3).uniform(140.0 / 52**2, 140.0 / 48**2, 6000).astype(ld)
+    weight = lam.copy()
+    ts = np.random.default_rng(3).uniform(140.0 / 52**2, 140.0 / 48**2, 6000)
     sums, peak = _traced_peak(lambda: eta_mod._heat_sums(lam, weight, ts, 140.0))
     assert _same_bits(sums, _per_row_sums(lam, weight, ts, 140.0))
-    assert peak < 16 * 2**20
+    assert peak < 8 * 2**20
 
 
 # Hypothesis mixes into its float and integer draws constants it reads from
@@ -1350,10 +1375,10 @@ def _longdouble_exponent_sums(lam, weight, ts, reach):
 
 
 def test_exponent_rounding_term_covers_the_float64_exponentials(monkeypatch):
-    # eta_heat's exponent-rounding term alone covers the distance of its eta
-    # from the same quadrature on a trace whose exponentials are longdouble:
-    # seeded draws on the four geometries, the user's torus at its derived
-    # cutoff, and the two sparse lenses
+    # eta_heat's rounding term alone covers the distance of its eta from the
+    # same quadrature on a trace whose exponentials are longdouble: seeded
+    # draws on the four geometries, the user's torus at its derived cutoff,
+    # and the two sparse lenses
     draws = _honesty_draws(count=24, seed=5) + _floor_draws(count=8, seed=5)
     draws.append((_USER_TORUS, None))
     draws += [(SpectralModel(Lens(p, radius), LensCharacter(p, k), t), cutoff)
@@ -1364,12 +1389,12 @@ def test_exponent_rounding_term_covers_the_float64_exponentials(monkeypatch):
         calls.clear()
         heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
         steps = [call[1:4] for call in calls]
-        term = eta_mod._exp_rounding(calls[0][0], calls[0][1], calls[-1][2])
+        term = eta_mod._rounding(calls[0][0], calls[0][1], calls[-1][2], model.flux_shift)
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_OddTrace, "odd", lambda trace, ts: _longdouble_exponent_sums(
-                trace.lam, trace._odd_weight, np.asarray(ts, dtype=np.longdouble),
-                trace._odd_reach))
+                trace.lam, trace._odd_weight.astype(np.longdouble),
+                np.asarray(ts, dtype=np.longdouble), trace._odd_reach))
             reference = eta_for_model(model, "heat_kernel", cutoff=cutoff)
         assert [call[1:4] for call in calls] == steps  # the same t_max and panels
         if abs(heat.eta - reference.eta) > term:
@@ -1377,14 +1402,95 @@ def test_exponent_rounding_term_covers_the_float64_exponentials(monkeypatch):
     assert uncovered == []
 
 
+def _gauss_legendre_ld(n):
+    """Gauss-Legendre nodes and weights on [-1, 1] in longdouble: Newton
+    steps on the three-term recurrence from numpy's ``leggauss`` nodes,
+    weights ``2 / ((1 - x^2) P_n'(x)^2)``."""
+
+    def legendre(x):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1)
+
+    x = np.polynomial.legendre.leggauss(n)[0].astype(np.longdouble)
+    for _ in range(3):
+        p, dp = legendre(x)
+        x = x - p / dp
+    _, dp = legendre(x)
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def _longdouble_eta(trace, steps, weyl):
+    """The heat eta in longdouble throughout, on the engine's halves and
+    panels ``steps`` (``(t0, t1, panels)`` each): panels in ``ln t``, the
+    24-point rule by Newton steps in longdouble, and every exponent, exp,
+    weight, term and sum in longdouble, over all trace rows: the reference
+    for the engine's float64 rounding."""
+    ld = np.longdouble
+    x, w = _gauss_legendre_ld(24)
+    lam, weight = trace.lam.astype(ld), trace.mult.astype(ld) * trace.lam.astype(ld)
+    integral = ld(0)
+    for t0, t1, panels in steps:
+        edges = np.linspace(np.log(ld(t0)), np.log(ld(t1)), panels + 1)
+        half = (edges[1:] - edges[:-1]) / 2
+        xs = ((edges[1:] + edges[:-1]) / 2)[:, None] + half[:, None] * x
+        trace_sums = np.array([np.sum(weight * np.exp(-t * lam * lam)) for t in np.exp(xs).ravel()])
+        integral += np.sum(half[:, None] * np.exp(xs / 2) * trace_sums.reshape(xs.shape) * w)
+    t_min = ld(steps[0][0])
+    return (integral - ld(weyl) / t_min) / ld("1.7724538509055160272981674833411451828")
+
+
+def test_rounding_term_covers_a_longdouble_reference(monkeypatch):
+    # the whole float64 pass against the same quadrature in longdouble
+    # (tests/_longdouble_eta): eta_heat's rounding term covers the distance,
+    # plus four roundings of at most |c|/t_min (the float64 c/t_min, the
+    # subtraction and the division by sqrt(pi)) that the bound's Weyl term
+    # carries.  Seeded draws on the four geometries, cutoffs that converge
+    # and ones below the geodesic scale, and the user's torus at its derived
+    # cutoff.  The engine's arrays are float64: the trace's weights and its
+    # sums
+    draws = _honesty_draws(count=20, seed=7) + _floor_draws(count=8, seed=7)
+    draws.append((_USER_TORUS, None))
+    calls = _record_integrals(monkeypatch)
+    uncovered = []
+    for model, cutoff in draws:
+        calls.clear()
+        heat = eta_for_model(model, "heat_kernel", cutoff=cutoff)
+        trace, t_min, t_max = calls[0][0], calls[0][1], calls[-1][2]
+        assert trace.mult.dtype == trace._odd_weight.dtype == np.float64
+        assert trace.odd([t_min, t_max]).dtype == np.float64
+        steps = [call[1:4] for call in calls[-2 if calls[-1][1] != t_min else -1:]]
+        weyl = model.rank * model.geometry.weyl_coefficient * model.flux_shift
+        reference = _longdouble_eta(trace, steps, weyl)
+        term = (eta_mod._rounding(trace, t_min, t_max, model.flux_shift)
+                + 2 * np.finfo(float).eps * abs(weyl) / t_min)
+        if abs(heat.eta - float(reference)) > term:
+            uncovered.append((model, cutoff, heat.eta - float(reference), term))
+    assert uncovered == []
+
+
 def test_float64_exp_is_within_three_ulps():
-    # the exp error that the exponent-rounding term assumes, 3 ulps, on
-    # exponents across float64's normal range of exp and near 0
+    # the exp error that the rounding term assumes, 3 ulps, on exponents
+    # across float64's normal range of exp and near 0, and on the positive
+    # ones of the quadrature's nodes t0 exp(x) and factors exp(x/2)
     x = -np.concatenate([np.random.default_rng(2).uniform(0.0, 708.0, 200_000),
                          np.geomspace(1e-300, 708.0, 20_000)])
+    x = np.concatenate([x, -x[::4]])
     value = np.exp(x)
     exact = np.exp(x.astype(np.longdouble))
     assert np.all(np.abs(value - exact) <= 3 * np.spacing(value))
+
+
+def test_log_is_within_one_ulp():
+    # the panel ends ln(t1/t0) that the rounding term assumes within an ulp,
+    # math.log on quotients across the heat engine's range, 1e-300 to 1e300
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.exp(rng.uniform(-690.0, 690.0, 100_000)),
+                        1 + np.geomspace(1e-15, 1.0, 2000)])
+    value = np.array([math.log(v) for v in x.tolist()])
+    exact = np.log(x.astype(np.longdouble))
+    assert np.all(np.abs(value - exact) <= np.spacing(np.abs(value)))
 
 
 # --- rho ---------------------------------------------------------------------

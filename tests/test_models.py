@@ -159,7 +159,7 @@ def _full_box_levels(geometry, theta, cutoff):
                         + y2[2, None, None, :]).ravel())
     scaled_w, count = np.unique(scaled_w[scaled_w <= cutoff + 0.5], return_counts=True)
     x = 2.0 * np.pi * (scaled_w / lmax)
-    return np.concatenate([x, -x]), np.concatenate([count, count])
+    return np.concatenate([-x[::-1], x]), np.concatenate([count[::-1], count])
 
 
 def _assert_same_levels(geometry, theta, cutoff):

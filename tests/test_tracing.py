@@ -37,7 +37,7 @@ for command, text in runs.items():
     Path(f"{command}.txt").write_text(text)
     code = cli.main([command, "--config", f"{command}.txt", "--out", f"{command}.jsonl"])
     assert code == 0, (command, code)
-# no command assembles a sparse torus operator; the builders are public API
+# no command assembles a sparse torus operator; the builders (not API) are the tests' reference
 from twisteta import models
 flux = models.TorusFlux.cosine(0, 1.0)
 models.build_torus_operator(models.Torus3(), flux, 2)
